@@ -39,6 +39,7 @@ from .harness import (
     TrialTrace,
     fit_rate,
     quantile,
+    run_cell,
     run_experiment,
     run_trial,
     write_trace_csv,
@@ -51,6 +52,7 @@ from .optim import (
     Schedule,
     step,
     step_baseline,
+    step_batch,
     step_signstorm,
     storm_decomposition,
 )

@@ -360,13 +360,19 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
             draws = rng.choice([-1.0, 1.0], size=(n, T))
         else:
             draws = rng.uniform(-1.0, 1.0, size=(n, T))
-        paths = np.abs(np.cumsum(draws, axis=1))
+        # the chunk is transformed in place and released before the next
+        # draw, so at most one (n, T) array is alive between draws
+        paths = np.cumsum(draws, axis=1, out=draws)
+        np.abs(paths, out=paths)
         violations += int(np.sum(np.any(paths > bound[None, :], axis=1)))
-        excess = np.max(paths - bound[None, :], axis=1)
+        row_max = np.max(paths, axis=1)
+        paths -= bound[None, :]
+        excess = np.max(paths, axis=1)
         k = int(np.argmax(excess))
         if excess[k] > worst_excess:
             worst_excess = float(excess[k])
-            worst_max = float(np.max(paths[k]))
+            worst_max = float(row_max[k])
+        del draws, paths
         done += n
 
     stated = 3.0 * delta

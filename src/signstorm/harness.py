@@ -5,12 +5,17 @@ draws a single fresh noise realization, feeds the shared-sample gradient
 pair to the optimizer, and records the exact loss and gradient norms.  The
 headline metric of a trial is min over t of ||grad F(x_t)||_1.
 
-An experiment fans trials out over (optimizer, horizon, seed) cells with
-seeds derived from one master seed, then reduces each cell to quantiles of
-the headline metric and fits log-log rates through the medians.  "With
-probability >= 1 - delta" is operationalized as the empirical
+An experiment splits its work per (optimizer, horizon) cell: one task
+builds the problem once and steps all the cell's seeds together as one
+(S, d) state (:func:`run_cell`), each seed still drawing from its own
+stream derived from one master seed.  Additive noise is presampled per
+seed into one buffer of bounded size.  Each cell is reduced to quantiles
+of the headline metric, and log-log rates are fitted through the medians.
+"With probability >= 1 - delta" is operationalized as the empirical
 (1-delta)-quantile over independent seeds.  Reduction is keyed and ordered,
-so reports are byte-identical for any worker count.
+so reports are byte-identical for any worker count.  :func:`run_trial`
+runs one seed alone with its full trace; it writes the CSV traces and is
+the reference the batched engine is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .optim import (
     OptimizerKind,
     OptimizerState,
     step,
+    step_batch,
 )
 from .problems import StochasticProblem, make_problem
 from .rngutil import derive_seed, make_rng
@@ -62,8 +68,13 @@ class TrialTrace:
         return float(np.min(self.grad_l1)) if self.grad_l1.size else math.nan
 
 
-# presampled-noise block size; batching is stream-equivalent at any boundary
-_PRESAMPLE_BLOCK = 65536
+# presampled noise is drawn in blocks of at most this many values per
+# buffer; draws are stream-equivalent at any block boundary
+_PRESAMPLE_VALUES = 1 << 16
+
+
+def _block_rows(T: int, row_size: int) -> int:
+    return max(1, min(T, _PRESAMPLE_VALUES // row_size))
 
 
 def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
@@ -88,7 +99,8 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     exact_grad = problem.exact_grad
     value = problem.value
 
-    payloads = problem.presample_payloads(rng, min(_PRESAMPLE_BLOCK, T))
+    rows = _block_rows(T, problem.d)
+    payloads = problem.presample_payloads(rng, rows)
     additive = payloads is not None
     block_start = 1
     g_exact_prev = None
@@ -98,8 +110,7 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
         if additive:
             if t - block_start >= payloads.shape[0]:
                 block_start = t
-                payloads = problem.presample_payloads(
-                    rng, min(_PRESAMPLE_BLOCK, T - t + 1))
+                payloads = problem.presample_payloads(rng, min(rows, T - t + 1))
             pay = payloads[t - block_start]
             g_exact = exact_grad(state.x)
             g_curr = g_exact + pay
@@ -135,6 +146,84 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
         eps_l1=eps_l1[:done] if collect_diagnostics else None,
         aborted=done < T, abort_reason=reason,
     )
+
+
+def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
+             T: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Headlines of S seeded trials stepped together as one (S, d) state.
+
+    Row s draws from ``make_rng(seeds[s])`` exactly as ``run_trial(problem,
+    kind, hp, T, seeds[s])`` does and follows its trajectory bit for bit,
+    but records only the running minimum of ||grad F(x_t)||_1.  A row that
+    turns non-finite aborts its own seed and is dropped from the state.
+    Returns the per-seed headline (NaN where aborted) and the abort mask.
+
+    Additive noise is presampled per seed into one (rows, S, d) buffer of
+    bounded size.  Other noise is drawn one seed at a time, and so are the
+    oracle calls, since a matrix product over the rows would not reproduce
+    the per-vector arithmetic.
+    """
+    S, d = len(seeds), problem.d
+    x0 = OptimizerState.initial(problem.constants.x_init).x
+    state = OptimizerState(x=np.tile(x0, (S, 1)), m=np.zeros((S, d)),
+                           v=np.zeros((S, d)), prev_x=np.tile(x0, (S, 1)), t=1)
+    rngs = [make_rng(seed) for seed in seeds]
+    live = np.arange(S)              # seed index of each state row
+    best = np.full(S, np.inf)
+    headline = np.full(S, np.nan)
+    aborted = np.zeros(S, dtype=bool)
+    needs_prev = kind in STORM_FAMILY
+    exact_grad = problem.exact_grad
+
+    rows = _block_rows(T, S * d)
+    first = problem.presample_payloads(rngs[0], rows)
+    additive = first is not None
+    if additive:
+        buf = np.empty((rows, S, d))
+        buf[:, 0] = first
+        for r in range(1, S):
+            buf[:, r] = problem.presample_payloads(rngs[r], rows)
+    block_start = 1
+    g_exact_prev = None
+    for t in range(1, T + 1):
+        if additive:
+            if t - block_start >= rows:
+                block_start = t
+                n = min(rows, T - t + 1)
+                for r, rng in enumerate(rngs):
+                    buf[:n, r] = problem.presample_payloads(rng, n)
+            pay = buf[t - block_start]
+            g_exact = exact_grad(state.x)
+            g_curr = g_exact + pay
+            g_prev = g_exact_prev + pay if needs_prev and t > 1 else None
+        else:
+            g_exact = np.empty_like(state.x)
+            g_curr = np.empty_like(state.x)
+            g_prev = np.empty_like(state.x) if needs_prev and t > 1 else None
+            for r, rng in enumerate(rngs):
+                noise = problem.draw_noise(rng)
+                g_curr[r] = problem.stoch_grad(state.x[r], noise)
+                if g_prev is not None:
+                    g_prev[r] = problem.stoch_grad(state.prev_x[r], noise)
+                g_exact[r] = exact_grad(state.x[r])
+        np.minimum(best, np.add.reduce(np.abs(g_exact), axis=1), out=best)
+        state, finite = step_batch(state, GradientPair(g_curr, g_prev), hp, kind)
+        if finite is not None:
+            aborted[live[~finite]] = True
+            live = live[finite]
+            rngs = [rng for rng, ok in zip(rngs, finite) if ok]
+            state = OptimizerState(x=state.x[finite], m=state.m[finite],
+                                   v=state.v[finite], prev_x=state.prev_x[finite],
+                                   t=state.t)
+            best = best[finite]
+            g_exact = g_exact[finite]
+            if additive:
+                buf = buf[:, finite]
+            if live.size == 0:
+                break
+        g_exact_prev = g_exact
+    headline[live] = best
+    return headline, aborted
 
 
 def quantile(samples, level: float) -> float:
@@ -251,21 +340,26 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
     return choice.hp
 
 
-def _run_cell(args) -> tuple[tuple[int, int, int], float, bool]:
-    spec, opt_idx, T_idx, seed_idx = args
+def _experiment_cell(args) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    spec, opt_idx, T_idx = args
     problem = spec.build_problem()
     kind = spec.optimizers[opt_idx]
     T = spec.T_grid[T_idx]
     hp = resolve_hyperparams(spec, problem, kind, T)
-    seed = derive_seed(spec.master_seed, opt_idx, T_idx, seed_idx)
-    trace = run_trial(problem, kind, hp, T, seed)
-    return (opt_idx, T_idx, seed_idx), trace.headline, trace.aborted
+    seeds = [derive_seed(spec.master_seed, opt_idx, T_idx, seed_idx)
+             for seed_idx in range(spec.n_seeds)]
+    headline, aborted = run_cell(problem, kind, hp, T, seeds)
+    return (opt_idx, T_idx), headline, aborted
 
 
 def _worker_count() -> int:
     env = os.environ.get("SIGNSTORM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"SIGNSTORM_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -300,25 +394,25 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
                    ) -> ExperimentReport:
     """Run the full (optimizer, T, seed) grid and reduce to a report.
 
-    The result is independent of worker count and scheduling: each trial's
-    seed is a pure function of its indices and reduction iterates cells in
-    config order.
+    One task per (optimizer, T) cell, longest horizon first so the pool's
+    tail stays short.  The result is independent of worker count and
+    scheduling: each trial's seed is a pure function of its indices and
+    reduction iterates cells in config order.
     """
-    tasks = [(spec, oi, ti, si)
-             for oi in range(len(spec.optimizers))
-             for ti in range(len(spec.T_grid))
-             for si in range(spec.n_seeds)]
+    tasks = sorted(((spec, oi, ti)
+                    for oi in range(len(spec.optimizers))
+                    for ti in range(len(spec.T_grid))),
+                   key=lambda task: -spec.T_grid[task[2]])
     workers = max_workers if max_workers is not None else _worker_count()
 
-    results: dict[tuple[int, int, int], tuple[float, bool]] = {}
+    results: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     if workers <= 1 or len(tasks) == 1:
         for task in tasks:
-            key, headline, aborted = _run_cell(task)
+            key, headline, aborted = _experiment_cell(task)
             results[key] = (headline, aborted)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, headline, aborted in pool.map(_run_cell, tasks,
-                                                   chunksize=max(1, len(tasks) // (4 * workers))):
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            for key, headline, aborted in pool.map(_experiment_cell, tasks):
                 results[key] = (headline, aborted)
 
     levels = {"0.5": 0.5, "0.9": 0.9, "1-delta": 1.0 - spec.delta}
@@ -327,14 +421,10 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
     nonfinite = 0
     for oi, kind in enumerate(spec.optimizers):
         for ti, T in enumerate(spec.T_grid):
-            vals = []
-            n_fail = 0
-            for si in range(spec.n_seeds):
-                headline, aborted = results[(oi, ti, si)]
-                if aborted or not math.isfinite(headline):
-                    n_fail += 1
-                else:
-                    vals.append(headline)
+            headline, aborted = results[(oi, ti)]
+            vals = [float(h) for h, a in zip(headline, aborted)
+                    if not a and math.isfinite(h)]
+            n_fail = spec.n_seeds - len(vals)
             nonfinite += n_fail
             qs = {name: quantile(vals, lv) if vals else None
                   for name, lv in levels.items()}

@@ -17,6 +17,10 @@ Baselines sharing the same state layout: SGD, momentum SGD, the
 momentum-estimator sign method (``m = b1*m + (1-b1)*g`` with the same
 v/x rules), the plain variance-reduced method (``x -= eta*m``), Adam with
 bias correction, and an L2-normalized variant (``x -= eta*m/||m||_2``).
+
+Every rule is element-wise, so a state may also carry a leading seed axis:
+:func:`step_batch` advances an (S, d) state whose rows are independent
+runs, bit for bit as S calls of :func:`step` would.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ class OptimizerState:
 
     ``t`` is the index of the next iteration to execute (1-based); the
     fresh state therefore carries t = 1, v = 0 and an unset estimator.
+    The vectors have shape (d,), or (S, d) for S runs stepped together.
     """
 
     x: np.ndarray
@@ -122,7 +127,7 @@ class OptimizerState:
 
     @property
     def d(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,32 +142,42 @@ class GradientPair:
 
 
 def _check_dims(state: OptimizerState, grads: GradientPair, need_prev: bool) -> None:
-    d = state.d
-    if grads.g_curr.shape != (d,):
+    shape = state.x.shape
+    if grads.g_curr.shape != shape:
         raise DimensionMismatch(
-            f"g_curr has shape {grads.g_curr.shape}, state dimension is {d}"
+            f"g_curr has shape {grads.g_curr.shape}, state has shape {shape}"
         )
     if need_prev:
         if grads.g_prev is None:
             raise ValueError("g_prev is required by the variance-reduced estimator for t >= 2")
-        if grads.g_prev.shape != (d,):
+        if grads.g_prev.shape != shape:
             raise DimensionMismatch(
-                f"g_prev has shape {grads.g_prev.shape}, state dimension is {d}"
+                f"g_prev has shape {grads.g_prev.shape}, state has shape {shape}"
             )
 
 
-def _check_finite(**arrays: np.ndarray) -> None:
-    # one reduction per array on the fast path; infinities never cancel to a
-    # finite sum in IEEE arithmetic, so only an all-finite overflow (values
-    # near 1e308) can reach the precise fallback
-    total = 0.0
-    for arr in arrays.values():
-        total += float(np.add.reduce(arr))
-    if math.isfinite(total):
+def _sum_is_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> bool:
+    # one reduction on the fast path; infinities never cancel to a finite
+    # sum in IEEE arithmetic, so a False here is either a NaN/Inf or an
+    # all-finite overflow (values near 1e308) that needs the precise check
+    return math.isfinite(float(np.add.reduce(x + m + v, axis=None)))
+
+
+def _check_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+    if _sum_is_finite(x, m, v):
         return
-    for name, arr in arrays.items():
+    for name, arr in (("x", x), ("m", m), ("v", v)):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue(f"{name} contains NaN/Inf after the update")
+
+
+def _finite_rows(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Per row of an (S, d) state: True where x, m and v are all finite;
+    None when every row is."""
+    if _sum_is_finite(x, m, v):
+        return None
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
+    return None if finite.all() else finite
 
 
 def _guarded_ratio(m: np.ndarray, v: np.ndarray, eps_guard: float) -> np.ndarray:
@@ -175,7 +190,7 @@ def _guarded_ratio(m: np.ndarray, v: np.ndarray, eps_guard: float) -> np.ndarray
     denom = np.sqrt(v)
     if eps_guard != 0.0:
         denom += eps_guard
-    out = np.zeros_like(m)
+    out = np.zeros(m.shape)
     np.divide(m, denom, out=out, where=denom > 0.0)
     return out
 
@@ -197,39 +212,29 @@ def _second_moment(v_prev: np.ndarray, m: np.ndarray, beta2: float) -> np.ndarra
     return v
 
 
-def step_signstorm(
-    state: OptimizerState, grads: GradientPair, hp: HyperParams
-) -> OptimizerState:
-    """Advance one iteration of the coordinate-normalized variance-reduced method.
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, shaped (..., 1).
 
-    Returns a fresh state; the input state is left untouched and shares no
-    arrays with the output.
+    A vectorised sqrt(sum(m*m)) would sum in another order than the
+    dot product np.linalg.norm uses, and change the last bits.
     """
-    _check_dims(state, grads, need_prev=state.t > 1)
-    m = _storm_estimator(state, grads, hp.beta1)
-    v = _second_moment(state.v, m, hp.beta2)
-    ratio = _guarded_ratio(m, v, hp.eps_guard)
-    ratio *= -hp.step_size(state.t)
-    ratio += state.x
-    x = ratio
-    _check_finite(x=x, m=m, v=v)
-    return OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1)
+    rows = m.reshape(-1, m.shape[-1])
+    return np.array([np.linalg.norm(row) for row in rows]).reshape(m.shape[:-1] + (1,))
 
 
-def step_baseline(
-    state: OptimizerState,
-    grads: GradientPair,
-    hp: HyperParams,
-    kind: OptimizerKind,
-) -> OptimizerState:
-    """One iteration of the named baseline over the shared state layout."""
-    if not isinstance(kind, OptimizerKind) or kind is OptimizerKind.SIGNSTORM:
-        raise UnsupportedKind(f"not a baseline kind: {kind!r}")
-    _check_dims(state, grads, need_prev=kind in STORM_FAMILY and state.t > 1)
+def _advance(state: OptimizerState, grads: GradientPair, hp: HyperParams,
+             kind: OptimizerKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New (x, m, v) of one iteration; element-wise over any leading axes."""
     eta = hp.step_size(state.t)
     g = grads.g_curr
 
-    if kind is OptimizerKind.SGD:
+    if kind is OptimizerKind.SIGNSTORM:
+        m = _storm_estimator(state, grads, hp.beta1)
+        v = _second_moment(state.v, m, hp.beta2)
+        x = _guarded_ratio(m, v, hp.eps_guard)
+        x *= -eta
+        x += state.x
+    elif kind is OptimizerKind.SGD:
         m = g.copy()
         v = state.v.copy()
         x = state.x - eta * m
@@ -254,13 +259,44 @@ def step_baseline(
     elif kind is OptimizerKind.L2_NORMALIZED_STORM:
         m = _storm_estimator(state, grads, hp.beta1)
         v = state.v.copy()
-        norm = float(np.linalg.norm(m))
-        x = state.x - eta * m / norm if norm > 0.0 else state.x.copy()
-    else:  # pragma: no cover - enum is closed
+        # a zero (or NaN) norm leaves the row in place
+        norm = _row_norms(m)
+        move = np.divide(eta * m, norm, out=np.zeros(m.shape), where=norm > 0.0)
+        x = state.x - move
+    else:
         raise UnsupportedKind(f"unhandled kind: {kind!r}")
+    return x, m, v
 
-    _check_finite(x=x, m=m, v=v)
+
+def _checked_step(state: OptimizerState, grads: GradientPair, hp: HyperParams,
+                  kind: OptimizerKind) -> OptimizerState:
+    _check_dims(state, grads, need_prev=kind in STORM_FAMILY and state.t > 1)
+    x, m, v = _advance(state, grads, hp, kind)
+    _check_finite(x, m, v)
     return OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1)
+
+
+def step_signstorm(
+    state: OptimizerState, grads: GradientPair, hp: HyperParams
+) -> OptimizerState:
+    """Advance one iteration of the coordinate-normalized variance-reduced method.
+
+    Returns a fresh state; the input state is left untouched and shares no
+    arrays with the output.
+    """
+    return _checked_step(state, grads, hp, OptimizerKind.SIGNSTORM)
+
+
+def step_baseline(
+    state: OptimizerState,
+    grads: GradientPair,
+    hp: HyperParams,
+    kind: OptimizerKind,
+) -> OptimizerState:
+    """One iteration of the named baseline over the shared state layout."""
+    if not isinstance(kind, OptimizerKind) or kind is OptimizerKind.SIGNSTORM:
+        raise UnsupportedKind(f"not a baseline kind: {kind!r}")
+    return _checked_step(state, grads, hp, kind)
 
 
 def step(
@@ -273,6 +309,25 @@ def step(
     if kind is OptimizerKind.SIGNSTORM:
         return step_signstorm(state, grads, hp)
     return step_baseline(state, grads, hp, kind)
+
+
+def step_batch(
+    state: OptimizerState,
+    grads: GradientPair,
+    hp: HyperParams,
+    kind: OptimizerKind = OptimizerKind.SIGNSTORM,
+) -> tuple[OptimizerState, np.ndarray | None]:
+    """One iteration of every row of an (S, d) state, each row an independent run.
+
+    Row s of the result equals :func:`step` on row s alone, bit for bit.
+    Instead of raising on a non-finite update, returns with the new state
+    the boolean mask of the rows that stayed finite, or None when all did;
+    the caller drops the other rows.  Shapes are the caller's contract and
+    are not checked.
+    """
+    x, m, v = _advance(state, grads, hp, kind)
+    return (OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1),
+            _finite_rows(x, m, v))
 
 
 def storm_decomposition(

@@ -20,7 +20,6 @@ unbiasedness exactly.
 from __future__ import annotations
 
 import abc
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,6 @@ class NoiseRealization:
     index; it fully determines the stochastic gradient map x -> grad f(x, Xi).
     """
 
-    sample_id: int
     payload: np.ndarray | int
 
 
@@ -106,7 +104,9 @@ class StochasticProblem(abc.ABC):
         """Batch of n additive-noise payload rows, or None when noise is not additive.
 
         Must consume the generator exactly like n draw_noise calls so batched
-        and per-step trials share one stream.
+        and per-step trials share one stream.  A problem that returns
+        payloads must also evaluate ``exact_grad`` row by row on an (S, d)
+        array of iterates, so seed-batched trials can call it once per step.
         """
         return None
 
@@ -116,8 +116,7 @@ class _AdditiveNoiseProblem(StochasticProblem):
 
     def draw_noise(self, rng: np.random.Generator) -> NoiseRealization:
         sigma = self.constants.sigma_vec
-        payload = rng.uniform(-sigma, sigma)
-        return NoiseRealization(zlib.crc32(payload.tobytes()), payload)
+        return NoiseRealization(rng.uniform(-sigma, sigma))
 
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # numpy fills row-major, so one (n, d) draw equals n sequential (d,) draws
@@ -238,11 +237,10 @@ class SyntheticLogistic(StochasticProblem):
         return float(np.mean(np.logaddexp(0.0, -self._margins(x))))
 
     def draw_noise(self, rng: np.random.Generator) -> NoiseRealization:
-        idx = int(rng.integers(0, self.n_samples))
-        return NoiseRealization(idx, idx)
+        return NoiseRealization(int(rng.integers(0, self.n_samples)))
 
     def noise_support(self) -> list[NoiseRealization]:
-        return [NoiseRealization(i, i) for i in range(self.n_samples)]
+        return [NoiseRealization(i) for i in range(self.n_samples)]
 
     def _sample_grad(self, x: np.ndarray, i: int) -> np.ndarray:
         z = -self.labels[i] * float(self.features[i] @ x)

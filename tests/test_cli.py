@@ -82,6 +82,15 @@ class TestCmdRun:
         assert main(["run", path]) == EXIT_OK
         assert (out / "report.json").read_bytes() == first
 
+    def test_non_integer_thread_count_is_config_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("SIGNSTORM_THREADS", "abc")
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "SIGNSTORM_THREADS" in err and "'abc'" in err
+
 
 class TestCmdCheck:
     def test_default_suite_passes(self, tmp_path, capsys):

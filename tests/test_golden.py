@@ -1,0 +1,118 @@
+"""Golden reports: pinned SHA-256 digests of small experiments' report.json.
+
+The digests in ``golden/report_sha256.json`` were computed by the
+per-trial engine that preceded the seed-batched one.  Any change to how a
+report is produced must reproduce them byte for byte, at every worker
+count.  Between them the specs cover every bundled problem, all seven
+optimizer kinds, a cell where some seeds abort on a non-finite value,
+beta1 = 0 (noiseless theorem mode, and T = 1 in practical mode), sigma = 0
+in practical mode, and d = 1.  ``golden/check_sha256.json`` pins the
+``check.json`` of one ``signstorm check`` run in the same way; it was
+computed before ``lemma1_montecarlo`` transformed its chunks in place.
+
+    PYTHONPATH=src python tests/test_golden.py    # print the current digests
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+
+from signstorm import ExperimentSpec, OptimizerKind as K, run_experiment
+from signstorm.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "report_sha256.json"
+CHECK_GOLDEN = Path(__file__).resolve().parent / "golden" / "check_sha256.json"
+
+SPECS = {
+    "quadratic_theorem": dict(
+        problem_name="noisy_quadratic",
+        problem_params={"d": 20, "hessian_diag": 1.0, "sigma": 0.3,
+                        "x_init": [0.5 + j / 19 for j in range(20)]},
+        optimizers=[K.SIGNSTORM, K.GENERALIZED_SIGN_SGD, K.SGD],
+        T_grid=[50, 100, 200], n_seeds=4, delta=0.1, beta2=0.1, master_seed=11),
+    "nonconvex_practical": dict(
+        problem_name="bounded_nonconvex",
+        problem_params={"d": 3, "a": 1.0, "sigma": 0.4, "x_init": [0.5, 1.0, 2.0]},
+        optimizers=[K.STORM, K.MOMENTUM_SGD, K.ADAM, K.L2_NORMALIZED_STORM],
+        T_grid=[30, 60, 120], n_seeds=3, delta=0.2, param_mode="practical",
+        alpha=0.5, beta=0.8, per_step=True, master_seed=12),
+    "logistic_all_kinds": dict(
+        problem_name="synthetic_logistic",
+        problem_params={"d": 12, "n_samples": 16, "feature_bound": 1.0,
+                        "x_init": 0.5, "data_seed": 3},
+        optimizers=list(K),
+        T_grid=[20, 40, 80], n_seeds=2, delta=0.1, master_seed=13),
+    "partial_aborts": dict(
+        problem_name="noisy_quadratic",
+        problem_params={"d": 2, "hessian_diag": 1e150, "sigma": 1e150, "x_init": 0.0},
+        optimizers=[K.SGD, K.SIGNSTORM],
+        T_grid=[2007, 2008], n_seeds=8, delta=0.1, param_mode="practical",
+        alpha=3.5e-148, master_seed=7),
+    "noiseless_practical_d1": dict(
+        problem_name="noisy_quadratic",
+        problem_params={"d": 1, "hessian_diag": 2.0, "sigma": 0.0, "x_init": -1.5},
+        optimizers=[K.SIGNSTORM, K.STORM, K.L2_NORMALIZED_STORM, K.ADAM],
+        T_grid=[1, 8, 27, 64], n_seeds=3, delta=0.1, param_mode="practical",
+        alpha=0.7, beta=1.0, master_seed=14),
+    "noiseless_theorem_beta1_zero": dict(
+        problem_name="bounded_nonconvex",
+        problem_params={"d": 1, "a": 1.5, "sigma": 0.0, "x_init": 1.2},
+        optimizers=[K.SIGNSTORM, K.GENERALIZED_SIGN_SGD, K.MOMENTUM_SGD],
+        T_grid=[40, 80, 160], n_seeds=2, delta=0.05, master_seed=15),
+}
+
+
+# lemma1_trials spans three of lemma1_montecarlo's 2000-trial chunks, and
+# delta = 0.3 makes about 20 of them escape the envelope, so the count shows
+CHECK_CONFIG = {
+    "problem": {"name": "bounded_nonconvex",
+                "params": {"d": 4, "sigma": 0.5, "x_init": [1.0, -0.5, 2.0, 0.3]}},
+    "optimizers": ["signstorm"], "T_grid": [200], "n_seeds": 1, "delta": 0.3,
+    "master_seed": 16,
+    "check": {"T": 200, "n_seeds": 3, "n_probes": 300, "lemma1_trials": 4500,
+              "lemma1_T": 400},
+}
+
+
+def check_digest(tmp_dir: Path) -> str:
+    config = dict(CHECK_CONFIG, output_dir=str(tmp_dir / "out"))
+    path = tmp_dir / "check_config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", str(path)]) == 0
+    return hashlib.sha256((tmp_dir / "out" / "check.json").read_bytes()).hexdigest()
+
+
+def report_digest(name: str, workers: int) -> str:
+    with warnings.catch_warnings():
+        # the aborting cells overflow on purpose
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = run_experiment(ExperimentSpec(**SPECS[name]), max_workers=workers)
+    return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+
+
+def test_golden_file_covers_every_spec():
+    assert set(json.loads(GOLDEN.read_text())) == set(SPECS)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_report_matches_golden_digest(name, workers):
+    assert report_digest(name, workers) == json.loads(GOLDEN.read_text())[name]
+
+
+def test_check_json_matches_golden_digest(tmp_path):
+    assert check_digest(tmp_path) == json.loads(CHECK_GOLDEN.read_text())["check"]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: report_digest(name, 1) for name in sorted(SPECS)},
+                     indent=2, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({"check": check_digest(Path(tmp))}, indent=2))
