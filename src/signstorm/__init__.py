@@ -36,6 +36,7 @@ from .harness import (
     ExperimentReport,
     ExperimentSpec,
     RateFit,
+    TraceRecorder,
     TrialTrace,
     fit_rate,
     quantile,

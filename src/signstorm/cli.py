@@ -9,7 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 check failure, 3 I/O error.  The
 worker pool is capped by the SIGNSTORM_THREADS environment variable.  Every
 command is a thin shell over the library; outputs stay inside the configured
-output directory.
+output directory.  ``run`` steps every trial once: its CSV traces are
+recorded by the experiment's own cell tasks, which hold a bounded amount
+of trace data per cell.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     RhoConstraintViolated,
     SignStormError,
 )
-from .harness import ExperimentSpec, run_experiment, run_trial, write_trace_csv
+from .harness import ExperimentSpec, run_experiment
 from .optim import OptimizerKind
 from .problems import verify_assumptions
 from .rngutil import derive_seed, make_rng
@@ -148,20 +150,20 @@ class RunConfig:
 
 def cmd_run(config_path: str) -> int:
     config = RunConfig.load(config_path)
+    if config.eps_guard != 0.0:
+        raise ConfigError("eps_guard applies only to `check`; `run` would ignore it, "
+                          "so remove it from a run config")
     spec = config.to_spec()
-    problem = spec.build_problem()  # fail fast on bad problem params
-    del problem
-    report = run_experiment(spec)
     out = config.output_dir
+    # the cells write the traces as they run; a bad problem parameter
+    # raises in the first cell, before anything is written
+    report = run_experiment(
+        spec, trace_dir=os.path.join(out, "traces") if config.write_traces else None)
     try:
         os.makedirs(out, exist_ok=True)
         report_path = os.path.join(out, "report.json")
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report.to_json())
-        if config.write_traces:
-            trace_dir = os.path.join(out, "traces")
-            os.makedirs(trace_dir, exist_ok=True)
-            _write_all_traces(config, spec, trace_dir)
         doc = json.loads(report.to_json())
         for name, render in (("convergence_bands", charts.convergence_bands_svg),
                              ("rate_fit", charts.rate_fit_svg)):
@@ -172,21 +174,6 @@ def cmd_run(config_path: str) -> int:
         return EXIT_IO
     print(f"report written to {report_path}")
     return EXIT_OK
-
-
-def _write_all_traces(config: RunConfig, spec: ExperimentSpec, trace_dir: str) -> None:
-    from .harness import resolve_hyperparams
-
-    problem = spec.build_problem()
-    for oi, kind in enumerate(spec.optimizers):
-        for ti, T in enumerate(spec.T_grid):
-            hp = resolve_hyperparams(spec, problem, kind, T)
-            for si in range(spec.n_seeds):
-                seed = derive_seed(spec.master_seed, oi, ti, si)
-                trace = run_trial(problem, kind, hp, T, seed,
-                                  collect_diagnostics=spec.collect_diagnostics)
-                path = os.path.join(trace_dir, f"{kind.value}_T{T}_s{si}.csv")
-                write_trace_csv(trace, path)
 
 
 def _check_verdicts(config: RunConfig) -> list[dict]:

@@ -30,6 +30,7 @@ from .optim import (
     HyperParams,
     OptimizerKind,
     OptimizerState,
+    _guarded_ratio,
     step,
     storm_decomposition,
 )
@@ -220,20 +221,13 @@ def estimator_ratio_check(run: DiagnosticRun, rel_slack: float = 1e-12) -> Check
     """Deterministic cap |m_tj| / sqrt(v_tj) <= 1/sqrt(1 - beta2) (eps_guard = 0)."""
     if run.hp.eps_guard != 0.0:
         raise PreconditionNotMet("ratio cap is stated for eps_guard = 0")
-    ratio = _ratio_m_over_sqrt_v(run.m, run.v)
+    ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
     cap = 1.0 / math.sqrt(1.0 - run.hp.beta2)
     worst_flat = int(np.argmax(ratio))
     worst = float(ratio.flat[worst_flat] / cap)
     return CheckResult("estimator_ratio", worst <= 1.0 + rel_slack, worst,
                        worst_flat // run.m.shape[1] + 1,
                        f"cap 1/sqrt(1-beta2)={cap:.6g}")
-
-
-def _ratio_m_over_sqrt_v(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    root = np.sqrt(v)
-    out = np.zeros_like(m)
-    np.divide(np.abs(m), root, out=out, where=root > 0.0)
-    return out
 
 
 def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
@@ -295,7 +289,7 @@ def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
         T = run.grad_exact.shape[0]
         rhs = epsilon_envelope(hp, L_vec, sigma_vec, T, confidence_delta)
         branch1 = c_rho(rho) * np.abs(run.grad_exact) < rhs
-        ratio = _ratio_m_over_sqrt_v(run.m, run.v)
+        ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
         threshold = (1.0 - rho) / (5.0 * math.sqrt(1.0 - hp.beta2))
         branch2 = (np.sign(run.grad_exact) == np.sign(run.m)) & (ratio >= threshold)
         violations += int(np.sum(~(branch1 | branch2)))

@@ -13,9 +13,15 @@ seed into one buffer of bounded size.  Each cell is reduced to quantiles
 of the headline metric, and log-log rates are fitted through the medians.
 "With probability >= 1 - delta" is operationalized as the empirical
 (1-delta)-quantile over independent seeds.  Reduction is keyed and ordered,
-so reports are byte-identical for any worker count.  :func:`run_trial`
-runs one seed alone with its full trace; it writes the CSV traces and is
-the reference the batched engine is tested against.
+so reports are byte-identical for any worker count.
+
+CSV traces come from the experiment run itself: given a trace directory,
+each cell task records every seed's trace columns with a
+:class:`TraceRecorder` and writes its own CSVs.  The recorded columns of
+a cell are bounded in size by stepping its seeds in chunks.
+:func:`run_trial` runs one seed alone with its full trace; it is the
+library's single-seed call and the reference the batched engine is tested
+against.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .optim import (
     HyperParams,
     OptimizerKind,
     OptimizerState,
+    _check_finite,
     step,
     step_batch,
 )
@@ -75,6 +82,11 @@ _PRESAMPLE_VALUES = 1 << 16
 
 def _block_rows(T: int, row_size: int) -> int:
     return max(1, min(T, _PRESAMPLE_VALUES // row_size))
+
+
+# the trace columns recorded in one run_cell call hold at most this many
+# values (16 MiB), or one seed's columns where those alone are larger
+_TRACE_VALUES = 1 << 21
 
 
 def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
@@ -148,15 +160,75 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     )
 
 
+class TraceRecorder:
+    """The trace columns of every seed of one :func:`run_cell` call.
+
+    Each column is an (S, T) array whose row s belongs to seed s.  Every
+    value is computed with the same call :func:`run_trial` makes, so the
+    recorded traces equal its traces bit for bit, and an aborted seed's
+    trace stops at its last finite step.
+    """
+
+    def __init__(self, n_seeds: int, T: int, collect_diagnostics: bool = False):
+        shape = (n_seeds, T)
+        self.T = T
+        self.loss = np.empty(shape)
+        self.grad_l1 = np.empty(shape)
+        self.grad_l2 = np.empty(shape)
+        self.step_l2 = np.empty(shape)
+        self.eps_l1 = np.empty(shape) if collect_diagnostics else None
+        self.done = np.full(n_seeds, T)
+        self.abort_reasons = [""] * n_seeds
+
+    def record_point(self, t: int, live: np.ndarray, x: np.ndarray,
+                     g_exact: np.ndarray, grad_l1: np.ndarray, value) -> None:
+        """Columns of x_t, taken before the step; row r of x is seed live[r]."""
+        self.grad_l1[live, t - 1] = grad_l1
+        for r, s in enumerate(live):
+            g = g_exact[r]
+            self.loss[s, t - 1] = value(x[r])
+            self.grad_l2[s, t - 1] = math.sqrt(float(g @ g))
+
+    def record_step(self, t: int, live: np.ndarray, state: OptimizerState,
+                    g_exact: np.ndarray, finite: np.ndarray | None) -> None:
+        """Columns of the step from x_t; a non-finite row ends its seed's trace."""
+        diff = state.x - state.prev_x
+        for r, s in enumerate(live):
+            if finite is not None and not finite[r]:
+                self.done[s] = t - 1
+                try:
+                    _check_finite(state.x[r], state.m[r], state.v[r])
+                except NonFiniteValue as exc:
+                    self.abort_reasons[s] = str(exc)
+                continue
+            self.step_l2[s, t - 1] = math.sqrt(float(diff[r] @ diff[r]))
+            if self.eps_l1 is not None:
+                self.eps_l1[s, t - 1] = np.sum(np.abs(state.m[r] - g_exact[r]))
+
+    def trace(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> TrialTrace:
+        """Seed s's trace, as :func:`run_trial` returns it; views, not copies."""
+        n = int(self.done[s])
+        return TrialTrace(
+            seed=seed, kind=kind, hp=hp, t=np.arange(1, n + 1),
+            loss=self.loss[s, :n], grad_l1=self.grad_l1[s, :n],
+            grad_l2=self.grad_l2[s, :n], step_l2=self.step_l2[s, :n],
+            eps_l1=self.eps_l1[s, :n] if self.eps_l1 is not None else None,
+            aborted=n < self.T, abort_reason=self.abort_reasons[s],
+        )
+
+
 def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
-             T: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+             T: int, seeds: list[int], recorder: TraceRecorder | None = None,
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Headlines of S seeded trials stepped together as one (S, d) state.
 
     Row s draws from ``make_rng(seeds[s])`` exactly as ``run_trial(problem,
-    kind, hp, T, seeds[s])`` does and follows its trajectory bit for bit,
-    but records only the running minimum of ||grad F(x_t)||_1.  A row that
-    turns non-finite aborts its own seed and is dropped from the state.
-    Returns the per-seed headline (NaN where aborted) and the abort mask.
+    kind, hp, T, seeds[s])`` does and follows its trajectory bit for bit.
+    Without a recorder only the running minimum of ||grad F(x_t)||_1 is
+    kept; a :class:`TraceRecorder` sized (S, T) also receives every seed's
+    trace columns.  A row that turns non-finite aborts its own seed and is
+    dropped from the state.  Returns the per-seed headline (NaN where
+    aborted) and the abort mask.
 
     Additive noise is presampled per seed into one (rows, S, d) buffer of
     bounded size.  Other noise is drawn one seed at a time, and so are the
@@ -206,8 +278,13 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
                 if g_prev is not None:
                     g_prev[r] = problem.stoch_grad(state.prev_x[r], noise)
                 g_exact[r] = exact_grad(state.x[r])
-        np.minimum(best, np.add.reduce(np.abs(g_exact), axis=1), out=best)
+        grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
+        np.minimum(best, grad_l1, out=best)
+        if recorder is not None:
+            recorder.record_point(t, live, state.x, g_exact, grad_l1, problem.value)
         state, finite = step_batch(state, GradientPair(g_curr, g_prev), hp, kind)
+        if recorder is not None:
+            recorder.record_step(t, live, state, g_exact, finite)
         if finite is not None:
             aborted[live[~finite]] = True
             live = live[finite]
@@ -341,14 +418,32 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
 
 
 def _experiment_cell(args) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-    spec, opt_idx, T_idx = args
+    spec, opt_idx, T_idx, trace_dir = args
     problem = spec.build_problem()
     kind = spec.optimizers[opt_idx]
     T = spec.T_grid[T_idx]
     hp = resolve_hyperparams(spec, problem, kind, T)
     seeds = [derive_seed(spec.master_seed, opt_idx, T_idx, seed_idx)
              for seed_idx in range(spec.n_seeds)]
-    headline, aborted = run_cell(problem, kind, hp, T, seeds)
+    if trace_dir is None:
+        headline, aborted = run_cell(problem, kind, hp, T, seeds)
+        return (opt_idx, T_idx), headline, aborted
+
+    # rows are independent, so stepping the seeds in chunks changes no bit
+    os.makedirs(trace_dir, exist_ok=True)
+    diag = spec.collect_diagnostics
+    chunk = max(1, _TRACE_VALUES // (T * (5 if diag else 4)))
+    headline = np.empty(len(seeds))
+    aborted = np.empty(len(seeds), dtype=bool)
+    for lo in range(0, len(seeds), chunk):
+        part = seeds[lo:lo + chunk]
+        recorder = TraceRecorder(len(part), T, diag)
+        headline[lo:lo + len(part)], aborted[lo:lo + len(part)] = run_cell(
+            problem, kind, hp, T, part, recorder)
+        for s, seed in enumerate(part):
+            write_trace_csv(recorder.trace(s, seed, kind, hp),
+                            os.path.join(trace_dir, f"{kind.value}_T{T}_s{lo + s}.csv"))
+        del recorder  # free this chunk's columns before the next is allocated
     return (opt_idx, T_idx), headline, aborted
 
 
@@ -391,15 +486,17 @@ class ExperimentReport:
 
 
 def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
-                   ) -> ExperimentReport:
+                   trace_dir: str | None = None) -> ExperimentReport:
     """Run the full (optimizer, T, seed) grid and reduce to a report.
 
     One task per (optimizer, T) cell, longest horizon first so the pool's
     tail stays short.  The result is independent of worker count and
     scheduling: each trial's seed is a pure function of its indices and
-    reduction iterates cells in config order.
+    reduction iterates cells in config order.  With ``trace_dir``, every
+    cell task also writes its seeds' CSV traces there, as
+    ``<optimizer>_T<T>_s<seed index>.csv``, creating the directory.
     """
-    tasks = sorted(((spec, oi, ti)
+    tasks = sorted(((spec, oi, ti, trace_dir)
                     for oi in range(len(spec.optimizers))
                     for ti in range(len(spec.T_grid))),
                    key=lambda task: -spec.T_grid[task[2]])

@@ -2,8 +2,9 @@
 
 ``step_batch`` on an (S, d) state must equal S calls of ``step``, and
 ``run_cell`` must reproduce the headline and the abort of every seed's
-``run_trial``.  Bit equality is checked on the raw bytes, so a -0.0 that
-turns into 0.0 counts as a difference.
+``run_trial``, and with a ``TraceRecorder`` every column of its trace.
+Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
+counts as a difference.
 """
 
 import warnings
@@ -21,6 +22,7 @@ from signstorm import (
     OptimizerKind,
     OptimizerState,
     Schedule,
+    TraceRecorder,
     derive_seed,
     make_problem,
     practical_params,
@@ -29,6 +31,7 @@ from signstorm import (
     run_trial,
     step,
     step_batch,
+    write_trace_csv,
 )
 from signstorm import harness
 
@@ -160,3 +163,73 @@ def test_abort_drops_only_its_own_seed():
             assert same_bits(headline[s], trace.headline)
         else:
             assert np.isnan(headline[s])
+
+
+def assert_same_trace(recorded, reference):
+    assert recorded.aborted == reference.aborted
+    assert recorded.abort_reason == reference.abort_reason
+    assert same_bits(recorded.t, reference.t)
+    for column in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
+        assert same_bits(getattr(recorded, column), getattr(reference, column)), column
+
+
+@pytest.mark.parametrize("block_values", [None, 40])
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_recorded_traces_match_per_seed_trials(name, kind, block_values, monkeypatch):
+    if block_values is not None:
+        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
+    problem = make_problem(name, PROBLEMS[name])
+    hp = (HyperParams.adam_defaults(0.05) if kind is OptimizerKind.ADAM
+          else HyperParams(eta=0.05, beta1=0.8, beta2=0.5))
+    seeds = [derive_seed(22, s) for s in range(3)]
+    recorder = TraceRecorder(len(seeds), 150, collect_diagnostics=True)
+    headline, aborted = run_cell(problem, kind, hp, 150, seeds, recorder)
+    for s, seed in enumerate(seeds):
+        trace = run_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
+        assert_same_trace(recorder.trace(s, seed, kind, hp), trace)
+        assert not aborted[s] and same_bits(headline[s], trace.headline)
+
+
+def test_recorded_traces_stop_at_each_seeds_abort():
+    # the staggered aborts of test_abort_drops_only_its_own_seed
+    problem = make_problem("noisy_quadratic", {"d": 2, "hessian_diag": 1e150,
+                                               "sigma": 1e150, "x_init": 0.0})
+    T = 2007
+    hp = practical_params(3.5e-148, 1.0, T).hp
+    seeds = [derive_seed(7, 0, 0, s) for s in range(8)]
+    recorder = TraceRecorder(len(seeds), T, collect_diagnostics=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, aborted = run_cell(problem, OptimizerKind.SGD, hp, T, seeds, recorder)
+        traces = [run_trial(problem, OptimizerKind.SGD, hp, T, seed,
+                            collect_diagnostics=True) for seed in seeds]
+    assert len({trace.t.size for trace in traces if trace.aborted}) > 1
+    for s, (seed, trace) in enumerate(zip(seeds, traces)):
+        assert aborted[s] == trace.aborted
+        assert_same_trace(recorder.trace(s, seed, OptimizerKind.SGD, hp), trace)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkeypatch):
+    # a budget of two seeds' columns splits the five seeds into chunks 2, 2, 1
+    T = 60
+    columns = 5 if diagnostics else 4
+    monkeypatch.setattr(harness, "_TRACE_VALUES", 2 * T * columns + 1)
+    spec = ExperimentSpec(
+        problem_name="synthetic_logistic", problem_params=PROBLEMS["synthetic_logistic"],
+        optimizers=[OptimizerKind.SIGNSTORM, OptimizerKind.L2_NORMALIZED_STORM],
+        T_grid=[T], n_seeds=5, delta=0.1, param_mode="practical", master_seed=23,
+        collect_diagnostics=diagnostics)
+    report = run_experiment(spec, max_workers=1, trace_dir=str(tmp_path / "traces"))
+    assert report.to_json() == run_experiment(spec, max_workers=1).to_json()
+    problem = spec.build_problem()
+    for oi, kind in enumerate(spec.optimizers):
+        hp = harness.resolve_hyperparams(spec, problem, kind, T)
+        for si in range(spec.n_seeds):
+            trace = run_trial(problem, kind, hp, T, derive_seed(23, oi, 0, si),
+                              collect_diagnostics=diagnostics)
+            expected = tmp_path / "expected.csv"
+            write_trace_csv(trace, str(expected))
+            written = tmp_path / "traces" / f"{kind.value}_T{T}_s{si}.csv"
+            assert written.read_bytes() == expected.read_bytes()

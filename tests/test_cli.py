@@ -82,6 +82,30 @@ class TestCmdRun:
         assert main(["run", path]) == EXIT_OK
         assert (out / "report.json").read_bytes() == first
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_problem_param_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               workers):
+        # the problem is first built inside the experiment's cell tasks
+        monkeypatch.setenv("SIGNSTORM_THREADS", workers)
+        cfg = base_config(tmp_path / "out")
+        cfg["problem"]["params"]["x_init"] = [1.0, 2.0]
+        cfg["T_grid"] = [20, 40]
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_eps_guard_rejected_by_run(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["eps_guard"] = 1e-8
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "eps_guard" in err and "check" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_thread_count_is_config_error(self, tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.setenv("SIGNSTORM_THREADS", "abc")

@@ -9,6 +9,10 @@ beta1 = 0 (noiseless theorem mode, and T = 1 in practical mode), sigma = 0
 in practical mode, and d = 1.  ``golden/check_sha256.json`` pins the
 ``check.json`` of one ``signstorm check`` run in the same way; it was
 computed before ``lemma1_montecarlo`` transformed its chunks in place.
+``golden/trace_sha256.json`` pins every trace CSV that ``signstorm run``
+writes for three of the specs: one with the ``eps_l1`` column, one whose
+traces stop early at an abort, and one at d = 1.  Those digests were
+computed while the traces still came from a serial per-trial re-run.
 
     PYTHONPATH=src python tests/test_golden.py    # print the current digests
 """
@@ -28,6 +32,7 @@ from signstorm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "report_sha256.json"
 CHECK_GOLDEN = Path(__file__).resolve().parent / "golden" / "check_sha256.json"
+TRACE_GOLDEN = Path(__file__).resolve().parent / "golden" / "trace_sha256.json"
 
 SPECS = {
     "quadratic_theorem": dict(
@@ -80,6 +85,37 @@ CHECK_CONFIG = {
 }
 
 
+# spec name -> whether its traces carry the eps_l1 diagnostics column
+TRACE_SPECS = {"logistic_all_kinds": True, "partial_aborts": False,
+               "noiseless_practical_d1": False}
+
+
+def run_config(name: str, output_dir: Path) -> dict:
+    """The `signstorm run` config equivalent to SPECS[name], traces on."""
+    spec = dict(SPECS[name])
+    config = {
+        "problem": {"name": spec.pop("problem_name"),
+                    "params": spec.pop("problem_params")},
+        "optimizers": [k.value for k in spec.pop("optimizers")],
+        "output_dir": str(output_dir),
+        "diagnostics": TRACE_SPECS[name],
+        "write_traces": True,
+    }
+    config.update(spec)
+    return config
+
+
+def trace_digests(name: str, tmp_dir: Path) -> dict:
+    out = tmp_dir / "out"
+    path = tmp_dir / f"{name}.json"
+    path.write_text(json.dumps(run_config(name, out)))
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", str(path)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((out / "traces").glob("*.csv"))}
+
+
 def check_digest(tmp_dir: Path) -> str:
     config = dict(CHECK_CONFIG, output_dir=str(tmp_dir / "out"))
     path = tmp_dir / "check_config.json"
@@ -89,11 +125,12 @@ def check_digest(tmp_dir: Path) -> str:
     return hashlib.sha256((tmp_dir / "out" / "check.json").read_bytes()).hexdigest()
 
 
-def report_digest(name: str, workers: int) -> str:
+def report_digest(name: str, workers: int, trace_dir: str | None = None) -> str:
     with warnings.catch_warnings():
         # the aborting cells overflow on purpose
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = run_experiment(ExperimentSpec(**SPECS[name]), max_workers=workers)
+        report = run_experiment(ExperimentSpec(**SPECS[name]), max_workers=workers,
+                                trace_dir=trace_dir)
     return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
 
 
@@ -107,6 +144,20 @@ def test_report_matches_golden_digest(name, workers):
     assert report_digest(name, workers) == json.loads(GOLDEN.read_text())[name]
 
 
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_report_with_traces_matches_golden_digest(name, tmp_path):
+    # recording the traces leaves every headline, and so the report, unchanged
+    digest = report_digest(name, 1, trace_dir=str(tmp_path / "traces"))
+    assert digest == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(TRACE_SPECS))
+def test_traces_match_golden_digests(name, workers, tmp_path, monkeypatch):
+    monkeypatch.setenv("SIGNSTORM_THREADS", str(workers))
+    assert trace_digests(name, tmp_path) == json.loads(TRACE_GOLDEN.read_text())[name]
+
+
 def test_check_json_matches_golden_digest(tmp_path):
     assert check_digest(tmp_path) == json.loads(CHECK_GOLDEN.read_text())["check"]
 
@@ -116,3 +167,8 @@ if __name__ == "__main__":
                      indent=2, sort_keys=True))
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps({"check": check_digest(Path(tmp))}, indent=2))
+    traces = {}
+    for name in sorted(TRACE_SPECS):
+        with tempfile.TemporaryDirectory() as tmp:
+            traces[name] = trace_digests(name, Path(tmp))
+    print(json.dumps(traces, indent=2, sort_keys=True))
