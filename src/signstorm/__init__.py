@@ -3,7 +3,7 @@ verification harness for its convergence theory at desk scale."""
 
 from .diagnostics import (
     CheckResult,
-    ConcentrationTrial,
+    DiagnosticRecorder,
     DiagnosticRun,
     EpsilonTrace,
     FrequencyReport,

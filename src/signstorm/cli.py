@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 check failure, 3 I/O error.  The
 worker pool is capped by the SIGNSTORM_THREADS environment variable.  Every
 command is a thin shell over the library; outputs stay inside the configured
-output directory.  ``run`` steps every trial once: its CSV traces are
-recorded by the experiment's own cell tasks, which hold a bounded amount
-of trace data per cell.
+output directory.  ``run`` steps every trial once, and its cell tasks
+record the CSV traces, a bounded amount per cell.  ``check`` steps all
+its diagnosed seeds together in one call of the same engine.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     RhoConstraintViolated,
     SignStormError,
 )
-from .harness import ExperimentSpec, run_experiment
+from .harness import ExperimentSpec, resolve_hyperparams, run_cell, run_experiment
 from .optim import OptimizerKind
 from .problems import verify_assumptions
 from .rngutil import derive_seed, make_rng
@@ -182,10 +182,9 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     The lemma-level checks are statements about the variance-reduced
     estimator, so the diagnosed runs always use it (with the config's
     problem and parameter mode) regardless of which optimizers the
-    experiment itself compares.
+    experiment itself compares.  Of the seeds that turn non-finite, the
+    lowest-index one's NonFiniteValue is raised.
     """
-    from .harness import resolve_hyperparams
-
     spec = config.to_spec()
     problem = spec.build_problem()
     check = config.check
@@ -213,9 +212,10 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
                 "pass" if c.passed else "fail",
                 worst_ratio=c.worst_ratio, detail=c.detail)
 
-    runs = [diag.run_with_diagnostics(problem, hp, T,
-                                      derive_seed(config.master_seed, 202, s), kind)
-            for s in range(n_seeds)]
+    seeds = [derive_seed(config.master_seed, 202, s) for s in range(n_seeds)]
+    recorder = diag.DiagnosticRecorder(n_seeds, T, problem.d)
+    run_cell(problem, kind, hp, T, seeds, recorder)
+    runs = [recorder.run(s, seed, kind, hp) for s, seed in enumerate(seeds)]
 
     for name, fn in (("movement_bound",
                       lambda r: diag.movement_bound_check(r.step_l2, r.hp, problem.d)),
@@ -254,10 +254,10 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
         verdict("sign_dichotomy", "statistical", "skipped", reason=str(exc))
 
     mds = diag.MdsKind(check.get("mds", "rademacher"))
-    l1_rep, _ = diag.lemma1_montecarlo(int(check.get("lemma1_trials", 10000)),
-                                       int(check.get("lemma1_T", 1000)),
-                                       config.delta, mds,
-                                       seed=derive_seed(config.master_seed, 303))
+    l1_rep = diag.lemma1_montecarlo(int(check.get("lemma1_trials", 10000)),
+                                    int(check.get("lemma1_T", 1000)),
+                                    config.delta, mds,
+                                    seed=derive_seed(config.master_seed, 303))
     verdict(l1_rep.name, "statistical", "pass" if l1_rep.passed else "fail",
             violation_fraction=l1_rep.violation_fraction,
             allowed_fraction=l1_rep.allowed_fraction, n_total=l1_rep.n_total)

@@ -13,6 +13,10 @@ estimator-ratio cap) must hold on every run up to floating tolerance.
 Probability-bearing statements are measured as violation frequencies over
 independently seeded runs and compared one-sidedly against their stated
 failure probability plus a binomial margin.
+
+Diagnosed runs come from the experiment engine, ``harness.run_cell``,
+through a :class:`DiagnosticRecorder`; :func:`run_with_diagnostics` is
+its single-seed call.
 """
 
 from __future__ import annotations
@@ -24,14 +28,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, PreconditionNotMet
+from .errors import NonFiniteValue, OutOfRange, PreconditionNotMet
+from .harness import Recorder, run_cell
 from .optim import (
+    STORM_FAMILY,
     GradientPair,
     HyperParams,
     OptimizerKind,
-    OptimizerState,
     _guarded_ratio,
-    step,
     storm_decomposition,
 )
 from .problems import StochasticProblem
@@ -106,49 +110,61 @@ def binomial_margin(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n) if n > 0 else 0.0
 
 
+class DiagnosticRecorder(Recorder):
+    """Per-coordinate diagnostics of every seed of one run_cell call, as
+    (S, T, d) arrays, (S, T) for ``step_l2``, whose row s is seed s; each
+    row is computed as a single run would compute it."""
+
+    needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
+
+    def __init__(self, n_seeds: int, T: int, d: int):
+        super().__init__(n_seeds, T)
+        shape = (n_seeds, T, d)
+        self.xi = np.empty(shape)
+        self.eps = np.empty(shape)
+        self.z = np.zeros(shape)       # Z_1 = 0
+        self.m = np.empty(shape)
+        self.v = np.empty(shape)
+        self.grad_exact = np.empty(shape)
+        self.g_curr = np.empty(shape)
+        self.g_prev = np.zeros(shape)  # row 0 unused
+        self.step_l2 = np.empty((n_seeds, T))
+
+    def record(self, problem, t, live, state, grads, g_exact, grad_l1, finite) -> None:
+        """Every array's row t-1 for the live seeds."""
+        self._end_aborted(t, live, state, finite)
+        i = t - 1
+        g_curr = grads.g_curr
+        self.xi[live, i] = g_curr - g_exact
+        if t > 1:
+            self.z[live, i] = (g_curr - grads.g_prev) + (self.grad_exact[live, i - 1] - g_exact)
+            self.g_prev[live, i] = grads.g_prev
+        self.grad_exact[live, i] = g_exact
+        self.g_curr[live, i] = g_curr
+        self.eps[live, i] = state.m - g_exact
+        self.m[live, i] = state.m
+        self.v[live, i] = state.v
+        diff = state.x - state.prev_x
+        for r, s in enumerate(live):
+            self.step_l2[s, i] = math.sqrt(float(diff[r] @ diff[r]))
+
+    def run(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> DiagnosticRun:
+        """Seed s's diagnostics, as views; NonFiniteValue if the seed aborted."""
+        if self.done[s] < self.T:
+            raise NonFiniteValue(self.abort_reasons[s])
+        return DiagnosticRun(EpsilonTrace(self.xi[s], self.eps[s], self.z[s]),
+                             self.m[s], self.v[s], self.grad_exact[s], self.step_l2[s],
+                             self.g_curr[s], self.g_prev[s], hp, seed, kind)
+
+
 def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,
                          seed: int, kind: OptimizerKind = OptimizerKind.SIGNSTORM,
                          ) -> DiagnosticRun:
-    """Execute T iterations recording the full per-coordinate diagnostics."""
-    rng = make_rng(seed)
-    d = problem.d
-    state = OptimizerState.initial(problem.constants.x_init)
-    xi = np.empty((T, d))
-    eps = np.empty((T, d))
-    z = np.empty((T, d))
-    m = np.empty((T, d))
-    v = np.empty((T, d))
-    grad_exact = np.empty((T, d))
-    step_l2 = np.empty(T)
-    g_currs = np.zeros((T, d))
-    g_prevs = np.zeros((T, d))
-
-    g_exact_prev = None
-    for t in range(1, T + 1):
-        noise = problem.draw_noise(rng)
-        g_curr = problem.stoch_grad(state.x, noise)
-        g_prev = problem.stoch_grad(state.prev_x, noise) if t > 1 else None
-        g_exact = problem.exact_grad(state.x)
-
-        xi[t - 1] = g_curr - g_exact
-        z[t - 1] = 0.0 if t == 1 else (g_curr - g_prev) + (g_exact_prev - g_exact)
-        grad_exact[t - 1] = g_exact
-        g_currs[t - 1] = g_curr
-        if t > 1:
-            g_prevs[t - 1] = g_prev
-
-        new_state = step(state, GradientPair(g_curr, g_prev), hp, kind)
-        eps[t - 1] = new_state.m - g_exact
-        m[t - 1] = new_state.m
-        v[t - 1] = new_state.v
-        diff = new_state.x - state.x
-        step_l2[t - 1] = math.sqrt(float(diff @ diff))
-
-        g_exact_prev = g_exact
-        state = new_state
-
-    return DiagnosticRun(EpsilonTrace(xi, eps, z), m, v, grad_exact, step_l2,
-                         g_currs, g_prevs, hp, seed, kind)
+    """Execute T iterations recording the full per-coordinate diagnostics;
+    a non-finite update raises :class:`NonFiniteValue`."""
+    recorder = DiagnosticRecorder(1, T, problem.d)
+    run_cell(problem, kind, hp, T, [seed], recorder)
+    return recorder.run(0, seed, kind, hp)
 
 
 def movement_bound_check(step_l2: np.ndarray, hp: HyperParams,
@@ -201,8 +217,7 @@ def decomposition_check(run: DiagnosticRun, tol: float = 1e-12) -> CheckResult:
     :func:`signstorm.storm_decomposition`, applied to all rows at once) is
     compared against the recorded m_t at relative tolerance ``tol``.
     """
-    if run.kind not in (OptimizerKind.SIGNSTORM, OptimizerKind.STORM,
-                        OptimizerKind.L2_NORMALIZED_STORM):
+    if run.kind not in STORM_FAMILY:
         raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
     T = run.m.shape[0]
     if T < 2:
@@ -308,20 +323,9 @@ class MdsKind(enum.Enum):
     BOUNDED_UNIFORM = "bounded_uniform"
 
 
-@dataclass
-class ConcentrationTrial:
-    """One simulated trial against the partial-sum concentration envelope."""
-
-    R: float
-    sigma_sq_seq: np.ndarray
-    delta: float
-    observed_max_partial_sum: float
-
-
 def lemma1_montecarlo(n_trials: int, T: int, delta: float,
                       mds_spec: MdsKind = MdsKind.RADEMACHER,
-                      seed: int = 0, chunk: int = 2000,
-                      ) -> tuple[FrequencyReport, ConcentrationTrial]:
+                      seed: int = 0, chunk: int = 2000) -> FrequencyReport:
     """Simulate scalar martingale difference sequences against the envelope
 
         |sum_{s<=t} X_s| <= 3 R max{1, log(1/delta)}
@@ -345,8 +349,6 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
 
     rng = make_rng(seed)
     violations = 0
-    worst_excess = -math.inf
-    worst_max = 0.0
     done = 0
     while done < n_trials:
         n = min(chunk, n_trials - done)
@@ -359,20 +361,12 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
         paths = np.cumsum(draws, axis=1, out=draws)
         np.abs(paths, out=paths)
         violations += int(np.sum(np.any(paths > bound[None, :], axis=1)))
-        row_max = np.max(paths, axis=1)
-        paths -= bound[None, :]
-        excess = np.max(paths, axis=1)
-        k = int(np.argmax(excess))
-        if excess[k] > worst_excess:
-            worst_excess = float(excess[k])
-            worst_max = float(row_max[k])
         del draws, paths
         done += n
 
     stated = 3.0 * delta
     margin = binomial_margin(stated, n_trials)
     frac = violations / n_trials
-    report = FrequencyReport("lemma1_montecarlo", n_trials, violations, stated,
-                             margin, frac <= stated + margin,
-                             f"{mds_spec.value}, T={T}, delta={delta}")
-    return report, ConcentrationTrial(R, sigma_seq, delta, worst_max)
+    return FrequencyReport("lemma1_montecarlo", n_trials, violations, stated,
+                           margin, frac <= stated + margin,
+                           f"{mds_spec.value}, T={T}, delta={delta}")

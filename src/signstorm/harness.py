@@ -5,23 +5,19 @@ draws a single fresh noise realization, feeds the shared-sample gradient
 pair to the optimizer, and records the exact loss and gradient norms.  The
 headline metric of a trial is min over t of ||grad F(x_t)||_1.
 
-An experiment splits its work per (optimizer, horizon) cell: one task
-builds the problem once and steps all the cell's seeds together as one
-(S, d) state (:func:`run_cell`), each seed still drawing from its own
-stream derived from one master seed.  Additive noise is presampled per
-seed into one buffer of bounded size.  Each cell is reduced to quantiles
-of the headline metric, and log-log rates are fitted through the medians.
-"With probability >= 1 - delta" is operationalized as the empirical
-(1-delta)-quantile over independent seeds.  Reduction is keyed and ordered,
-so reports are byte-identical for any worker count.
-
-CSV traces come from the experiment run itself: given a trace directory,
-each cell task records every seed's trace columns with a
-:class:`TraceRecorder` and writes its own CSVs.  The recorded columns of
-a cell are bounded in size by stepping its seeds in chunks.
-:func:`run_trial` runs one seed alone with its full trace; it is the
-library's single-seed call and the reference the batched engine is tested
-against.
+One engine, :func:`run_cell`, steps S seeded trials as one (S, d) state,
+each seed drawing from its own stream derived from one master seed, with
+additive noise presampled per seed into one buffer of bounded size.  Its
+recorder chooses what is kept: only the headlines (none), the CSV trace
+columns (:class:`TraceRecorder`), or the per-coordinate arrays the lemma
+checks read (``diagnostics.DiagnosticRecorder``).  An experiment runs one
+cell per (optimizer, horizon), reduces it to quantiles of the headline and
+fits log-log rates through the medians.  "With probability >= 1 - delta"
+is the empirical (1-delta)-quantile over independent seeds.  Reduction is
+keyed and ordered, so reports are byte-identical for any worker count.
+Given a trace directory, each cell task writes its seeds' CSVs, stepping
+them in chunks of bounded size.  :func:`run_trial`, the single-seed call,
+is the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -90,22 +86,18 @@ _TRACE_VALUES = 1 << 21
 
 
 def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
-              T: int, seed: int, collect_diagnostics: bool = False,
-              record_metrics: bool = True) -> TrialTrace:
+              T: int, seed: int, collect_diagnostics: bool = False) -> TrialTrace:
     """One deterministic trial; a non-finite update aborts with a partial trace.
 
     Additive-noise problems let the trial presample noise in blocks, which
     draws the identical stream as per-iteration sampling but far cheaper.
-    ``record_metrics=False`` skips the loss/gradient-norm columns (they come
-    back empty and the headline is NaN) while leaving the trajectory, the
-    noise stream and the step-norm column untouched.
     """
     rng = make_rng(seed)
     state = OptimizerState.initial(problem.constants.x_init)
     needs_prev = kind in STORM_FAMILY
-    loss = np.empty(T if record_metrics else 0)
-    grad_l1 = np.empty(T if record_metrics else 0)
-    grad_l2 = np.empty(T if record_metrics else 0)
+    loss = np.empty(T)
+    grad_l1 = np.empty(T)
+    grad_l2 = np.empty(T)
     step_l2 = np.empty(T)
     eps_l1 = np.empty(T) if collect_diagnostics else None
     exact_grad = problem.exact_grad
@@ -131,11 +123,10 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
             noise = problem.draw_noise(rng)
             g_curr = problem.stoch_grad(state.x, noise)
             g_prev = problem.stoch_grad(state.prev_x, noise) if needs_prev and t > 1 else None
-            g_exact = exact_grad(state.x) if record_metrics or collect_diagnostics else None
-        if record_metrics:
-            loss[t - 1] = value(state.x)
-            grad_l1[t - 1] = np.add.reduce(np.abs(g_exact))
-            grad_l2[t - 1] = math.sqrt(float(g_exact @ g_exact))
+            g_exact = exact_grad(state.x)
+        loss[t - 1] = value(state.x)
+        grad_l1[t - 1] = np.add.reduce(np.abs(g_exact))
+        grad_l2[t - 1] = math.sqrt(float(g_exact @ g_exact))
         try:
             new_state = step(state, GradientPair(g_curr, g_prev), hp, kind)
         except NonFiniteValue as exc:
@@ -149,18 +140,48 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
         state = new_state
         done = t
 
-    n = done if record_metrics else 0
     return TrialTrace(
         seed=seed, kind=kind, hp=hp,
         t=np.arange(1, done + 1),
-        loss=loss[:n], grad_l1=grad_l1[:n], grad_l2=grad_l2[:n],
+        loss=loss[:done], grad_l1=grad_l1[:done], grad_l2=grad_l2[:done],
         step_l2=step_l2[:done],
         eps_l1=eps_l1[:done] if collect_diagnostics else None,
         aborted=done < T, abort_reason=reason,
     )
 
 
-class TraceRecorder:
+class Recorder:
+    """Base of what :func:`run_cell` keeps beyond the headlines.
+
+    After step t it calls ``record(problem, t, live, state, grads, g_exact,
+    grad_l1, finite)`` with the new state (``prev_x`` is x_t), the
+    gradients at x_t and step_batch's finite mask; row r is seed
+    ``live[r]``.  A non-finite seed ends with ``done`` finite steps and
+    the error :func:`step` would raise.  ``needs_prev`` asks for g_prev
+    for every kind.
+    """
+
+    needs_prev = False
+
+    def __init__(self, n_seeds: int, T: int):
+        self.T = T
+        self.done = np.full(n_seeds, T)
+        self.abort_reasons = [""] * n_seeds
+
+    def _end_aborted(self, t: int, live: np.ndarray, state: OptimizerState,
+                     finite: np.ndarray | None) -> None:
+        if finite is None:
+            return
+        for r in np.flatnonzero(~finite):
+            s = live[r]
+            self.done[s] = t - 1
+            try:
+                _check_finite(state.x[r], state.m[r], state.v[r])
+            except NonFiniteValue as exc:
+                self.abort_reasons[s] = str(exc)
+
+
+class TraceRecorder(Recorder):
     """The trace columns of every seed of one :func:`run_cell` call.
 
     Each column is an (S, T) array whose row s belongs to seed s.  Every
@@ -170,40 +191,26 @@ class TraceRecorder:
     """
 
     def __init__(self, n_seeds: int, T: int, collect_diagnostics: bool = False):
+        super().__init__(n_seeds, T)
         shape = (n_seeds, T)
-        self.T = T
         self.loss = np.empty(shape)
         self.grad_l1 = np.empty(shape)
         self.grad_l2 = np.empty(shape)
         self.step_l2 = np.empty(shape)
         self.eps_l1 = np.empty(shape) if collect_diagnostics else None
-        self.done = np.full(n_seeds, T)
-        self.abort_reasons = [""] * n_seeds
 
-    def record_point(self, t: int, live: np.ndarray, x: np.ndarray,
-                     g_exact: np.ndarray, grad_l1: np.ndarray, value) -> None:
-        """Columns of x_t, taken before the step; row r of x is seed live[r]."""
+    def record(self, problem, t, live, state, grads, g_exact, grad_l1, finite) -> None:
+        """Columns of x_t and of the step from it; an aborted seed's are cut off."""
+        self._end_aborted(t, live, state, finite)
         self.grad_l1[live, t - 1] = grad_l1
+        x, diff = state.prev_x, state.x - state.prev_x
         for r, s in enumerate(live):
             g = g_exact[r]
-            self.loss[s, t - 1] = value(x[r])
+            self.loss[s, t - 1] = problem.value(x[r])
             self.grad_l2[s, t - 1] = math.sqrt(float(g @ g))
-
-    def record_step(self, t: int, live: np.ndarray, state: OptimizerState,
-                    g_exact: np.ndarray, finite: np.ndarray | None) -> None:
-        """Columns of the step from x_t; a non-finite row ends its seed's trace."""
-        diff = state.x - state.prev_x
-        for r, s in enumerate(live):
-            if finite is not None and not finite[r]:
-                self.done[s] = t - 1
-                try:
-                    _check_finite(state.x[r], state.m[r], state.v[r])
-                except NonFiniteValue as exc:
-                    self.abort_reasons[s] = str(exc)
-                continue
             self.step_l2[s, t - 1] = math.sqrt(float(diff[r] @ diff[r]))
             if self.eps_l1 is not None:
-                self.eps_l1[s, t - 1] = np.sum(np.abs(state.m[r] - g_exact[r]))
+                self.eps_l1[s, t - 1] = np.sum(np.abs(state.m[r] - g))
 
     def trace(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> TrialTrace:
         """Seed s's trace, as :func:`run_trial` returns it; views, not copies."""
@@ -218,17 +225,17 @@ class TraceRecorder:
 
 
 def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
-             T: int, seeds: list[int], recorder: TraceRecorder | None = None,
+             T: int, seeds: list[int], recorder: Recorder | None = None,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Headlines of S seeded trials stepped together as one (S, d) state.
 
     Row s draws from ``make_rng(seeds[s])`` exactly as ``run_trial(problem,
     kind, hp, T, seeds[s])`` does and follows its trajectory bit for bit.
     Without a recorder only the running minimum of ||grad F(x_t)||_1 is
-    kept; a :class:`TraceRecorder` sized (S, T) also receives every seed's
-    trace columns.  A row that turns non-finite aborts its own seed and is
-    dropped from the state.  Returns the per-seed headline (NaN where
-    aborted) and the abort mask.
+    kept; a :class:`Recorder` sized for S seeds and T steps also receives
+    every step of every seed.  A row that turns non-finite aborts its own
+    seed and is dropped from the state.  Returns the per-seed headline
+    (NaN where aborted) and the abort mask.
 
     Additive noise is presampled per seed into one (rows, S, d) buffer of
     bounded size.  Other noise is drawn one seed at a time, and so are the
@@ -244,7 +251,7 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     best = np.full(S, np.inf)
     headline = np.full(S, np.nan)
     aborted = np.zeros(S, dtype=bool)
-    needs_prev = kind in STORM_FAMILY
+    needs_prev = kind in STORM_FAMILY or (recorder is not None and recorder.needs_prev)
     exact_grad = problem.exact_grad
 
     rows = _block_rows(T, S * d)
@@ -280,11 +287,10 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
                 g_exact[r] = exact_grad(state.x[r])
         grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
         np.minimum(best, grad_l1, out=best)
+        grads = GradientPair(g_curr, g_prev)
+        state, finite = step_batch(state, grads, hp, kind)
         if recorder is not None:
-            recorder.record_point(t, live, state.x, g_exact, grad_l1, problem.value)
-        state, finite = step_batch(state, GradientPair(g_curr, g_prev), hp, kind)
-        if recorder is not None:
-            recorder.record_step(t, live, state, g_exact, finite)
+            recorder.record(problem, t, live, state, grads, g_exact, grad_l1, finite)
         if finite is not None:
             aborted[live[~finite]] = True
             live = live[finite]
@@ -553,8 +559,6 @@ def trace_stride(T: int, max_rows: int = MAX_TRACE_ROWS) -> int:
 
 def write_trace_csv(trace: TrialTrace, path: str) -> None:
     """CSV trace (UTF-8, LF endings); long runs are strided, metrics are not."""
-    if trace.loss.size != trace.t.size:
-        raise ValueError("trace was collected without metrics; nothing to write")
     stride = trace_stride(trace.t.size)
     lines = [TRACE_HEADER]
     eps = trace.eps_l1

@@ -83,8 +83,7 @@ def _movement_trial(args):
         delta=consts.delta_upper, L1_norm=consts.L1_norm,
         sigma1_norm=consts.sigma1_norm, T=10_000, beta2=beta2,
         confidence_delta=0.05, d=problem.d))
-    trace = run_trial(problem, OptimizerKind.SIGNSTORM, choice.hp, 10_000, seed,
-                      record_metrics=False)
+    trace = run_trial(problem, OptimizerKind.SIGNSTORM, choice.hp, 10_000, seed)
     res = movement_bound_check(trace.step_l2, choice.hp, problem.d)
     return res.worst_ratio
 
@@ -200,7 +199,7 @@ def test_criterion_08_high_probability_frequencies():
     eps_rep = epsilon_bound_frequency([r.trace for r in runs], choice.hp,
                                       consts.L_vec, consts.sigma_vec, delta)
     dich_rep = sign_dichotomy_frequency(runs, consts.L_vec, consts.sigma_vec, delta)
-    l1_rep, _ = lemma1_montecarlo(10_000, 1000, delta, MdsKind.RADEMACHER, seed=88)
+    l1_rep = lemma1_montecarlo(10_000, 1000, delta, MdsKind.RADEMACHER, seed=88)
     elapsed = time.time() - t0
     ok = (eps_rep.violation_fraction <= eps_rep.allowed_fraction
           and dich_rep.violation_fraction <= dich_rep.allowed_fraction

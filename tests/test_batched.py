@@ -2,7 +2,9 @@
 
 ``step_batch`` on an (S, d) state must equal S calls of ``step``, and
 ``run_cell`` must reproduce the headline and the abort of every seed's
-``run_trial``, and with a ``TraceRecorder`` every column of its trace.
+``run_trial``, with a ``TraceRecorder`` every column of its trace, and
+with a ``DiagnosticRecorder`` the step norms and estimator errors of its
+diagnostics columns.
 Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
 counts as a difference.
 """
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signstorm import (
+    DiagnosticRecorder,
     ExperimentSpec,
     GradientPair,
     HyperParams,
@@ -233,3 +236,26 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
             write_trace_csv(trace, str(expected))
             written = tmp_path / "traces" / f"{kind.value}_T{T}_s{si}.csv"
             assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("block_values", [None, 40])
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, monkeypatch):
+    # run_trial's own loop is the reference, so the diagnostics engine is
+    # not checked against itself
+    if block_values is not None:
+        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
+    problem = make_problem(name, PROBLEMS[name])
+    hp = (HyperParams.adam_defaults(0.05) if kind is OptimizerKind.ADAM
+          else HyperParams(eta=0.05, beta1=0.8, beta2=0.5))
+    seeds = [derive_seed(24, s) for s in range(3)]
+    recorder = DiagnosticRecorder(len(seeds), 150, problem.d)
+    run_cell(problem, kind, hp, 150, seeds, recorder)
+    for s, seed in enumerate(seeds):
+        run = recorder.run(s, seed, kind, hp)
+        trace = run_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
+        assert same_bits(run.step_l2, trace.step_l2)
+        assert same_bits([np.sum(np.abs(eps)) for eps in run.trace.eps], trace.eps_l1)
+        assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact],
+                         trace.grad_l1)

@@ -2,6 +2,13 @@ import json
 
 import pytest
 
+from signstorm import (
+    NonFiniteValue,
+    derive_seed,
+    make_problem,
+    practical_params,
+    run_with_diagnostics,
+)
 from signstorm.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, RunConfig, main
 from signstorm.errors import ConfigError
 
@@ -159,6 +166,61 @@ class TestCmdCheck:
         by_name = {v["checker"]: v for v in verdicts}
         assert by_name["representation"]["status"] == "pass"
         assert by_name["storm_decomposition"]["status"] == "pass"
+
+
+# x_init near the largest double and a sign step of about 6.7e307: a step
+# up overflows x.  Noise beyond 1.34e154 overflows v = m^2 first.  So the
+# diagnosed seeds of `check` abort at step 1 with one of two messages, or
+# finish, depending on their draws.
+OVERFLOW_PROBLEM = {"name": "noisy_quadratic",
+                    "params": {"d": 1, "hessian_diag": 1e-300, "sigma": 2e154,
+                               "x_init": 1.5e308}}
+
+
+def overflow_config(out_dir, master_seed, n_seeds):
+    cfg = base_config(out_dir)
+    cfg.update(problem=OVERFLOW_PROBLEM, param_mode="practical", alpha=1.7e308,
+               T_grid=[4], master_seed=master_seed,
+               check={"T": 4, "n_seeds": n_seeds, "n_probes": 50,
+                      "lemma1_trials": 100})
+    return cfg
+
+
+def diagnosed_abort_reasons(master_seed, n_seeds):
+    """Per seed `check` diagnoses, alone: its NonFiniteValue message, or None."""
+    problem = make_problem(OVERFLOW_PROBLEM["name"], OVERFLOW_PROBLEM["params"])
+    hp = practical_params(1.7e308, 1.0, 4).hp
+    reasons = []
+    for s in range(n_seeds):
+        try:
+            run_with_diagnostics(problem, hp, 4, derive_seed(master_seed, 202, s))
+            reasons.append(None)
+        except NonFiniteValue as exc:
+            reasons.append(str(exc))
+    return reasons
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCheckAbort:
+    def test_nonfinite_run_exits_1_with_one_error_line(self, tmp_path, capsys):
+        assert diagnosed_abort_reasons(1, 1)[0] is not None
+        out = tmp_path / "out"
+        path = write_config(tmp_path, overflow_config(out, master_seed=1, n_seeds=1))
+        assert main(["check", path]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "NaN/Inf" in lines[0]
+        assert not (out / "check.json").exists()
+
+    def test_error_names_the_lowest_index_aborted_seed(self, tmp_path, capsys):
+        reasons = diagnosed_abort_reasons(5, 6)
+        aborted = [r for r in reasons if r is not None]
+        # seed 0 finishes and the aborted seeds disagree, so only the
+        # lowest-index rule gives this message
+        assert reasons[0] is None and len(set(aborted)) > 1
+        path = write_config(tmp_path, overflow_config(tmp_path / "out", 5, 6))
+        assert main(["check", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {aborted[0]}\n"
 
 
 class TestCmdReport:

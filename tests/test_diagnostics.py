@@ -7,6 +7,7 @@ from signstorm import (
     EpsilonTrace,
     HyperParams,
     MdsKind,
+    NonFiniteValue,
     OptimizerKind,
     OutOfRange,
     PreconditionNotMet,
@@ -50,6 +51,14 @@ class TestRunWithDiagnostics:
         np.testing.assert_array_equal(run.trace.eps, run.m - run.grad_exact)
         # first-step estimator equals the first sampled gradient
         np.testing.assert_array_equal(run.m[0], run.trace.xi[0] + run.grad_exact[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_nonfinite(self):
+        # gradients near 1e300 overflow v = m^2 within a few sign steps
+        p = quadratic(sigma=0.0)
+        hp = HyperParams(eta=1e300, beta1=0.0, beta2=0.0)
+        with pytest.raises(NonFiniteValue, match="NaN/Inf"):
+            run_with_diagnostics(p, hp, 50, seed=1)
 
 
 class TestMovementBound:
@@ -227,14 +236,12 @@ class TestSignDichotomy:
 
 class TestLemma1:
     def test_rademacher_rarely_escapes(self):
-        rep, worst = lemma1_montecarlo(2000, 500, 0.05, MdsKind.RADEMACHER, seed=0)
+        rep = lemma1_montecarlo(2000, 500, 0.05, MdsKind.RADEMACHER, seed=0)
         assert rep.passed
         assert rep.violation_fraction <= 3 * 0.05
-        assert worst.R == 1.0
-        assert worst.observed_max_partial_sum > 0
 
     def test_bounded_uniform(self):
-        rep, _ = lemma1_montecarlo(1000, 300, 0.05, MdsKind.BOUNDED_UNIFORM, seed=1)
+        rep = lemma1_montecarlo(1000, 300, 0.05, MdsKind.BOUNDED_UNIFORM, seed=1)
         assert rep.passed
 
     def test_minimum_trial_count(self):
@@ -243,11 +250,11 @@ class TestLemma1:
 
     def test_delta_log_clamp_used(self):
         # delta >= 1/e clamps the log factor at 1: same bound as delta = 1/e
-        rep_a, _ = lemma1_montecarlo(500, 200, 0.9, MdsKind.RADEMACHER, seed=2)
-        rep_b, _ = lemma1_montecarlo(500, 200, 1.0 / math.e, MdsKind.RADEMACHER, seed=2)
+        rep_a = lemma1_montecarlo(500, 200, 0.9, MdsKind.RADEMACHER, seed=2)
+        rep_b = lemma1_montecarlo(500, 200, 1.0 / math.e, MdsKind.RADEMACHER, seed=2)
         assert rep_a.n_violations == rep_b.n_violations
 
     def test_deterministic_given_seed(self):
-        a, _ = lemma1_montecarlo(500, 100, 0.05, seed=9)
-        b, _ = lemma1_montecarlo(500, 100, 0.05, seed=9)
+        a = lemma1_montecarlo(500, 100, 0.05, seed=9)
+        b = lemma1_montecarlo(500, 100, 0.05, seed=9)
         assert a.n_violations == b.n_violations

@@ -13,6 +13,12 @@ computed before ``lemma1_montecarlo`` transformed its chunks in place.
 writes for three of the specs: one with the ``eps_l1`` column, one whose
 traces stop early at an abort, and one at d = 1.  Those digests were
 computed while the traces still came from a serial per-trial re-run.
+``golden/diagnostics_sha256.json`` pins every array of the ``DiagnosticRun``
+of each seed of a few diagnosed runs, among them the seeds ``signstorm
+check`` diagnoses on the ``check_suite`` benchmark config.  Those digests
+were computed while ``run_with_diagnostics`` still had its own per-seed
+loop; both the single-seed call and one seed-batched ``run_cell`` call
+must reproduce them.
 
     PYTHONPATH=src python tests/test_golden.py    # print the current digests
 """
@@ -25,14 +31,28 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from signstorm import ExperimentSpec, OptimizerKind as K, run_experiment
+from signstorm import (
+    DiagnosticRecorder,
+    ExperimentSpec,
+    HyperParams,
+    OptimizerKind as K,
+    Schedule,
+    derive_seed,
+    make_problem,
+    run_cell,
+    run_experiment,
+    run_with_diagnostics,
+)
 from signstorm.cli import main
+from signstorm.harness import resolve_hyperparams
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "report_sha256.json"
 CHECK_GOLDEN = Path(__file__).resolve().parent / "golden" / "check_sha256.json"
 TRACE_GOLDEN = Path(__file__).resolve().parent / "golden" / "trace_sha256.json"
+DIAG_GOLDEN = Path(__file__).resolve().parent / "golden" / "diagnostics_sha256.json"
 
 SPECS = {
     "quadratic_theorem": dict(
@@ -88,6 +108,78 @@ CHECK_CONFIG = {
 # spec name -> whether its traces carry the eps_l1 diagnostics column
 TRACE_SPECS = {"logistic_all_kinds": True, "partial_aborts": False,
                "noiseless_practical_d1": False}
+
+
+# name -> one diagnosed cell: problem, hyperparameters, kind, T and seeds.
+# Between them the cases cover all three problems, beta1 = 0, beta2 = 0,
+# sigma = 0, d = 1, the per-step schedule and a kind outside the STORM
+# family, whose g_prev only the diagnostics need, on an additive and on a
+# finite-sum problem.
+LOGISTIC = ("synthetic_logistic", {"d": 6, "n_samples": 16, "feature_bound": 1.0,
+                                   "x_init": 0.3, "data_seed": 2})
+DIAG_CASES = {
+    "quadratic_d4": dict(
+        problem=("noisy_quadratic", {"d": 4, "hessian_diag": [0.5, 1.0, 2.0, 1.5],
+                                     "sigma": 0.5, "x_init": [1.0, -0.8, 0.5, 1.4]}),
+        hp=HyperParams(eta=0.05, beta1=0.9, beta2=0.5), kind=K.SIGNSTORM, T=150,
+        n_seeds=3),
+    "quadratic_d1_noiseless_beta_zero": dict(
+        problem=("noisy_quadratic", {"d": 1, "hessian_diag": 2.0, "sigma": 0.0,
+                                     "x_init": -1.5}),
+        hp=HyperParams(eta=0.1, beta1=0.0, beta2=0.0), kind=K.SIGNSTORM, T=40,
+        n_seeds=2),
+    "nonconvex_beta1_zero_per_step": dict(
+        problem=("bounded_nonconvex", {"d": 3, "a": [1.0, 2.0, 0.5], "sigma": 0.4,
+                                       "x_init": [0.5, -1.0, 2.0]}),
+        hp=HyperParams(eta=0.2, beta1=0.0, beta2=0.5, schedule=Schedule.PER_STEP_SQRT_T),
+        kind=K.SIGNSTORM, T=120, n_seeds=2),
+    "quadratic_generalized_sign_sgd": dict(
+        problem=("noisy_quadratic", {"d": 4, "hessian_diag": 1.0, "sigma": 0.3,
+                                     "x_init": [0.7, 1.1, -0.4, 0.9]}),
+        hp=HyperParams(eta=0.05, beta1=0.8, beta2=0.3), kind=K.GENERALIZED_SIGN_SGD,
+        T=100, n_seeds=2),
+    "logistic": dict(problem=LOGISTIC, hp=HyperParams(eta=0.05, beta1=0.8, beta2=0.3),
+                     kind=K.SIGNSTORM, T=100, n_seeds=2),
+    "logistic_generalized_sign_sgd": dict(
+        problem=LOGISTIC, hp=HyperParams(eta=0.05, beta1=0.8, beta2=0.3),
+        kind=K.GENERALIZED_SIGN_SGD, T=100, n_seeds=2),
+    # the diagnosed runs of `signstorm check` on the check_suite benchmark
+    # config at master seed 0 (theorem mode, delta 0.05, six seeds)
+    "check_suite": dict(
+        problem=("bounded_nonconvex", {"d": 10, "sigma": 0.5, "x_init": 1.0}),
+        hp=None, kind=K.SIGNSTORM, T=2000, n_seeds=6),
+}
+
+
+def diag_cell(name: str):
+    case = DIAG_CASES[name]
+    problem = make_problem(*case["problem"])
+    T, kind = case["T"], case["kind"]
+    if name == "check_suite":
+        spec = ExperimentSpec(problem_name=case["problem"][0],
+                              problem_params=case["problem"][1], optimizers=[kind],
+                              T_grid=[T], n_seeds=1, delta=0.05)
+        hp = resolve_hyperparams(spec, problem, kind, T)
+        seeds = [derive_seed(0, 202, s) for s in range(case["n_seeds"])]
+    else:
+        hp = case["hp"]
+        seeds = [derive_seed(31, s) for s in range(case["n_seeds"])]
+    return problem, hp, kind, T, seeds
+
+
+def run_digests(run) -> dict:
+    arrays = {"xi": run.trace.xi, "eps": run.trace.eps, "z": run.trace.z, "m": run.m,
+              "v": run.v, "grad_exact": run.grad_exact, "step_l2": run.step_l2,
+              "g_curr": run.g_curr, "g_prev": run.g_prev}
+    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in arrays.items()}
+
+
+def diagnostic_digests(name: str) -> list[dict]:
+    """Per seed, the digest of every array of its single-seed diagnosed run."""
+    problem, hp, kind, T, seeds = diag_cell(name)
+    return [run_digests(run_with_diagnostics(problem, hp, T, seed, kind))
+            for seed in seeds]
 
 
 def run_config(name: str, output_dir: Path) -> dict:
@@ -162,6 +254,24 @@ def test_check_json_matches_golden_digest(tmp_path):
     assert check_digest(tmp_path) == json.loads(CHECK_GOLDEN.read_text())["check"]
 
 
+def test_diagnostics_golden_file_covers_every_case():
+    assert set(json.loads(DIAG_GOLDEN.read_text())) == set(DIAG_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(DIAG_CASES))
+def test_diagnostics_match_golden_digests(name):
+    expected = json.loads(DIAG_GOLDEN.read_text())[name]
+    assert diagnostic_digests(name) == expected
+    # all seeds of the case stepped together in one seed-batched call
+    problem, hp, kind, T, seeds = diag_cell(name)
+    recorder = DiagnosticRecorder(len(seeds), T, problem.d)
+    run_cell(problem, kind, hp, T, seeds, recorder)
+    runs = [recorder.run(s, seed, kind, hp) for s, seed in enumerate(seeds)]
+    for run in runs:
+        assert run.m.shape == (T, problem.d) and run.step_l2.shape == (T,)
+    assert [run_digests(run) for run in runs] == expected
+
+
 if __name__ == "__main__":
     print(json.dumps({name: report_digest(name, 1) for name in sorted(SPECS)},
                      indent=2, sort_keys=True))
@@ -172,3 +282,5 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             traces[name] = trace_digests(name, Path(tmp))
     print(json.dumps(traces, indent=2, sort_keys=True))
+    print(json.dumps({name: diagnostic_digests(name) for name in sorted(DIAG_CASES)},
+                     indent=2, sort_keys=True))

@@ -164,18 +164,6 @@ class TestRunTrial:
         assert trace.abort_reason != ""
         assert trace.t.size < 50
 
-    def test_metrics_off_keeps_trajectory(self):
-        p = small_problem()
-        hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
-        full = run_trial(p, OptimizerKind.SIGNSTORM, hp, 200, seed=8)
-        lean = run_trial(p, OptimizerKind.SIGNSTORM, hp, 200, seed=8,
-                         record_metrics=False)
-        np.testing.assert_array_equal(full.step_l2, lean.step_l2)
-        assert lean.loss.size == 0
-        assert math.isnan(lean.headline)
-        with pytest.raises(ValueError):
-            write_trace_csv(lean, "/dev/null")
-
     def test_finite_sum_problem_runs(self):
         p = make_problem("synthetic_logistic",
                          {"d": 3, "n_samples": 8, "feature_bound": 1.0, "x_init": 0.0})
