@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -49,6 +50,9 @@ _TOP_KEYS = {
 }
 _CHECK_KEYS = {"T", "n_seeds", "lemma1_trials", "lemma1_T", "mds", "fault_injection",
                "n_probes"}
+# integer check key -> its smallest allowed value
+_CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
+               "lemma1_trials": diag.LEMMA1_MIN_TRIALS, "lemma1_T": 1}
 _REQUIRED = ["problem", "optimizers", "T_grid", "n_seeds", "delta", "master_seed",
              "output_dir"]
 
@@ -102,9 +106,7 @@ class RunConfig:
             optimizers = [OptimizerKind(o) for o in raw["optimizers"]]
         except ValueError as exc:
             raise ConfigError(f"unknown optimizer: {exc}")
-        check = raw.get("check", {})
-        if not isinstance(check, dict) or set(check) - _CHECK_KEYS:
-            raise ConfigError(f"check section allows keys {sorted(_CHECK_KEYS)}")
+        check = _check_section(raw.get("check", {}))
         cfg = RunConfig(
             problem_name=problem["name"],
             problem_params=dict(problem.get("params", {})),
@@ -148,6 +150,28 @@ class RunConfig:
             raise ConfigError(str(exc))
 
 
+def _check_section(check) -> dict:
+    """The ``check`` section, validated so that ``check`` fails before any
+    work starts; a bad value is a ConfigError that names its key."""
+    if not isinstance(check, dict) or set(check) - _CHECK_KEYS:
+        raise ConfigError(f"check section allows keys {sorted(_CHECK_KEYS)}")
+    for key, low in _CHECK_INTS.items():
+        value = check.get(key, low)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"check.{key} must be an integer >= {low}, got {value!r}")
+    kinds = [m.value for m in diag.MdsKind]
+    if check.get("mds", kinds[0]) not in kinds:
+        raise ConfigError(f"check.mds must be one of {kinds}, got {check['mds']!r}")
+    fault = check.get("fault_injection", {})
+    if not isinstance(fault, dict) or set(fault) - {"L_scale"}:
+        raise ConfigError(f"check.fault_injection allows only the key 'L_scale', got {fault!r}")
+    scale = fault.get("L_scale", 1.0)
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
+        raise ConfigError(f"check.fault_injection.L_scale must be a positive number, "
+                          f"got {scale!r}")
+    return check
+
+
 def cmd_run(config_path: str) -> int:
     config = RunConfig.load(config_path)
     if config.eps_guard != 0.0:
@@ -188,14 +212,13 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     spec = config.to_spec()
     problem = spec.build_problem()
     check = config.check
-    fault = check.get("fault_injection", {})
-    scale = float(fault.get("L_scale", 1.0))
+    scale = check.get("fault_injection", {}).get("L_scale", 1.0)
     if scale != 1.0:
         problem.constants = dataclasses.replace(
             problem.constants, L_vec=problem.constants.L_vec * scale)
-    T = int(check.get("T", min(config.T_grid[0], 2000)))
-    n_seeds = int(check.get("n_seeds", min(config.n_seeds, 20)))
-    n_probes = int(check.get("n_probes", 2000))
+    T = check.get("T", min(config.T_grid[0], 2000))
+    n_seeds = check.get("n_seeds", min(config.n_seeds, 20))
+    n_probes = check.get("n_probes", 2000)
     kind = OptimizerKind.SIGNSTORM
     hp = resolve_hyperparams(spec, problem, kind, T)
     if config.eps_guard > 0:
@@ -254,8 +277,8 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
         verdict("sign_dichotomy", "statistical", "skipped", reason=str(exc))
 
     mds = diag.MdsKind(check.get("mds", "rademacher"))
-    l1_rep = diag.lemma1_montecarlo(int(check.get("lemma1_trials", 10000)),
-                                    int(check.get("lemma1_T", 1000)),
+    l1_rep = diag.lemma1_montecarlo(check.get("lemma1_trials", 10000),
+                                    check.get("lemma1_T", 1000),
                                     config.delta, mds,
                                     seed=derive_seed(config.master_seed, 303))
     verdict(l1_rep.name, "statistical", "pass" if l1_rep.passed else "fail",

@@ -184,29 +184,36 @@ def movement_bound_check(step_l2: np.ndarray, hp: HyperParams,
 
 
 def representation_check(eps_trace: EpsilonTrace, beta1: float,
-                         tol: float = 1e-6, check_every: int = 1) -> CheckResult:
+                         tol: float = 1e-6) -> CheckResult:
     """Verify eps_t = b1^t eps_0 + b1 sum b1^(t-s) Z_s + (1-b1) sum b1^(t-s) xi_s.
 
-    The right side is rebuilt by direct weighted summation over s (numerically
-    stable pairwise reduction), never by the recurrence that produced eps_t.
+    The right side is rebuilt by direct weighted summation over s, never by
+    the recurrence that produced eps_t.  One pass over s adds the s-th term
+    to the sums of every t >= s, so each sum runs sequentially in ascending
+    s; the worst t is the first one with the largest error ratio.
     """
-    T = eps_trace.horizon
-    eps0 = eps_trace.eps0
+    T, d = eps_trace.xi.shape
     scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))
-    worst_ratio = 0.0
-    worst_t = 1
-    ts = sorted(set(range(1, T + 1, check_every)) | {T})
-    for t in ts:
-        # 0^0 = 1 keeps the s = t term alive when beta1 = 0
-        weights = beta1 ** np.arange(t - 1, -1, -1, dtype=np.float64)
-        rhs = (beta1 ** t * eps0
-               + beta1 * np.add.reduce(weights[:, None] * eps_trace.z[:t], axis=0)
-               + (1.0 - beta1) * np.add.reduce(weights[:, None] * eps_trace.xi[:t], axis=0))
-        err = float(np.max(np.abs(eps_trace.eps[t - 1] - rhs)))
-        if err / scale > worst_ratio:
-            worst_ratio = err / scale
-            worst_t = t
-    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, worst_t,
+    zx = np.concatenate([eps_trace.z, eps_trace.xi], axis=1)
+    # 0^0 = 1 keeps the s = t term alive when beta1 = 0; row k holds
+    # beta1^k in every column (a full array multiplies faster than a
+    # broadcast column)
+    weights = np.repeat(beta1 ** np.arange(T, dtype=np.float64)[:, None], 2 * d, axis=1)
+    acc = weights * zx[0]
+    term = np.empty_like(acc)
+    for s in range(1, T):
+        np.multiply(weights[:T - s], zx[s], out=term[:T - s])
+        acc[s:] += term[:T - s]
+    decay = np.array([beta1 ** t for t in range(1, T + 1)])
+    rhs = (decay[:, None] * eps_trace.eps0
+           + beta1 * acc[:, :d]
+           + (1.0 - beta1) * acc[:, d:])
+    ratio = np.max(np.abs(eps_trace.eps - rhs), axis=1) / scale
+    # a NaN error never counts as worse, nor does a zero one
+    ratio[~(ratio > 0.0)] = 0.0
+    worst = int(np.argmax(ratio))
+    worst_ratio = float(ratio[worst])
+    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, worst + 1,
                        f"T={T}, beta1={beta1}, abs tolerance {scale:.3g}")
 
 
@@ -316,6 +323,10 @@ def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
                            f"{len(runs)} runs, delta={confidence_delta}")
 
 
+# fewer trials make the violation frequency meaningless
+LEMMA1_MIN_TRIALS = 100
+
+
 class MdsKind(enum.Enum):
     """Distribution of the simulated martingale difference terms."""
 
@@ -334,8 +345,9 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
     and count trials whose partial-sum path ever escapes it.  The envelope
     holds per trial with probability >= 1 - 3*delta.
     """
-    if n_trials < 100:
-        raise OutOfRange(f"need n_trials >= 100 for a meaningful frequency, got {n_trials}")
+    if n_trials < LEMMA1_MIN_TRIALS:
+        raise OutOfRange(f"need n_trials >= {LEMMA1_MIN_TRIALS} for a meaningful "
+                         f"frequency, got {n_trials}")
     if mds_spec is MdsKind.RADEMACHER:
         R, sigma_sq = 1.0, 1.0
     elif mds_spec is MdsKind.BOUNDED_UNIFORM:

@@ -332,6 +332,37 @@ def _probe_points(problem: StochasticProblem, rng: np.random.Generator, n: int) 
     return rng.standard_normal((n, problem.d)) * scale
 
 
+def _block_grads(problem: StochasticProblem, rng: np.random.Generator,
+                 xs: np.ndarray, ys: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled gradient at each row of xs under one fresh realization per row,
+    beside the exact gradient at that row or, given ys, the sampled gradient
+    at ys's row under the same realization.
+
+    Additive noise comes from one ``presample_payloads`` call and is
+    evaluated on the whole (n, d) block; any other noise keeps one
+    ``draw_noise`` and one oracle call per row.  Both consume rng alike.
+    """
+    n = xs.shape[0]
+    payloads = problem.presample_payloads(rng, n)
+    if payloads is not None:
+        xi = NoiseRealization(payloads)
+        other = problem.exact_grad(xs) if ys is None else problem.stoch_grad(ys, xi)
+        return problem.stoch_grad(xs, xi), other
+    grads = np.empty((n, problem.d))
+    other = np.empty((n, problem.d))
+    for i in range(n):
+        xi = problem.draw_noise(rng)
+        grads[i] = problem.stoch_grad(xs[i], xi)
+        other[i] = problem.exact_grad(xs[i]) if ys is None else problem.stoch_grad(ys[i], xi)
+    return grads, other
+
+
+def _worst(row_max: np.ndarray) -> float:
+    """Largest row maximum, at least 0; a NaN row never counts as worse."""
+    return float(np.fmax.reduce(row_max, initial=0.0))
+
+
 def verify_assumptions(problem: StochasticProblem, n_probes: int,
                        rng: np.random.Generator) -> AssumptionReport:
     """Empirically stress the declared problem contracts.
@@ -345,6 +376,9 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
       as 0);
     * smoothness — max_j |d_j f(x,Xi) - d_j f(y,Xi)| sqrt(d) / (L_j ||x-y||_2)
       over random point pairs sharing one realization.
+
+    Each probe block is drawn and evaluated at once (:func:`_block_grads`),
+    with the same draws and the same results as one probe at a time.
     """
     if n_probes < 1:
         raise InvalidConstant("n_probes must be >= 1")
@@ -364,10 +398,10 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
         detail = f"exhaustive average over {len(support)} realizations at 5 points"
     else:
         for x in points:
-            exact = problem.exact_grad(x)
-            acc = np.zeros(problem.d)
-            for _ in range(n_probes):
-                acc += problem.stoch_grad(x, problem.draw_noise(rng)) - exact
+            block = np.broadcast_to(x, (n_probes, problem.d))
+            grads, exact = _block_grads(problem, rng, block)
+            # a running sum over the draws, in draw order
+            acc = np.cumsum(grads - exact, axis=0)[-1]
             gap = np.abs(acc / n_probes)
             tol = 5.0 * sigma / np.sqrt(n_probes) + 1e-12
             worst = max(worst, float(np.max(gap / tol)))
@@ -375,28 +409,24 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     unbiasedness = AssumptionCheck("unbiasedness", worst <= 1.0, worst, detail)
 
     # (b) almost-sure noise bound
-    worst = 0.0
-    for x in _probe_points(problem, rng, n_probes):
-        noise = np.abs(problem.stoch_grad(x, problem.draw_noise(rng)) - problem.exact_grad(x))
-        ratio = np.zeros(problem.d)
-        np.divide(noise, sigma, out=ratio, where=sigma > 0)
-        ratio[(sigma == 0) & (noise > 0)] = np.inf
-        worst = max(worst, float(np.max(ratio)))
+    grads, exact = _block_grads(problem, rng, _probe_points(problem, rng, n_probes))
+    noise = np.abs(grads - exact)
+    ratio = np.zeros_like(noise)
+    np.divide(noise, sigma, out=ratio, where=sigma > 0)
+    ratio[(sigma == 0) & (noise > 0)] = np.inf
+    worst = _worst(np.max(ratio, axis=1))
     noise_bound = AssumptionCheck(
         "noise_bound", worst <= 1.0, worst, f"{n_probes} fresh draws")
 
     # (c) per-coordinate smoothness in the L_j / sqrt(d) convention
-    worst = 0.0
     sqrt_d = np.sqrt(problem.d)
     xs = _probe_points(problem, rng, n_probes)
     ys = _probe_points(problem, rng, n_probes)
-    for x, y in zip(xs, ys):
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            continue
-        xi = problem.draw_noise(rng)
-        diff = np.abs(problem.stoch_grad(x, xi) - problem.stoch_grad(y, xi))
-        worst = max(worst, float(np.max(diff * sqrt_d / (consts.L_vec * dist))))
+    dist = np.array([np.linalg.norm(x - y) for x, y in zip(xs, ys)])
+    apart = dist != 0.0  # a pair at distance 0 draws no noise
+    gx, gy = _block_grads(problem, rng, xs[apart], ys[apart])
+    ratio = np.abs(gx - gy) * sqrt_d / (consts.L_vec * dist[apart, None])
+    worst = _worst(np.max(ratio, axis=1))
     smoothness = AssumptionCheck(
         "smoothness", worst <= 1.0, worst, f"{n_probes} random point pairs")
 

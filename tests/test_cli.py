@@ -124,6 +124,30 @@ class TestCmdRun:
 
 
 class TestCmdCheck:
+    @pytest.mark.parametrize("key, value", [
+        ("n_seeds", 0),
+        ("T", "abc"),
+        ("mds", "gauss"),
+        ("fault_injection", {"x": 1}),
+    ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key"])
+    def test_bad_check_value_is_one_config_error_line(self, tmp_path, capsys,
+                                                      monkeypatch, key, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("check started work on an invalid config")
+
+        monkeypatch.setattr("signstorm.cli.verify_assumptions", no_work)
+        monkeypatch.setattr("signstorm.cli.run_cell", no_work)
+        cfg = base_config(tmp_path / "out")
+        cfg["check"][key] = value
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=f"check.{key}"):
+            RunConfig.load(path)
+        assert main(["check", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"check.{key}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_default_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
     EpsilonTrace,
@@ -59,6 +60,26 @@ class TestRunWithDiagnostics:
         hp = HyperParams(eta=1e300, beta1=0.0, beta2=0.0)
         with pytest.raises(NonFiniteValue, match="NaN/Inf"):
             run_with_diagnostics(p, hp, 50, seed=1)
+
+
+def per_t_representation(eps_trace, beta1, tol=1e-6):
+    """The representation check as a loop over t, each t's sums reduced
+    along axis 0 (pairwise at d = 1): the reference for the one-pass check."""
+    T = eps_trace.horizon
+    eps0 = eps_trace.eps0
+    scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))
+    worst_ratio = 0.0
+    worst_t = 1
+    for t in range(1, T + 1):
+        weights = beta1 ** np.arange(t - 1, -1, -1, dtype=np.float64)
+        rhs = (beta1 ** t * eps0
+               + beta1 * np.add.reduce(weights[:, None] * eps_trace.z[:t], axis=0)
+               + (1.0 - beta1) * np.add.reduce(weights[:, None] * eps_trace.xi[:t], axis=0))
+        err = float(np.max(np.abs(eps_trace.eps[t - 1] - rhs)))
+        if err / scale > worst_ratio:
+            worst_ratio = err / scale
+            worst_t = t
+    return worst_ratio <= 1.0, worst_ratio, worst_t
 
 
 class TestMovementBound:
@@ -136,6 +157,36 @@ class TestRepresentation:
         trace = trace_from_recurrence(xi, z, beta1=0.7)
         trace.eps[17, 1] += 1e-3
         assert not representation_check(trace, beta1=0.7).passed
+
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.integers(1, 60), d=st.integers(1, 6),
+           beta1=st.just(0.0) | st.sampled_from([0.5, 0.9, 0.99]) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), n_zero=st.integers(0, 3),
+           perturb=st.booleans())
+    @example(T=1, d=3, beta1=0.9, seed=0, n_zero=0, perturb=False)
+    @example(T=1, d=1, beta1=0.0, seed=0, n_zero=1, perturb=True)
+    @example(T=25, d=4, beta1=0.0, seed=1, n_zero=2, perturb=False)
+    def test_one_pass_matches_per_t_loop(self, T, d, beta1, seed, n_zero, perturb):
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((T, d))
+        z = rng.standard_normal((T, d))
+        z[0] = 0
+        for row in rng.integers(0, T, size=n_zero):
+            xi[row] = 0.0
+            z[row] = 0.0
+        trace = trace_from_recurrence(xi, z, beta1)
+        if perturb or d == 1:
+            # errors far above rounding, so a changed summation order
+            # moves the worst ratio only in its last bits
+            trace.eps += rng.standard_normal((T, d))
+        res = representation_check(trace, beta1)
+        passed, worst_ratio, worst_t = per_t_representation(trace, beta1)
+        if d >= 2:
+            # the same products added in the same order: bit for bit
+            assert (res.passed, res.worst_ratio, res.worst_t) == (passed, worst_ratio, worst_t)
+        else:
+            assert res.worst_ratio == pytest.approx(worst_ratio, rel=1e-12, abs=0.0)
+            assert res.passed == passed
 
 
 class TestDecompositionAndRatio:

@@ -8,7 +8,12 @@ optimizer kinds, a cell where some seeds abort on a non-finite value,
 beta1 = 0 (noiseless theorem mode, and T = 1 in practical mode), sigma = 0
 in practical mode, and d = 1.  ``golden/check_sha256.json`` pins the
 ``check.json`` of one ``signstorm check`` run in the same way; it was
-computed before ``lemma1_montecarlo`` transformed its chunks in place.
+computed before ``lemma1_montecarlo`` transformed its chunks in place, and
+before ``representation_check`` and ``verify_assumptions`` lost their
+per-t and per-probe loops.  Its second digest, ``check_d1``, pins a
+d = 1 run.  It was computed after those loops went, by the one-pass
+representation check, whose d = 1 sums run sequentially where the per-t
+loop's ran pairwise; on this config the per-t loop wrote the same bytes.
 ``golden/trace_sha256.json`` pins every trace CSV that ``signstorm run``
 writes for three of the specs: one with the ``eps_l1`` column, one whose
 traces stop early at an abort, and one at d = 1.  Those digests were
@@ -106,6 +111,22 @@ CHECK_CONFIG = {
 
 
 # spec name -> whether its traces carry the eps_l1 diagnostics column
+# d = 1, where the representation check's sums changed order.  Its check
+# exits 2: with L = h for a one-dimensional quadratic the smoothness ratio
+# is 1 up to rounding, and the verifier has no slack for it.
+CHECK_CONFIG_D1 = {
+    "problem": {"name": "noisy_quadratic",
+                "params": {"d": 1, "hessian_diag": 1.5, "sigma": 0.4, "x_init": 2.0}},
+    "optimizers": ["signstorm"], "T_grid": [300], "n_seeds": 1, "delta": 0.2,
+    "master_seed": 17,
+    "check": {"T": 300, "n_seeds": 3, "n_probes": 300, "lemma1_trials": 2000,
+              "lemma1_T": 200},
+}
+
+# golden key -> the check config and the exit code of its `signstorm check`
+CHECKS = {"check": (CHECK_CONFIG, 0), "check_d1": (CHECK_CONFIG_D1, 2)}
+
+
 TRACE_SPECS = {"logistic_all_kinds": True, "partial_aborts": False,
                "noiseless_practical_d1": False}
 
@@ -208,12 +229,13 @@ def trace_digests(name: str, tmp_dir: Path) -> dict:
             for p in sorted((out / "traces").glob("*.csv"))}
 
 
-def check_digest(tmp_dir: Path) -> str:
-    config = dict(CHECK_CONFIG, output_dir=str(tmp_dir / "out"))
+def check_digest(tmp_dir: Path, key: str = "check") -> str:
+    config, exit_code = CHECKS[key]
+    config = dict(config, output_dir=str(tmp_dir / "out"))
     path = tmp_dir / "check_config.json"
     path.write_text(json.dumps(config))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["check", str(path)]) == 0
+        assert main(["check", str(path)]) == exit_code
     return hashlib.sha256((tmp_dir / "out" / "check.json").read_bytes()).hexdigest()
 
 
@@ -254,6 +276,11 @@ def test_check_json_matches_golden_digest(tmp_path):
     assert check_digest(tmp_path) == json.loads(CHECK_GOLDEN.read_text())["check"]
 
 
+def test_check_json_d1_matches_golden_digest(tmp_path):
+    digest = check_digest(tmp_path, "check_d1")
+    assert digest == json.loads(CHECK_GOLDEN.read_text())["check_d1"]
+
+
 def test_diagnostics_golden_file_covers_every_case():
     assert set(json.loads(DIAG_GOLDEN.read_text())) == set(DIAG_CASES)
 
@@ -275,8 +302,11 @@ def test_diagnostics_match_golden_digests(name):
 if __name__ == "__main__":
     print(json.dumps({name: report_digest(name, 1) for name in sorted(SPECS)},
                      indent=2, sort_keys=True))
-    with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps({"check": check_digest(Path(tmp))}, indent=2))
+    checks = {}
+    for key in CHECKS:
+        with tempfile.TemporaryDirectory() as tmp:
+            checks[key] = check_digest(Path(tmp), key)
+    print(json.dumps(checks, indent=2))
     traces = {}
     for name in sorted(TRACE_SPECS):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from signstorm import problems
 from signstorm import (
     InvalidConstant,
     bounded_nonconvex,
@@ -10,6 +12,7 @@ from signstorm import (
     synthetic_logistic,
     verify_assumptions,
 )
+from signstorm.problems import NoiseRealization, NoisyQuadratic
 
 
 def central_difference(value_fn, x, h=1e-5):
@@ -152,6 +155,64 @@ class TestSyntheticLogistic:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def per_probe_verify(problem, n_probes, rng):
+    """verify_assumptions one draw and one oracle call at a time, as it was
+    before the probes were drawn in blocks: the reference for the block
+    path.  Returns each check's (passed, worst_ratio)."""
+    consts = problem.constants
+    sigma = consts.sigma_vec
+    points = problems._probe_points(problem, rng, 5)
+    worst = 0.0
+    for x in points:
+        exact = problem.exact_grad(x)
+        acc = np.zeros(problem.d)
+        for _ in range(n_probes):
+            acc += problem.stoch_grad(x, problem.draw_noise(rng)) - exact
+        gap = np.abs(acc / n_probes)
+        tol = 5.0 * sigma / np.sqrt(n_probes) + 1e-12
+        worst = max(worst, float(np.max(gap / tol)))
+    out = [(worst <= 1.0, worst)]
+
+    worst = 0.0
+    for x in problems._probe_points(problem, rng, n_probes):
+        noise = np.abs(problem.stoch_grad(x, problem.draw_noise(rng)) - problem.exact_grad(x))
+        ratio = np.zeros(problem.d)
+        np.divide(noise, sigma, out=ratio, where=sigma > 0)
+        ratio[(sigma == 0) & (noise > 0)] = np.inf
+        worst = max(worst, float(np.max(ratio)))
+    out.append((worst <= 1.0, worst))
+
+    worst = 0.0
+    sqrt_d = np.sqrt(problem.d)
+    xs = problems._probe_points(problem, rng, n_probes)
+    ys = problems._probe_points(problem, rng, n_probes)
+    for x, y in zip(xs, ys):
+        dist = float(np.linalg.norm(x - y))
+        if dist == 0.0:
+            continue
+        xi = problem.draw_noise(rng)
+        diff = np.abs(problem.stoch_grad(x, xi) - problem.stoch_grad(y, xi))
+        worst = max(worst, float(np.max(diff * sqrt_d / (consts.L_vec * dist))))
+    out.append((worst <= 1.0, worst))
+    return out
+
+
+class UnderstatedNoise(NoisyQuadratic):
+    """A quadratic whose additive noise is drawn at ``true_sigma`` while
+    its constants declare ``sigma_vec``, so a coordinate declared noiseless
+    can still be noisy (the verifier's inf branch)."""
+
+    def __init__(self, d, true_sigma, declared_sigma):
+        super().__init__(d, np.ones(d), declared_sigma, np.ones(d))
+        self.true_sigma = true_sigma
+
+    def draw_noise(self, rng):
+        return NoiseRealization(rng.uniform(-self.true_sigma, self.true_sigma))
+
+    def presample_payloads(self, rng, n):
+        return rng.uniform(-self.true_sigma, self.true_sigma, size=(n, self.d))
+
+
 class TestVerifyAssumptions:
     def test_quadratic_passes(self):
         p = noisy_quadratic(4, np.array([1.0, 2.0, 3.0, 4.0]),
@@ -185,6 +246,51 @@ class TestVerifyAssumptions:
         p = bounded_nonconvex(4, np.ones(4), 0.3 * np.ones(4), np.ones(4))
         rep = verify_assumptions(p, 2000, make_rng(14))
         assert rep.all_passed
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 5), n_probes=st.integers(1, 40),
+           problem_name=st.sampled_from(["noisy_quadratic", "bounded_nonconvex",
+                                         "understated"]),
+           seed=st.integers(0, 2**32 - 1), zero_sigma=st.booleans(),
+           repeat_pairs=st.booleans())
+    @example(d=1, n_probes=1, problem_name="noisy_quadratic", seed=0, zero_sigma=True,
+             repeat_pairs=False)
+    @example(d=3, n_probes=5, problem_name="understated", seed=1, zero_sigma=True,
+             repeat_pairs=True)
+    def test_block_draws_match_per_probe_reference(self, d, n_probes, problem_name, seed,
+                                                  zero_sigma, repeat_pairs):
+        gen = np.random.default_rng(seed)
+        sigma = gen.uniform(0.0, 2.0, d)
+        if zero_sigma:
+            sigma[gen.integers(0, d)] = 0.0  # 0/0 counts as 0
+        if problem_name == "understated":
+            declared = sigma.copy()
+            declared[gen.integers(0, d)] = 0.0  # noisy but declared noiseless: inf
+            p = UnderstatedNoise(d, sigma + 0.1, declared)
+        else:
+            p = make_problem(problem_name, {"d": d, "sigma": sigma,
+                                            "x_init": gen.uniform(-2.0, 2.0, d)})
+        probe_points = problems._probe_points
+        previous = []
+
+        def points_with_repeats(problem, rng, n):
+            # every other smoothness pair at distance 0, which draws no noise
+            pts = probe_points(problem, rng, n)
+            if repeat_pairs and previous and previous[-1].shape == pts.shape:
+                pts[::2] = previous[-1][::2]
+            previous.append(pts)
+            return pts
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "_probe_points", points_with_repeats)
+            rng = make_rng(seed)
+            rep = verify_assumptions(p, n_probes, rng)
+            previous.clear()
+            ref_rng = make_rng(seed)
+            expected = per_probe_verify(p, n_probes, ref_rng)
+        assert [(c.passed, c.worst_ratio) for c in rep.checks()] == expected
+        # both consumed the generator alike
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_probe_count_validation(self):
         p = noisy_quadratic(2, np.ones(2), np.zeros(2), np.ones(2))
