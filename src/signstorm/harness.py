@@ -457,10 +457,13 @@ def _worker_count() -> int:
     env = os.environ.get("SIGNSTORM_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ConfigError(
                 f"SIGNSTORM_THREADS must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ConfigError(f"SIGNSTORM_THREADS must be at least 1, got {env!r}")
+        return workers
     return min(8, os.cpu_count() or 1)
 
 

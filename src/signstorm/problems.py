@@ -30,15 +30,23 @@ from .errors import InvalidConstant
 _BOUNDED_CURVATURE = 2.0
 
 
+# the margins memo of one SyntheticLogistic holds at most this many values
+# in all, and at most _MARGINS_MEMO_ENTRIES points
+_MARGINS_MEMO_VALUES = 1 << 15
+_MARGINS_MEMO_ENTRIES = 64
+
+
 def _sigmoid(z) -> np.ndarray:
-    """Logistic function, stable for large |z|."""
+    """Logistic function, stable for large |z|: 1 / (1 + exp(-z)) for
+    z >= 0 and exp(z) / (1 + exp(z)) below, with one exp per element.
+
+    minimum(z, -z) is -|z| and keeps a NaN's sign as exp(z) would;
+    negation is exact, so every element is the same IEEE computation as
+    its branch of the two-branch form.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,20 @@ class SyntheticLogistic(StochasticProblem):
     logistic sigmoid s in (0, 1), both it and the full gradient are bounded
     coordinate-wise by max_i |w_ij|, giving sigma_j = 2 max_i |w_ij|; the
     sigmoid being 1/4-Lipschitz gives L_j = sqrt(d)/4 * max_i |w_ij| ||w_i||_2.
+
+    The oracles share work without changing a bit of their results:
+
+    * ``exact_grad`` and ``value`` share the margins y * (W @ x) through a
+      small memo keyed on the bytes of x, so a point mutated in place is a
+      new key.  A trajectory asks for the gradient of every seed's iterate
+      before the loss of any, so the memo holds several points, bounded by
+      ``_MARGINS_MEMO_ENTRIES`` and ``_MARGINS_MEMO_VALUES``.
+    * ``exact_grad`` takes the weighted mean of the rows with one einsum,
+      which adds the weighted rows in row order, as the axis-0 mean of their
+      (n, d) product does, without building it.  At d = 1 einsum sums the
+      lone column in another order, so d = 1 keeps that axis-0 mean.
+    * ``stoch_grad`` evaluates its one sigmoid on a scalar with numpy's exp:
+      ``math.exp`` differs from numpy's in the last bit for some inputs.
     """
 
     name = "synthetic_logistic"
@@ -219,6 +241,9 @@ class SyntheticLogistic(StochasticProblem):
         self.n_samples = n_samples
         self.features = rng.uniform(-feature_bound, feature_bound, size=(n_samples, d))
         self.labels = rng.choice([-1.0, 1.0], size=n_samples)
+        self._margins_memo: dict[bytes, np.ndarray] = {}
+        self._memo_entries = max(1, min(_MARGINS_MEMO_ENTRIES,
+                                        _MARGINS_MEMO_VALUES // (n_samples + d)))
         abs_w_max = np.max(np.abs(self.features), axis=0)
         row_norms = np.linalg.norm(self.features, axis=1)
         self.constants = ProblemConstants(
@@ -231,7 +256,18 @@ class SyntheticLogistic(StochasticProblem):
         )
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        return self.labels * (self.features @ x)
+        """y * (W @ x) for a (d,) point, read-only and shared by equal points."""
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
+        memo = self._margins_memo
+        margins = memo.get(key)
+        if margins is None:
+            margins = self.labels * (self.features @ x)
+            margins.flags.writeable = False
+            if len(memo) >= self._memo_entries:
+                del memo[next(iter(memo))]  # the oldest point
+            memo[key] = margins
+        return margins
 
     def _full_value(self, x: np.ndarray) -> float:
         return float(np.mean(np.logaddexp(0.0, -self._margins(x))))
@@ -244,14 +280,22 @@ class SyntheticLogistic(StochasticProblem):
 
     def _sample_grad(self, x: np.ndarray, i: int) -> np.ndarray:
         z = -self.labels[i] * float(self.features[i] @ x)
-        return -self.labels[i] * self.features[i] * float(_sigmoid(z)[0])
+        # _sigmoid's two branches on one number
+        if z >= 0:
+            s = 1.0 / (1.0 + np.exp(-z))
+        else:
+            e = np.exp(z)
+            s = e / (1.0 + e)
+        return -self.labels[i] * self.features[i] * float(s)
 
     def stoch_grad(self, x: np.ndarray, xi: NoiseRealization) -> np.ndarray:
         return self._sample_grad(x, xi.payload)
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        s = _sigmoid(-self._margins(x))
-        return np.mean((-self.labels * s)[:, None] * self.features, axis=0)
+        weights = -self.labels * _sigmoid(-self._margins(x))
+        if self.d == 1:
+            return np.mean(weights[:, None] * self.features, axis=0)
+        return np.einsum("i,ij->j", weights, self.features) / self.n_samples
 
     def value(self, x: np.ndarray) -> float:
         return self._full_value(x)
@@ -364,10 +408,14 @@ def _worst(row_max: np.ndarray) -> float:
 
 
 def verify_assumptions(problem: StochasticProblem, n_probes: int,
-                       rng: np.random.Generator) -> AssumptionReport:
+                       rng: np.random.Generator, rel_slack: float = 1e-9,
+                       ) -> AssumptionReport:
     """Empirically stress the declared problem contracts.
 
-    Checks, each reported with its worst observed ratio (pass iff <= 1):
+    Checks, each reported with its worst observed ratio (pass iff <= 1;
+    the noise bound and smoothness allow ``rel_slack`` above 1 for the
+    rounding of a ratio that is exactly tight, such as the smoothness of
+    a one-dimensional quadratic):
 
     * unbiasedness — the averaged sampled gradient matches the exact one;
       exact enumeration when the noise support is finite, otherwise a Monte
@@ -391,9 +439,10 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     worst = 0.0
     if support is not None:
         for x in points:
+            exact = problem.exact_grad(x)
             mean = np.mean([problem.stoch_grad(x, xi) for xi in support], axis=0)
-            gap = np.max(np.abs(mean - problem.exact_grad(x)))
-            tol = 1e-12 * (1.0 + float(np.max(np.abs(problem.exact_grad(x)))))
+            gap = np.max(np.abs(mean - exact))
+            tol = 1e-12 * (1.0 + float(np.max(np.abs(exact))))
             worst = max(worst, gap / tol)
         detail = f"exhaustive average over {len(support)} realizations at 5 points"
     else:
@@ -416,7 +465,7 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     ratio[(sigma == 0) & (noise > 0)] = np.inf
     worst = _worst(np.max(ratio, axis=1))
     noise_bound = AssumptionCheck(
-        "noise_bound", worst <= 1.0, worst, f"{n_probes} fresh draws")
+        "noise_bound", worst <= 1.0 + rel_slack, worst, f"{n_probes} fresh draws")
 
     # (c) per-coordinate smoothness in the L_j / sqrt(d) convention
     sqrt_d = np.sqrt(problem.d)
@@ -428,6 +477,6 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     ratio = np.abs(gx - gy) * sqrt_d / (consts.L_vec * dist[apart, None])
     worst = _worst(np.max(ratio, axis=1))
     smoothness = AssumptionCheck(
-        "smoothness", worst <= 1.0, worst, f"{n_probes} random point pairs")
+        "smoothness", worst <= 1.0 + rel_slack, worst, f"{n_probes} random point pairs")
 
     return AssumptionReport(unbiasedness, noise_bound, smoothness)

@@ -122,6 +122,16 @@ class TestCmdRun:
         assert err.count("\n") == 1
         assert "SIGNSTORM_THREADS" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_thread_count_below_one_is_config_error(self, tmp_path, capsys,
+                                                    monkeypatch, value):
+        monkeypatch.setenv("SIGNSTORM_THREADS", value)
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "SIGNSTORM_THREADS" in err and repr(value) in err
+
 
 class TestCmdCheck:
     @pytest.mark.parametrize("key, value", [

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signstorm import (
     DegenerateFit,
     EmptyInput,
+    ExperimentReport,
     ExperimentSpec,
     HyperParams,
     OptimizerKind,
@@ -260,3 +262,72 @@ class TestTraceCsv:
         assert trace_stride(10) == 1
         assert trace_stride(1_000_000) == 1
         assert trace_stride(3_000_000) == 3
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestReductionProperties:
+    """Property tests of quantile, fit_rate and the report's JSON form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(finite, min_size=1, max_size=60), level=st.floats(0.0, 1.0),
+           other=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_quantile_invariants(self, samples, level, other, seed):
+        q = quantile(samples, level)
+        assert q in samples
+        # at least the level's share of the samples, and one, lies at or below q
+        k = min(max(math.ceil(level * len(samples)), 1), len(samples))
+        assert sum(s <= q for s in samples) >= k
+        assert sum(s < q for s in samples) < k
+        shuffled = list(np.random.default_rng(seed).permutation(samples))
+        assert quantile(shuffled, level) == q
+        lo, hi = sorted((level, other))
+        assert quantile(samples, lo) <= quantile(samples, hi)
+        assert quantile(samples, 0.0) == min(samples)
+        assert quantile(samples, 1.0) == max(samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(Ts=st.lists(st.integers(1, 10**6), min_size=3, max_size=8, unique=True),
+           slope=st.floats(-2.0, 2.0), log_c=st.floats(-5.0, 5.0),
+           noise=st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_rate_invariants(self, Ts, slope, log_c, noise, seed):
+        exact = fit_rate([(T, math.exp(log_c) * T ** slope) for T in Ts])
+        assert exact.slope == pytest.approx(slope, abs=1e-9)
+        assert exact.intercept == pytest.approx(log_c, abs=1e-6)
+        assert exact.n_points == len(Ts)
+        if abs(slope) >= 1e-3:  # a flatter law leaves only rounding to explain
+            assert exact.r2 == pytest.approx(1.0, abs=1e-9)
+
+        pts = [(T, math.exp(log_c + e) * T ** slope) for T, e in zip(Ts, noise)]
+        fit = fit_rate(pts)
+        assert fit.r2 <= 1.0 + 1e-12
+        reordered = fit_rate([pts[i] for i in np.random.default_rng(seed).permutation(len(pts))])
+        assert reordered.slope == pytest.approx(fit.slope, rel=1e-9, abs=1e-12)
+        # scaling every metric moves only the intercept
+        scaled = fit_rate([(T, 3.0 * m) for T, m in pts])
+        assert scaled.slope == pytest.approx(fit.slope, rel=1e-9, abs=1e-12)
+        assert scaled.intercept == pytest.approx(fit.intercept + math.log(3.0), abs=1e-9)
+
+    json_leaf = st.none() | st.booleans() | st.integers(-2**63, 2**63) | finite | st.text()
+    json_value = st.recursive(json_leaf, lambda inner: st.lists(inner, max_size=4)
+                              | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.dictionaries(st.text(), json_value, max_size=5),
+           master_seed=st.integers(0, 2**64 - 1),
+           cells=st.lists(st.dictionaries(st.text(), json_value, max_size=4), max_size=5),
+           rate_fits=st.dictionaries(st.text(), json_value, max_size=3),
+           violations=st.dictionaries(st.text(), st.integers(0, 10**6), max_size=3))
+    def test_report_json_round_trips(self, config, master_seed, cells, rate_fits,
+                                     violations):
+        report = ExperimentReport(config, master_seed, cells, rate_fits, violations)
+        text = report.to_json()
+        again = ExperimentReport.from_json(text)
+        assert again == report
+        assert again.to_json() == text
+
+    def test_real_report_round_trips(self):
+        report = run_experiment(small_spec(), max_workers=1)
+        assert ExperimentReport.from_json(report.to_json()) == report

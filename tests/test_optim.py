@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from signstorm import (
     DimensionMismatch,
@@ -14,6 +15,7 @@ from signstorm import (
     UnsupportedKind,
     step,
     step_baseline,
+    step_batch,
     step_signstorm,
     storm_decomposition,
 )
@@ -291,3 +293,73 @@ class TestStormDecomposition:
         with pytest.raises(DimensionMismatch):
             storm_decomposition(np.zeros(2),
                                 GradientPair(np.zeros(3), np.zeros(3)), 0.5)
+
+
+def random_state(gen, d, t, zero, scale=1.0):
+    """A state at step t with x, m, v and both gradients drawn from gen,
+    m and the gradients times ``scale``, and m, v and both gradients zero
+    on the mask ``zero``."""
+    x = gen.standard_normal(d)
+    x[gen.random(d) < 0.2] = -0.0
+    m = gen.standard_normal(d) * scale
+    v = gen.uniform(0.0, 2.0, d)
+    g_curr, g_prev = gen.standard_normal(d) * scale, gen.standard_normal(d) * scale
+    for arr in (m, v, g_curr, g_prev):
+        arr[zero] = 0.0
+    state = OptimizerState(x=x, m=m, v=v, prev_x=x.copy(), t=t)
+    return state, GradientPair(g_curr, g_prev)
+
+
+def batched(state, grads):
+    """The same state as the one row of a (1, d) batch."""
+    row = OptimizerState(x=state.x[None], m=state.m[None], v=state.v[None],
+                         prev_x=state.prev_x[None], t=state.t)
+    return row, GradientPair(grads.g_curr[None], grads.g_prev[None])
+
+
+class TestConventionProperties:
+    """Property tests of the documented edge conventions, through both the
+    per-step and the seed-batched paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from([OptimizerKind.SIGNSTORM, OptimizerKind.GENERALIZED_SIGN_SGD,
+                                 OptimizerKind.ADAM, OptimizerKind.L2_NORMALIZED_STORM]),
+           d=st.integers(1, 6), t=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.99),
+           all_zero=st.booleans())
+    def test_zero_over_zero_leaves_coordinate_in_place(self, kind, d, t, seed, beta1,
+                                                       beta2, all_zero):
+        # where the update's numerator and denominator are both 0 the step
+        # is 0: the coordinate keeps its bits, and no division warns
+        gen = np.random.default_rng(seed)
+        zero = np.ones(d, dtype=bool) if all_zero else gen.random(d) < 0.5
+        zero[gen.integers(0, d)] = True
+        state, grads = random_state(gen, d, t, zero)
+        hp = HyperParams(eta=0.1, beta1=beta1, beta2=beta2)
+        with np.errstate(divide="raise", invalid="raise"):
+            new = step(state, grads, hp, kind)
+            row, finite = step_batch(*batched(state, grads), hp, kind)
+        assert new.x[zero].tobytes() == state.x[zero].tobytes()
+        assert np.all(new.m[zero] == 0.0)
+        assert finite is None and row.x[0].tobytes() == new.x.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 8), t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           eta=st.floats(1e-6, 10.0), beta1=st.floats(0.0, 0.99),
+           per_step=st.booleans(), log_scale=st.floats(-100.0, 100.0))
+    def test_beta2_zero_step_is_sign_step(self, d, t, seed, eta, beta1, per_step, log_scale):
+        # v = m^2 and sqrt(m^2) = |m| while m^2 neither overflows nor
+        # underflows, so x moves by exactly eta_t * sign(m), and not at m = 0
+        gen = np.random.default_rng(seed)
+        zero = gen.random(d) < 0.3
+        state, grads = random_state(gen, d, t, zero, scale=10.0 ** log_scale)
+        schedule = Schedule.PER_STEP_SQRT_T if per_step else Schedule.CONSTANT
+        hp = HyperParams(eta=eta, beta1=beta1, beta2=0.0, schedule=schedule)
+        new = step(state, grads, hp)
+        moving = np.abs(new.m[new.m != 0.0])
+        assume(np.all((moving > 1e-150) & (moving < 1e150)))
+        expected = state.x - hp.step_size(t) * np.sign(new.m)
+        assert new.x.tobytes() == expected.tobytes()
+        assert new.x[new.m == 0.0].tobytes() == state.x[new.m == 0.0].tobytes()
+        row, _ = step_batch(*batched(state, grads), hp)
+        assert row.x[0].tobytes() == expected.tobytes()
