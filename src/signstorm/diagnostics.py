@@ -130,7 +130,7 @@ class DiagnosticRecorder(Recorder):
         self.g_prev = np.zeros(shape)  # row 0 unused
         self.step_l2 = np.empty((n_seeds, T))
 
-    def record(self, problem, t, live, state, grads, g_exact, grad_l1, finite) -> None:
+    def record(self, t, live, state, grads, g_exact, grad_l1, loss, finite) -> None:
         """Every array's row t-1 for the live seeds."""
         self._end_aborted(t, live, state, finite)
         i = t - 1

@@ -153,15 +153,16 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
 class Recorder:
     """Base of what :func:`run_cell` keeps beyond the headlines.
 
-    After step t it calls ``record(problem, t, live, state, grads, g_exact,
-    grad_l1, finite)`` with the new state (``prev_x`` is x_t), the
-    gradients at x_t and step_batch's finite mask; row r is seed
+    After step t it calls ``record(t, live, state, grads, g_exact, grad_l1,
+    loss, finite)`` with the new state (``prev_x`` is x_t), the gradients
+    at x_t, F(x_t) and step_batch's finite mask; row r is seed
     ``live[r]``.  A non-finite seed ends with ``done`` finite steps and
     the error :func:`step` would raise.  ``needs_prev`` asks for g_prev
-    for every kind.
+    for every kind, ``needs_loss`` for the loss (else it is None).
     """
 
     needs_prev = False
+    needs_loss = False
 
     def __init__(self, n_seeds: int, T: int):
         self.T = T
@@ -190,6 +191,8 @@ class TraceRecorder(Recorder):
     trace stops at its last finite step.
     """
 
+    needs_loss = True
+
     def __init__(self, n_seeds: int, T: int, collect_diagnostics: bool = False):
         super().__init__(n_seeds, T)
         shape = (n_seeds, T)
@@ -199,14 +202,14 @@ class TraceRecorder(Recorder):
         self.step_l2 = np.empty(shape)
         self.eps_l1 = np.empty(shape) if collect_diagnostics else None
 
-    def record(self, problem, t, live, state, grads, g_exact, grad_l1, finite) -> None:
+    def record(self, t, live, state, grads, g_exact, grad_l1, loss, finite) -> None:
         """Columns of x_t and of the step from it; an aborted seed's are cut off."""
         self._end_aborted(t, live, state, finite)
         self.grad_l1[live, t - 1] = grad_l1
-        x, diff = state.prev_x, state.x - state.prev_x
+        self.loss[live, t - 1] = loss
+        diff = state.x - state.prev_x
         for r, s in enumerate(live):
             g = g_exact[r]
-            self.loss[s, t - 1] = problem.value(x[r])
             self.grad_l2[s, t - 1] = math.sqrt(float(g @ g))
             self.step_l2[s, t - 1] = math.sqrt(float(diff[r] @ diff[r]))
             if self.eps_l1 is not None:
@@ -252,7 +255,10 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     headline = np.full(S, np.nan)
     aborted = np.zeros(S, dtype=bool)
     needs_prev = kind in STORM_FAMILY or (recorder is not None and recorder.needs_prev)
+    needs_loss = recorder is not None and recorder.needs_loss
     exact_grad = problem.exact_grad
+    value = problem.value
+    loss = None
 
     rows = _block_rows(T, S * d)
     first = problem.presample_payloads(rngs[0], rows)
@@ -275,22 +281,30 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
             g_exact = exact_grad(state.x)
             g_curr = g_exact + pay
             g_prev = g_exact_prev + pay if needs_prev and t > 1 else None
+            if needs_loss:
+                loss = np.array([value(x) for x in state.x])
         else:
             g_exact = np.empty_like(state.x)
             g_curr = np.empty_like(state.x)
             g_prev = np.empty_like(state.x) if needs_prev and t > 1 else None
+            if needs_loss:
+                loss = np.empty(len(live))
             for r, rng in enumerate(rngs):
                 noise = problem.draw_noise(rng)
                 g_curr[r] = problem.stoch_grad(state.x[r], noise)
                 if g_prev is not None:
                     g_prev[r] = problem.stoch_grad(state.prev_x[r], noise)
                 g_exact[r] = exact_grad(state.x[r])
+                # the loss right after the gradient at the same point, as
+                # in run_trial, so the oracle can share work between them
+                if needs_loss:
+                    loss[r] = value(state.x[r])
         grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
         np.minimum(best, grad_l1, out=best)
         grads = GradientPair(g_curr, g_prev)
         state, finite = step_batch(state, grads, hp, kind)
         if recorder is not None:
-            recorder.record(problem, t, live, state, grads, g_exact, grad_l1, finite)
+            recorder.record(t, live, state, grads, g_exact, grad_l1, loss, finite)
         if finite is not None:
             aborted[live[~finite]] = True
             live = live[finite]

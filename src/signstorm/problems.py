@@ -30,10 +30,10 @@ from .errors import InvalidConstant
 _BOUNDED_CURVATURE = 2.0
 
 
-# the margins memo of one SyntheticLogistic holds at most this many values
-# in all, and at most _MARGINS_MEMO_ENTRIES points
-_MARGINS_MEMO_VALUES = 1 << 15
-_MARGINS_MEMO_ENTRIES = 64
+# verify_assumptions passes the noise bound and smoothness up to this
+# relative excess over 1: a ratio that is exactly tight, such as the
+# smoothness of a one-dimensional quadratic, rounds to just above 1
+_REL_SLACK = 1e-9
 
 
 def _sigmoid(z) -> np.ndarray:
@@ -212,11 +212,10 @@ class SyntheticLogistic(StochasticProblem):
 
     The oracles share work without changing a bit of their results:
 
-    * ``exact_grad`` and ``value`` share the margins y * (W @ x) through a
-      small memo keyed on the bytes of x, so a point mutated in place is a
-      new key.  A trajectory asks for the gradient of every seed's iterate
-      before the loss of any, so the memo holds several points, bounded by
-      ``_MARGINS_MEMO_ENTRIES`` and ``_MARGINS_MEMO_VALUES``.
+    * ``exact_grad`` and ``value`` share the margins y * (W @ x) of the
+      last point through a one-entry memo keyed on the bytes of x, so a
+      point mutated in place is a new key.  Trajectories ask for the loss
+      of each iterate right after its gradient, so the memo hits there.
     * ``exact_grad`` takes the weighted mean of the rows with one einsum,
       which adds the weighted rows in row order, as the axis-0 mean of their
       (n, d) product does, without building it.  At d = 1 einsum sums the
@@ -241,9 +240,8 @@ class SyntheticLogistic(StochasticProblem):
         self.n_samples = n_samples
         self.features = rng.uniform(-feature_bound, feature_bound, size=(n_samples, d))
         self.labels = rng.choice([-1.0, 1.0], size=n_samples)
-        self._margins_memo: dict[bytes, np.ndarray] = {}
-        self._memo_entries = max(1, min(_MARGINS_MEMO_ENTRIES,
-                                        _MARGINS_MEMO_VALUES // (n_samples + d)))
+        self._memo_key = b""          # x.tobytes() of the last point
+        self._memo_margins = None     # and its margins
         abs_w_max = np.max(np.abs(self.features), axis=0)
         row_norms = np.linalg.norm(self.features, axis=1)
         self.constants = ProblemConstants(
@@ -256,18 +254,13 @@ class SyntheticLogistic(StochasticProblem):
         )
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        """y * (W @ x) for a (d,) point, read-only and shared by equal points."""
-        x = np.asarray(x, dtype=np.float64)
-        key = x.tobytes()
-        memo = self._margins_memo
-        margins = memo.get(key)
-        if margins is None:
-            margins = self.labels * (self.features @ x)
-            margins.flags.writeable = False
-            if len(memo) >= self._memo_entries:
-                del memo[next(iter(memo))]  # the oldest point
-            memo[key] = margins
-        return margins
+        """y * (W @ x) for a (d,) point, computed once for consecutive
+        calls at equal points; callers only read it."""
+        key = np.asarray(x, dtype=np.float64).tobytes()
+        if key != self._memo_key:
+            self._memo_margins = self.labels * (self.features @ x)
+            self._memo_key = key
+        return self._memo_margins
 
     def _full_value(self, x: np.ndarray) -> float:
         return float(np.mean(np.logaddexp(0.0, -self._margins(x))))
@@ -408,14 +401,12 @@ def _worst(row_max: np.ndarray) -> float:
 
 
 def verify_assumptions(problem: StochasticProblem, n_probes: int,
-                       rng: np.random.Generator, rel_slack: float = 1e-9,
-                       ) -> AssumptionReport:
+                       rng: np.random.Generator) -> AssumptionReport:
     """Empirically stress the declared problem contracts.
 
     Checks, each reported with its worst observed ratio (pass iff <= 1;
-    the noise bound and smoothness allow ``rel_slack`` above 1 for the
-    rounding of a ratio that is exactly tight, such as the smoothness of
-    a one-dimensional quadratic):
+    the noise bound and smoothness allow ``_REL_SLACK`` above 1 for the
+    rounding of a ratio that is exactly tight):
 
     * unbiasedness — the averaged sampled gradient matches the exact one;
       exact enumeration when the noise support is finite, otherwise a Monte
@@ -465,7 +456,7 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     ratio[(sigma == 0) & (noise > 0)] = np.inf
     worst = _worst(np.max(ratio, axis=1))
     noise_bound = AssumptionCheck(
-        "noise_bound", worst <= 1.0 + rel_slack, worst, f"{n_probes} fresh draws")
+        "noise_bound", worst <= 1.0 + _REL_SLACK, worst, f"{n_probes} fresh draws")
 
     # (c) per-coordinate smoothness in the L_j / sqrt(d) convention
     sqrt_d = np.sqrt(problem.d)
@@ -477,6 +468,6 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     ratio = np.abs(gx - gy) * sqrt_d / (consts.L_vec * dist[apart, None])
     worst = _worst(np.max(ratio, axis=1))
     smoothness = AssumptionCheck(
-        "smoothness", worst <= 1.0 + rel_slack, worst, f"{n_probes} random point pairs")
+        "smoothness", worst <= 1.0 + _REL_SLACK, worst, f"{n_probes} random point pairs")
 
     return AssumptionReport(unbiasedness, noise_bound, smoothness)

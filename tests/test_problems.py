@@ -4,11 +4,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from signstorm import problems
 from signstorm import (
+    HyperParams,
     InvalidConstant,
+    OptimizerKind,
+    TraceRecorder,
     bounded_nonconvex,
     make_problem,
     make_rng,
     noisy_quadratic,
+    run_cell,
     synthetic_logistic,
     verify_assumptions,
 )
@@ -241,23 +245,40 @@ class TestLogisticOraclesBitForBit:
         assert p.value(x) == frozen_value(p, x) != before
         assert same_bits(p.exact_grad(x), frozen_exact_grad(p, x))
 
-    def test_memo_stays_bounded(self):
-        for n, d in ((16, 3), (4000, 50)):
-            p = synthetic_logistic(d, n, 1.0, np.zeros(d))
-            rng = make_rng(5)
-            for _ in range(500):
-                x = rng.standard_normal(d)
-                p.exact_grad(x)
-                assert same_bits(p.value(x), frozen_value(p, x))
-            entries = len(p._margins_memo)
-            assert 1 <= entries <= problems._MARGINS_MEMO_ENTRIES
-            assert entries == 1 or entries * (n + d) <= problems._MARGINS_MEMO_VALUES
+    def test_memo_holds_the_last_point_only(self):
+        p = synthetic_logistic(3, 16, 1.0, np.zeros(3))
+        rng = make_rng(5)
+        xs = [rng.standard_normal(3) for _ in range(50)]
+        for x in xs:
+            p.exact_grad(x)
+            assert same_bits(p.value(x), frozen_value(p, x))
+        assert p._memo_key == xs[-1].tobytes()
+        # an earlier point is recomputed, and evicts the last one
+        assert same_bits(p.value(xs[0]), frozen_value(p, xs[0]))
+        assert p._memo_key == xs[0].tobytes()
+
+    def test_memo_hits_for_every_seed_of_a_traced_cell(self):
+        """run_cell asks for each row's loss right after its gradient, so
+        every loss reuses the margins, for any seed count."""
+        p = synthetic_logistic(4, 30, 1.0, np.full(4, 0.5), seed=1)
+        hits = []
+        value = p.value
+
+        def spy(x):
+            hits.append(p._memo_key == np.asarray(x).tobytes())
+            return value(x)
+
+        p.value = spy
+        S, T = 70, 5
+        run_cell(p, OptimizerKind.STORM, HyperParams(eta=0.05, beta1=0.9, beta2=0.0), T, list(range(S)),
+                 TraceRecorder(S, T))
+        assert len(hits) == S * T and all(hits)
 
 
-def per_probe_verify(problem, n_probes, rng, rel_slack=1e-9):
+def per_probe_verify(problem, n_probes, rng):
     """verify_assumptions one draw and one oracle call at a time, as it was
     before the probes were drawn in blocks: the reference for the block
-    path.  The noise bound and smoothness pass up to 1 + rel_slack.
+    path.  The noise bound and smoothness pass up to 1 + _REL_SLACK.
     Returns each check's (passed, worst_ratio)."""
     consts = problem.constants
     sigma = consts.sigma_vec
@@ -280,7 +301,7 @@ def per_probe_verify(problem, n_probes, rng, rel_slack=1e-9):
         np.divide(noise, sigma, out=ratio, where=sigma > 0)
         ratio[(sigma == 0) & (noise > 0)] = np.inf
         worst = max(worst, float(np.max(ratio)))
-    out.append((worst <= 1.0 + rel_slack, worst))
+    out.append((worst <= 1.0 + problems._REL_SLACK, worst))
 
     worst = 0.0
     sqrt_d = np.sqrt(problem.d)
@@ -293,7 +314,7 @@ def per_probe_verify(problem, n_probes, rng, rel_slack=1e-9):
         xi = problem.draw_noise(rng)
         diff = np.abs(problem.stoch_grad(x, xi) - problem.stoch_grad(y, xi))
         worst = max(worst, float(np.max(diff * sqrt_d / (consts.L_vec * dist))))
-    out.append((worst <= 1.0 + rel_slack, worst))
+    out.append((worst <= 1.0 + problems._REL_SLACK, worst))
     return out
 
 
