@@ -52,9 +52,7 @@ from .optim import (
     OptimizerState,
     Schedule,
     step,
-    step_baseline,
     step_batch,
-    step_signstorm,
     storm_decomposition,
 )
 from .problems import (

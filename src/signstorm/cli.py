@@ -55,6 +55,10 @@ _CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
                "lemma1_trials": diag.LEMMA1_MIN_TRIALS, "lemma1_T": 1}
 _REQUIRED = ["problem", "optimizers", "T_grid", "n_seeds", "delta", "master_seed",
              "output_dir"]
+# JSON type of each typed top-level key: an integer, a number or a flag
+_TOP_TYPES = {"n_seeds": int, "master_seed": int, "delta": float, "beta2": float,
+              "alpha": float, "beta": float, "eps_guard": float,
+              "diagnostics": bool, "per_step": bool, "write_traces": bool}
 
 
 @dataclasses.dataclass
@@ -102,29 +106,29 @@ class RunConfig:
         unknown = set(problem) - {"name", "params"}
         if unknown:
             raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
+        params = problem.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"problem.params must be an object, got {params!r}")
+        if not isinstance(raw["optimizers"], list):
+            raise ConfigError(f"optimizers must be a list, got {raw['optimizers']!r}")
         try:
             optimizers = [OptimizerKind(o) for o in raw["optimizers"]]
         except ValueError as exc:
             raise ConfigError(f"unknown optimizer: {exc}")
+        T_grid = raw["T_grid"]
+        if not isinstance(T_grid, list) or not all(map(_is_int, T_grid)):
+            raise ConfigError(f"T_grid must be a list of integers, got {T_grid!r}")
+        typed = {key: _typed(key, raw[key]) for key in _TOP_TYPES if key in raw}
         check = _check_section(raw.get("check", {}))
         cfg = RunConfig(
             problem_name=problem["name"],
-            problem_params=dict(problem.get("params", {})),
+            problem_params=dict(params),
             optimizers=optimizers,
-            T_grid=[int(t) for t in raw["T_grid"]],
-            n_seeds=int(raw["n_seeds"]),
-            delta=float(raw["delta"]),
-            master_seed=int(raw["master_seed"]),
+            T_grid=T_grid,
             output_dir=str(raw["output_dir"]),
             param_mode=str(raw.get("param_mode", "theorem")),
-            diagnostics=bool(raw.get("diagnostics", False)),
-            beta2=float(raw.get("beta2", 0.0)),
-            alpha=float(raw.get("alpha", 1.0)),
-            beta=float(raw.get("beta", 1.0)),
-            per_step=bool(raw.get("per_step", False)),
-            eps_guard=float(raw.get("eps_guard", 0.0)),
-            write_traces=bool(raw.get("write_traces", True)),
             check=check,
+            **typed,
         )
         cfg.to_spec()  # run range validation early
         return cfg
@@ -150,6 +154,23 @@ class RunConfig:
             raise ConfigError(str(exc))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(key: str, value):
+    """A top-level value of the JSON type ``_TOP_TYPES`` names for its key."""
+    kind = _TOP_TYPES[key]
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = _is_int(value) or (kind is float and isinstance(value, float))
+    if not ok:
+        name = {int: "an integer", float: "a number", bool: "true or false"}[kind]
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return kind(value)
+
+
 def _check_section(check) -> dict:
     """The ``check`` section, validated so that ``check`` fails before any
     work starts; a bad value is a ConfigError that names its key."""
@@ -157,7 +178,7 @@ def _check_section(check) -> dict:
         raise ConfigError(f"check section allows keys {sorted(_CHECK_KEYS)}")
     for key, low in _CHECK_INTS.items():
         value = check.get(key, low)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        if not _is_int(value) or value < low:
             raise ConfigError(f"check.{key} must be an integer >= {low}, got {value!r}")
     kinds = [m.value for m in diag.MdsKind]
     if check.get("mds", kinds[0]) not in kinds:

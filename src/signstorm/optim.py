@@ -268,47 +268,22 @@ def _advance(state: OptimizerState, grads: GradientPair, hp: HyperParams,
     return x, m, v
 
 
-def _checked_step(state: OptimizerState, grads: GradientPair, hp: HyperParams,
-                  kind: OptimizerKind) -> OptimizerState:
-    _check_dims(state, grads, need_prev=kind in STORM_FAMILY and state.t > 1)
-    x, m, v = _advance(state, grads, hp, kind)
-    _check_finite(x, m, v)
-    return OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1)
-
-
-def step_signstorm(
-    state: OptimizerState, grads: GradientPair, hp: HyperParams
-) -> OptimizerState:
-    """Advance one iteration of the coordinate-normalized variance-reduced method.
-
-    Returns a fresh state; the input state is left untouched and shares no
-    arrays with the output.
-    """
-    return _checked_step(state, grads, hp, OptimizerKind.SIGNSTORM)
-
-
-def step_baseline(
-    state: OptimizerState,
-    grads: GradientPair,
-    hp: HyperParams,
-    kind: OptimizerKind,
-) -> OptimizerState:
-    """One iteration of the named baseline over the shared state layout."""
-    if not isinstance(kind, OptimizerKind) or kind is OptimizerKind.SIGNSTORM:
-        raise UnsupportedKind(f"not a baseline kind: {kind!r}")
-    return _checked_step(state, grads, hp, kind)
-
-
 def step(
     state: OptimizerState,
     grads: GradientPair,
     hp: HyperParams,
     kind: OptimizerKind = OptimizerKind.SIGNSTORM,
 ) -> OptimizerState:
-    """Dispatch to :func:`step_signstorm` or :func:`step_baseline`."""
-    if kind is OptimizerKind.SIGNSTORM:
-        return step_signstorm(state, grads, hp)
-    return step_baseline(state, grads, hp, kind)
+    """Advance one iteration of the named method; SignSTORM by default.
+
+    Returns a fresh state; the input state is left untouched and shares no
+    arrays with the output.  Shapes are checked, and a non-finite update
+    raises :class:`NonFiniteValue`.
+    """
+    _check_dims(state, grads, need_prev=kind in STORM_FAMILY and state.t > 1)
+    x, m, v = _advance(state, grads, hp, kind)
+    _check_finite(x, m, v)
+    return OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1)
 
 
 def step_batch(
@@ -323,10 +298,11 @@ def step_batch(
     Instead of raising on a non-finite update, returns with the new state
     the boolean mask of the rows that stayed finite, or None when all did;
     the caller drops the other rows.  Shapes are the caller's contract and
-    are not checked.
+    are not checked, and the new state's ``prev_x`` is the input's ``x``
+    array itself, not a copy.
     """
     x, m, v = _advance(state, grads, hp, kind)
-    return (OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1),
+    return (OptimizerState(x=x, m=m, v=v, prev_x=state.x, t=state.t + 1),
             _finite_rows(x, m, v))
 
 

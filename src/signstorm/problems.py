@@ -163,7 +163,7 @@ class NoisyQuadratic(_AdditiveNoiseProblem):
         return self.h * x
 
     def value(self, x: np.ndarray) -> float:
-        return 0.5 * float((self.h * x) @ x)
+        return 0.5 * float((self.h * x).dot(x))
 
 
 class BoundedNonConvex(_AdditiveNoiseProblem):

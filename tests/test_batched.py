@@ -1,14 +1,19 @@
 """The seed-batched engine against its per-seed reference, bit for bit.
 
-``step_batch`` on an (S, d) state must equal S calls of ``step``, and
-``run_cell`` must reproduce the headline and the abort of every seed's
-``run_trial``, with a ``TraceRecorder`` every column of its trace, and
-with a ``DiagnosticRecorder`` the step norms and estimator errors of its
-diagnostics columns.
+``step_batch`` on an (S, d) state must equal S calls of ``step``.  The
+reference for ``run_cell`` is :func:`reference_trial`, a frozen copy of
+the hand-written per-seed loop the engine replaced.  ``run_cell`` must
+reproduce the headline and the abort of every seed's reference trial,
+with a ``TraceRecorder`` every column of its trace, and with a
+``DiagnosticRecorder`` the step norms and estimator errors of its
+diagnostics columns.  ``run_trial``, the engine's single-seed call, must
+reproduce the reference trace too.
 Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
 counts as a difference.
 """
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -26,7 +31,9 @@ from signstorm import (
     OptimizerState,
     Schedule,
     TraceRecorder,
+    TrialTrace,
     derive_seed,
+    make_rng,
     make_problem,
     practical_params,
     run_cell,
@@ -37,6 +44,7 @@ from signstorm import (
     write_trace_csv,
 )
 from signstorm import harness
+from signstorm.optim import STORM_FAMILY
 
 
 def same_bits(a, b) -> bool:
@@ -111,30 +119,114 @@ def test_step_batch_equals_looped_steps(case):
     assert same_bits(batched.prev_x, state.x)
 
 
+def reference_trial(problem, kind, hp, T, seed, collect_diagnostics=False):
+    """One seed's trial stepped by :func:`step`, the per-seed loop that
+    ``run_trial`` ran before it became the single-seed call of ``run_cell``.
+
+    Kept frozen as the engine's reference.  It reads the presample budget
+    when it is called, so a patched ``harness._PRESAMPLE_VALUES`` forces
+    its refills as it does the engine's.
+    """
+    rng = make_rng(seed)
+    state = OptimizerState.initial(problem.constants.x_init)
+    needs_prev = kind in STORM_FAMILY
+    loss = np.empty(T)
+    grad_l1 = np.empty(T)
+    grad_l2 = np.empty(T)
+    step_l2 = np.empty(T)
+    eps_l1 = np.empty(T) if collect_diagnostics else None
+    exact_grad = problem.exact_grad
+    value = problem.value
+
+    rows = max(1, min(T, harness._PRESAMPLE_VALUES // problem.d))
+    payloads = problem.presample_payloads(rng, rows)
+    additive = payloads is not None
+    block_start = 1
+    g_exact_prev = None
+    done = 0
+    reason = ""
+    for t in range(1, T + 1):
+        if additive:
+            if t - block_start >= payloads.shape[0]:
+                block_start = t
+                payloads = problem.presample_payloads(rng, min(rows, T - t + 1))
+            pay = payloads[t - block_start]
+            g_exact = exact_grad(state.x)
+            g_curr = g_exact + pay
+            g_prev = g_exact_prev + pay if needs_prev and t > 1 else None
+        else:
+            noise = problem.draw_noise(rng)
+            g_curr = problem.stoch_grad(state.x, noise)
+            g_prev = problem.stoch_grad(state.prev_x, noise) if needs_prev and t > 1 else None
+            g_exact = exact_grad(state.x)
+        loss[t - 1] = value(state.x)
+        grad_l1[t - 1] = np.add.reduce(np.abs(g_exact))
+        grad_l2[t - 1] = math.sqrt(float(g_exact @ g_exact))
+        try:
+            new_state = step(state, GradientPair(g_curr, g_prev), hp, kind)
+        except NonFiniteValue as exc:
+            reason = str(exc)
+            break
+        diff = new_state.x - state.x
+        step_l2[t - 1] = math.sqrt(float(diff @ diff))
+        if collect_diagnostics:
+            eps_l1[t - 1] = np.sum(np.abs(new_state.m - g_exact))
+        g_exact_prev = g_exact
+        state = new_state
+        done = t
+
+    return TrialTrace(
+        seed=seed, kind=kind, hp=hp,
+        t=np.arange(1, done + 1),
+        loss=loss[:done], grad_l1=grad_l1[:done], grad_l2=grad_l2[:done],
+        step_l2=step_l2[:done],
+        eps_l1=eps_l1[:done] if collect_diagnostics else None,
+        aborted=done < T, abort_reason=reason,
+    )
+
+
+# case id -> (problem name, params); the last three are the edge cases
+# d = 1, sigma = 0 and a one-dimensional nonconvex problem
 PROBLEMS = {
-    "noisy_quadratic": {"d": 7, "hessian_diag": [0.5, 1, 2, 1, 3, 0.7, 1.2],
-                        "sigma": 0.4, "x_init": [1, -1, 0.5, 2, -0.3, 0.8, 1.5]},
-    "bounded_nonconvex": {"d": 5, "a": [1, 2, 0.5, 1, 1.5], "sigma": 0.3,
-                          "x_init": [1.0, -2.0, 0.5, 0.0, 1.5]},
-    "synthetic_logistic": {"d": 9, "n_samples": 24, "feature_bound": 1.0,
-                           "x_init": 0.3, "data_seed": 4},
+    "noisy_quadratic": ("noisy_quadratic", {
+        "d": 7, "hessian_diag": [0.5, 1, 2, 1, 3, 0.7, 1.2], "sigma": 0.4,
+        "x_init": [1, -1, 0.5, 2, -0.3, 0.8, 1.5]}),
+    "bounded_nonconvex": ("bounded_nonconvex", {
+        "d": 5, "a": [1, 2, 0.5, 1, 1.5], "sigma": 0.3,
+        "x_init": [1.0, -2.0, 0.5, 0.0, 1.5]}),
+    "synthetic_logistic": ("synthetic_logistic", {
+        "d": 9, "n_samples": 24, "feature_bound": 1.0, "x_init": 0.3, "data_seed": 4}),
+    "noisy_quadratic_d1": ("noisy_quadratic", {
+        "d": 1, "hessian_diag": 1.5, "sigma": 0.4, "x_init": 1.0}),
+    "noisy_quadratic_sigma0": ("noisy_quadratic", {
+        "d": 4, "hessian_diag": [0.5, 1, 2, 3], "sigma": 0.0,
+        "x_init": [1, -1, 0.5, 2]}),
+    "bounded_nonconvex_d1": ("bounded_nonconvex", {
+        "d": 1, "a": 2.0, "sigma": 0.3, "x_init": -1.5}),
 }
 
 
+def hyperparams(kind, beta1):
+    """Adam's stock settings or a shared choice; beta1 None keeps its value."""
+    hp = (HyperParams.adam_defaults(0.05) if kind is OptimizerKind.ADAM
+          else HyperParams(eta=0.05, beta1=0.8, beta2=0.5))
+    return hp if beta1 is None else dataclasses.replace(hp, beta1=beta1)
+
+
+@pytest.mark.parametrize("beta1", [None, 0.0])
 @pytest.mark.parametrize("block_values", [None, 40])
 @pytest.mark.parametrize("kind", list(OptimizerKind))
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_cell_matches_per_seed_trials(name, kind, block_values, monkeypatch):
+def test_cell_matches_per_seed_trials(name, kind, block_values, beta1, monkeypatch):
     # a tiny presample budget forces a buffer refill on almost every step
     if block_values is not None:
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
-    problem = make_problem(name, PROBLEMS[name])
-    hp = (HyperParams.adam_defaults(0.05) if kind is OptimizerKind.ADAM
-          else HyperParams(eta=0.05, beta1=0.8, beta2=0.5))
+    problem = make_problem(*PROBLEMS[name])
+    hp = hyperparams(kind, beta1)
     seeds = [derive_seed(21, s) for s in range(3)]
     headline, aborted = run_cell(problem, kind, hp, 150, seeds)
     for s, seed in enumerate(seeds):
-        trace = run_trial(problem, kind, hp, 150, seed)
+        trace = reference_trial(problem, kind, hp, 150, seed)
         assert not trace.aborted and not aborted[s]
         assert same_bits(headline[s], trace.headline)
 
@@ -151,7 +243,8 @@ def test_abort_drops_only_its_own_seed():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         headline, aborted = run_cell(problem, OptimizerKind.SGD, hp, T, seeds)
-        traces = [run_trial(problem, OptimizerKind.SGD, hp, T, seed) for seed in seeds]
+        traces = [reference_trial(problem, OptimizerKind.SGD, hp, T, seed)
+                  for seed in seeds]
         report = run_experiment(ExperimentSpec(
             problem_name="noisy_quadratic", problem_params=params,
             optimizers=[OptimizerKind.SGD], T_grid=[T], n_seeds=8, delta=0.1,
@@ -176,22 +269,27 @@ def assert_same_trace(recorded, reference):
         assert same_bits(getattr(recorded, column), getattr(reference, column)), column
 
 
+@pytest.mark.parametrize("beta1", [None, 0.0])
 @pytest.mark.parametrize("block_values", [None, 40])
 @pytest.mark.parametrize("kind", list(OptimizerKind))
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_recorded_traces_match_per_seed_trials(name, kind, block_values, monkeypatch):
+def test_recorded_traces_match_per_seed_trials(name, kind, block_values, beta1,
+                                               monkeypatch):
     if block_values is not None:
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
-    problem = make_problem(name, PROBLEMS[name])
-    hp = (HyperParams.adam_defaults(0.05) if kind is OptimizerKind.ADAM
-          else HyperParams(eta=0.05, beta1=0.8, beta2=0.5))
+    problem = make_problem(*PROBLEMS[name])
+    hp = hyperparams(kind, beta1)
     seeds = [derive_seed(22, s) for s in range(3)]
     recorder = TraceRecorder(len(seeds), 150, collect_diagnostics=True)
     headline, aborted = run_cell(problem, kind, hp, 150, seeds, recorder)
     for s, seed in enumerate(seeds):
-        trace = run_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
+        trace = reference_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
         assert_same_trace(recorder.trace(s, seed, kind, hp), trace)
         assert not aborted[s] and same_bits(headline[s], trace.headline)
+        assert_same_trace(run_trial(problem, kind, hp, 150, seed,
+                                    collect_diagnostics=True), trace)
+    assert_same_trace(run_trial(problem, kind, hp, 150, seeds[0]),
+                      reference_trial(problem, kind, hp, 150, seeds[0]))
 
 
 def test_recorded_traces_stop_at_each_seeds_abort():
@@ -205,12 +303,15 @@ def test_recorded_traces_stop_at_each_seeds_abort():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _, aborted = run_cell(problem, OptimizerKind.SGD, hp, T, seeds, recorder)
-        traces = [run_trial(problem, OptimizerKind.SGD, hp, T, seed,
-                            collect_diagnostics=True) for seed in seeds]
+        traces = [reference_trial(problem, OptimizerKind.SGD, hp, T, seed,
+                                  collect_diagnostics=True) for seed in seeds]
+        singles = [run_trial(problem, OptimizerKind.SGD, hp, T, seed,
+                             collect_diagnostics=True) for seed in seeds]
     assert len({trace.t.size for trace in traces if trace.aborted}) > 1
     for s, (seed, trace) in enumerate(zip(seeds, traces)):
         assert aborted[s] == trace.aborted
         assert_same_trace(recorder.trace(s, seed, OptimizerKind.SGD, hp), trace)
+        assert_same_trace(singles[s], trace)
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])
@@ -219,8 +320,9 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
     T = 60
     columns = 5 if diagnostics else 4
     monkeypatch.setattr(harness, "_TRACE_VALUES", 2 * T * columns + 1)
+    name, params = PROBLEMS["synthetic_logistic"]
     spec = ExperimentSpec(
-        problem_name="synthetic_logistic", problem_params=PROBLEMS["synthetic_logistic"],
+        problem_name=name, problem_params=params,
         optimizers=[OptimizerKind.SIGNSTORM, OptimizerKind.L2_NORMALIZED_STORM],
         T_grid=[T], n_seeds=5, delta=0.1, param_mode="practical", master_seed=23,
         collect_diagnostics=diagnostics)
@@ -230,31 +332,30 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
     for oi, kind in enumerate(spec.optimizers):
         hp = harness.resolve_hyperparams(spec, problem, kind, T)
         for si in range(spec.n_seeds):
-            trace = run_trial(problem, kind, hp, T, derive_seed(23, oi, 0, si),
-                              collect_diagnostics=diagnostics)
+            trace = reference_trial(problem, kind, hp, T, derive_seed(23, oi, 0, si),
+                                    collect_diagnostics=diagnostics)
             expected = tmp_path / "expected.csv"
             write_trace_csv(trace, str(expected))
             written = tmp_path / "traces" / f"{kind.value}_T{T}_s{si}.csv"
             assert written.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("beta1", [None, 0.0])
 @pytest.mark.parametrize("block_values", [None, 40])
 @pytest.mark.parametrize("kind", list(OptimizerKind))
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, monkeypatch):
-    # run_trial's own loop is the reference, so the diagnostics engine is
-    # not checked against itself
+def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
+                                              monkeypatch):
     if block_values is not None:
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
-    problem = make_problem(name, PROBLEMS[name])
-    hp = (HyperParams.adam_defaults(0.05) if kind is OptimizerKind.ADAM
-          else HyperParams(eta=0.05, beta1=0.8, beta2=0.5))
+    problem = make_problem(*PROBLEMS[name])
+    hp = hyperparams(kind, beta1)
     seeds = [derive_seed(24, s) for s in range(3)]
     recorder = DiagnosticRecorder(len(seeds), 150, problem.d)
     run_cell(problem, kind, hp, 150, seeds, recorder)
     for s, seed in enumerate(seeds):
         run = recorder.run(s, seed, kind, hp)
-        trace = run_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
+        trace = reference_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
         assert same_bits(run.step_l2, trace.step_l2)
         assert same_bits([np.sum(np.abs(eps)) for eps in run.trace.eps], trace.eps_l1)
         assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact],

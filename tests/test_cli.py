@@ -62,6 +62,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, cfg))
 
+    # a dotted key names a value inside a section
+    @pytest.mark.parametrize("key, value", [
+        ("check.n_seeds", 0),
+        ("check.T", "abc"),
+        ("check.mds", "gauss"),
+        ("check.fault_injection", {"x": 1}),
+        ("write_traces", "false"),
+        ("diagnostics", "no"),
+        ("n_seeds", 2.9),
+        ("n_seeds", True),
+        ("T_grid", [10.7, 20, 40]),
+        ("T_grid", 100),
+        ("delta", None),
+        ("delta", True),
+        ("optimizers", 5),
+        ("problem.params", [1, 2]),
+    ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
+            "string_write_traces", "string_diagnostics", "float_n_seeds",
+            "bool_n_seeds", "float_in_T_grid", "scalar_T_grid", "null_delta",
+            "bool_delta", "scalar_optimizers", "list_params"])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
+                                                command, key, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work on an invalid config")
+
+        for name in ("verify_assumptions", "run_cell", "run_experiment"):
+            monkeypatch.setattr(f"signstorm.cli.{name}", no_work)
+        cfg = base_config(tmp_path / "out")
+        section, _, leaf = key.rpartition(".")
+        (cfg[section] if section else cfg)[leaf] = value
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(path)
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -134,30 +174,6 @@ class TestCmdRun:
 
 
 class TestCmdCheck:
-    @pytest.mark.parametrize("key, value", [
-        ("n_seeds", 0),
-        ("T", "abc"),
-        ("mds", "gauss"),
-        ("fault_injection", {"x": 1}),
-    ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key"])
-    def test_bad_check_value_is_one_config_error_line(self, tmp_path, capsys,
-                                                      monkeypatch, key, value):
-        def no_work(*args, **kwargs):
-            raise AssertionError("check started work on an invalid config")
-
-        monkeypatch.setattr("signstorm.cli.verify_assumptions", no_work)
-        monkeypatch.setattr("signstorm.cli.run_cell", no_work)
-        cfg = base_config(tmp_path / "out")
-        cfg["check"][key] = value
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError, match=f"check.{key}"):
-            RunConfig.load(path)
-        assert main(["check", path]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert f"check.{key}" in err
-        assert not (tmp_path / "out").exists()
-
     def test_default_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))

@@ -14,9 +14,7 @@ from signstorm import (
     Schedule,
     UnsupportedKind,
     step,
-    step_baseline,
     step_batch,
-    step_signstorm,
     storm_decomposition,
 )
 
@@ -69,7 +67,7 @@ class TestSignStormStep:
         # d=1, t=1, g=(2), beta2=0, eta=0.5: m=g, v=g^2, x moves by eta
         state = fresh_state([0.0])
         hp = HyperParams(eta=0.5, beta1=0.9, beta2=0.0)
-        out = step_signstorm(state, GradientPair(np.array([2.0])), hp)
+        out = step(state, GradientPair(np.array([2.0])), hp)
         assert out.m[0] == 2.0
         assert out.v[0] == 4.0
         assert out.x[0] == -0.5
@@ -80,7 +78,7 @@ class TestSignStormStep:
         # m=0, v=0 and no guard: displacement 0 by the 0/0 = 0 convention
         state = fresh_state([1.0])
         hp = HyperParams(eta=0.5, beta1=0.9, beta2=0.0)
-        out = step_signstorm(state, GradientPair(np.array([0.0])), hp)
+        out = step(state, GradientPair(np.array([0.0])), hp)
         assert out.m[0] == 0.0 and out.v[0] == 0.0
         assert out.x[0] == 1.0
 
@@ -93,7 +91,7 @@ class TestSignStormStep:
             g_prev = rng.standard_normal(3) if t > 1 else None
             ox, om, ov = scalar_loop_oracle(state.x, state.m, state.v, g_curr,
                                             g_prev, hp, t)
-            state = step_signstorm(state, GradientPair(g_curr, g_prev), hp)
+            state = step(state, GradientPair(g_curr, g_prev), hp)
             np.testing.assert_allclose(state.m, om, rtol=1e-15, atol=0)
             np.testing.assert_allclose(state.v, ov, rtol=1e-15, atol=0)
             np.testing.assert_allclose(state.x, ox, rtol=1e-15, atol=1e-300)
@@ -104,9 +102,9 @@ class TestSignStormStep:
         gp = rng.standard_normal(5)
         hp = HyperParams(eta=0.1, beta1=0.7, beta2=0.3, eps_guard=1e-10)
         state = fresh_state(rng.standard_normal(5))
-        state = step_signstorm(state, GradientPair(g), hp)
-        a = step_signstorm(state, GradientPair(gp, g), hp)
-        b = step_signstorm(state, GradientPair(gp, g), hp)
+        state = step(state, GradientPair(g), hp)
+        a = step(state, GradientPair(gp, g), hp)
+        b = step(state, GradientPair(gp, g), hp)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.m, b.m)
         assert np.array_equal(a.v, b.v)
@@ -114,7 +112,7 @@ class TestSignStormStep:
     def test_no_observable_aliasing(self):
         state = fresh_state([1.0, 2.0])
         hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.5)
-        out = step_signstorm(state, GradientPair(np.array([1.0, 1.0])), hp)
+        out = step(state, GradientPair(np.array([1.0, 1.0])), hp)
         out.prev_x[0] = 123.0
         assert state.x[0] == 1.0
 
@@ -122,14 +120,14 @@ class TestSignStormStep:
         state = fresh_state([1.0, 2.0])
         hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.5)
         with pytest.raises(DimensionMismatch):
-            step_signstorm(state, GradientPair(np.array([1.0, 2.0, 3.0])), hp)
+            step(state, GradientPair(np.array([1.0, 2.0, 3.0])), hp)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_output_raises(self):
         state = fresh_state([1.0])
         hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.5)
         with pytest.raises(NonFiniteValue):
-            step_signstorm(state, GradientPair(np.array([np.inf])), hp)
+            step(state, GradientPair(np.array([np.inf])), hp)
 
 
 class TestInvariants:
@@ -146,7 +144,7 @@ class TestInvariants:
         g_old = None
         for t in range(1, 60):
             g = rng.standard_normal(6) * 10 ** rng.uniform(-3, 3)
-            state = step_signstorm(state, GradientPair(g, g_old), hp)
+            state = step(state, GradientPair(g, g_old), hp)
             g_old = g
             assert np.all(state.v >= 0.0)
             ratio = np.where(state.v > 0, np.abs(state.m) / np.sqrt(state.v), 0.0)
@@ -164,7 +162,7 @@ class TestInvariants:
         g_old = None
         for t in range(1, 40):
             g = rng.standard_normal(5) * 10 ** rng.uniform(-6, 6)
-            new = step_signstorm(state, GradientPair(g, g_old), hp)
+            new = step(state, GradientPair(g, g_old), hp)
             moved = new.m != 0.0
             ratio = np.zeros(5)
             np.divide(np.abs(new.m), np.sqrt(new.v), out=ratio, where=moved)
@@ -187,9 +185,9 @@ class TestBaselines:
         g_old = None
         for t in range(1, 50):
             g = rng.standard_normal(4)
-            s1 = step_signstorm(s1, GradientPair(g, g_old), hp)
-            s2 = step_baseline(s2, GradientPair(g, g_old), hp,
-                               OptimizerKind.GENERALIZED_SIGN_SGD)
+            s1 = step(s1, GradientPair(g, g_old), hp)
+            s2 = step(s2, GradientPair(g, g_old), hp,
+                      OptimizerKind.GENERALIZED_SIGN_SGD)
             assert np.array_equal(s1.x, s2.x)
             assert np.array_equal(s1.m, s2.m)
             assert np.array_equal(s1.v, s2.v)
@@ -199,7 +197,7 @@ class TestBaselines:
         hp = HyperParams(eta=0.25, beta1=0.9, beta2=0.0)
         state = fresh_state([1.0, -1.0])
         g = np.array([2.0, 4.0])
-        out = step_baseline(state, GradientPair(g), hp, OptimizerKind.STORM)
+        out = step(state, GradientPair(g), hp, OptimizerKind.STORM)
         np.testing.assert_array_equal(out.x, state.x - 0.25 * g)
         assert np.array_equal(out.v, state.v)
 
@@ -207,24 +205,24 @@ class TestBaselines:
         hp = HyperParams(eta=0.3, beta1=0.5, beta2=0.0)
         state = fresh_state([0.0, 0.0, 0.0])
         g = np.array([3.0, 4.0, 0.0])
-        out = step_baseline(state, GradientPair(g), hp,
-                            OptimizerKind.L2_NORMALIZED_STORM)
+        out = step(state, GradientPair(g), hp,
+                   OptimizerKind.L2_NORMALIZED_STORM)
         assert np.linalg.norm(out.x - state.x) == pytest.approx(0.3, rel=1e-15)
 
     def test_l2_normalized_zero_estimator(self):
         hp = HyperParams(eta=0.3, beta1=0.5, beta2=0.0)
         state = fresh_state([1.0])
-        out = step_baseline(state, GradientPair(np.array([0.0])), hp,
-                            OptimizerKind.L2_NORMALIZED_STORM)
+        out = step(state, GradientPair(np.array([0.0])), hp,
+                   OptimizerKind.L2_NORMALIZED_STORM)
         assert out.x[0] == 1.0
 
     def test_sgd_and_momentum(self):
         hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.0)
         state = fresh_state([1.0])
         g = np.array([2.0])
-        out = step_baseline(state, GradientPair(g), hp, OptimizerKind.SGD)
+        out = step(state, GradientPair(g), hp, OptimizerKind.SGD)
         assert out.x[0] == pytest.approx(0.8)
-        out = step_baseline(state, GradientPair(g), hp, OptimizerKind.MOMENTUM_SGD)
+        out = step(state, GradientPair(g), hp, OptimizerKind.MOMENTUM_SGD)
         # m = 0.5*0 + 0.5*2 = 1
         assert out.m[0] == 1.0
         assert out.x[0] == pytest.approx(0.9)
@@ -244,23 +242,20 @@ class TestBaselines:
             m_hat = m_ref / (1 - 0.9 ** t)
             v_hat = v_ref / (1 - 0.999 ** t)
             x_ref = x_ref - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            state = step_baseline(state, GradientPair(g), hp, OptimizerKind.ADAM)
+            state = step(state, GradientPair(g), hp, OptimizerKind.ADAM)
             np.testing.assert_allclose(state.x, x_ref, rtol=1e-12)
 
     def test_unsupported_kind(self):
         state = fresh_state([1.0])
         hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.0)
         with pytest.raises(UnsupportedKind):
-            step_baseline(state, GradientPair(np.array([1.0])), hp,
-                          OptimizerKind.SIGNSTORM)
-        with pytest.raises(UnsupportedKind):
-            step_baseline(state, GradientPair(np.array([1.0])), hp, "nonsense")
+            step(state, GradientPair(np.array([1.0])), hp, "nonsense")
 
-    def test_dispatch(self):
+    def test_default_kind_is_signstorm(self):
         state = fresh_state([1.0])
         hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.0)
         a = step(state, GradientPair(np.array([2.0])), hp)
-        b = step_signstorm(state, GradientPair(np.array([2.0])), hp)
+        b = step(state, GradientPair(np.array([2.0])), hp, OptimizerKind.SIGNSTORM)
         assert np.array_equal(a.x, b.x)
 
 
@@ -281,11 +276,11 @@ class TestStormDecomposition:
         rng = np.random.default_rng(21)
         hp = HyperParams(eta=0.1, beta1=0.9, beta2=0.5)
         state = fresh_state(rng.standard_normal(6))
-        state = step_signstorm(state, GradientPair(rng.standard_normal(6)), hp)
+        state = step(state, GradientPair(rng.standard_normal(6)), hp)
         for _ in range(30):
             pair = GradientPair(rng.standard_normal(6), rng.standard_normal(6))
             part_i, part_ii = storm_decomposition(state.m, pair, hp.beta1)
-            state = step_signstorm(state, pair, hp)
+            state = step(state, pair, hp)
             np.testing.assert_allclose(part_i + part_ii, state.m,
                                        rtol=1e-15, atol=1e-300)
 
