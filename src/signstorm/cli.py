@@ -120,12 +120,15 @@ class RunConfig:
             raise ConfigError(f"T_grid must be a list of integers, got {T_grid!r}")
         typed = {key: _typed(key, raw[key]) for key in _TOP_TYPES if key in raw}
         check = _check_section(raw.get("check", {}))
+        out = raw["output_dir"]
+        if not isinstance(out, str) or not out:
+            raise ConfigError(f"output_dir must be a non-empty string, got {out!r}")
         cfg = RunConfig(
             problem_name=problem["name"],
             problem_params=dict(params),
             optimizers=optimizers,
             T_grid=T_grid,
-            output_dir=str(raw["output_dir"]),
+            output_dir=out,
             param_mode=str(raw.get("param_mode", "theorem")),
             check=check,
             **typed,
@@ -207,9 +210,10 @@ def cmd_run(config_path: str) -> int:
     try:
         os.makedirs(out, exist_ok=True)
         report_path = os.path.join(out, "report.json")
+        text = report.to_json()
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json())
-        doc = json.loads(report.to_json())
+            fh.write(text)
+        doc = json.loads(text)
         for name, render in (("convergence_bands", charts.convergence_bands_svg),
                              ("rate_fit", charts.rate_fit_svg)):
             with open(os.path.join(out, f"{name}.svg"), "w", encoding="utf-8") as fh:
@@ -406,10 +410,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(args.report, args.chart, args.out)
         if args.command == "params":
             return cmd_params(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidConstant, RhoConstraintViolated) as exc:
+    except (ConfigError, InvalidConstant, RhoConstraintViolated) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

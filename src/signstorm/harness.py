@@ -15,8 +15,9 @@ cell per (optimizer, horizon), reduces it to quantiles of the headline and
 fits log-log rates through the medians.  "With probability >= 1 - delta"
 is the empirical (1-delta)-quantile over independent seeds.  Reduction is
 keyed and ordered, so reports are byte-identical for any worker count.
-Given a trace directory, each cell task writes its seeds' CSVs, stepping
-them in chunks of bounded size.  The engine is the only loop over t:
+A cell steps its seeds in chunks, the most that leave each seed min(T, 64)
+presample rows and, if traced, hold their columns in 2^21 values; given a
+trace directory it writes their CSVs.  The engine is the only loop over t:
 :func:`run_trial` is its single-seed call with a :class:`TraceRecorder`.
 """
 
@@ -73,6 +74,9 @@ class TrialTrace:
 # presampled noise is drawn in blocks of at most this many values per
 # buffer; draws are stream-equivalent at any block boundary
 _PRESAMPLE_VALUES = 1 << 16
+# an experiment cell steps at most as many seeds together as leave each
+# seed min(T, this many) presample rows, so refills stay rare at any S
+_MIN_PRESAMPLE_ROWS = 64
 
 
 def _block_rows(T: int, row_size: int) -> int:
@@ -390,24 +394,23 @@ def _experiment_cell(args) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     hp = resolve_hyperparams(spec, problem, kind, T)
     seeds = [derive_seed(spec.master_seed, opt_idx, T_idx, seed_idx)
              for seed_idx in range(spec.n_seeds)]
-    if trace_dir is None:
-        headline, aborted = run_cell(problem, kind, hp, T, seeds)
-        return (opt_idx, T_idx), headline, aborted
-
     # rows are independent, so stepping the seeds in chunks changes no bit
-    os.makedirs(trace_dir, exist_ok=True)
     diag = spec.collect_diagnostics
-    chunk = max(1, _TRACE_VALUES // (T * (5 if diag else 4)))
+    chunk = max(1, _PRESAMPLE_VALUES // (problem.d * min(T, _MIN_PRESAMPLE_ROWS)))
+    if trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
+        chunk = max(1, min(chunk, _TRACE_VALUES // (T * (5 if diag else 4))))
     headline = np.empty(len(seeds))
     aborted = np.empty(len(seeds), dtype=bool)
     for lo in range(0, len(seeds), chunk):
         part = seeds[lo:lo + chunk]
-        recorder = TraceRecorder(len(part), T, diag)
+        recorder = TraceRecorder(len(part), T, diag) if trace_dir is not None else None
         headline[lo:lo + len(part)], aborted[lo:lo + len(part)] = run_cell(
             problem, kind, hp, T, part, recorder)
-        for s, seed in enumerate(part):
-            write_trace_csv(recorder.trace(s, seed, kind, hp),
-                            os.path.join(trace_dir, f"{kind.value}_T{T}_s{lo + s}.csv"))
+        if recorder is not None:
+            for s, seed in enumerate(part):
+                write_trace_csv(recorder.trace(s, seed, kind, hp),
+                                os.path.join(trace_dir, f"{kind.value}_T{T}_s{lo + s}.csv"))
         del recorder  # free this chunk's columns before the next is allocated
     return (opt_idx, T_idx), headline, aborted
 

@@ -6,7 +6,6 @@ criteria (6, 7) respect SIGNSTORM_THREADS for their worker pool.
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from signstorm import (
     MdsKind,
     OptimizerKind,
     TheoremInputs,
+    TraceRecorder,
     c_rho,
     decomposition_check,
     derive_seed,
@@ -28,6 +28,7 @@ from signstorm import (
     movement_bound_check,
     noisy_quadratic,
     representation_check,
+    run_cell,
     run_experiment,
     run_trial,
     run_with_diagnostics,
@@ -75,32 +76,29 @@ def test_criterion_01_algebraic_identities():
                    f"{elapsed:.1f}s (< 10s)")
 
 
-def _movement_trial(args):
-    beta2, seed = args
-    problem = _diag_quadratic()
-    consts = problem.constants
-    choice = theorem_params(TheoremInputs(
-        delta=consts.delta_upper, L1_norm=consts.L1_norm,
-        sigma1_norm=consts.sigma1_norm, T=10_000, beta2=beta2,
-        confidence_delta=0.05, d=problem.d))
-    trace = run_trial(problem, OptimizerKind.SIGNSTORM, choice.hp, 10_000, seed)
-    res = movement_bound_check(trace.step_l2, choice.hp, problem.d)
-    return res.worst_ratio
-
-
 def test_criterion_02_movement_bound_almost_sure():
     """Iterate movement never exceeds eta*sqrt(d/(1-beta2)), 100 seeds x 3 beta2."""
-    from signstorm.harness import _worker_count
-
     t0 = time.time()
-    tasks = [(beta2, derive_seed(22, int(beta2 * 100), s))
-             for beta2 in (0.0, 0.5, 0.85) for s in range(100)]
-    with ProcessPoolExecutor(max_workers=_worker_count()) as pool:
-        ratios = list(pool.map(_movement_trial, tasks, chunksize=20))
+    problem = _diag_quadratic()
+    consts = problem.constants
+    kind = OptimizerKind.SIGNSTORM
+    ratios = []
+    for beta2 in (0.0, 0.5, 0.85):
+        choice = theorem_params(TheoremInputs(
+            delta=consts.delta_upper, L1_norm=consts.L1_norm,
+            sigma1_norm=consts.sigma1_norm, T=10_000, beta2=beta2,
+            confidence_delta=0.05, d=problem.d))
+        seeds = [derive_seed(22, int(beta2 * 100), s) for s in range(100)]
+        recorder = TraceRecorder(len(seeds), 10_000)
+        run_cell(problem, kind, choice.hp, 10_000, seeds, recorder)
+        for s, seed in enumerate(seeds):
+            trace = recorder.trace(s, seed, kind, choice.hp)
+            ratios.append(movement_bound_check(trace.step_l2, choice.hp,
+                                               problem.d).worst_ratio)
     worst = max(ratios)
     elapsed = time.time() - t0
     ok = worst <= 1.0 + 1e-9 and elapsed < 60.0
-    _report(2, ok, f"worst ratio {worst:.15f} over {len(tasks)} runs of T=1e4, "
+    _report(2, ok, f"worst ratio {worst:.15f} over {len(ratios)} runs of T=1e4, "
                    f"{elapsed:.1f}s (< 60s)")
 
 

@@ -7,7 +7,9 @@ reproduce the headline and the abort of every seed's reference trial,
 with a ``TraceRecorder`` every column of its trace, and with a
 ``DiagnosticRecorder`` the step norms and estimator errors of its
 diagnostics columns.  ``run_trial``, the engine's single-seed call, must
-reproduce the reference trace too.
+reproduce the reference trace too.  An experiment whose cells step their
+seeds in several chunks must report what one ``run_cell`` over all of
+them gives.
 Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
 counts as a difference.
 """
@@ -259,6 +261,64 @@ def test_abort_drops_only_its_own_seed():
             assert same_bits(headline[s], trace.headline)
         else:
             assert np.isnan(headline[s])
+
+
+@pytest.mark.parametrize("case", ["staggered_abort", "two_kinds"])
+def test_seed_chunks_match_one_cell(case, monkeypatch):
+    # the staggered aborts of test_abort_drops_only_its_own_seed, and a cell
+    # grid with two kinds and two horizons where every seed finishes
+    if case == "staggered_abort":
+        spec = ExperimentSpec(
+            problem_name="noisy_quadratic",
+            problem_params={"d": 2, "hessian_diag": 1e150, "sigma": 1e150, "x_init": 0.0},
+            optimizers=[OptimizerKind.SGD], T_grid=[2007], n_seeds=8, delta=0.1,
+            param_mode="practical", alpha=3.5e-148, master_seed=7)
+    else:
+        name, params = PROBLEMS["noisy_quadratic"]
+        spec = ExperimentSpec(
+            problem_name=name, problem_params=params,
+            optimizers=[OptimizerKind.SIGNSTORM, OptimizerKind.ADAM], T_grid=[150, 300],
+            n_seeds=7, delta=0.1, param_mode="practical", master_seed=25)
+    problem = spec.build_problem()
+    cells = [(oi, ti) for oi in range(len(spec.optimizers))
+             for ti in range(len(spec.T_grid))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        whole = run_experiment(spec, max_workers=1).to_json()
+        expected = {}
+        for oi, ti in cells:
+            kind, T = spec.optimizers[oi], spec.T_grid[ti]
+            seeds = [derive_seed(spec.master_seed, oi, ti, s) for s in range(spec.n_seeds)]
+            hp = harness.resolve_hyperparams(spec, problem, kind, T)
+            expected[oi, ti] = run_cell(problem, kind, hp, T, seeds)
+
+        # a budget of three seeds' minimum rows: chunks of 3, 3 and the rest
+        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES",
+                            3 * problem.d * harness._MIN_PRESAMPLE_ROWS)
+        chunks, results = [], {}
+        engine, experiment_cell = harness.run_cell, harness._experiment_cell
+
+        def counted_run_cell(problem, kind, hp, T, seeds, recorder=None):
+            chunks.append(len(seeds))
+            return engine(problem, kind, hp, T, seeds, recorder)
+
+        def kept_cell(task):
+            key, headline, aborted = experiment_cell(task)
+            results[key] = headline, aborted
+            return key, headline, aborted
+
+        monkeypatch.setattr(harness, "run_cell", counted_run_cell)
+        monkeypatch.setattr(harness, "_experiment_cell", kept_cell)
+        report = run_experiment(spec, max_workers=1)
+    assert chunks == [3, 3, spec.n_seeds - 6] * len(cells)
+    assert report.to_json() == whole
+    if case == "staggered_abort":
+        assert expected[0, 0][1][3:6].any()
+    for cell, (oi, ti) in zip(report.cells, cells):
+        headline, aborted = expected[oi, ti]
+        assert same_bits(results[oi, ti][0], headline)
+        assert results[oi, ti][1].tolist() == aborted.tolist()
+        assert cell["n_fail"] == int(np.sum(aborted | ~np.isfinite(headline)))
 
 
 def assert_same_trace(recorded, reference):

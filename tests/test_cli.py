@@ -78,10 +78,14 @@ class TestConfigValidation:
         ("delta", True),
         ("optimizers", 5),
         ("problem.params", [1, 2]),
+        ("output_dir", None),
+        ("output_dir", ["a"]),
+        ("output_dir", ""),
     ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
             "string_write_traces", "string_diagnostics", "float_n_seeds",
             "bool_n_seeds", "float_in_T_grid", "scalar_T_grid", "null_delta",
-            "bool_delta", "scalar_optimizers", "list_params"])
+            "bool_delta", "scalar_optimizers", "list_params", "null_output_dir",
+            "list_output_dir", "empty_output_dir"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
