@@ -6,12 +6,15 @@ Subcommands:
     report <report.json> --chart ...  re-render a chart from an existing report
     params ...                        print the horizon-tuned parameter choice
 
-Exit codes: 0 success, 1 config error, 2 check failure, 3 I/O error.  The
-worker pool is capped by the SIGNSTORM_THREADS environment variable.  Every
-command is a thin shell over the library; outputs stay inside the configured
-output directory.  ``run`` steps every trial once, and its cell tasks
-record the CSV traces, a bounded amount per cell.  ``check`` steps all
-its diagnosed seeds together in one call of the same engine.
+Exit codes: 0 success, 1 config error, 2 check failure, 3 I/O error; every
+command's errors reach :func:`main`, which prints one line and picks the
+code.  The worker pool is capped by the SIGNSTORM_THREADS environment
+variable.  Every command is a thin shell over the library; outputs stay
+inside the configured output directory.  A config file loads into a
+:class:`RunConfig`: the ``ExperimentSpec`` its experiment keys build, plus
+the four keys only the CLI reads.  ``run`` steps every trial once, and its
+cell tasks record the CSV traces, a bounded amount per cell.  ``check``
+steps all its diagnosed seeds together in one call of the same engine.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from . import charts, diagnostics as diag
 from .errors import (
     ConfigError,
     InvalidConstant,
-    MalformedReport,
     PreconditionNotMet,
     RhoConstraintViolated,
     SignStormError,
@@ -43,44 +45,33 @@ EXIT_CONFIG = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
 
-_TOP_KEYS = {
-    "problem", "optimizers", "param_mode", "T_grid", "n_seeds", "delta",
-    "master_seed", "output_dir", "diagnostics", "beta2", "alpha", "beta",
-    "per_step", "eps_guard", "write_traces", "check",
-}
-_CHECK_KEYS = {"T", "n_seeds", "lemma1_trials", "lemma1_T", "mds", "fault_injection",
-               "n_probes"}
-# integer check key -> its smallest allowed value
-_CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
-               "lemma1_trials": diag.LEMMA1_MIN_TRIALS, "lemma1_T": 1}
 _REQUIRED = ["problem", "optimizers", "T_grid", "n_seeds", "delta", "master_seed",
              "output_dir"]
 # JSON type of each typed top-level key: an integer, a number or a flag
 _TOP_TYPES = {"n_seeds": int, "master_seed": int, "delta": float, "beta2": float,
               "alpha": float, "beta": float, "eps_guard": float,
               "diagnostics": bool, "per_step": bool, "write_traces": bool}
+_TOP_KEYS = {*_REQUIRED, *_TOP_TYPES, "param_mode", "check"}
+# integer check key -> its smallest allowed value
+_CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
+               "lemma1_trials": diag.LEMMA1_MIN_TRIALS, "lemma1_T": 1}
+_CHECK_KEYS = {*_CHECK_INTS, "mds", "fault_injection"}
+# check key -> its default; T and n_seeds default from the experiment grid
+_CHECK_DEFAULTS = {"n_probes": 2000, "lemma1_trials": 10000, "lemma1_T": 1000,
+                   "mds": diag.MdsKind.RADEMACHER.value, "fault_injection": {}}
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Validated run configuration; see README for the JSON schema."""
+    """A validated config file: the :class:`ExperimentSpec` its keys build,
+    and the four keys only the CLI reads (``output_dir``, ``write_traces``,
+    ``eps_guard`` and the ``check`` section, its defaults filled in).  See
+    README for the JSON schema."""
 
-    problem_name: str
-    problem_params: dict
-    optimizers: list[OptimizerKind]
-    T_grid: list[int]
-    n_seeds: int
-    delta: float
-    master_seed: int
+    spec: ExperimentSpec
     output_dir: str
-    param_mode: str = "theorem"
-    diagnostics: bool = False
-    beta2: float = 0.0
-    alpha: float = 1.0
-    beta: float = 1.0
-    per_step: bool = False
-    eps_guard: float = 0.0
     write_traces: bool = True
+    eps_guard: float = 0.0
     check: dict = dataclasses.field(default_factory=dict)
 
     @staticmethod
@@ -123,38 +114,19 @@ class RunConfig:
         out = raw["output_dir"]
         if not isinstance(out, str) or not out:
             raise ConfigError(f"output_dir must be a non-empty string, got {out!r}")
-        cfg = RunConfig(
-            problem_name=problem["name"],
-            problem_params=dict(params),
-            optimizers=optimizers,
-            T_grid=T_grid,
-            output_dir=out,
-            param_mode=str(raw.get("param_mode", "theorem")),
-            check=check,
-            **typed,
-        )
-        cfg.to_spec()  # run range validation early
-        return cfg
+        # the typed keys RunConfig declares are the CLI's; the rest build the spec
+        cli = {f.name: typed.pop(f.name) for f in dataclasses.fields(RunConfig)
+               if f.name in typed}
+        if "diagnostics" in typed:
+            typed["collect_diagnostics"] = typed.pop("diagnostics")
+        spec = ExperimentSpec(problem_name=problem["name"], problem_params=dict(params),
+                              optimizers=optimizers, T_grid=T_grid,
+                              param_mode=str(raw.get("param_mode", "theorem")), **typed)
+        return RunConfig(spec, out, check=check, **cli)
 
     def to_spec(self) -> ExperimentSpec:
-        try:
-            return ExperimentSpec(
-                problem_name=self.problem_name,
-                problem_params=self.problem_params,
-                optimizers=self.optimizers,
-                T_grid=self.T_grid,
-                n_seeds=self.n_seeds,
-                delta=self.delta,
-                param_mode=self.param_mode,
-                master_seed=self.master_seed,
-                beta2=self.beta2,
-                alpha=self.alpha,
-                beta=self.beta,
-                per_step=self.per_step,
-                collect_diagnostics=self.diagnostics,
-            )
-        except (ConfigError, InvalidConstant) as exc:
-            raise ConfigError(str(exc))
+        """The spec; the benchmark's set-up probe reads it through this call."""
+        return self.spec
 
 
 def _is_int(value) -> bool:
@@ -175,24 +147,27 @@ def _typed(key: str, value):
 
 
 def _check_section(check) -> dict:
-    """The ``check`` section, validated so that ``check`` fails before any
-    work starts; a bad value is a ConfigError that names its key."""
+    """The ``check`` section with its fixed defaults filled in, validated so
+    that ``check`` fails before any work starts; a bad value is a
+    ConfigError that names its key."""
     if not isinstance(check, dict) or set(check) - _CHECK_KEYS:
         raise ConfigError(f"check section allows keys {sorted(_CHECK_KEYS)}")
+    check = {**_CHECK_DEFAULTS, **check}
     for key, low in _CHECK_INTS.items():
         value = check.get(key, low)
         if not _is_int(value) or value < low:
             raise ConfigError(f"check.{key} must be an integer >= {low}, got {value!r}")
     kinds = [m.value for m in diag.MdsKind]
-    if check.get("mds", kinds[0]) not in kinds:
+    if check["mds"] not in kinds:
         raise ConfigError(f"check.mds must be one of {kinds}, got {check['mds']!r}")
-    fault = check.get("fault_injection", {})
+    fault = check["fault_injection"]
     if not isinstance(fault, dict) or set(fault) - {"L_scale"}:
         raise ConfigError(f"check.fault_injection allows only the key 'L_scale', got {fault!r}")
     scale = fault.get("L_scale", 1.0)
     if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
         raise ConfigError(f"check.fault_injection.L_scale must be a positive number, "
                           f"got {scale!r}")
+    check["fault_injection"] = {"L_scale": scale}
     return check
 
 
@@ -201,26 +176,21 @@ def cmd_run(config_path: str) -> int:
     if config.eps_guard != 0.0:
         raise ConfigError("eps_guard applies only to `check`; `run` would ignore it, "
                           "so remove it from a run config")
-    spec = config.to_spec()
     out = config.output_dir
     # the cells write the traces as they run; a bad problem parameter
     # raises in the first cell, before anything is written
     report = run_experiment(
-        spec, trace_dir=os.path.join(out, "traces") if config.write_traces else None)
-    try:
-        os.makedirs(out, exist_ok=True)
-        report_path = os.path.join(out, "report.json")
-        text = report.to_json()
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        doc = json.loads(text)
-        for name, render in (("convergence_bands", charts.convergence_bands_svg),
-                             ("rate_fit", charts.rate_fit_svg)):
-            with open(os.path.join(out, f"{name}.svg"), "w", encoding="utf-8") as fh:
-                fh.write(render(doc))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        config.spec, trace_dir=os.path.join(out, "traces") if config.write_traces else None)
+    os.makedirs(out, exist_ok=True)
+    report_path = os.path.join(out, "report.json")
+    text = report.to_json()
+    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    doc = json.loads(text)
+    for name, render in (("convergence_bands", charts.convergence_bands_svg),
+                         ("rate_fit", charts.rate_fit_svg)):
+        with open(os.path.join(out, f"{name}.svg"), "w", encoding="utf-8") as fh:
+            fh.write(render(doc))
     print(f"report written to {report_path}")
     return EXIT_OK
 
@@ -234,16 +204,15 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     experiment itself compares.  Of the seeds that turn non-finite, the
     lowest-index one's NonFiniteValue is raised.
     """
-    spec = config.to_spec()
+    spec = config.spec
     problem = spec.build_problem()
     check = config.check
-    scale = check.get("fault_injection", {}).get("L_scale", 1.0)
+    scale = check["fault_injection"]["L_scale"]
     if scale != 1.0:
         problem.constants = dataclasses.replace(
             problem.constants, L_vec=problem.constants.L_vec * scale)
-    T = check.get("T", min(config.T_grid[0], 2000))
-    n_seeds = check.get("n_seeds", min(config.n_seeds, 20))
-    n_probes = check.get("n_probes", 2000)
+    T = check.get("T", min(spec.T_grid[0], 2000))
+    n_seeds = check.get("n_seeds", min(spec.n_seeds, 20))
     kind = OptimizerKind.SIGNSTORM
     hp = resolve_hyperparams(spec, problem, kind, T)
     if config.eps_guard > 0:
@@ -254,13 +223,14 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     def verdict(name, kind_, status, **extra):
         verdicts.append({"checker": name, "kind": kind_, "status": status, **extra})
 
-    rep = verify_assumptions(problem, n_probes, make_rng(derive_seed(config.master_seed, 101)))
+    rep = verify_assumptions(problem, check["n_probes"],
+                             make_rng(derive_seed(spec.master_seed, 101)))
     for c in rep.checks():
         verdict(f"assumption_{c.name}", "deterministic",
                 "pass" if c.passed else "fail",
                 worst_ratio=c.worst_ratio, detail=c.detail)
 
-    seeds = [derive_seed(config.master_seed, 202, s) for s in range(n_seeds)]
+    seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
     recorder = diag.DiagnosticRecorder(n_seeds, T, problem.d)
     run_cell(problem, kind, hp, T, seeds, recorder)
     runs = [recorder.run(s, seed, kind, hp) for s, seed in enumerate(seeds)]
@@ -290,9 +260,9 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     try:
         eps_rep = diag.epsilon_bound_frequency([r.trace for r in runs], hp,
                                                consts.L_vec, consts.sigma_vec,
-                                               config.delta)
+                                               spec.delta)
         dich_rep = diag.sign_dichotomy_frequency(runs, consts.L_vec,
-                                                 consts.sigma_vec, config.delta)
+                                                 consts.sigma_vec, spec.delta)
         for rep_ in (eps_rep, dich_rep):
             verdict(rep_.name, "statistical", "pass" if rep_.passed else "fail",
                     violation_fraction=rep_.violation_fraction,
@@ -301,11 +271,9 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
         verdict("epsilon_bound", "statistical", "skipped", reason=str(exc))
         verdict("sign_dichotomy", "statistical", "skipped", reason=str(exc))
 
-    mds = diag.MdsKind(check.get("mds", "rademacher"))
-    l1_rep = diag.lemma1_montecarlo(check.get("lemma1_trials", 10000),
-                                    check.get("lemma1_T", 1000),
-                                    config.delta, mds,
-                                    seed=derive_seed(config.master_seed, 303))
+    l1_rep = diag.lemma1_montecarlo(check["lemma1_trials"], check["lemma1_T"],
+                                    spec.delta, diag.MdsKind(check["mds"]),
+                                    seed=derive_seed(spec.master_seed, 303))
     verdict(l1_rep.name, "statistical", "pass" if l1_rep.passed else "fail",
             violation_fraction=l1_rep.violation_fraction,
             allowed_fraction=l1_rep.allowed_fraction, n_total=l1_rep.n_total)
@@ -315,15 +283,12 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
 def cmd_check(config_path: str) -> int:
     config = RunConfig.load(config_path)
     verdicts = _check_verdicts(config)
-    try:
-        os.makedirs(config.output_dir, exist_ok=True)
-        path = os.path.join(config.output_dir, "check.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps({"verdicts": verdicts}, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(json.dumps({"verdicts": verdicts}, sort_keys=True, indent=2))
+    os.makedirs(config.output_dir, exist_ok=True)
+    path = os.path.join(config.output_dir, "check.json")
+    text = json.dumps({"verdicts": verdicts}, sort_keys=True, indent=2)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
+    print(text)
     hard_fail = any(v["status"] == "fail" and v["kind"] == "deterministic"
                     for v in verdicts)
     return EXIT_CHECK if hard_fail else EXIT_OK
@@ -333,26 +298,15 @@ def cmd_report(report_path: str, chart: str, out_path: str | None) -> int:
     try:
         with open(report_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except json.JSONDecodeError as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     render = {"convergence_bands": charts.convergence_bands_svg,
               "rate_fit": charts.rate_fit_svg}[chart]
-    try:
-        svg = render(doc)
-    except MalformedReport as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    svg = render(doc)
     target = out_path or os.path.join(os.path.dirname(report_path) or ".", f"{chart}.svg")
-    try:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     print(f"chart written to {target}")
     return EXIT_OK
 

@@ -46,6 +46,8 @@ from .theory import c_rho
 # rounding of a step or ratio that attains its bound exactly
 _MOVEMENT_SLACK = 1e-9
 _RATIO_SLACK = 1e-12
+# the estimator's two parts must reassemble it up to this relative error
+_DECOMPOSITION_TOL = 1e-12
 
 
 @dataclass
@@ -220,12 +222,12 @@ def representation_check(eps_trace: EpsilonTrace, beta1: float,
                        f"T={T}, beta1={beta1}, abs tolerance {scale:.3g}")
 
 
-def decomposition_check(run: DiagnosticRun, tol: float = 1e-12) -> CheckResult:
+def decomposition_check(run: DiagnosticRun) -> CheckResult:
     """The momentum + correction split must reassemble the estimator exactly.
 
     For every t >= 2, part_i + part_ii (from
     :func:`signstorm.storm_decomposition`, applied to all rows at once) is
-    compared against the recorded m_t at relative tolerance ``tol``.
+    compared against the recorded m_t at relative tolerance ``_DECOMPOSITION_TOL``.
     """
     if run.kind not in STORM_FAMILY:
         raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
@@ -235,11 +237,12 @@ def decomposition_check(run: DiagnosticRun, tol: float = 1e-12) -> CheckResult:
     pair = GradientPair(run.g_curr[1:], run.g_prev[1:])
     part_i, part_ii = storm_decomposition(run.m[:-1], pair, run.hp.beta1)
     err = np.abs((part_i + part_ii) - run.m[1:])
-    ratio = err / (tol * (1.0 + np.abs(run.m[1:])))
+    ratio = err / (_DECOMPOSITION_TOL * (1.0 + np.abs(run.m[1:])))
     flat = int(np.argmax(ratio))
     worst_ratio = float(ratio.flat[flat])
     return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio,
-                       flat // run.m.shape[1] + 2, f"T={T}, relative tolerance {tol:g}")
+                       flat // run.m.shape[1] + 2,
+                       f"T={T}, relative tolerance {_DECOMPOSITION_TOL:g}")
 
 
 def estimator_ratio_check(run: DiagnosticRun) -> CheckResult:
@@ -328,6 +331,8 @@ def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
 
 # fewer trials make the violation frequency meaningless
 LEMMA1_MIN_TRIALS = 100
+# trials drawn per block: the peak memory is one (block, T) array
+_LEMMA1_CHUNK = 2000
 
 
 class MdsKind(enum.Enum):
@@ -339,7 +344,7 @@ class MdsKind(enum.Enum):
 
 def lemma1_montecarlo(n_trials: int, T: int, delta: float,
                       mds_spec: MdsKind = MdsKind.RADEMACHER,
-                      seed: int = 0, chunk: int = 2000) -> FrequencyReport:
+                      seed: int = 0) -> FrequencyReport:
     """Simulate scalar martingale difference sequences against the envelope
 
         |sum_{s<=t} X_s| <= 3 R max{1, log(1/delta)}
@@ -366,7 +371,7 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
     violations = 0
     done = 0
     while done < n_trials:
-        n = min(chunk, n_trials - done)
+        n = min(_LEMMA1_CHUNK, n_trials - done)
         if mds_spec is MdsKind.RADEMACHER:
             draws = rng.choice([-1.0, 1.0], size=(n, T))
         else:

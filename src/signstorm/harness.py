@@ -27,7 +27,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -347,19 +347,12 @@ class ExperimentSpec:
         return make_problem(self.problem_name, self.problem_params)
 
     def config_fingerprint(self) -> dict:
-        return {
-            "problem": {"name": self.problem_name, "params": self.problem_params},
-            "optimizers": [k.value for k in self.optimizers],
-            "T_grid": list(self.T_grid),
-            "n_seeds": self.n_seeds,
-            "delta": self.delta,
-            "param_mode": self.param_mode,
-            "beta2": self.beta2,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "per_step": self.per_step,
-            "collect_diagnostics": self.collect_diagnostics,
-        }
+        """The report's ``config``: every field but ``master_seed`` (a report
+        key of its own), the problem nested and the optimizers by value."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "master_seed"}
+        doc["problem"] = {"name": doc.pop("problem_name"), "params": doc.pop("problem_params")}
+        doc["optimizers"] = [k.value for k in self.optimizers]
+        return doc
 
 
 def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
@@ -367,13 +360,17 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
     """Pick hyperparameters for one cell.
 
     Theorem mode feeds the problem's declared constants into the tuned
-    formulas; practical mode uses the (alpha, beta) schedule.  Every
-    optimizer in a run shares that choice except Adam, which keeps its
-    standard (0.9, 0.999, 1e-8) configuration at the same step size so the
-    baseline stays the stock method.
+    formulas (a zero gap delta_upper * ||L||_1 is a ConfigError); practical
+    mode uses the (alpha, beta) schedule.  Every optimizer in a run shares
+    that choice except Adam, which keeps its standard (0.9, 0.999, 1e-8)
+    configuration at the same step size so the baseline stays the stock method.
     """
     consts = problem.constants
     if spec.param_mode == "theorem":
+        if consts.delta_upper * consts.L1_norm == 0.0:
+            raise ConfigError("theorem mode needs a positive gap delta_upper * ||L||_1; "
+                              "move problem.params.x_init off the minimizer or set "
+                              '"param_mode": "practical"')
         choice = theorem_params(TheoremInputs(
             delta=consts.delta_upper, L1_norm=consts.L1_norm,
             sigma1_norm=consts.sigma1_norm, T=T, beta2=spec.beta2,

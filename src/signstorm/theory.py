@@ -27,6 +27,8 @@ from .optim import HyperParams, Schedule
 
 # Exact crossover where g(rho) drops below 1/2: larger root of 36 rho(1-rho) = 1/4.
 RHO_CROSSOVER = (6.0 + math.sqrt(35.0)) / 12.0
+# width of the bracket at which locate_c_crossover stops bisecting
+_CROSSOVER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,10 @@ def c_rho(rho: float) -> float:
     return min(0.5, g_rho(rho))
 
 
-def locate_c_crossover(tol: float = 1e-9) -> float:
+def locate_c_crossover() -> float:
     """Bisect for the rho where c(rho) first drops below 1/2."""
     lo, hi = 0.5, 1.0 - 1e-15
-    while hi - lo > tol:
+    while hi - lo > _CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if g_rho(mid) >= 0.5:
             lo = mid

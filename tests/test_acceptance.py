@@ -65,7 +65,7 @@ def test_criterion_01_algebraic_identities():
         for s in range(20):
             run = run_with_diagnostics(problem, hp, 1000,
                                        derive_seed(11, int(beta1 * 100), s))
-            dec = decomposition_check(run, tol=1e-12)
+            dec = decomposition_check(run)
             rep = representation_check(run.trace, beta1, tol=1e-6)
             worst_decomp = max(worst_decomp, dec.worst_ratio)
             worst_repr = max(worst_repr, rep.worst_ratio)
@@ -123,7 +123,7 @@ def test_criterion_03_sign_degeneracy_bit_level():
 
 def test_criterion_04_prefactor_continuity_and_crossover():
     cont = g_rho(0.5) == 3.0 == 6.0 * math.sqrt(0.5 * 0.5)
-    found = locate_c_crossover(tol=1e-9)
+    found = locate_c_crossover()
     near = abs(found - 0.993007) <= 1e-5
     below = c_rho(found + 1e-4) < 0.5 and c_rho(found - 1e-4) == 0.5
     ok = cont and near and below

@@ -7,7 +7,9 @@ reproduce the headline and the abort of every seed's reference trial,
 with a ``TraceRecorder`` every column of its trace, and with a
 ``DiagnosticRecorder`` the step norms and estimator errors of its
 diagnostics columns.  ``run_trial``, the engine's single-seed call, must
-reproduce the reference trace too.  An experiment whose cells step their
+reproduce the reference trace too.  The three grids that check this over
+every problem and kind share one seed list and run each case's reference
+once.  An experiment whose cells step their
 seeds in several chunks must report what one ``run_cell`` over all of
 them gives.
 Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
@@ -15,6 +17,7 @@ counts as a difference.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -215,20 +218,38 @@ def hyperparams(kind, beta1):
     return hp if beta1 is None else dataclasses.replace(hp, beta1=beta1)
 
 
+# the seeds every case of the three engine-vs-reference grids steps
+GRID_SEEDS = [derive_seed(22, s) for s in range(3)]
+
+
+@functools.cache
+def grid_references(name, kind, block_values, beta1):
+    """Reference trials, with their eps_l1 column, of one grid case's
+    GRID_SEEDS, computed once for the three grids that compare against
+    them.  Only :func:`grid_case` calls it, with the budget patched."""
+    problem = make_problem(*PROBLEMS[name])
+    hp = hyperparams(kind, beta1)
+    return [reference_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
+            for seed in GRID_SEEDS]
+
+
+def grid_case(name, kind, block_values, beta1, monkeypatch):
+    """The problem, hyperparameters and reference trials of one grid case;
+    a tiny presample budget forces a buffer refill on almost every step."""
+    if block_values is not None:
+        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
+    references = grid_references(name, kind, block_values, beta1)
+    return make_problem(*PROBLEMS[name]), hyperparams(kind, beta1), references
+
+
 @pytest.mark.parametrize("beta1", [None, 0.0])
 @pytest.mark.parametrize("block_values", [None, 40])
 @pytest.mark.parametrize("kind", list(OptimizerKind))
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_cell_matches_per_seed_trials(name, kind, block_values, beta1, monkeypatch):
-    # a tiny presample budget forces a buffer refill on almost every step
-    if block_values is not None:
-        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
-    problem = make_problem(*PROBLEMS[name])
-    hp = hyperparams(kind, beta1)
-    seeds = [derive_seed(21, s) for s in range(3)]
-    headline, aborted = run_cell(problem, kind, hp, 150, seeds)
-    for s, seed in enumerate(seeds):
-        trace = reference_trial(problem, kind, hp, 150, seed)
+    problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
+    headline, aborted = run_cell(problem, kind, hp, 150, GRID_SEEDS)
+    for s, trace in enumerate(references):
         assert not trace.aborted and not aborted[s]
         assert same_bits(headline[s], trace.headline)
 
@@ -335,21 +356,17 @@ def assert_same_trace(recorded, reference):
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_recorded_traces_match_per_seed_trials(name, kind, block_values, beta1,
                                                monkeypatch):
-    if block_values is not None:
-        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
-    problem = make_problem(*PROBLEMS[name])
-    hp = hyperparams(kind, beta1)
-    seeds = [derive_seed(22, s) for s in range(3)]
-    recorder = TraceRecorder(len(seeds), 150, collect_diagnostics=True)
-    headline, aborted = run_cell(problem, kind, hp, 150, seeds, recorder)
-    for s, seed in enumerate(seeds):
-        trace = reference_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
+    problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
+    recorder = TraceRecorder(len(GRID_SEEDS), 150, collect_diagnostics=True)
+    headline, aborted = run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder)
+    for s, (seed, trace) in enumerate(zip(GRID_SEEDS, references)):
         assert_same_trace(recorder.trace(s, seed, kind, hp), trace)
         assert not aborted[s] and same_bits(headline[s], trace.headline)
         assert_same_trace(run_trial(problem, kind, hp, 150, seed,
                                     collect_diagnostics=True), trace)
-    assert_same_trace(run_trial(problem, kind, hp, 150, seeds[0]),
-                      reference_trial(problem, kind, hp, 150, seeds[0]))
+    # without diagnostics the reference lacks only the eps_l1 column
+    assert_same_trace(run_trial(problem, kind, hp, 150, GRID_SEEDS[0]),
+                      dataclasses.replace(references[0], eps_l1=None))
 
 
 def test_recorded_traces_stop_at_each_seeds_abort():
@@ -406,16 +423,11 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
                                               monkeypatch):
-    if block_values is not None:
-        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", block_values)
-    problem = make_problem(*PROBLEMS[name])
-    hp = hyperparams(kind, beta1)
-    seeds = [derive_seed(24, s) for s in range(3)]
-    recorder = DiagnosticRecorder(len(seeds), 150, problem.d)
-    run_cell(problem, kind, hp, 150, seeds, recorder)
-    for s, seed in enumerate(seeds):
+    problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
+    recorder = DiagnosticRecorder(len(GRID_SEEDS), 150, problem.d)
+    run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder)
+    for s, (seed, trace) in enumerate(zip(GRID_SEEDS, references)):
         run = recorder.run(s, seed, kind, hp)
-        trace = reference_trial(problem, kind, hp, 150, seed, collect_diagnostics=True)
         assert same_bits(run.step_l2, trace.step_l2)
         assert same_bits([np.sum(np.abs(eps)) for eps in run.trace.eps], trace.eps_l1)
         assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact],

@@ -1,4 +1,8 @@
+import functools
 import json
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from signstorm import (
     practical_params,
     run_with_diagnostics,
 )
-from signstorm.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, RunConfig, main
+from signstorm.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
 from signstorm.errors import ConfigError
 
 
@@ -33,6 +37,17 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@functools.cache
+def benchmark_workloads() -> dict:
+    """``WORKLOADS`` of perfbench/workloads.py, executed from its source so
+    that no bytecode is written beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = sys.modules.setdefault("perfbench_workloads",
+                                    types.ModuleType("perfbench_workloads"))
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module.WORKLOADS
 
 
 class TestConfigValidation:
@@ -110,6 +125,38 @@ class TestConfigValidation:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["run", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_zero_gap_names_what_the_config_can_change(self, tmp_path, capsys, command):
+        # x_init at the quadratic's minimizer makes delta_upper zero, where
+        # the theorem-mode formulas degenerate
+        cfg = base_config(tmp_path / "out")
+        cfg["problem"]["params"]["x_init"] = 0.0
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "problem.params.x_init" in err and '"param_mode": "practical"' in err
+        assert "delta_floor" not in err
+        assert not (tmp_path / "out").exists()
+        cfg["param_mode"] = "practical"
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_unwritable_output_is_one_io_error_line(tmp_path, capsys, command):
+    blocker = tmp_path / "out"
+    blocker.write_text("a file where the output directory should be")
+    assert main([command, write_config(tmp_path, base_config(blocker))]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+def test_benchmark_setup_probe_loads_each_workload(name, tmp_path):
+    # the call the benchmark times as its set-up, on the config it generates
+    cfg = benchmark_workloads()[name].config(0, str(tmp_path / "out"))
+    problem = RunConfig.load(write_config(tmp_path, cfg)).to_spec().build_problem()
+    assert problem.d == cfg["problem"]["params"]["d"]
 
 
 class TestCmdRun:
@@ -329,6 +376,13 @@ class TestCmdReport:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"cells": "nope"}))
         assert main(["report", str(path)]) == EXIT_CONFIG
+
+    def test_unreadable_or_unwritable_is_io_error(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "missing.json")]) == EXIT_IO
+        path = self.synthetic_report(tmp_path, [], {})
+        assert main(["report", path, "--out", str(tmp_path / "no" / "c.svg")]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error:") for line in err)
 
 
 class TestCmdParams:

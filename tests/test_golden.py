@@ -31,6 +31,7 @@ must reproduce them.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -53,7 +54,7 @@ from signstorm import (
     run_experiment,
     run_with_diagnostics,
 )
-from signstorm.cli import main
+from signstorm.cli import RunConfig, main
 from signstorm.harness import resolve_hyperparams
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "report_sha256.json"
@@ -207,14 +208,15 @@ def diagnostic_digests(name: str) -> list[dict]:
 
 
 def run_config(name: str, output_dir: Path) -> dict:
-    """The `signstorm run` config equivalent to SPECS[name], traces on."""
+    """The `signstorm run` config equivalent to SPECS[name], traces on, and
+    diagnostics on for the specs TRACE_SPECS marks."""
     spec = dict(SPECS[name])
     config = {
         "problem": {"name": spec.pop("problem_name"),
                     "params": spec.pop("problem_params")},
         "optimizers": [k.value for k in spec.pop("optimizers")],
         "output_dir": str(output_dir),
-        "diagnostics": TRACE_SPECS[name],
+        "diagnostics": TRACE_SPECS.get(name, False),
         "write_traces": True,
     }
     config.update(spec)
@@ -249,6 +251,27 @@ def report_digest(name: str, workers: int, trace_dir: str | None = None) -> str:
         report = run_experiment(ExperimentSpec(**SPECS[name]), max_workers=workers,
                                 trace_dir=trace_dir)
     return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_run_config_loads_to_its_spec(name, tmp_path):
+    config = run_config(name, tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    loaded = RunConfig.load(str(path))
+    # the JSON key `diagnostics` is the spec's collect_diagnostics
+    assert loaded.spec == ExperimentSpec(**SPECS[name],
+                                         collect_diagnostics=config["diagnostics"])
+    assert loaded.output_dir == str(tmp_path / "out") and loaded.write_traces
+
+
+def test_fingerprint_keys_are_the_spec_fields():
+    spec = ExperimentSpec(**SPECS["quadratic_theorem"])
+    doc = spec.config_fingerprint()
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    assert set(doc) == fields - {"master_seed", "problem_name", "problem_params"} | {"problem"}
+    assert doc["problem"] == {"name": spec.problem_name, "params": spec.problem_params}
+    assert doc["optimizers"] == [k.value for k in spec.optimizers]
 
 
 def test_golden_file_covers_every_spec():

@@ -55,7 +55,7 @@ class TestPrefactors:
         assert all(v < 0.5 for v in vals)
 
     def test_crossover_location(self):
-        found = locate_c_crossover(tol=1e-9)
+        found = locate_c_crossover()
         assert found == pytest.approx(RHO_CROSSOVER, abs=1e-9)
         assert found == pytest.approx(0.993007, abs=1e-5)
 
