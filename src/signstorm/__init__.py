@@ -69,7 +69,6 @@ from .problems import (
 from .rngutil import derive_seed, make_rng
 from .theory import (
     RHO_CROSSOVER,
-    ParamChoice,
     TheoremInputs,
     c_rho,
     g_rho,

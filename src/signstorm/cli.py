@@ -38,7 +38,7 @@ from .harness import ExperimentSpec, resolve_hyperparams, run_cell, run_experime
 from .optim import OptimizerKind
 from .problems import verify_assumptions
 from .rngutil import derive_seed, make_rng
-from .theory import TheoremInputs, theorem_bound, theorem_params
+from .theory import TheoremInputs, c_rho, theorem_bound, theorem_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -241,21 +241,15 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
                       lambda r: diag.representation_check(r.trace, r.hp.beta1)),
                      ("storm_decomposition", diag.decomposition_check),
                      ("estimator_ratio", diag.estimator_ratio_check)):
-        worst = None
-        skipped = None
-        for r in runs:
-            try:
-                res = fn(r)
-            except PreconditionNotMet as exc:
-                skipped = str(exc)
-                break
-            if worst is None or res.worst_ratio > worst.worst_ratio:
-                worst = res
-        if skipped is not None:
-            verdict(name, "deterministic", "skipped", reason=skipped)
-        else:
-            verdict(name, "deterministic", "pass" if worst.passed else "fail",
-                    worst_ratio=worst.worst_ratio, worst_t=worst.worst_t)
+        try:
+            # max holds one result at a time and keeps the first of equal
+            # ratios, whose worst_t the verdict reports
+            worst = max(map(fn, runs), key=lambda res: res.worst_ratio)
+        except PreconditionNotMet as exc:
+            verdict(name, "deterministic", "skipped", reason=str(exc))
+            continue
+        verdict(name, "deterministic", "pass" if worst.passed else "fail",
+                worst_ratio=worst.worst_ratio, worst_t=worst.worst_t)
 
     try:
         eps_rep = diag.epsilon_bound_frequency([r.trace for r in runs], hp,
@@ -315,13 +309,13 @@ def cmd_params(args: argparse.Namespace) -> int:
     inp = TheoremInputs(delta=args.delta, L1_norm=args.L1, sigma1_norm=args.sigma1,
                         T=args.T, beta2=args.beta2,
                         confidence_delta=args.confidence, d=args.d)
-    choice = theorem_params(inp)
-    bound = theorem_bound(inp, choice.rho)
-    print(f"eta      = {choice.hp.eta!r}")
-    print(f"beta1    = {choice.hp.beta1!r}")
-    print(f"beta2    = {choice.hp.beta2!r}")
-    print(f"rho      = {choice.rho!r}")
-    print(f"c(rho)   = {choice.c_of_rho!r}")
+    hp = theorem_params(inp)
+    bound = theorem_bound(inp, hp.rho)
+    print(f"eta      = {hp.eta!r}")
+    print(f"beta1    = {hp.beta1!r}")
+    print(f"beta2    = {hp.beta2!r}")
+    print(f"rho      = {hp.rho!r}")
+    print(f"c(rho)   = {c_rho(hp.rho)!r}")
     print(f"bound reference (big-O constants = 1) = {bound!r}")
     return EXIT_OK
 

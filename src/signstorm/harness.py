@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFit, EmptyInput, NonFiniteValue, OutOfRange
+from .errors import (ConfigError, DegenerateFit, EmptyInput, InvalidConstant,
+                     NonFiniteValue, OutOfRange)
 from .optim import (
     STORM_FAMILY,
     GradientPair,
@@ -41,7 +42,7 @@ from .optim import (
     _check_finite,
     step_batch,
 )
-from .problems import StochasticProblem, make_problem
+from .problems import StochasticProblem, check_param_types, make_problem
 from .rngutil import derive_seed, make_rng
 from .theory import TheoremInputs, practical_params, theorem_params
 
@@ -342,6 +343,14 @@ class ExperimentSpec:
             raise ConfigError(f"unknown param_mode {self.param_mode!r}")
         if not self.optimizers:
             raise ConfigError("need at least one optimizer")
+        # typed problem parameters and, in practical mode, the schedule at
+        # every horizon fail here, before any cell runs
+        try:
+            check_param_types(self.problem_params)
+            for T in self.T_grid if self.param_mode == "practical" else ():
+                practical_params(self.alpha, self.beta, T, beta2=self.beta2, per_step=self.per_step)
+        except InvalidConstant as exc:
+            raise ConfigError(str(exc)) from None
 
     def build_problem(self) -> StochasticProblem:
         return make_problem(self.problem_name, self.problem_params)
@@ -371,16 +380,16 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
             raise ConfigError("theorem mode needs a positive gap delta_upper * ||L||_1; "
                               "move problem.params.x_init off the minimizer or set "
                               '"param_mode": "practical"')
-        choice = theorem_params(TheoremInputs(
+        hp = theorem_params(TheoremInputs(
             delta=consts.delta_upper, L1_norm=consts.L1_norm,
             sigma1_norm=consts.sigma1_norm, T=T, beta2=spec.beta2,
             confidence_delta=spec.delta, d=problem.d))
     else:
-        choice = practical_params(spec.alpha, spec.beta, T, beta2=spec.beta2,
-                                  per_step=spec.per_step)
+        hp = practical_params(spec.alpha, spec.beta, T, beta2=spec.beta2,
+                              per_step=spec.per_step)
     if kind is OptimizerKind.ADAM:
-        return HyperParams.adam_defaults(choice.hp.eta)
-    return choice.hp
+        return HyperParams.adam_defaults(hp.eta)
+    return hp
 
 
 def _experiment_cell(args) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ unbiasedness exactly.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +316,23 @@ def _as_vec(value, d: int) -> np.ndarray:
     return arr
 
 
+_INT, _NUMBER = (numbers.Integral, "an integer"), (numbers.Real, "a number")
+# typed bundled-problem parameter -> what its value must be; a bool is neither
+_PARAM_TYPES = {"d": _INT, "n_samples": _INT, "data_seed": _INT, "feature_bound": _NUMBER}
+
+
+def check_param_types(params: dict) -> None:
+    """InvalidConstant naming the first typed parameter whose value is not of
+    its type.  Values are checked, not converted."""
+    for key, (kind, name) in _PARAM_TYPES.items():
+        value = params.get(key)
+        if key in params and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise InvalidConstant(f"problem.params.{key} must be {name}, got {value!r}")
+
+
 def make_problem(name: str, params: dict) -> StochasticProblem:
     """Construct a bundled problem from its name and a parameter map."""
+    check_param_types(params)
     p = dict(params)
     try:
         d = int(p.pop("d"))

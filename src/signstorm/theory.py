@@ -1,7 +1,8 @@
 """Convergence-theory side: parameter choices and reference bound evaluation.
 
-The analysis admits any momentum pair with rho = sqrt(beta2)/beta1 < 1 and
-prescribes
+The analysis admits any momentum pair with rho = sqrt(beta2)/beta1 < 1
+(``HyperParams.rho``; both parameter formulas return a ``HyperParams``
+whose rho is below 1, or raise RhoConstraintViolated) and prescribes
 
     beta1 = 1 - min{1, (delta * ||L||_1 / (||sigma||_1^2 T))^(2/3)}
     eta   = (1 - beta1)^(1/4) * sqrt((1 - beta2) * delta) / sqrt(||L||_1 T)
@@ -61,26 +62,11 @@ class TheoremInputs:
             raise InvalidConstant(f"dimension must be >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
-class ParamChoice:
-    """Hyperparameters plus the derived quantities a report wants to show."""
-
-    hp: HyperParams
-    rho: float
-    delta_floored: bool = False
-
-    @property
-    def c_of_rho(self) -> float:
-        return c_rho(self.rho)
-
-
 def g_rho(rho: float) -> float:
     """Piecewise prefactor: 3 on [0, 1/2], 6*sqrt(rho*(1-rho)) on (1/2, 1)."""
     if not (0.0 <= rho < 1.0):
         raise OutOfRange(f"rho must lie in [0, 1), got {rho}")
-    if rho <= 0.5:
-        return 3.0
-    return 6.0 * math.sqrt(rho * (1.0 - rho))
+    return 3.0 if rho <= 0.5 else 6.0 * math.sqrt(rho * (1.0 - rho))
 
 
 def c_rho(rho: float) -> float:
@@ -100,84 +86,57 @@ def locate_c_crossover() -> float:
     return 0.5 * (lo + hi)
 
 
-def _two_thirds_power(x: float) -> float:
-    # cbrt(x^2) keeps exact decimal cases exact (e.g. 1e-3 -> 1e-2), unlike x**(2/3)
-    return float(np.cbrt(x * x))
-
-
-def _check_rho(beta1: float, beta2: float) -> float:
-    root = math.sqrt(beta2)
-    if beta1 == 0.0:
-        rho = 0.0 if root == 0.0 else math.inf
-    else:
-        rho = root / beta1
-    if not rho < 1.0:
+def _rho_below_one(hp: HyperParams) -> HyperParams:
+    if not hp.rho < 1.0:
         raise RhoConstraintViolated(
-            f"sqrt(beta2)={root:.6g} >= beta1={beta1:.6g} (rho={rho:.6g})")
-    return rho
+            f"sqrt(beta2)={math.sqrt(hp.beta2):.6g} >= beta1={hp.beta1:.6g} (rho={hp.rho:.6g})")
+    return hp
 
 
-def theorem_params(inp: TheoremInputs, delta_floor: float | None = None) -> ParamChoice:
-    """Horizon-tuned (eta, beta1) from the declared problem constants.
+def theorem_params(inp: TheoremInputs) -> HyperParams:
+    """Horizon-tuned hyperparameters (constant schedule) from the declared
+    problem constants; their ``rho`` is below 1.
 
     A zero noise norm collapses beta1 to 0 (the estimator then tracks the
-    exact gradient up to smoothness drift).  A zero delta makes the formulas
-    degenerate; a caller-supplied positive floor replaces it and the result
-    is flagged, otherwise this raises InvalidConstant.
+    exact gradient up to smoothness drift).  A zero delta * ||L||_1 makes
+    the formulas degenerate and raises InvalidConstant.
     """
-    delta_eff = inp.delta
-    floored = False
     if inp.delta * inp.L1_norm == 0.0:
-        if delta_floor is None or not delta_floor > 0:
-            raise InvalidConstant(
-                "delta * ||L||_1 is zero for a finite horizon; supply a positive delta_floor")
-        delta_eff = delta_floor
-        floored = True
-
-    if inp.sigma1_norm == 0.0:
-        one_minus_beta1 = 1.0  # ratio treated as +inf
-    else:
-        ratio = delta_eff * inp.L1_norm / (inp.sigma1_norm ** 2 * inp.T)
-        one_minus_beta1 = 1.0 if ratio >= 1.0 else _two_thirds_power(ratio)
-    beta1 = 1.0 - one_minus_beta1
-    rho = _check_rho(beta1, inp.beta2)
-    eta = (one_minus_beta1 ** 0.25
-           * math.sqrt((1.0 - inp.beta2) * delta_eff)
+        raise InvalidConstant("delta * ||L||_1 is zero, where the tuned formulas degenerate")
+    noise = inp.sigma1_norm ** 2 * inp.T
+    ratio = inp.delta * inp.L1_norm / noise if noise else math.inf
+    # cbrt(ratio^2) keeps exact decimal cases exact (1e-3 -> 1e-2), unlike ratio**(2/3)
+    one_minus_beta1 = 1.0 if ratio >= 1.0 else float(np.cbrt(ratio * ratio))
+    eta = (one_minus_beta1 ** 0.25 * math.sqrt((1.0 - inp.beta2) * inp.delta)
            / math.sqrt(inp.L1_norm * inp.T))
-    return ParamChoice(HyperParams(eta=eta, beta1=beta1, beta2=inp.beta2),
-                       rho=rho, delta_floored=floored)
+    return _rho_below_one(HyperParams(eta=eta, beta1=1.0 - one_minus_beta1, beta2=inp.beta2))
 
 
-def practical_params(alpha: float, beta: float, T: int,
-                     beta1_override: float | None = None,
-                     beta2: float = 0.0,
-                     per_step: bool = False) -> ParamChoice:
+def practical_params(alpha: float, beta: float, T: int, beta2: float = 0.0,
+                     per_step: bool = False) -> HyperParams:
     """Constant-free schedule: beta1 = 1 - beta/T^(2/3), eta = alpha (1-beta1)^(1/4) sqrt(1-beta2) / sqrt(T).
 
+    Returns those hyperparameters; their ``rho`` is below 1.
     ``per_step=True`` divides by sqrt(t) at each iteration instead of
     sqrt(T), for use when the horizon is unknown upfront.
     """
-    if not alpha > 0:
-        raise InvalidConstant(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise InvalidConstant(f"alpha must be a finite positive real, got {alpha}")
     if not (0.0 <= beta <= 1.0):
         raise InvalidConstant(f"beta must lie in [0, 1], got {beta}")
+    if not (0.0 <= beta2 < 1.0):
+        raise InvalidConstant(f"beta2 must lie in [0, 1), got {beta2}")
     if T < 1:
         raise InvalidConstant(f"horizon T must be >= 1, got {T}")
-    if beta1_override is not None:
-        one_minus_beta1 = 1.0 - beta1_override
-    else:
-        one_minus_beta1 = beta / float(np.cbrt(float(T) * T))
+    one_minus_beta1 = beta / float(np.cbrt(float(T) * T))
     beta1 = 1.0 - one_minus_beta1
     if not (0.0 <= beta1 < 1.0):
         raise InvalidConstant(f"derived beta1={beta1} outside [0, 1)")
-    rho = _check_rho(beta1, beta2)
     scale = alpha * one_minus_beta1 ** 0.25 * math.sqrt(1.0 - beta2)
     if per_step:
-        hp = HyperParams(eta=scale, beta1=beta1, beta2=beta2,
-                         schedule=Schedule.PER_STEP_SQRT_T)
-    else:
-        hp = HyperParams(eta=scale / math.sqrt(T), beta1=beta1, beta2=beta2)
-    return ParamChoice(hp, rho=rho)
+        return _rho_below_one(HyperParams(scale, beta1, beta2,
+                                          schedule=Schedule.PER_STEP_SQRT_T))
+    return _rho_below_one(HyperParams(scale / math.sqrt(T), beta1, beta2))
 
 
 def theorem_bound(inp: TheoremInputs, rho: float) -> float:

@@ -84,16 +84,16 @@ def test_criterion_02_movement_bound_almost_sure():
     kind = OptimizerKind.SIGNSTORM
     ratios = []
     for beta2 in (0.0, 0.5, 0.85):
-        choice = theorem_params(TheoremInputs(
+        hp = theorem_params(TheoremInputs(
             delta=consts.delta_upper, L1_norm=consts.L1_norm,
             sigma1_norm=consts.sigma1_norm, T=10_000, beta2=beta2,
             confidence_delta=0.05, d=problem.d))
         seeds = [derive_seed(22, int(beta2 * 100), s) for s in range(100)]
         recorder = TraceRecorder(len(seeds), 10_000)
-        run_cell(problem, kind, choice.hp, 10_000, seeds, recorder)
+        run_cell(problem, kind, hp, 10_000, seeds, recorder)
         for s, seed in enumerate(seeds):
-            trace = recorder.trace(s, seed, kind, choice.hp)
-            ratios.append(movement_bound_check(trace.step_l2, choice.hp,
+            trace = recorder.trace(s, seed, kind, hp)
+            ratios.append(movement_bound_check(trace.step_l2, hp,
                                                problem.d).worst_ratio)
     worst = max(ratios)
     elapsed = time.time() - t0
@@ -132,12 +132,12 @@ def test_criterion_04_prefactor_continuity_and_crossover():
 
 
 def test_criterion_05_theorem_parameter_arithmetic():
-    choice = theorem_params(TheoremInputs(1.0, 1.0, 1.0, 1000, 0.0, 0.05, 1))
+    hp = theorem_params(TheoremInputs(1.0, 1.0, 1.0, 1000, 0.0, 0.05, 1))
     noiseless = theorem_params(TheoremInputs(1.0, 1.0, 0.0, 1000, 0.0, 0.05, 1))
-    ok = (choice.hp.beta1 == 0.99 and choice.hp.eta == 0.01
-          and noiseless.hp.beta1 == 0.0)
-    _report(5, ok, f"beta1={choice.hp.beta1!r} eta={choice.hp.eta!r} exactly; "
-                   f"sigma=0 gives beta1={noiseless.hp.beta1!r}")
+    ok = (hp.beta1 == 0.99 and hp.eta == 0.01
+          and noiseless.beta1 == 0.0)
+    _report(5, ok, f"beta1={hp.beta1!r} eta={hp.eta!r} exactly; "
+                   f"sigma=0 gives beta1={noiseless.beta1!r}")
 
 
 def _rate_spec(sigma, optimizers):
@@ -188,13 +188,13 @@ def test_criterion_08_high_probability_frequencies():
     delta = 0.05
     problem = _diag_quadratic()
     consts = problem.constants
-    choice = theorem_params(TheoremInputs(
+    hp = theorem_params(TheoremInputs(
         delta=consts.delta_upper, L1_norm=consts.L1_norm,
         sigma1_norm=consts.sigma1_norm, T=300, beta2=0.0,
         confidence_delta=delta, d=problem.d))
-    runs = [run_with_diagnostics(problem, choice.hp, 300, derive_seed(88, s))
+    runs = [run_with_diagnostics(problem, hp, 300, derive_seed(88, s))
             for s in range(200)]
-    eps_rep = epsilon_bound_frequency([r.trace for r in runs], choice.hp,
+    eps_rep = epsilon_bound_frequency([r.trace for r in runs], hp,
                                       consts.L_vec, consts.sigma_vec, delta)
     dich_rep = sign_dichotomy_frequency(runs, consts.L_vec, consts.sigma_vec, delta)
     l1_rep = lemma1_montecarlo(10_000, 1000, delta, MdsKind.RADEMACHER, seed=88)

@@ -261,7 +261,7 @@ def test_abort_drops_only_its_own_seed():
     params = {"d": 2, "hessian_diag": 1e150, "sigma": 1e150, "x_init": 0.0}
     problem = make_problem("noisy_quadratic", params)
     T = 2007
-    hp = practical_params(3.5e-148, 1.0, T).hp
+    hp = practical_params(3.5e-148, 1.0, T)
     seeds = [derive_seed(7, 0, 0, s) for s in range(8)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -374,7 +374,7 @@ def test_recorded_traces_stop_at_each_seeds_abort():
     problem = make_problem("noisy_quadratic", {"d": 2, "hessian_diag": 1e150,
                                                "sigma": 1e150, "x_init": 0.0})
     T = 2007
-    hp = practical_params(3.5e-148, 1.0, T).hp
+    hp = practical_params(3.5e-148, 1.0, T)
     seeds = [derive_seed(7, 0, 0, s) for s in range(8)]
     recorder = TraceRecorder(len(seeds), T, collect_diagnostics=True)
     with warnings.catch_warnings():

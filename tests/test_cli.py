@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import sys
 import types
 from pathlib import Path
@@ -50,6 +51,10 @@ def benchmark_workloads() -> dict:
     return module.WORKLOADS
 
 
+# keys whose range the practical schedule checks; their cases run in practical mode
+PRACTICAL_KEYS = {"alpha", "beta2"}
+
+
 class TestConfigValidation:
     def test_missing_field_named(self, tmp_path):
         cfg = base_config(tmp_path / "out")
@@ -96,11 +101,17 @@ class TestConfigValidation:
         ("output_dir", None),
         ("output_dir", ["a"]),
         ("output_dir", ""),
+        ("alpha", math.inf),
+        ("beta2", -0.5),
+        ("problem.params.d", "x"),
+        ("problem.params.d", 2.5),
+        ("problem.params.d", True),
     ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
             "string_write_traces", "string_diagnostics", "float_n_seeds",
             "bool_n_seeds", "float_in_T_grid", "scalar_T_grid", "null_delta",
             "bool_delta", "scalar_optimizers", "list_params", "null_output_dir",
-            "list_output_dir", "empty_output_dir"])
+            "list_output_dir", "empty_output_dir", "practical_infinite_alpha",
+            "practical_negative_beta2", "string_d", "float_d", "bool_d"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
@@ -110,8 +121,10 @@ class TestConfigValidation:
         for name in ("verify_assumptions", "run_cell", "run_experiment"):
             monkeypatch.setattr(f"signstorm.cli.{name}", no_work)
         cfg = base_config(tmp_path / "out")
-        section, _, leaf = key.rpartition(".")
-        (cfg[section] if section else cfg)[leaf] = value
+        if key in PRACTICAL_KEYS:
+            cfg["param_mode"] = "practical"
+        *sections, leaf = key.split(".")
+        functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
         path = write_config(tmp_path, cfg)
         with pytest.raises(ConfigError, match=key):
             RunConfig.load(path)
@@ -290,7 +303,7 @@ def overflow_config(out_dir, master_seed, n_seeds):
 def diagnosed_abort_reasons(master_seed, n_seeds):
     """Per seed `check` diagnoses, alone: its NonFiniteValue message, or None."""
     problem = make_problem(OVERFLOW_PROBLEM["name"], OVERFLOW_PROBLEM["params"])
-    hp = practical_params(1.7e308, 1.0, 4).hp
+    hp = practical_params(1.7e308, 1.0, 4)
     reasons = []
     for s in range(n_seeds):
         try:

@@ -25,7 +25,11 @@ of each seed of a few diagnosed runs, among them the seeds ``signstorm
 check`` diagnoses on the ``check_suite`` benchmark config.  Those digests
 were computed while ``run_with_diagnostics`` still had its own per-seed
 loop; both the single-seed call and one seed-batched ``run_cell`` call
-must reproduce them.
+must reproduce them.  ``golden/chart_sha256.json`` pins the two SVG charts
+that ``signstorm run`` writes for every spec, and
+``golden/params_stdout.json`` the stdout of ``signstorm params`` for a
+few inputs; both were recorded while the parameter formulas still
+returned a wrapper that carried its own copy of rho.
 
     PYTHONPATH=src python tests/test_golden.py    # print the current digests
 """
@@ -61,6 +65,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "report_sha256.json"
 CHECK_GOLDEN = Path(__file__).resolve().parent / "golden" / "check_sha256.json"
 TRACE_GOLDEN = Path(__file__).resolve().parent / "golden" / "trace_sha256.json"
 DIAG_GOLDEN = Path(__file__).resolve().parent / "golden" / "diagnostics_sha256.json"
+CHART_GOLDEN = Path(__file__).resolve().parent / "golden" / "chart_sha256.json"
+PARAMS_GOLDEN = Path(__file__).resolve().parent / "golden" / "params_stdout.json"
 
 SPECS = {
     "quadratic_theorem": dict(
@@ -128,6 +134,14 @@ CHECK_CONFIG_D1 = {
 
 # golden key -> the check config and the exit code of its `signstorm check`
 CHECKS = {"check": (CHECK_CONFIG, 0), "check_d1": (CHECK_CONFIG_D1, 0)}
+
+
+# name -> `signstorm params` arguments: the README example, sigma = 0
+# (beta1 = 0), and beta2 > 0 at d = 7
+README_PARAMS = ["--delta", "1", "--L1", "1", "--sigma1", "1", "--T", "1000"]
+PARAMS_ARGS = {"readme": README_PARAMS,
+               "noiseless": ["--delta", "1", "--L1", "1", "--sigma1", "0", "--T", "1000"],
+               "beta2_d7": [*README_PARAMS, "--beta2", "0.3", "--d", "7"]}
 
 
 # spec name -> whether its traces carry the eps_l1 diagnostics column
@@ -223,15 +237,33 @@ def run_config(name: str, output_dir: Path) -> dict:
     return config
 
 
-def trace_digests(name: str, tmp_dir: Path) -> dict:
+def cli_run(name: str, tmp_dir: Path) -> Path:
+    """`signstorm run` on ``run_config(name)``; returns its output directory."""
     out = tmp_dir / "out"
     path = tmp_dir / f"{name}.json"
     path.write_text(json.dumps(run_config(name, out)))
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["run", str(path)]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted((out / "traces").glob("*.csv"))}
+    return out
+
+
+def file_digests(paths) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
+
+
+def trace_digests(name: str, tmp_dir: Path) -> dict:
+    return file_digests((cli_run(name, tmp_dir) / "traces").glob("*.csv"))
+
+
+def chart_digests(name: str, tmp_dir: Path) -> dict:
+    return file_digests(cli_run(name, tmp_dir).glob("*.svg"))
+
+
+def params_stdout(name: str) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["params", *PARAMS_ARGS[name]]) == 0
+    return out.getvalue()
 
 
 def check_digest(tmp_dir: Path, key: str = "check") -> str:
@@ -298,6 +330,23 @@ def test_traces_match_golden_digests(name, workers, tmp_path, monkeypatch):
     assert trace_digests(name, tmp_path) == json.loads(TRACE_GOLDEN.read_text())[name]
 
 
+def test_chart_and_params_golden_files_cover_every_case():
+    assert set(json.loads(CHART_GOLDEN.read_text())) == set(SPECS)
+    assert set(json.loads(PARAMS_GOLDEN.read_text())) == set(PARAMS_ARGS)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_charts_match_golden_digests(name, workers, tmp_path, monkeypatch):
+    monkeypatch.setenv("SIGNSTORM_THREADS", str(workers))
+    assert chart_digests(name, tmp_path) == json.loads(CHART_GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS_ARGS))
+def test_params_stdout_matches_golden(name):
+    assert params_stdout(name) == json.loads(PARAMS_GOLDEN.read_text())[name]
+
+
 def test_check_json_matches_golden_digest(tmp_path):
     assert check_digest(tmp_path) == json.loads(CHECK_GOLDEN.read_text())["check"]
 
@@ -338,5 +387,12 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             traces[name] = trace_digests(name, Path(tmp))
     print(json.dumps(traces, indent=2, sort_keys=True))
+    charts = {}
+    for name in sorted(SPECS):
+        with tempfile.TemporaryDirectory() as tmp:
+            charts[name] = chart_digests(name, Path(tmp))
+    print(json.dumps(charts, indent=2, sort_keys=True))
+    print(json.dumps({name: params_stdout(name) for name in sorted(PARAMS_ARGS)},
+                     indent=2, sort_keys=True))
     print(json.dumps({name: diagnostic_digests(name) for name in sorted(DIAG_CASES)},
                      indent=2, sort_keys=True))

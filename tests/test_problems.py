@@ -449,3 +449,21 @@ class TestMakeProblem:
     def test_missing_dimension(self):
         with pytest.raises(InvalidConstant):
             make_problem("noisy_quadratic", {})
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("noisy_quadratic", "d", "x"),
+        ("noisy_quadratic", "d", 2.5),
+        ("noisy_quadratic", "d", True),
+        ("synthetic_logistic", "n_samples", 4.0),
+        ("synthetic_logistic", "data_seed", False),
+        ("synthetic_logistic", "feature_bound", "1"),
+    ])
+    def test_typed_params_checked_not_converted(self, name, key, value):
+        params = {"d": 2, key: value}
+        with pytest.raises(InvalidConstant, match=f"problem.params.{key}"):
+            make_problem(name, params)
+
+    def test_integer_types_accepted(self):
+        p = make_problem("synthetic_logistic", {"d": np.int64(3), "n_samples": 4,
+                                                "feature_bound": 2, "data_seed": 1})
+        assert p.d == 3 and p.n_samples == 4

@@ -5,6 +5,7 @@ import pytest
 
 from signstorm import (
     RHO_CROSSOVER,
+    HyperParams,
     InvalidConstant,
     OutOfRange,
     RhoConstraintViolated,
@@ -62,31 +63,29 @@ class TestPrefactors:
 
 class TestTheoremParams:
     def test_reference_arithmetic_is_exact(self):
-        choice = theorem_params(inputs())
-        assert choice.hp.beta1 == 0.99
-        assert choice.hp.eta == 0.01
-        assert choice.rho == 0.0
-        assert not choice.delta_floored
+        hp = theorem_params(inputs())
+        assert hp.beta1 == 0.99
+        assert hp.eta == 0.01
+        assert hp.rho == 0.0
 
     def test_zero_noise_collapses_beta1(self):
-        choice = theorem_params(inputs(s1=0.0))
-        assert choice.hp.beta1 == 0.0
+        assert theorem_params(inputs(s1=0.0)).beta1 == 0.0
+
+    def test_underflowing_noise_collapses_beta1(self):
+        # sigma1^2 T underflows to 0: the ratio is then +inf, not a division by zero
+        assert theorem_params(inputs(s1=1e-200)).beta1 == 0.0
 
     def test_large_ratio_collapses_beta1(self):
         # delta * L1 >= sigma1^2 * T means the min clamps at 1
-        choice = theorem_params(inputs(delta=10.0, L1=200.0, T=1000))
-        assert choice.hp.beta1 == 0.0
+        assert theorem_params(inputs(delta=10.0, L1=200.0, T=1000)).beta1 == 0.0
 
     def test_rho_constraint(self):
         with pytest.raises(RhoConstraintViolated):
             theorem_params(inputs(s1=0.0, beta2=0.5))  # beta1 = 0 with beta2 > 0
 
-    def test_zero_delta_requires_floor(self):
+    def test_zero_delta_rejected(self):
         with pytest.raises(InvalidConstant):
             theorem_params(inputs(delta=0.0))
-        choice = theorem_params(inputs(delta=0.0), delta_floor=1e-3)
-        assert choice.delta_floored
-        assert choice.hp.eta > 0
 
     def test_input_validation(self):
         with pytest.raises(InvalidConstant):
@@ -101,38 +100,42 @@ class TestTheoremParams:
 
 class TestPracticalParams:
     def test_beta1_from_horizon(self):
-        choice = practical_params(alpha=1.0, beta=1.0, T=1000)
-        assert choice.hp.beta1 == 0.99
+        assert practical_params(alpha=1.0, beta=1.0, T=1000).beta1 == 0.99
 
     def test_published_configuration_satisfies_rho(self):
         # beta1=0.995, beta2=0.85 gives rho ~ 0.9266 < 1
-        choice = practical_params(alpha=0.00375, beta=1.0, T=100_000,
-                                  beta1_override=0.995, beta2=0.85)
-        assert choice.rho == pytest.approx(math.sqrt(0.85) / 0.995, rel=1e-12)
-        assert choice.rho == pytest.approx(0.9266, abs=5e-4)
-        assert choice.rho < 1.0
-        assert c_rho(choice.rho) == 0.5
+        rho = HyperParams(eta=1.0, beta1=0.995, beta2=0.85).rho
+        assert rho == pytest.approx(math.sqrt(0.85) / 0.995, rel=1e-12)
+        assert rho == pytest.approx(0.9266, abs=5e-4)
+        assert rho < 1.0
+        assert c_rho(rho) == 0.5
 
     def test_per_step_schedule(self):
-        choice = practical_params(alpha=2.0, beta=0.5, T=10_000, per_step=True)
-        assert choice.hp.schedule is Schedule.PER_STEP_SQRT_T
-        assert choice.hp.step_size(4) == 2.0 * choice.hp.step_size(16)
+        hp = practical_params(alpha=2.0, beta=0.5, T=10_000, per_step=True)
+        assert hp.schedule is Schedule.PER_STEP_SQRT_T
+        assert hp.step_size(4) == 2.0 * hp.step_size(16)
 
     def test_constant_schedule_divides_by_sqrt_T(self):
         per_t = practical_params(alpha=1.0, beta=1.0, T=400, per_step=True)
         by_T = practical_params(alpha=1.0, beta=1.0, T=400, per_step=False)
-        assert by_T.hp.step_size(7) == pytest.approx(per_t.hp.eta / 20.0, rel=1e-15)
+        assert by_T.step_size(7) == pytest.approx(per_t.eta / 20.0, rel=1e-15)
 
     def test_rho_enforced(self):
+        # beta1 = 1 - 1000^(-2/3) = 0.99, so rho = sqrt(0.99)/0.99 ~ 1.005
         with pytest.raises(RhoConstraintViolated):
-            practical_params(alpha=1.0, beta=1.0, T=1000,
-                             beta1_override=0.5, beta2=0.81)
+            practical_params(alpha=1.0, beta=1.0, T=1000, beta2=0.99)
 
     def test_validation(self):
         with pytest.raises(InvalidConstant):
             practical_params(alpha=0.0, beta=1.0, T=100)
         with pytest.raises(InvalidConstant):
             practical_params(alpha=1.0, beta=2.0, T=100)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(InvalidConstant, match="alpha"):
+                practical_params(alpha=alpha, beta=1.0, T=100)
+        for beta2 in (-0.5, 1.0, math.nan):
+            with pytest.raises(InvalidConstant, match="beta2"):
+                practical_params(alpha=1.0, beta=1.0, T=100, beta2=beta2)
 
 
 class TestTheoremBound:
