@@ -7,7 +7,7 @@ headline metric of a trial is min over t of ||grad F(x_t)||_1.
 
 One engine, :func:`run_cell`, steps S seeded trials as one (S, d) state,
 each seed drawing from its own stream derived from one master seed, with
-additive noise presampled per seed into one buffer of bounded size.  Its
+its noise presampled into one buffer of bounded size.  Its
 recorder chooses what is kept: only the headlines (none), the CSV trace
 columns (:class:`TraceRecorder`), or the per-coordinate arrays the lemma
 checks read (``diagnostics.DiagnosticRecorder``).  An experiment runs one
@@ -42,7 +42,7 @@ from .optim import (
     _check_finite,
     step_batch,
 )
-from .problems import StochasticProblem, check_param_types, make_problem
+from .problems import StochasticProblem, check_params, make_problem
 from .rngutil import derive_seed, make_rng
 from .theory import TheoremInputs, practical_params, theorem_params
 
@@ -178,10 +178,10 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     seed and is dropped from the state.  Returns the per-seed headline
     (NaN where aborted) and the abort mask.
 
-    Additive noise is presampled per seed into one (rows, S, d) buffer of
-    bounded size.  Other noise is drawn one seed at a time, and so are the
-    oracle calls, since a matrix product over the rows would not reproduce
-    the per-vector arithmetic.
+    Every seed's noise is presampled into one buffer of bounded size, row
+    t holding the S payloads of step t.  Each step makes one call of each
+    block oracle of the problem, which decides whether it evaluates the
+    (S, d) block at once or row by row.
     """
     S, d = len(seeds), problem.d
     x0 = OptimizerState.initial(problem.constants.x_init).x
@@ -194,50 +194,25 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     aborted = np.zeros(S, dtype=bool)
     needs_prev = kind in STORM_FAMILY or (recorder is not None and recorder.needs_prev)
     needs_loss = recorder is not None and recorder.needs_loss
-    exact_grad = problem.exact_grad
-    value = problem.value
-    loss = None
+    exact_grads = problem.exact_grads
+    sampled_grads = problem.sampled_grads
 
     rows = _block_rows(T, S * d)
-    first = problem.presample_payloads(rngs[0], rows)
-    additive = first is not None
-    if additive:
-        buf = np.empty((rows, S, d))
-        buf[:, 0] = first
-        for r in range(1, S):
-            buf[:, r] = problem.presample_payloads(rngs[r], rows)
-    block_start = 1
+    # a zero-row block draws nothing and has the payload rows' shape
+    empty = problem.presample_payloads(rngs[0], 0)
+    buf = np.empty((rows, S) + empty.shape[1:], empty.dtype)
+    block_start = 1 - rows           # step 1 fills the buffer
     g_exact_prev = None
     for t in range(1, T + 1):
-        if additive:
-            if t - block_start >= rows:
-                block_start = t
-                n = min(rows, T - t + 1)
-                for r, rng in enumerate(rngs):
-                    buf[:n, r] = problem.presample_payloads(rng, n)
-            pay = buf[t - block_start]
-            g_exact = exact_grad(state.x)
-            g_curr = g_exact + pay
-            g_prev = g_exact_prev + pay if needs_prev and t > 1 else None
-            if needs_loss:
-                # indexing the rows costs less than iterating over the array
-                loss = [value(state.x[r]) for r in range(len(live))]
-        else:
-            g_exact = np.empty_like(state.x)
-            g_curr = np.empty_like(state.x)
-            g_prev = np.empty_like(state.x) if needs_prev and t > 1 else None
-            if needs_loss:
-                loss = np.empty(len(live))
+        if t - block_start >= rows:
+            block_start = t
+            n = min(rows, T - t + 1)
             for r, rng in enumerate(rngs):
-                noise = problem.draw_noise(rng)
-                g_curr[r] = problem.stoch_grad(state.x[r], noise)
-                if g_prev is not None:
-                    g_prev[r] = problem.stoch_grad(state.prev_x[r], noise)
-                g_exact[r] = exact_grad(state.x[r])
-                # the loss right after the gradient at the same point, so
-                # the oracle can share work between them
-                if needs_loss:
-                    loss[r] = value(state.x[r])
+                buf[:n, r] = problem.presample_payloads(rng, n)
+        pay = buf[t - block_start]
+        g_exact, loss = exact_grads(state.x, needs_loss)
+        g_curr = sampled_grads(state.x, pay, g_exact)
+        g_prev = sampled_grads(state.prev_x, pay, g_exact_prev) if needs_prev and t > 1 else None
         grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
         best = np.minimum(best, grad_l1)
         grads = GradientPair(g_curr, g_prev)
@@ -255,8 +230,7 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
                                    t=state.t)
             best = best[finite]
             g_exact = g_exact[finite]
-            if additive:
-                buf = buf[:, finite]
+            buf = buf[:, finite]
             if live.size == 0:
                 break
         g_exact_prev = g_exact
@@ -343,10 +317,10 @@ class ExperimentSpec:
             raise ConfigError(f"unknown param_mode {self.param_mode!r}")
         if not self.optimizers:
             raise ConfigError("need at least one optimizer")
-        # typed problem parameters and, in practical mode, the schedule at
-        # every horizon fail here, before any cell runs
+        # problem parameters of a wrong type or out of range and, in practical
+        # mode, the schedule at every horizon fail here, before any cell runs
         try:
-            check_param_types(self.problem_params)
+            check_params(self.problem_params)
             for T in self.T_grid if self.param_mode == "practical" else ():
                 practical_params(self.alpha, self.beta, T, beta2=self.beta2, per_step=self.per_step)
         except InvalidConstant as exc:

@@ -87,17 +87,27 @@ class ProblemConstants:
 
 
 class StochasticProblem(abc.ABC):
-    """Objective F(x) = E[f(x, Xi)] with sampled and exact gradient oracles."""
+    """Objective F(x) = E[f(x, Xi)] with sampled and exact gradient oracles.
+
+    Noise is drawn as blocks of payload rows, one realization per row, and
+    the block oracles evaluate an (S, d) array of points against S rows.
+    """
 
     name: str
     d: int
     constants: ProblemConstants
 
     @abc.abstractmethod
-    def draw_noise(self, rng: np.random.Generator) -> NoiseRealization: ...
+    def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n payload rows; one block draws what n single draws would, and
+        leaves the generator in the same state."""
 
     @abc.abstractmethod
-    def stoch_grad(self, x: np.ndarray, xi: NoiseRealization) -> np.ndarray: ...
+    def sampled_grads(self, xs: np.ndarray, payloads: np.ndarray,
+                      exact: np.ndarray | None) -> np.ndarray:
+        """Sampled gradient at each row of xs under the payload row of the
+        same index; ``exact`` holds the exact gradients at xs, or None where
+        the caller has not computed them."""
 
     @abc.abstractmethod
     def exact_grad(self, x: np.ndarray) -> np.ndarray: ...
@@ -105,35 +115,37 @@ class StochasticProblem(abc.ABC):
     @abc.abstractmethod
     def value(self, x: np.ndarray) -> float: ...
 
+    def exact_grads(self, xs: np.ndarray, with_loss: bool) -> tuple[np.ndarray, list | None]:
+        """Exact gradients at the rows of xs and, when asked, F at each row
+        (else None).  This default hands ``exact_grad`` the whole block, so
+        it must act on each row as on a single point."""
+        grads = self.exact_grad(xs)
+        # indexing the rows costs less than iterating over the array
+        return grads, [self.value(xs[r]) for r in range(len(xs))] if with_loss else None
+
+    def draw_noise(self, rng: np.random.Generator) -> NoiseRealization:
+        """One realization: the only row of a one-row presample."""
+        return NoiseRealization(self.presample_payloads(rng, 1)[0])
+
+    def stoch_grad(self, x: np.ndarray, xi: NoiseRealization) -> np.ndarray:
+        """Sampled gradient at one point under one realization."""
+        return self.sampled_grads(x[None], np.asarray(xi.payload)[None], None)[0]
+
     def noise_support(self) -> list[NoiseRealization] | None:
         """All realizations when the noise distribution is finite, else None."""
-        return None
-
-    def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
-        """Batch of n additive-noise payload rows, or None when noise is not additive.
-
-        Must consume the generator exactly like n draw_noise calls so batched
-        and per-step trials share one stream.  A problem that returns
-        payloads must also evaluate ``exact_grad`` row by row on an (S, d)
-        array of iterates, so seed-batched trials can call it once per step.
-        """
         return None
 
 
 class _AdditiveNoiseProblem(StochasticProblem):
     """Noise enters as an x-independent additive perturbation of the gradient."""
 
-    def draw_noise(self, rng: np.random.Generator) -> NoiseRealization:
-        sigma = self.constants.sigma_vec
-        return NoiseRealization(rng.uniform(-sigma, sigma))
-
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # numpy fills row-major, so one (n, d) draw equals n sequential (d,) draws
         sigma = self.constants.sigma_vec
         return rng.uniform(-sigma, sigma, size=(n, self.d))
 
-    def stoch_grad(self, x: np.ndarray, xi: NoiseRealization) -> np.ndarray:
-        return self.exact_grad(x) + xi.payload
+    def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
+        return (self.exact_grad(xs) if exact is None else exact) + payloads
 
 
 class NoisyQuadratic(_AdditiveNoiseProblem):
@@ -215,13 +227,13 @@ class SyntheticLogistic(StochasticProblem):
 
     * ``exact_grad`` and ``value`` share the margins y * (W @ x) of the
       last point through a one-entry memo keyed on the bytes of x, so a
-      point mutated in place is a new key.  Trajectories ask for the loss
-      of each iterate right after its gradient, so the memo hits there.
+      point mutated in place is a new key.  ``exact_grads`` asks for each
+      row's loss right after its gradient, so the memo hits there.
     * ``exact_grad`` takes the weighted mean of the rows with one einsum,
       which adds the weighted rows in row order, as the axis-0 mean of their
       (n, d) product does, without building it.  At d = 1 einsum sums the
       lone column in another order, so d = 1 keeps that axis-0 mean.
-    * ``stoch_grad`` evaluates its one sigmoid on a scalar with numpy's exp:
+    * a sampled gradient evaluates its one sigmoid on a scalar with numpy's exp:
       ``math.exp`` differs from numpy's in the last bit for some inputs.
     """
 
@@ -266,8 +278,9 @@ class SyntheticLogistic(StochasticProblem):
     def _full_value(self, x: np.ndarray) -> float:
         return float(np.mean(np.logaddexp(0.0, -self._margins(x))))
 
-    def draw_noise(self, rng: np.random.Generator) -> NoiseRealization:
-        return NoiseRealization(int(rng.integers(0, self.n_samples)))
+    def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # one block of indices draws what n scalar integers calls would
+        return rng.integers(0, self.n_samples, size=n)
 
     def noise_support(self) -> list[NoiseRealization]:
         return [NoiseRealization(i) for i in range(self.n_samples)]
@@ -282,8 +295,22 @@ class SyntheticLogistic(StochasticProblem):
             s = e / (1.0 + e)
         return -self.labels[i] * self.features[i] * float(s)
 
-    def stoch_grad(self, x: np.ndarray, xi: NoiseRealization) -> np.ndarray:
-        return self._sample_grad(x, xi.payload)
+    def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
+        out = np.empty(xs.shape)
+        for r in range(len(xs)):
+            out[r] = self._sample_grad(xs[r], payloads[r])
+        return out
+
+    def exact_grads(self, xs, with_loss):
+        """Row by row, since a matrix product over the rows would not
+        reproduce the per-vector arithmetic (the memo: see the class)."""
+        grads = np.empty(xs.shape)
+        loss = np.empty(len(xs)) if with_loss else None
+        for r in range(len(xs)):
+            grads[r] = self.exact_grad(xs[r])
+            if with_loss:
+                loss[r] = self.value(xs[r])
+        return grads, loss
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
         weights = -self.labels * _sigmoid(-self._margins(x))
@@ -316,23 +343,29 @@ def _as_vec(value, d: int) -> np.ndarray:
     return arr
 
 
-_INT, _NUMBER = (numbers.Integral, "an integer"), (numbers.Real, "a number")
-# typed bundled-problem parameter -> what its value must be; a bool is neither
-_PARAM_TYPES = {"d": _INT, "n_samples": _INT, "data_seed": _INT, "feature_bound": _NUMBER}
+# typed bundled-problem parameter -> its type, the range its value must lie
+# in, and what the two read as; a bool is of neither type
+_PARAM_RULES = {
+    "d": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
+    "n_samples": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
+    "data_seed": (numbers.Integral, lambda v: v >= 0, "an integer >= 0"),
+    "feature_bound": (numbers.Real, lambda v: 0 < v < np.inf, "a finite positive number"),
+}
 
 
-def check_param_types(params: dict) -> None:
+def check_params(params: dict) -> None:
     """InvalidConstant naming the first typed parameter whose value is not of
-    its type.  Values are checked, not converted."""
-    for key, (kind, name) in _PARAM_TYPES.items():
+    its type or out of its range.  Values are checked, not converted."""
+    for key, (kind, in_range, name) in _PARAM_RULES.items():
         value = params.get(key)
-        if key in params and (isinstance(value, bool) or not isinstance(value, kind)):
+        if key in params and (isinstance(value, bool) or not isinstance(value, kind)
+                              or not in_range(value)):
             raise InvalidConstant(f"problem.params.{key} must be {name}, got {value!r}")
 
 
 def make_problem(name: str, params: dict) -> StochasticProblem:
     """Construct a bundled problem from its name and a parameter map."""
-    check_param_types(params)
+    check_params(params)
     p = dict(params)
     try:
         d = int(p.pop("d"))
@@ -392,23 +425,14 @@ def _block_grads(problem: StochasticProblem, rng: np.random.Generator,
     beside the exact gradient at that row or, given ys, the sampled gradient
     at ys's row under the same realization.
 
-    Additive noise comes from one ``presample_payloads`` call and is
-    evaluated on the whole (n, d) block; any other noise keeps one
-    ``draw_noise`` and one oracle call per row.  Both consume rng alike.
+    The realizations are one ``presample_payloads`` block, which consumes
+    rng as one draw per row would.
     """
-    n = xs.shape[0]
-    payloads = problem.presample_payloads(rng, n)
-    if payloads is not None:
-        xi = NoiseRealization(payloads)
-        other = problem.exact_grad(xs) if ys is None else problem.stoch_grad(ys, xi)
-        return problem.stoch_grad(xs, xi), other
-    grads = np.empty((n, problem.d))
-    other = np.empty((n, problem.d))
-    for i in range(n):
-        xi = problem.draw_noise(rng)
-        grads[i] = problem.stoch_grad(xs[i], xi)
-        other[i] = problem.exact_grad(xs[i]) if ys is None else problem.stoch_grad(ys[i], xi)
-    return grads, other
+    payloads = problem.presample_payloads(rng, xs.shape[0])
+    if ys is None:
+        exact, _ = problem.exact_grads(xs, False)
+        return problem.sampled_grads(xs, payloads, exact), exact
+    return problem.sampled_grads(xs, payloads, None), problem.sampled_grads(ys, payloads, None)
 
 
 def _worst(row_max: np.ndarray) -> float:

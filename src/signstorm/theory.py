@@ -133,10 +133,11 @@ def practical_params(alpha: float, beta: float, T: int, beta2: float = 0.0,
     if not (0.0 <= beta1 < 1.0):
         raise InvalidConstant(f"derived beta1={beta1} outside [0, 1)")
     scale = alpha * one_minus_beta1 ** 0.25 * math.sqrt(1.0 - beta2)
-    if per_step:
-        return _rho_below_one(HyperParams(scale, beta1, beta2,
-                                          schedule=Schedule.PER_STEP_SQRT_T))
-    return _rho_below_one(HyperParams(scale / math.sqrt(T), beta1, beta2))
+    eta = scale if per_step else scale / math.sqrt(T)
+    if eta == 0.0:
+        raise InvalidConstant(f"alpha={alpha} is too small: the step size underflows to 0 at T={T}")
+    schedule = Schedule.PER_STEP_SQRT_T if per_step else Schedule.CONSTANT
+    return _rho_below_one(HyperParams(eta, beta1, beta2, schedule=schedule))
 
 
 def theorem_bound(inp: TheoremInputs, rho: float) -> float:

@@ -130,7 +130,9 @@ def reference_trial(problem, kind, hp, T, seed, collect_diagnostics=False):
 
     Kept frozen as the engine's reference.  It reads the presample budget
     when it is called, so a patched ``harness._PRESAMPLE_VALUES`` forces
-    its refills as it does the engine's.
+    its refills as it does the engine's.  Additive noise is presampled; the
+    finite sum, whose noise has a support, draws one index per step, so the
+    engine's index blocks are checked against scalar draws.
     """
     rng = make_rng(seed)
     state = OptimizerState.initial(problem.constants.x_init)
@@ -144,8 +146,9 @@ def reference_trial(problem, kind, hp, T, seed, collect_diagnostics=False):
     value = problem.value
 
     rows = max(1, min(T, harness._PRESAMPLE_VALUES // problem.d))
-    payloads = problem.presample_payloads(rng, rows)
-    additive = payloads is not None
+    # the finite sum keeps its one draw and one oracle call per step
+    additive = problem.noise_support() is None
+    payloads = problem.presample_payloads(rng, rows) if additive else None
     block_start = 1
     g_exact_prev = None
     done = 0

@@ -53,6 +53,8 @@ def benchmark_workloads() -> dict:
 
 # keys whose range the practical schedule checks; their cases run in practical mode
 PRACTICAL_KEYS = {"alpha", "beta2"}
+# parameters only synthetic_logistic takes; their cases run on it
+LOGISTIC_KEYS = {"problem.params.data_seed", "problem.params.feature_bound"}
 
 
 class TestConfigValidation:
@@ -102,16 +104,23 @@ class TestConfigValidation:
         ("output_dir", ["a"]),
         ("output_dir", ""),
         ("alpha", math.inf),
+        ("alpha", 5e-324),
         ("beta2", -0.5),
         ("problem.params.d", "x"),
         ("problem.params.d", 2.5),
         ("problem.params.d", True),
+        ("problem.params.d", -2),
+        ("problem.params.d", 0),
+        ("problem.params.data_seed", -1),
+        ("problem.params.feature_bound", math.inf),
     ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
             "string_write_traces", "string_diagnostics", "float_n_seeds",
             "bool_n_seeds", "float_in_T_grid", "scalar_T_grid", "null_delta",
             "bool_delta", "scalar_optimizers", "list_params", "null_output_dir",
             "list_output_dir", "empty_output_dir", "practical_infinite_alpha",
-            "practical_negative_beta2", "string_d", "float_d", "bool_d"])
+            "practical_underflowing_alpha", "practical_negative_beta2", "string_d",
+            "float_d", "bool_d", "negative_d", "zero_d", "negative_data_seed",
+            "infinite_feature_bound"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
@@ -123,6 +132,8 @@ class TestConfigValidation:
         cfg = base_config(tmp_path / "out")
         if key in PRACTICAL_KEYS:
             cfg["param_mode"] = "practical"
+        if key in LOGISTIC_KEYS:
+            cfg["problem"] = {"name": "synthetic_logistic", "params": {"d": 3}}
         *sections, leaf = key.split(".")
         functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
         path = write_config(tmp_path, cfg)

@@ -76,12 +76,39 @@ class TestNoisyQuadratic:
         with pytest.raises(InvalidConstant):
             noisy_quadratic(2, np.array([1.0, 0.0]), np.zeros(2), np.ones(2))
 
-    def test_presample_matches_single_draws(self):
-        p = noisy_quadratic(3, np.ones(3), np.array([0.1, 0.0, 2.0]), np.ones(3))
-        batch = p.presample_payloads(make_rng(5), 50)
-        rng = make_rng(5)
-        singles = np.stack([p.draw_noise(rng).payload for _ in range(50)])
+
+
+class TestPresample:
+    """Every problem presamples its noise; a block must be the draws, and
+    leave the generator in the state, of as many single draws."""
+
+    @pytest.mark.parametrize("problem", [
+        noisy_quadratic(3, np.ones(3), np.array([0.1, 0.0, 2.0]), np.ones(3)),
+        bounded_nonconvex(2, np.ones(2), np.array([0.5, 1.0]), np.ones(2)),
+        synthetic_logistic(3, 7, 1.0, np.zeros(3)),
+    ], ids=lambda p: p.name)
+    def test_presample_matches_single_draws(self, problem):
+        block_rng, rng = make_rng(5), make_rng(5)
+        batch = problem.presample_payloads(block_rng, 50)
+        singles = np.stack([problem.draw_noise(rng).payload for _ in range(50)])
         np.testing.assert_array_equal(batch, singles)
+        assert block_rng.bit_generator.state == rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2**31 - 1), k=st.integers(0, 70), before=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, k=5, before=0, seed=0)            # a one-value range draws nothing
+    @example(n=2**31 - 1, k=3, before=1, seed=1)
+    @example(n=2**31 - 1, k=1, before=0, seed=2)    # rejection near the top
+    def test_block_integer_draws_match_scalar_draws(self, n, k, before, seed):
+        # synthetic_logistic presamples its indices with one integers call;
+        # draws before it leave half of a 64-bit output buffered
+        block_rng, rng = make_rng(seed), make_rng(seed)
+        for gen in (block_rng, rng):
+            gen.integers(0, n, size=before)
+        block = block_rng.integers(0, n, size=k)
+        assert block.tolist() == [int(rng.integers(0, n)) for _ in range(k)]
+        assert block_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestBoundedNonConvex:
@@ -278,14 +305,21 @@ class TestLogisticOraclesBitForBit:
 def per_probe_verify(problem, n_probes, rng):
     """verify_assumptions one draw and one oracle call at a time, as it was
     before the probes were drawn in blocks: the reference for the block
-    path.  The noise bound and smoothness pass up to 1 + _REL_SLACK.
-    Returns each check's (passed, worst_ratio)."""
+    path.  Unbiasedness averages over the whole support where the noise
+    has one, as the verifier does.  The noise bound and smoothness pass up
+    to 1 + _REL_SLACK.  Returns each check's (passed, worst_ratio)."""
     consts = problem.constants
     sigma = consts.sigma_vec
     points = problems._probe_points(problem, rng, 5)
+    support = problem.noise_support()
     worst = 0.0
     for x in points:
         exact = problem.exact_grad(x)
+        if support is not None:
+            mean = np.mean([problem.stoch_grad(x, xi) for xi in support], axis=0)
+            tol = 1e-12 * (1.0 + float(np.max(np.abs(exact))))
+            worst = max(worst, np.max(np.abs(mean - exact)) / tol)
+            continue
         acc = np.zeros(problem.d)
         for _ in range(n_probes):
             acc += problem.stoch_grad(x, problem.draw_noise(rng)) - exact
@@ -384,12 +418,14 @@ class TestVerifyAssumptions:
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(1, 5), n_probes=st.integers(1, 40),
            problem_name=st.sampled_from(["noisy_quadratic", "bounded_nonconvex",
-                                         "understated"]),
+                                         "synthetic_logistic", "understated"]),
            seed=st.integers(0, 2**32 - 1), zero_sigma=st.booleans(),
            repeat_pairs=st.booleans())
     @example(d=1, n_probes=1, problem_name="noisy_quadratic", seed=0, zero_sigma=True,
              repeat_pairs=False)
     @example(d=3, n_probes=5, problem_name="understated", seed=1, zero_sigma=True,
+             repeat_pairs=True)
+    @example(d=2, n_probes=7, problem_name="synthetic_logistic", seed=2, zero_sigma=False,
              repeat_pairs=True)
     def test_block_draws_match_per_probe_reference(self, d, n_probes, problem_name, seed,
                                                   zero_sigma, repeat_pairs):
@@ -401,6 +437,11 @@ class TestVerifyAssumptions:
             declared = sigma.copy()
             declared[gen.integers(0, d)] = 0.0  # noisy but declared noiseless: inf
             p = UnderstatedNoise(d, sigma + 0.1, declared)
+        elif problem_name == "synthetic_logistic":
+            p = make_problem(problem_name, {
+                "d": d, "n_samples": int(gen.integers(1, 30)),
+                "feature_bound": float(gen.uniform(0.1, 3.0)),
+                "x_init": gen.uniform(-2.0, 2.0, d), "data_seed": int(gen.integers(0, 100))})
         else:
             p = make_problem(problem_name, {"d": d, "sigma": sigma,
                                             "x_init": gen.uniform(-2.0, 2.0, d)})
@@ -457,6 +498,14 @@ class TestMakeProblem:
         ("synthetic_logistic", "n_samples", 4.0),
         ("synthetic_logistic", "data_seed", False),
         ("synthetic_logistic", "feature_bound", "1"),
+        # of the right type but out of range
+        ("noisy_quadratic", "d", -2),
+        ("noisy_quadratic", "d", 0),
+        ("synthetic_logistic", "n_samples", 0),
+        ("synthetic_logistic", "data_seed", -1),
+        ("synthetic_logistic", "feature_bound", np.inf),
+        ("synthetic_logistic", "feature_bound", np.nan),
+        ("synthetic_logistic", "feature_bound", -1.0),
     ])
     def test_typed_params_checked_not_converted(self, name, key, value):
         params = {"d": 2, key: value}

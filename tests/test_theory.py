@@ -136,6 +136,10 @@ class TestPracticalParams:
         for beta2 in (-0.5, 1.0, math.nan):
             with pytest.raises(InvalidConstant, match="beta2"):
                 practical_params(alpha=1.0, beta=1.0, T=100, beta2=beta2)
+        # a positive alpha whose step size underflows to 0, under either schedule
+        for per_step in (False, True):
+            with pytest.raises(InvalidConstant, match="alpha"):
+                practical_params(alpha=5e-324, beta=1.0, T=100, per_step=per_step)
 
 
 class TestTheoremBound:
