@@ -5,19 +5,19 @@ draws a single fresh noise realization, feeds the shared-sample gradient
 pair to the optimizer, and records the exact loss and gradient norms.  The
 headline metric of a trial is min over t of ||grad F(x_t)||_1.
 
-One engine, :func:`run_cell`, steps S seeded trials as one (S, d) state,
-each seed drawing from its own stream derived from one master seed, with
-its noise presampled into one buffer of bounded size.  Its
-recorder chooses what is kept: only the headlines (none), the CSV trace
-columns (:class:`TraceRecorder`), or the per-coordinate arrays the lemma
-checks read (``diagnostics.DiagnosticRecorder``).  An experiment runs one
+One engine, :func:`run_cell`, steps S seeded trials as (S, d) states,
+each seed drawing from its own stream derived from one master seed, in
+chunks whose noise is presampled into one buffer of bounded size.  Its
+recorder chooses what is kept beyond each seed's headline and abort:
+nothing (the base :class:`Recorder`), the CSV trace columns
+(:class:`TraceRecorder`), or the per-coordinate arrays the lemma checks
+read (``diagnostics.DiagnosticRecorder``).  An experiment runs one
 cell per (optimizer, horizon), reduces it to quantiles of the headline and
 fits log-log rates through the medians.  "With probability >= 1 - delta"
 is the empirical (1-delta)-quantile over independent seeds.  Reduction is
 keyed and ordered, so reports are byte-identical for any worker count.
-A cell steps its seeds in chunks, the most that leave each seed min(T, 64)
-presample rows and, if traced, hold their columns in 2^21 values; given a
-trace directory it writes their CSVs.  The engine is the only loop over t:
+Given a trace directory, a cell steps parts of its seeds whose columns
+hold 2^21 values and writes their CSVs.  The engine is the only loop over t:
 :func:`run_trial` is its single-seed call with a :class:`TraceRecorder`.
 """
 
@@ -75,8 +75,8 @@ class TrialTrace:
 # presampled noise is drawn in blocks of at most this many values per
 # buffer; draws are stream-equivalent at any block boundary
 _PRESAMPLE_VALUES = 1 << 16
-# an experiment cell steps at most as many seeds together as leave each
-# seed min(T, this many) presample rows, so refills stay rare at any S
+# run_cell steps at most as many seeds together as leave each seed
+# min(T, this many) presample rows, so refills stay rare at any S
 _MIN_PRESAMPLE_ROWS = 64
 
 
@@ -84,21 +84,22 @@ def _block_rows(T: int, row_size: int) -> int:
     return max(1, min(T, _PRESAMPLE_VALUES // row_size))
 
 
-# the trace columns recorded in one run_cell call hold at most this many
-# values (16 MiB), or one seed's columns where those alone are larger
+# a traced cell steps parts of seeds whose columns hold at most this many
+# values (16 MiB), or one seed where its columns alone are more
 _TRACE_VALUES = 1 << 21
 
 
 class Recorder:
-    """Base of what :func:`run_cell` keeps beyond the headlines.
+    """What :func:`run_cell` keeps of every seed: the base keeps ``headline``
+    (NaN where aborted), ``done`` and ``abort_reasons``, and nothing per step.
 
     After step t it calls ``record(t, live, state, grads, g_exact, grad_l1,
     loss)`` with the new state (``prev_x`` is x_t), the gradients at x_t
     and F(x_t); row r is seed ``live[r]``.  Then, if a row turned
     non-finite, ``end_aborted(t, live, state, finite)``: its seed ends with
-    ``done`` finite steps and the error :func:`step` would raise.
-    ``needs_prev`` asks for g_prev for every kind, ``needs_loss`` for the
-    loss (else it is None).
+    ``done`` finite steps (aborted if under T) and the error :func:`step`
+    would raise.  ``needs_prev`` asks for g_prev for every kind,
+    ``needs_loss`` for the loss (else it is None).
     """
 
     needs_prev = False
@@ -106,8 +107,12 @@ class Recorder:
 
     def __init__(self, n_seeds: int, T: int):
         self.T = T
+        self.headline = np.full(n_seeds, np.nan)
         self.done = np.full(n_seeds, T)
         self.abort_reasons = [""] * n_seeds
+
+    def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
+        pass
 
     def end_aborted(self, t: int, live: np.ndarray, state: OptimizerState,
                     finite: np.ndarray) -> None:
@@ -166,34 +171,38 @@ class TraceRecorder(Recorder):
 
 
 def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
-             T: int, seeds: list[int], recorder: Recorder | None = None,
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Headlines of S seeded trials stepped together as one (S, d) state.
+             T: int, seeds: list[int], recorder: Recorder | None = None) -> Recorder:
+    """S seeded trials stepped as (S, d) states; returns the recorder.
 
     Row s draws from ``make_rng(seeds[s])`` and follows, bit for bit, the
-    trajectory that calling :func:`step` on that seed alone would.  Without
-    a recorder only the running minimum of ||grad F(x_t)||_1 is kept; a
-    :class:`Recorder` sized for S seeds and T steps also receives every
-    step of every seed.  A row that turns non-finite aborts its own
-    seed and is dropped from the state.  Returns the per-seed headline
-    (NaN where aborted) and the abort mask.
+    trajectory that calling :func:`step` on that seed alone would.  The
+    :class:`Recorder`, sized for S seeds and T steps (a base one if none is
+    given), receives every step of every seed and keeps its headline and
+    abort.  A row that turns non-finite aborts its seed and is dropped.
 
-    Every seed's noise is presampled into one buffer of bounded size, row
-    t holding the S payloads of step t.  Each step makes one call of each
-    block oracle of the problem, which decides whether it evaluates the
-    (S, d) block at once or row by row.
+    Seeds are stepped in chunks, the most that leave each seed min(T, 64)
+    rows of one presample buffer of bounded size; rows are independent, so
+    chunking changes no bit.  Each step makes one call of each block oracle
+    of the problem, which evaluates the block at once or row by row.
     """
+    if recorder is None:
+        recorder = Recorder(len(seeds), T)
+    chunk = max(1, _PRESAMPLE_VALUES // (problem.d * min(T, _MIN_PRESAMPLE_ROWS)))
+    for lo in range(0, len(seeds), chunk):
+        _run_chunk(problem, kind, hp, T, seeds[lo:lo + chunk], lo, recorder)
+    return recorder
+
+
+def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
+               T: int, seeds: list[int], lo: int, recorder: Recorder) -> None:
     S, d = len(seeds), problem.d
     x0 = OptimizerState.initial(problem.constants.x_init).x
     state = OptimizerState(x=np.tile(x0, (S, 1)), m=np.zeros((S, d)),
                            v=np.zeros((S, d)), prev_x=np.tile(x0, (S, 1)), t=1)
     rngs = [make_rng(seed) for seed in seeds]
-    live = np.arange(S)              # seed index of each state row
+    live = np.arange(lo, lo + S)     # recorder row of each state row
     best = np.full(S, np.inf)
-    headline = np.full(S, np.nan)
-    aborted = np.zeros(S, dtype=bool)
-    needs_prev = kind in STORM_FAMILY or (recorder is not None and recorder.needs_prev)
-    needs_loss = recorder is not None and recorder.needs_loss
+    needs_prev = kind in STORM_FAMILY or recorder.needs_prev
     exact_grads = problem.exact_grads
     sampled_grads = problem.sampled_grads
 
@@ -210,19 +219,16 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
             for r, rng in enumerate(rngs):
                 buf[:n, r] = problem.presample_payloads(rng, n)
         pay = buf[t - block_start]
-        g_exact, loss = exact_grads(state.x, needs_loss)
+        g_exact, loss = exact_grads(state.x, recorder.needs_loss)
         g_curr = sampled_grads(state.x, pay, g_exact)
         g_prev = sampled_grads(state.prev_x, pay, g_exact_prev) if needs_prev and t > 1 else None
         grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
         best = np.minimum(best, grad_l1)
         grads = GradientPair(g_curr, g_prev)
         state, finite = step_batch(state, grads, hp, kind)
-        if recorder is not None:
-            recorder.record(t, live, state, grads, g_exact, grad_l1, loss)
+        recorder.record(t, live, state, grads, g_exact, grad_l1, loss)
         if finite is not None:
-            if recorder is not None:
-                recorder.end_aborted(t, live, state, finite)
-            aborted[live[~finite]] = True
+            recorder.end_aborted(t, live, state, finite)
             live = live[finite]
             rngs = [rng for rng, ok in zip(rngs, finite) if ok]
             state = OptimizerState(x=state.x[finite], m=state.m[finite],
@@ -234,8 +240,7 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
             if live.size == 0:
                 break
         g_exact_prev = g_exact
-    headline[live] = best
-    return headline, aborted
+    recorder.headline[live] = best
 
 
 def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
@@ -366,7 +371,8 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
     return hp
 
 
-def _experiment_cell(args) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+def _experiment_cell(args) -> tuple[tuple[int, int], Recorder]:
+    """A cell's key and recorder; traced, its seeds step in parts under the trace bound."""
     spec, opt_idx, T_idx, trace_dir = args
     problem = spec.build_problem()
     kind = spec.optimizers[opt_idx]
@@ -374,25 +380,22 @@ def _experiment_cell(args) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     hp = resolve_hyperparams(spec, problem, kind, T)
     seeds = [derive_seed(spec.master_seed, opt_idx, T_idx, seed_idx)
              for seed_idx in range(spec.n_seeds)]
-    # rows are independent, so stepping the seeds in chunks changes no bit
+    if trace_dir is None:
+        return (opt_idx, T_idx), run_cell(problem, kind, hp, T, seeds)
+    os.makedirs(trace_dir, exist_ok=True)
     diag = spec.collect_diagnostics
-    chunk = max(1, _PRESAMPLE_VALUES // (problem.d * min(T, _MIN_PRESAMPLE_ROWS)))
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        chunk = max(1, min(chunk, _TRACE_VALUES // (T * (5 if diag else 4))))
-    headline = np.empty(len(seeds))
-    aborted = np.empty(len(seeds), dtype=bool)
-    for lo in range(0, len(seeds), chunk):
-        part = seeds[lo:lo + chunk]
-        recorder = TraceRecorder(len(part), T, diag) if trace_dir is not None else None
-        headline[lo:lo + len(part)], aborted[lo:lo + len(part)] = run_cell(
-            problem, kind, hp, T, part, recorder)
-        if recorder is not None:
-            for s, seed in enumerate(part):
-                write_trace_csv(recorder.trace(s, seed, kind, hp),
-                                os.path.join(trace_dir, f"{kind.value}_T{T}_s{lo + s}.csv"))
-        del recorder  # free this chunk's columns before the next is allocated
-    return (opt_idx, T_idx), headline, aborted
+    part_size = max(1, _TRACE_VALUES // (T * (5 if diag else 4)))
+    cell = Recorder(len(seeds), T)
+    for lo in range(0, len(seeds), part_size):
+        part = seeds[lo:lo + part_size]
+        recorder = run_cell(problem, kind, hp, T, part, TraceRecorder(len(part), T, diag))
+        for s, seed in enumerate(part):
+            write_trace_csv(recorder.trace(s, seed, kind, hp),
+                            os.path.join(trace_dir, f"{kind.value}_T{T}_s{lo + s}.csv"))
+        for name in ("headline", "done", "abort_reasons"):
+            getattr(cell, name)[lo:lo + len(part)] = getattr(recorder, name)
+        del recorder  # free this part's columns before the next is allocated
+    return (opt_idx, T_idx), cell
 
 
 def _worker_count() -> int:
@@ -453,15 +456,11 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
                    key=lambda task: -spec.T_grid[task[2]])
     workers = max_workers if max_workers is not None else _worker_count()
 
-    results: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     if workers <= 1 or len(tasks) == 1:
-        for task in tasks:
-            key, headline, aborted = _experiment_cell(task)
-            results[key] = (headline, aborted)
+        results = dict(map(_experiment_cell, tasks))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for key, headline, aborted in pool.map(_experiment_cell, tasks):
-                results[key] = (headline, aborted)
+            results = dict(pool.map(_experiment_cell, tasks))
 
     levels = {"0.5": 0.5, "0.9": 0.9, "1-delta": 1.0 - spec.delta}
     cells = []
@@ -469,9 +468,7 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
     nonfinite = 0
     for oi, kind in enumerate(spec.optimizers):
         for ti, T in enumerate(spec.T_grid):
-            headline, aborted = results[(oi, ti)]
-            vals = [float(h) for h, a in zip(headline, aborted)
-                    if not a and math.isfinite(h)]
+            vals = [float(h) for h in results[oi, ti].headline if math.isfinite(h)]
             n_fail = spec.n_seeds - len(vals)
             nonfinite += n_fail
             qs = {name: quantile(vals, lv) if vals else None

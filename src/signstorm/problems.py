@@ -364,31 +364,47 @@ def check_params(params: dict) -> None:
 
 
 def make_problem(name: str, params: dict) -> StochasticProblem:
-    """Construct a bundled problem from its name and a parameter map."""
+    """Construct a bundled problem from its name and a parameter map.  Sizes
+    whose arrays cannot be allocated are an InvalidConstant naming them."""
     check_params(params)
     p = dict(params)
     try:
         d = int(p.pop("d"))
     except KeyError as exc:
         raise InvalidConstant("problem params need a dimension 'd'") from exc
-    if name == "noisy_quadratic":
-        out = NoisyQuadratic(d, _as_vec(p.pop("hessian_diag", 1.0), d),
-                             _as_vec(p.pop("sigma", 0.0), d),
-                             _as_vec(p.pop("x_init", 1.0), d))
-    elif name == "bounded_nonconvex":
-        out = BoundedNonConvex(d, _as_vec(p.pop("a", 1.0), d),
-                               _as_vec(p.pop("sigma", 0.0), d),
-                               _as_vec(p.pop("x_init", 1.0), d))
-    elif name == "synthetic_logistic":
-        out = SyntheticLogistic(d, int(p.pop("n_samples", 32)),
-                                float(p.pop("feature_bound", 1.0)),
-                                _as_vec(p.pop("x_init", 0.0), d),
-                                seed=int(p.pop("data_seed", 0)))
-    else:
-        raise InvalidConstant(f"unknown problem name {name!r}")
+    try:
+        out = _build_problem(name, d, p)
+    except (MemoryError, ValueError) as exc:
+        # numpy's errors for an array larger than memory and for one larger
+        # than any array can be
+        if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+            raise
+        keys = ("d", "n_samples") if name == "synthetic_logistic" else ("d",)
+        sizes = ", ".join(f"problem.params.{key} = {params[key]!r}"
+                          for key in keys if key in params)
+        raise InvalidConstant(f"{sizes}: the {name} problem's arrays are too large "
+                              "to allocate") from None
     if p:
         raise InvalidConstant(f"unknown problem parameters: {sorted(p)}")
     return out
+
+
+def _build_problem(name: str, d: int, p: dict) -> StochasticProblem:
+    """The named problem at dimension d, popping its parameters from p."""
+    if name == "noisy_quadratic":
+        return NoisyQuadratic(d, _as_vec(p.pop("hessian_diag", 1.0), d),
+                              _as_vec(p.pop("sigma", 0.0), d),
+                              _as_vec(p.pop("x_init", 1.0), d))
+    if name == "bounded_nonconvex":
+        return BoundedNonConvex(d, _as_vec(p.pop("a", 1.0), d),
+                                _as_vec(p.pop("sigma", 0.0), d),
+                                _as_vec(p.pop("x_init", 1.0), d))
+    if name == "synthetic_logistic":
+        return SyntheticLogistic(d, int(p.pop("n_samples", 32)),
+                                 float(p.pop("feature_bound", 1.0)),
+                                 _as_vec(p.pop("x_init", 0.0), d),
+                                 seed=int(p.pop("data_seed", 0)))
+    raise InvalidConstant(f"unknown problem name {name!r}")
 
 
 @dataclass

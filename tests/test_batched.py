@@ -9,9 +9,10 @@ with a ``TraceRecorder`` every column of its trace, and with a
 diagnostics columns.  ``run_trial``, the engine's single-seed call, must
 reproduce the reference trace too.  The three grids that check this over
 every problem and kind share one seed list and run each case's reference
-once.  An experiment whose cells step their
-seeds in several chunks must report what one ``run_cell`` over all of
-them gives.
+once.  ``run_cell`` steps any seed list in chunks, and without a
+recorder still keeps each seed's headline, abort step and reason.  An
+experiment whose cells step their seeds in several chunks must report
+what one chunk over all of them gives.
 Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
 counts as a difference.
 """
@@ -251,10 +252,10 @@ def grid_case(name, kind, block_values, beta1, monkeypatch):
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_cell_matches_per_seed_trials(name, kind, block_values, beta1, monkeypatch):
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
-    headline, aborted = run_cell(problem, kind, hp, 150, GRID_SEEDS)
+    cell = run_cell(problem, kind, hp, 150, GRID_SEEDS)
     for s, trace in enumerate(references):
-        assert not trace.aborted and not aborted[s]
-        assert same_bits(headline[s], trace.headline)
+        assert not trace.aborted and cell.done[s] == 150
+        assert same_bits(cell.headline[s], trace.headline)
 
 
 def test_abort_drops_only_its_own_seed():
@@ -268,7 +269,7 @@ def test_abort_drops_only_its_own_seed():
     seeds = [derive_seed(7, 0, 0, s) for s in range(8)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        headline, aborted = run_cell(problem, OptimizerKind.SGD, hp, T, seeds)
+        cell = run_cell(problem, OptimizerKind.SGD, hp, T, seeds)
         traces = [reference_trial(problem, OptimizerKind.SGD, hp, T, seed)
                   for seed in seeds]
         report = run_experiment(ExperimentSpec(
@@ -278,13 +279,43 @@ def test_abort_drops_only_its_own_seed():
     expected = [trace.aborted for trace in traces]
     assert 0 < sum(expected) < len(seeds)
     assert len({trace.t.size for trace in traces if trace.aborted}) > 1
-    assert aborted.tolist() == expected
+    assert (cell.done < T).tolist() == expected
     assert report.cells[0]["n_fail"] == sum(expected)
     for s, trace in enumerate(traces):
+        # with no recorder given, the default one keeps each seed's abort
+        # step and reason: T and "" where it finished
+        assert bool(trace.abort_reason) == trace.aborted
+        assert cell.done[s] == trace.t.size and cell.abort_reasons[s] == trace.abort_reason
         if not trace.aborted:
-            assert same_bits(headline[s], trace.headline)
+            assert same_bits(cell.headline[s], trace.headline)
         else:
-            assert np.isnan(headline[s])
+            assert np.isnan(cell.headline[s])
+
+
+def test_direct_call_chunks_its_seeds(monkeypatch):
+    # 200 seeds at d = 20 sharing one 2^16-value buffer would get 16 rows
+    # each, so every seed would refill every 16 steps; run_cell's chunks of
+    # 51 seeds leave each seed 64 rows, one refill per 64 steps
+    params = {"d": 20, "hessian_diag": 1.0, "sigma": 0.3,
+              "x_init": [0.5 + j / 19 for j in range(20)]}
+    problem = make_problem("noisy_quadratic", params)
+    S, T, kind = 200, 200, OptimizerKind.SIGNSTORM
+    hp = hyperparams(kind, None)
+    seeds = [derive_seed(22, s) for s in range(S)]
+    calls = []
+    presample = problem.presample_payloads
+
+    def counted_presample(rng, n):
+        calls.append(n)
+        return presample(rng, n)
+
+    monkeypatch.setattr(problem, "presample_payloads", counted_presample)
+    cell = run_cell(problem, kind, hp, T, seeds)
+    assert len(calls) <= S * math.ceil(T / harness._MIN_PRESAMPLE_ROWS)
+    for s in (0, 50, 51, S - 1):
+        trace = reference_trial(problem, kind, hp, T, seeds[s])
+        assert not trace.aborted and cell.done[s] == T
+        assert same_bits(cell.headline[s], trace.headline)
 
 
 @pytest.mark.parametrize("case", ["staggered_abort", "two_kinds"])
@@ -320,29 +351,31 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES",
                             3 * problem.d * harness._MIN_PRESAMPLE_ROWS)
         chunks, results = [], {}
-        engine, experiment_cell = harness.run_cell, harness._experiment_cell
+        chunk_body, experiment_cell = harness._run_chunk, harness._experiment_cell
 
-        def counted_run_cell(problem, kind, hp, T, seeds, recorder=None):
+        def counted_chunk(problem, kind, hp, T, seeds, lo, recorder):
             chunks.append(len(seeds))
-            return engine(problem, kind, hp, T, seeds, recorder)
+            return chunk_body(problem, kind, hp, T, seeds, lo, recorder)
 
         def kept_cell(task):
-            key, headline, aborted = experiment_cell(task)
-            results[key] = headline, aborted
-            return key, headline, aborted
+            key, recorder = experiment_cell(task)
+            results[key] = recorder
+            return key, recorder
 
-        monkeypatch.setattr(harness, "run_cell", counted_run_cell)
+        monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
         monkeypatch.setattr(harness, "_experiment_cell", kept_cell)
         report = run_experiment(spec, max_workers=1)
     assert chunks == [3, 3, spec.n_seeds - 6] * len(cells)
     assert report.to_json() == whole
     if case == "staggered_abort":
-        assert expected[0, 0][1][3:6].any()
+        assert (expected[0, 0].done[3:6] < spec.T_grid[0]).any()
     for cell, (oi, ti) in zip(report.cells, cells):
-        headline, aborted = expected[oi, ti]
-        assert same_bits(results[oi, ti][0], headline)
-        assert results[oi, ti][1].tolist() == aborted.tolist()
-        assert cell["n_fail"] == int(np.sum(aborted | ~np.isfinite(headline)))
+        whole_cell, chunked = expected[oi, ti], results[oi, ti]
+        aborted = whole_cell.done < spec.T_grid[ti]
+        assert same_bits(chunked.headline, whole_cell.headline)
+        assert chunked.done.tolist() == whole_cell.done.tolist()
+        assert chunked.abort_reasons == whole_cell.abort_reasons
+        assert cell["n_fail"] == int(np.sum(aborted | ~np.isfinite(whole_cell.headline)))
 
 
 def assert_same_trace(recorded, reference):
@@ -361,10 +394,10 @@ def test_recorded_traces_match_per_seed_trials(name, kind, block_values, beta1,
                                                monkeypatch):
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
     recorder = TraceRecorder(len(GRID_SEEDS), 150, collect_diagnostics=True)
-    headline, aborted = run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder)
+    assert run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder) is recorder
     for s, (seed, trace) in enumerate(zip(GRID_SEEDS, references)):
         assert_same_trace(recorder.trace(s, seed, kind, hp), trace)
-        assert not aborted[s] and same_bits(headline[s], trace.headline)
+        assert recorder.done[s] == 150 and same_bits(recorder.headline[s], trace.headline)
         assert_same_trace(run_trial(problem, kind, hp, 150, seed,
                                     collect_diagnostics=True), trace)
     # without diagnostics the reference lacks only the eps_l1 column
@@ -382,14 +415,14 @@ def test_recorded_traces_stop_at_each_seeds_abort():
     recorder = TraceRecorder(len(seeds), T, collect_diagnostics=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        _, aborted = run_cell(problem, OptimizerKind.SGD, hp, T, seeds, recorder)
+        run_cell(problem, OptimizerKind.SGD, hp, T, seeds, recorder)
         traces = [reference_trial(problem, OptimizerKind.SGD, hp, T, seed,
                                   collect_diagnostics=True) for seed in seeds]
         singles = [run_trial(problem, OptimizerKind.SGD, hp, T, seed,
                              collect_diagnostics=True) for seed in seeds]
     assert len({trace.t.size for trace in traces if trace.aborted}) > 1
     for s, (seed, trace) in enumerate(zip(seeds, traces)):
-        assert aborted[s] == trace.aborted
+        assert (recorder.done[s] < T) == trace.aborted
         assert_same_trace(recorder.trace(s, seed, OptimizerKind.SGD, hp), trace)
         assert_same_trace(singles[s], trace)
 

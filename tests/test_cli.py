@@ -145,6 +145,25 @@ class TestConfigValidation:
         assert key in err
         assert not (tmp_path / "out").exists()
 
+    # sizes that pass load but whose arrays cannot be allocated, so the
+    # error comes when the problem is built
+    @pytest.mark.parametrize("problem, key", [
+        ({"name": "noisy_quadratic", "params": {"d": 10**12}}, "problem.params.d"),
+        ({"name": "noisy_quadratic", "params": {"d": 2**62}}, "problem.params.d"),
+        ({"name": "synthetic_logistic", "params": {"d": 3, "n_samples": 10**12}},
+         "problem.params.n_samples"),
+    ], ids=["memory_d", "too_big_d", "memory_n_samples"])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.usefixtures("bounded_address_space")
+    def test_unallocatable_size_is_one_config_error_line(self, tmp_path, capsys,
+                                                         command, problem, key):
+        cfg = base_config(tmp_path / "out")
+        cfg["problem"] = problem
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

@@ -16,9 +16,11 @@ representation check, whose d = 1 sums run sequentially where the per-t
 loop's ran pairwise; on this config the per-t loop wrote the same bytes.
 It was re-pinned when the assumption verifier gained its relative slack:
 only the smoothness verdict moved, from fail to pass.
-``golden/trace_sha256.json`` pins every trace CSV that ``signstorm run``
-writes for three of the specs: one with the ``eps_l1`` column, one whose
-traces stop early at an abort, and one at d = 1.  Those digests were
+Both check digests also hold when ``run_cell`` steps the diagnosed seeds
+in several chunks.  ``golden/trace_sha256.json`` pins every trace CSV
+that ``signstorm run`` writes for three of the specs: one with the
+``eps_l1`` column, one whose traces stop early at an abort, and one at
+d = 1.  Those digests were
 computed while the traces still came from a serial per-trial re-run.
 ``golden/diagnostics_sha256.json`` pins every array of the ``DiagnosticRun``
 of each seed of a few diagnosed runs, among them the seeds ``signstorm
@@ -58,6 +60,7 @@ from signstorm import (
     run_experiment,
     run_with_diagnostics,
 )
+from signstorm import harness
 from signstorm.cli import RunConfig, main
 from signstorm.harness import resolve_hyperparams
 
@@ -354,6 +357,23 @@ def test_check_json_matches_golden_digest(tmp_path):
 def test_check_json_d1_matches_golden_digest(tmp_path):
     digest = check_digest(tmp_path, "check_d1")
     assert digest == json.loads(CHECK_GOLDEN.read_text())["check_d1"]
+
+
+@pytest.mark.parametrize("key", sorted(CHECKS))
+def test_check_json_is_chunk_invariant(key, tmp_path, monkeypatch):
+    # a presample budget of two seeds' minimum rows splits the check's
+    # three diagnosed seeds into chunks of 2 and 1
+    d = CHECKS[key][0]["problem"]["params"]["d"]
+    monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 2 * d * harness._MIN_PRESAMPLE_ROWS)
+    chunks, chunk_body = [], harness._run_chunk
+
+    def counted_chunk(problem, kind, hp, T, seeds, lo, recorder):
+        chunks.append(len(seeds))
+        return chunk_body(problem, kind, hp, T, seeds, lo, recorder)
+
+    monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
+    assert check_digest(tmp_path, key) == json.loads(CHECK_GOLDEN.read_text())[key]
+    assert chunks == [2, 1]
 
 
 def test_diagnostics_golden_file_covers_every_case():

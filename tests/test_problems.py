@@ -506,11 +506,22 @@ class TestMakeProblem:
         ("synthetic_logistic", "feature_bound", np.inf),
         ("synthetic_logistic", "feature_bound", np.nan),
         ("synthetic_logistic", "feature_bound", -1.0),
+        # in range, but with arrays larger than memory (numpy's MemoryError)
+        # or than any array can be (its "array is too big" ValueError)
+        ("noisy_quadratic", "d", 10**12),
+        ("noisy_quadratic", "d", 2**62),
+        ("bounded_nonconvex", "d", 2**62),
+        ("synthetic_logistic", "n_samples", 10**12),
     ])
+    @pytest.mark.usefixtures("bounded_address_space")
     def test_typed_params_checked_not_converted(self, name, key, value):
         params = {"d": 2, key: value}
         with pytest.raises(InvalidConstant, match=f"problem.params.{key}"):
             make_problem(name, params)
+
+    def test_other_value_errors_pass_through(self):
+        with pytest.raises(ValueError, match="could not convert"):
+            make_problem("noisy_quadratic", {"d": 2, "sigma": "abc"})
 
     def test_integer_types_accepted(self):
         p = make_problem("synthetic_logistic", {"d": np.int64(3), "n_samples": 4,
