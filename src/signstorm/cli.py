@@ -12,9 +12,10 @@ code.  The worker pool is capped by the SIGNSTORM_THREADS environment
 variable.  Every command is a thin shell over the library; outputs stay
 inside the configured output directory.  A config file loads into a
 :class:`RunConfig`: the ``ExperimentSpec`` its experiment keys build, plus
-the four keys only the CLI reads.  ``run`` steps every trial once, and its
-cell tasks record the CSV traces, a bounded amount per cell.  ``check``
-steps all its diagnosed seeds together in one call of the same engine.
+the four keys only the CLI reads.  ``run`` steps every trial once, in one
+task per optimizer (or per optimizer and seed range), and those tasks
+record the CSV traces, a bounded amount at a time.  ``check`` steps all
+its diagnosed seeds together in one call of the same engine.
 """
 
 from __future__ import annotations

@@ -119,14 +119,15 @@ def binomial_margin(p: float, n: int) -> float:
 
 class DiagnosticRecorder(Recorder):
     """Per-coordinate diagnostics of every seed of one run_cell call, as
-    (S, T, d) arrays, (S, T) for ``step_l2``, whose row s is seed s; each
-    row is computed as a single run would compute it."""
+    (S, max T, d) arrays, (S, max T) for ``step_l2``, whose row s is seed
+    s; each row is computed as a single run would compute it."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
 
-    def __init__(self, n_seeds: int, T: int, d: int):
+    def __init__(self, n_seeds: int, T, d: int):
         super().__init__(n_seeds, T)
-        shape = (n_seeds, T, d)
+        steps = int(self.horizon.max(initial=0))
+        shape = (n_seeds, steps, d)
         self.xi = np.empty(shape)
         self.eps = np.empty(shape)
         self.z = np.zeros(shape)       # Z_1 = 0
@@ -135,7 +136,7 @@ class DiagnosticRecorder(Recorder):
         self.grad_exact = np.empty(shape)
         self.g_curr = np.empty(shape)
         self.g_prev = np.zeros(shape)  # row 0 unused
-        self.step_l2 = np.empty((n_seeds, T))
+        self.step_l2 = np.empty((n_seeds, steps))
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         """Every array's row t-1 for the live seeds."""
@@ -156,11 +157,13 @@ class DiagnosticRecorder(Recorder):
 
     def run(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> DiagnosticRun:
         """Seed s's diagnostics, as views; NonFiniteValue if the seed aborted."""
-        if self.done[s] < self.T:
+        n = self.horizon[s]
+        if self.done[s] < n:
             raise NonFiniteValue(self.abort_reasons[s])
-        return DiagnosticRun(EpsilonTrace(self.xi[s], self.eps[s], self.z[s]),
-                             self.m[s], self.v[s], self.grad_exact[s], self.step_l2[s],
-                             self.g_curr[s], self.g_prev[s], hp, seed, kind)
+        return DiagnosticRun(EpsilonTrace(self.xi[s, :n], self.eps[s, :n], self.z[s, :n]),
+                             self.m[s, :n], self.v[s, :n], self.grad_exact[s, :n],
+                             self.step_l2[s, :n], self.g_curr[s, :n], self.g_prev[s, :n],
+                             hp, seed, kind)
 
 
 def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,

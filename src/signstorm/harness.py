@@ -6,17 +6,20 @@ pair to the optimizer, and records the exact loss and gradient norms.  The
 headline metric of a trial is min over t of ||grad F(x_t)||_1.
 
 One engine, :func:`run_cell`, steps S seeded trials as (S, d) states,
-each seed drawing from its own stream derived from one master seed, in
-chunks whose noise is presampled into one buffer of bounded size.  Its
-recorder chooses what is kept beyond each seed's headline and abort:
-nothing (the base :class:`Recorder`), the CSV trace columns
-(:class:`TraceRecorder`), or the per-coordinate arrays the lemma checks
-read (``diagnostics.DiagnosticRecorder``).  An experiment runs one
-cell per (optimizer, horizon), reduces it to quantiles of the headline and
+each seed drawing from its own stream derived from one master seed and
+running to its own horizon with its own hyperparameters, in chunks whose
+noise is presampled into one buffer of bounded size.  Its recorder
+chooses what is kept beyond each seed's headline and abort: nothing (the
+base :class:`Recorder`), the CSV trace columns (:class:`TraceRecorder`),
+or the per-coordinate arrays the lemma checks read
+(``diagnostics.DiagnosticRecorder``).  An experiment runs one task per
+optimizer, which steps that optimizer's seeds at every horizon together
+(split into seed ranges when there are fewer optimizers than workers),
+reduces each (optimizer, horizon) cell to quantiles of the headline and
 fits log-log rates through the medians.  "With probability >= 1 - delta"
 is the empirical (1-delta)-quantile over independent seeds.  Reduction is
 keyed and ordered, so reports are byte-identical for any worker count.
-Given a trace directory, a cell steps parts of its seeds whose columns
+Given a trace directory, a task steps parts of its rows whose columns
 hold 2^21 values and writes their CSVs.  The engine is the only loop over t:
 :func:`run_trial` is its single-seed call with a :class:`TraceRecorder`.
 """
@@ -39,6 +42,7 @@ from .optim import (
     HyperParams,
     OptimizerKind,
     OptimizerState,
+    Schedule,
     _check_finite,
     step_batch,
 )
@@ -84,8 +88,8 @@ def _block_rows(T: int, row_size: int) -> int:
     return max(1, min(T, _PRESAMPLE_VALUES // row_size))
 
 
-# a traced cell steps parts of seeds whose columns hold at most this many
-# values (16 MiB), or one seed where its columns alone are more
+# a traced task steps parts of rows whose columns hold at most this many
+# values (16 MiB), or one row where its columns alone are more
 _TRACE_VALUES = 1 << 21
 
 
@@ -93,11 +97,13 @@ class Recorder:
     """What :func:`run_cell` keeps of every seed: the base keeps ``headline``
     (NaN where aborted), ``done`` and ``abort_reasons``, and nothing per step.
 
-    After step t it calls ``record(t, live, state, grads, g_exact, grad_l1,
-    loss)`` with the new state (``prev_x`` is x_t), the gradients at x_t
-    and F(x_t); row r is seed ``live[r]``.  Then, if a row turned
-    non-finite, ``end_aborted(t, live, state, finite)``: its seed ends with
-    ``done`` finite steps (aborted if under T) and the error :func:`step`
+    ``T`` is one horizon for every seed or one per seed, kept as the
+    per-seed ``horizon``; ``done`` starts there.  After step t it calls
+    ``record(t, live, state, grads, g_exact, grad_l1, loss)`` with the new
+    state (``prev_x`` is x_t), the gradients at x_t and F(x_t); row r is
+    seed ``live[r]``.  Then, if a row turned non-finite,
+    ``end_aborted(t, live, state, finite)``: its seed ends with ``done``
+    finite steps (aborted iff under its horizon) and the error :func:`step`
     would raise.  ``needs_prev`` asks for g_prev for every kind,
     ``needs_loss`` for the loss (else it is None).
     """
@@ -105,10 +111,10 @@ class Recorder:
     needs_prev = False
     needs_loss = False
 
-    def __init__(self, n_seeds: int, T: int):
-        self.T = T
+    def __init__(self, n_seeds: int, T):
+        self.horizon = np.broadcast_to(np.asarray(T, dtype=np.int64), (n_seeds,)).copy()
         self.headline = np.full(n_seeds, np.nan)
-        self.done = np.full(n_seeds, T)
+        self.done = self.horizon.copy()
         self.abort_reasons = [""] * n_seeds
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
@@ -128,16 +134,17 @@ class Recorder:
 class TraceRecorder(Recorder):
     """The trace columns of every seed of one :func:`run_cell` call.
 
-    Each column is an (S, T) array whose row s belongs to seed s, written
-    one scalar at a time, which keeps a single seed's steps cheap.  An
-    aborted seed's trace stops at its last finite step.
+    Each column is an (S, max T) array whose row s belongs to seed s,
+    written one scalar at a time, which keeps a single seed's steps cheap.
+    A seed's trace stops at its horizon, or at its last finite step if it
+    aborted.
     """
 
     needs_loss = True
 
-    def __init__(self, n_seeds: int, T: int, collect_diagnostics: bool = False):
+    def __init__(self, n_seeds: int, T, collect_diagnostics: bool = False):
         super().__init__(n_seeds, T)
-        shape = (n_seeds, T)
+        shape = (n_seeds, int(self.horizon.max(initial=0)))
         self.loss = np.empty(shape)
         self.grad_l1 = np.empty(shape)
         self.grad_l2 = np.empty(shape)
@@ -166,57 +173,121 @@ class TraceRecorder(Recorder):
             loss=self.loss[s, :n], grad_l1=self.grad_l1[s, :n],
             grad_l2=self.grad_l2[s, :n], step_l2=self.step_l2[s, :n],
             eps_l1=self.eps_l1[s, :n] if self.eps_l1 is not None else None,
-            aborted=n < self.T, abort_reason=self.abort_reasons[s],
+            aborted=bool(n < self.horizon[s]), abort_reason=self.abort_reasons[s],
         )
 
 
-def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
-             T: int, seeds: list[int], recorder: Recorder | None = None) -> Recorder:
+class _RowParams:
+    """The hyperparameters of a chunk's rows, read by ``_advance`` as it
+    reads a :class:`HyperParams`: each of eta, beta1 and beta2 is the
+    rows' common value where all agree bit for bit (so Adam's ``beta **
+    t`` stays a scalar power) and an (S, 1) column otherwise."""
+
+    __slots__ = ("eta", "beta1", "beta2", "eps_guard", "schedule")
+
+    def __init__(self, hps: list[HyperParams]):
+        first = hps[0]
+        for name in ("schedule", "eps_guard"):
+            if any(getattr(hp, name) != getattr(first, name) for hp in hps):
+                raise ValueError(f"the rows of one run_cell call must share {name}")
+        self.schedule, self.eps_guard = first.schedule, first.eps_guard
+        for name in ("eta", "beta1", "beta2"):
+            vals = [getattr(hp, name) for hp in hps]
+            # hex tells -0.0 from 0.0
+            if len({float(v).hex() for v in vals}) > 1:
+                setattr(self, name, np.array(vals, dtype=np.float64)[:, None])
+            else:
+                setattr(self, name, getattr(first, name))
+
+    def step_size(self, t: int):
+        if self.schedule is Schedule.PER_STEP_SQRT_T:
+            return self.eta / math.sqrt(t)
+        return self.eta
+
+    def take(self, rows) -> "_RowParams":
+        """The parameters of the rows ``rows`` selects (a mask or a slice)."""
+        out = object.__new__(_RowParams)
+        out.schedule, out.eps_guard = self.schedule, self.eps_guard
+        for name in ("eta", "beta1", "beta2"):
+            val = getattr(self, name)
+            setattr(out, name, val[rows] if isinstance(val, np.ndarray) else val)
+        return out
+
+
+def _per_seed(value, n_seeds: int, single) -> list:
+    if isinstance(value, single):
+        return [value] * n_seeds
+    value = list(value)
+    if len(value) != n_seeds:
+        raise ValueError(f"got {len(value)} per-seed values for {n_seeds} seeds")
+    return value
+
+
+def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp, T, seeds: list[int],
+             recorder: Recorder | None = None) -> Recorder:
     """S seeded trials stepped as (S, d) states; returns the recorder.
 
-    Row s draws from ``make_rng(seeds[s])`` and follows, bit for bit, the
-    trajectory that calling :func:`step` on that seed alone would.  The
-    :class:`Recorder`, sized for S seeds and T steps (a base one if none is
-    given), receives every step of every seed and keeps its headline and
-    abort.  A row that turns non-finite aborts its seed and is dropped.
+    ``hp`` and ``T`` are one :class:`HyperParams` and one horizon for
+    every seed, or one per seed; all seeds must share the schedule and
+    ``eps_guard``.  Row s draws from ``make_rng(seeds[s])`` and follows,
+    bit for bit, the trajectory that calling :func:`step` on that seed
+    alone would for its own horizon.  The :class:`Recorder`, sized for
+    these seeds and horizons (a base one if none is given), receives every
+    step of every seed and keeps its headline and abort.  A row that turns
+    non-finite aborts its seed and is dropped.
 
-    Seeds are stepped in chunks, the most that leave each seed min(T, 64)
-    rows of one presample buffer of bounded size; rows are independent, so
-    chunking changes no bit.  Each step makes one call of each block oracle
-    of the problem, which evaluates the block at once or row by row.
+    Rows are ordered by descending horizon, so a row whose horizon has
+    ended retires as a tail slice, its headline written.  Seeds are stepped
+    in chunks, the most that leave each seed min(max T, 64) payload rows of
+    one presample buffer of bounded size; rows are independent, so order
+    and chunking change no bit.  Each step makes one call of each block
+    oracle of the problem, which evaluates the block at once or row by row.
     """
+    S = len(seeds)
+    horizons = _per_seed(T, S, (int, np.integer))
+    hps = _per_seed(hp, S, HyperParams)
     if recorder is None:
-        recorder = Recorder(len(seeds), T)
-    chunk = max(1, _PRESAMPLE_VALUES // (problem.d * min(T, _MIN_PRESAMPLE_ROWS)))
-    for lo in range(0, len(seeds), chunk):
-        _run_chunk(problem, kind, hp, T, seeds[lo:lo + chunk], lo, recorder)
+        recorder = Recorder(S, horizons)
+    if S == 0:
+        return recorder
+    # a zero-row block draws nothing and has the payload rows' shape
+    empty = problem.presample_payloads(make_rng(seeds[0]), 0)
+    row_size = math.prod(empty.shape[1:])
+    order = sorted(range(S), key=lambda s: -horizons[s])
+    longest = horizons[order[0]]
+    chunk = max(1, _PRESAMPLE_VALUES // (row_size * min(longest, _MIN_PRESAMPLE_ROWS)))
+    for lo in range(0, S, chunk):
+        rows = order[lo:lo + chunk]
+        _run_chunk(problem, kind, [hps[s] for s in rows], [horizons[s] for s in rows],
+                   [seeds[s] for s in rows], np.array(rows), recorder, empty)
     return recorder
 
 
-def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
-               T: int, seeds: list[int], lo: int, recorder: Recorder) -> None:
+def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperParams],
+               ends: list[int], seeds: list[int], live: np.ndarray, recorder: Recorder,
+               empty: np.ndarray) -> None:
+    """Seeds ``seeds``, recorder rows ``live``, in descending horizon order."""
     S, d = len(seeds), problem.d
     x0 = OptimizerState.initial(problem.constants.x_init).x
     state = OptimizerState(x=np.tile(x0, (S, 1)), m=np.zeros((S, d)),
                            v=np.zeros((S, d)), prev_x=np.tile(x0, (S, 1)), t=1)
+    params = _RowParams(hps)
     rngs = [make_rng(seed) for seed in seeds]
-    live = np.arange(lo, lo + S)     # recorder row of each state row
     best = np.full(S, np.inf)
     needs_prev = kind in STORM_FAMILY or recorder.needs_prev
     exact_grads = problem.exact_grads
     sampled_grads = problem.sampled_grads
 
-    rows = _block_rows(T, S * d)
-    # a zero-row block draws nothing and has the payload rows' shape
-    empty = problem.presample_payloads(rngs[0], 0)
+    T = ends[0]
+    rows = _block_rows(T, S * math.prod(empty.shape[1:]))
     buf = np.empty((rows, S) + empty.shape[1:], empty.dtype)
     block_start = 1 - rows           # step 1 fills the buffer
     g_exact_prev = None
     for t in range(1, T + 1):
         if t - block_start >= rows:
             block_start = t
-            n = min(rows, T - t + 1)
-            for r, rng in enumerate(rngs):
+            for r, (rng, end) in enumerate(zip(rngs, ends)):
+                n = min(rows, end - t + 1)
                 buf[:n, r] = problem.presample_payloads(rng, n)
         pay = buf[t - block_start]
         g_exact, loss = exact_grads(state.x, recorder.needs_loss)
@@ -225,22 +296,33 @@ def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
         grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
         best = np.minimum(best, grad_l1)
         grads = GradientPair(g_curr, g_prev)
-        state, finite = step_batch(state, grads, hp, kind)
+        state, finite = step_batch(state, grads, params, kind)
         recorder.record(t, live, state, grads, g_exact, grad_l1, loss)
         if finite is not None:
             recorder.end_aborted(t, live, state, finite)
-            live = live[finite]
+            state, params = _keep_rows(state, finite), params.take(finite)
+            live, best, g_exact, buf = live[finite], best[finite], g_exact[finite], buf[:, finite]
             rngs = [rng for rng, ok in zip(rngs, finite) if ok]
-            state = OptimizerState(x=state.x[finite], m=state.m[finite],
-                                   v=state.v[finite], prev_x=state.prev_x[finite],
-                                   t=state.t)
-            best = best[finite]
-            g_exact = g_exact[finite]
-            buf = buf[:, finite]
+            ends = [end for end, ok in zip(ends, finite) if ok]
             if live.size == 0:
                 break
         g_exact_prev = g_exact
-    recorder.headline[live] = best
+        if ends[-1] == t:
+            # the rows whose horizon is t are the tail
+            k = len(ends) - 1
+            while k and ends[k - 1] == t:
+                k -= 1
+            recorder.headline[live[k:]] = best[k:]
+            if k == 0:
+                break
+            state, params = _keep_rows(state, slice(k)), params.take(slice(k))
+            live, best, g_exact_prev, buf = live[:k], best[:k], g_exact_prev[:k], buf[:, :k]
+            rngs, ends = rngs[:k], ends[:k]
+
+
+def _keep_rows(state: OptimizerState, rows) -> OptimizerState:
+    return OptimizerState(x=state.x[rows], m=state.m[rows], v=state.v[rows],
+                          prev_x=state.prev_x[rows], t=state.t)
 
 
 def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
@@ -371,31 +453,48 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
     return hp
 
 
-def _experiment_cell(args) -> tuple[tuple[int, int], Recorder]:
-    """A cell's key and recorder; traced, its seeds step in parts under the trace bound."""
-    spec, opt_idx, T_idx, trace_dir = args
+def _experiment_task(args) -> list[tuple[tuple[int, int, int], Recorder]]:
+    """One optimizer's seeds lo..hi-1 at every horizon of the grid, stepped
+    by one :func:`run_cell` call, or, traced, in parts of rows whose columns
+    stay under the trace bound.  Returns ((optimizer index, T index, lo),
+    recorder of those seeds) for each of its cells."""
+    spec, oi, lo, hi, trace_dir = args
     problem = spec.build_problem()
-    kind = spec.optimizers[opt_idx]
-    T = spec.T_grid[T_idx]
-    hp = resolve_hyperparams(spec, problem, kind, T)
-    seeds = [derive_seed(spec.master_seed, opt_idx, T_idx, seed_idx)
-             for seed_idx in range(spec.n_seeds)]
+    kind = spec.optimizers[oi]
+    cells = [Recorder(hi - lo, T) for T in spec.T_grid]
+    hps = [resolve_hyperparams(spec, problem, kind, T) for T in spec.T_grid]
+    # longest horizon first, so that a traced part holds like horizons
+    rows = [(ti, si) for ti in reversed(range(len(spec.T_grid))) for si in range(lo, hi)]
+    seeds = [derive_seed(spec.master_seed, oi, ti, si) for ti, si in rows]
+    horizons = [spec.T_grid[ti] for ti, _ in rows]
+    row_hps = [hps[ti] for ti, _ in rows]
+
+    def keep(start: int, recorder: Recorder) -> None:
+        for r, (ti, si) in enumerate(rows[start:start + len(recorder.done)]):
+            cell = cells[ti]
+            cell.headline[si - lo] = recorder.headline[r]
+            cell.done[si - lo] = recorder.done[r]
+            cell.abort_reasons[si - lo] = recorder.abort_reasons[r]
+
     if trace_dir is None:
-        return (opt_idx, T_idx), run_cell(problem, kind, hp, T, seeds)
-    os.makedirs(trace_dir, exist_ok=True)
-    diag = spec.collect_diagnostics
-    part_size = max(1, _TRACE_VALUES // (T * (5 if diag else 4)))
-    cell = Recorder(len(seeds), T)
-    for lo in range(0, len(seeds), part_size):
-        part = seeds[lo:lo + part_size]
-        recorder = run_cell(problem, kind, hp, T, part, TraceRecorder(len(part), T, diag))
-        for s, seed in enumerate(part):
-            write_trace_csv(recorder.trace(s, seed, kind, hp),
-                            os.path.join(trace_dir, f"{kind.value}_T{T}_s{lo + s}.csv"))
-        for name in ("headline", "done", "abort_reasons"):
-            getattr(cell, name)[lo:lo + len(part)] = getattr(recorder, name)
-        del recorder  # free this part's columns before the next is allocated
-    return (opt_idx, T_idx), cell
+        keep(0, run_cell(problem, kind, row_hps, horizons, seeds))
+    else:
+        os.makedirs(trace_dir, exist_ok=True)
+        diag = spec.collect_diagnostics
+        start = 0
+        while start < len(rows):
+            # rows x longest horizon x columns under the bound
+            size = max(1, _TRACE_VALUES // (horizons[start] * (5 if diag else 4)))
+            part = slice(start, start + size)
+            recorder = run_cell(problem, kind, row_hps[part], horizons[part], seeds[part],
+                                TraceRecorder(len(seeds[part]), horizons[part], diag))
+            for r, ((ti, si), seed) in enumerate(zip(rows[part], seeds[part])):
+                write_trace_csv(recorder.trace(r, seed, kind, hps[ti]), os.path.join(
+                    trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))
+            keep(start, recorder)
+            start += len(seeds[part])
+            del recorder  # free this part's columns before the next is allocated
+    return [((oi, ti, lo), cell) for ti, cell in enumerate(cells)]
 
 
 def _worker_count() -> int:
@@ -409,6 +508,10 @@ def _worker_count() -> int:
         if workers < 1:
             raise ConfigError(f"SIGNSTORM_THREADS must be at least 1, got {env!r}")
         return workers
+    # the CPUs this process may run on, which a cpuset or affinity mask
+    # can make fewer than the host's
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -443,24 +546,28 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
                    trace_dir: str | None = None) -> ExperimentReport:
     """Run the full (optimizer, T, seed) grid and reduce to a report.
 
-    One task per (optimizer, T) cell, longest horizon first so the pool's
-    tail stays short.  The result is independent of worker count and
-    scheduling: each trial's seed is a pure function of its indices and
-    reduction iterates cells in config order.  With ``trace_dir``, every
-    cell task also writes its seeds' CSV traces there, as
+    One task per optimizer steps its seeds at every horizon together.
+    With fewer optimizers than workers, each optimizer's seeds are split
+    into ceil(workers / optimizers) seed-range tasks, so the pool stays
+    busy.  The result is independent of worker count and scheduling: each
+    trial's seed is a pure function of its indices, and reduction iterates
+    cells in config order and each cell's seed ranges in seed order.  With
+    ``trace_dir``, every task also writes its seeds' CSV traces there, as
     ``<optimizer>_T<T>_s<seed index>.csv``, creating the directory.
     """
-    tasks = sorted(((spec, oi, ti, trace_dir)
-                    for oi in range(len(spec.optimizers))
-                    for ti in range(len(spec.T_grid))),
-                   key=lambda task: -spec.T_grid[task[2]])
     workers = max_workers if max_workers is not None else _worker_count()
+    n_opt = len(spec.optimizers)
+    n_ranges = min(spec.n_seeds, -(-workers // n_opt)) if n_opt < workers else 1
+    bounds = [spec.n_seeds * k // n_ranges for k in range(n_ranges + 1)]
+    tasks = [(spec, oi, lo, hi, trace_dir)
+             for oi in range(n_opt) for lo, hi in zip(bounds, bounds[1:])]
 
     if workers <= 1 or len(tasks) == 1:
-        results = dict(map(_experiment_cell, tasks))
+        parts = map(_experiment_task, tasks)
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = dict(pool.map(_experiment_cell, tasks))
+            parts = list(pool.map(_experiment_task, tasks))
+    results = dict(item for part in parts for item in part)
 
     levels = {"0.5": 0.5, "0.9": 0.9, "1-delta": 1.0 - spec.delta}
     cells = []
@@ -468,7 +575,8 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
     nonfinite = 0
     for oi, kind in enumerate(spec.optimizers):
         for ti, T in enumerate(spec.T_grid):
-            vals = [float(h) for h in results[oi, ti].headline if math.isfinite(h)]
+            vals = [float(h) for lo in bounds[:-1]
+                    for h in results[oi, ti, lo].headline if math.isfinite(h)]
             n_fail = spec.n_seeds - len(vals)
             nonfinite += n_fail
             qs = {name: quantile(vals, lv) if vals else None

@@ -11,16 +11,20 @@ reproduce the reference trace too.  The three grids that check this over
 every problem and kind share one seed list and run each case's reference
 once.  ``run_cell`` steps any seed list in chunks, and without a
 recorder still keeps each seed's headline, abort step and reason.  An
-experiment whose cells step their seeds in several chunks must report
-what one chunk over all of them gives.
+experiment whose per-optimizer tasks step their seeds in several chunks
+must report what one chunk per cell gives, and the same bytes at any
+worker count.  Seeds with their own horizons and hyperparameters in one
+call must each match a one-horizon call of their own.
 Bit equality is checked on the raw bytes, so a -0.0 that turns into 0.0
 counts as a difference.
 """
 
 import dataclasses
 import functools
+import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,30 +351,32 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
             hp = harness.resolve_hyperparams(spec, problem, kind, T)
             expected[oi, ti] = run_cell(problem, kind, hp, T, seeds)
 
-        # a budget of three seeds' minimum rows: chunks of 3, 3 and the rest
+        # a budget of three seeds' minimum rows: an optimizer's task steps
+        # its seeds at every horizon in chunks of 3 rows and the rest
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES",
                             3 * problem.d * harness._MIN_PRESAMPLE_ROWS)
         chunks, results = [], {}
-        chunk_body, experiment_cell = harness._run_chunk, harness._experiment_cell
+        chunk_body, experiment_task = harness._run_chunk, harness._experiment_task
 
-        def counted_chunk(problem, kind, hp, T, seeds, lo, recorder):
+        def counted_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
             chunks.append(len(seeds))
-            return chunk_body(problem, kind, hp, T, seeds, lo, recorder)
+            return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
 
-        def kept_cell(task):
-            key, recorder = experiment_cell(task)
-            results[key] = recorder
-            return key, recorder
+        def kept_task(task):
+            part = experiment_task(task)
+            results.update(part)
+            return part
 
         monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
-        monkeypatch.setattr(harness, "_experiment_cell", kept_cell)
+        monkeypatch.setattr(harness, "_experiment_task", kept_task)
         report = run_experiment(spec, max_workers=1)
-    assert chunks == [3, 3, spec.n_seeds - 6] * len(cells)
+    rows = spec.n_seeds * len(spec.T_grid)
+    assert chunks == ([3] * (rows // 3) + [rows % 3]) * len(spec.optimizers)
     assert report.to_json() == whole
     if case == "staggered_abort":
         assert (expected[0, 0].done[3:6] < spec.T_grid[0]).any()
     for cell, (oi, ti) in zip(report.cells, cells):
-        whole_cell, chunked = expected[oi, ti], results[oi, ti]
+        whole_cell, chunked = expected[oi, ti], results[oi, ti, 0]
         aborted = whole_cell.done < spec.T_grid[ti]
         assert same_bits(chunked.headline, whole_cell.headline)
         assert chunked.done.tolist() == whole_cell.done.tolist()
@@ -468,3 +474,130 @@ def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
         assert same_bits([np.sum(np.abs(eps)) for eps in run.trace.eps], trace.eps_l1)
         assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact],
                          trace.grad_l1)
+
+
+STAGGERED = ("noisy_quadratic", {"d": 2, "hessian_diag": 1e150, "sigma": 1e150, "x_init": 0.0})
+
+
+@st.composite
+def mixed_horizon_cases(draw):
+    """A problem, a kind, per-seed horizons and the per-seed hyperparameters
+    an experiment would give them, and the seeds per chunk: None for the
+    default budget, else a budget that leaves that many seeds min(T, 64)
+    rows each, so horizons above 64 refill after rows have retired."""
+    if draw(st.integers(0, 3)):
+        name, params = PROBLEMS[draw(st.sampled_from(sorted(PROBLEMS)))]
+        kind = draw(st.sampled_from(list(OptimizerKind)))
+        # unsorted and repeated, T = 1 included
+        horizons = draw(st.lists(st.integers(1, 40) | st.integers(41, 150) | st.just(1),
+                                 min_size=1, max_size=6))
+        spec = ExperimentSpec(
+            problem_name=name, problem_params=params, optimizers=[kind],
+            T_grid=[1], n_seeds=1, delta=0.1,
+            param_mode=draw(st.sampled_from(["theorem", "practical"])),
+            per_step=draw(st.booleans()))
+        seeds = [derive_seed(draw(st.integers(0, 99)), s) for s in range(len(horizons))]
+    else:
+        # the staggered aborts of test_abort_drops_only_its_own_seed, which
+        # fall on steps 1996 to 2001
+        name, params = STAGGERED
+        kind = OptimizerKind.SGD
+        horizons = draw(st.lists(st.integers(1990, 2007) | st.just(2007),
+                                 min_size=1, max_size=6))
+        spec = ExperimentSpec(
+            problem_name=name, problem_params=params, optimizers=[kind],
+            T_grid=[1], n_seeds=1, delta=0.1, param_mode="practical", alpha=3.5e-148)
+        seeds = [derive_seed(7, 0, 0, s) for s in range(len(horizons))]
+    problem = spec.build_problem()
+    hps = [harness.resolve_hyperparams(spec, problem, kind, T) for T in horizons]
+    # the engine takes any valid HyperParams; Adam keeps its stock betas
+    if kind is not OptimizerKind.ADAM and draw(st.booleans()):
+        hps = [dataclasses.replace(hp, beta2=0.3) for hp in hps]
+    if draw(st.booleans()):
+        hps = [dataclasses.replace(hp, beta1=0.0) for hp in hps]
+    per_chunk = draw(st.sampled_from([None, 1, 2, 3]))
+    return problem, kind, hps, horizons, seeds, per_chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_horizon_cases())
+def test_mixed_horizons_match_one_horizon_calls(case):
+    problem, kind, hps, horizons, seeds, per_chunk = case
+    row_size = math.prod(problem.presample_payloads(make_rng(0), 0).shape[1:])
+    values = (harness._PRESAMPLE_VALUES if per_chunk is None else
+              per_chunk * row_size * min(max(horizons), harness._MIN_PRESAMPLE_ROWS))
+    with warnings.catch_warnings(), mock.patch.object(harness, "_PRESAMPLE_VALUES", values):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        S = len(seeds)
+        base = run_cell(problem, kind, hps, horizons, seeds)
+        traced = run_cell(problem, kind, hps, horizons, seeds,
+                          TraceRecorder(S, horizons, collect_diagnostics=True))
+        for s, (hp, T, seed) in enumerate(zip(hps, horizons, seeds)):
+            single = run_cell(problem, kind, hp, T, [seed],
+                              TraceRecorder(1, T, collect_diagnostics=True))
+            for cell in (base, traced):
+                assert same_bits(cell.headline[s], single.headline[0])
+                assert cell.done[s] == single.done[0]
+                assert cell.abort_reasons[s] == single.abort_reasons[0]
+            assert_same_trace(traced.trace(s, seed, kind, hp), single.trace(0, seed, kind, hp))
+
+
+def test_rows_must_share_schedule_and_guard():
+    problem = make_problem(*PROBLEMS["noisy_quadratic"])
+    hp = HyperParams(eta=0.05, beta1=0.8, beta2=0.5)
+    for other in (dataclasses.replace(hp, schedule=Schedule.PER_STEP_SQRT_T),
+                  dataclasses.replace(hp, eps_guard=1e-8)):
+        with pytest.raises(ValueError):
+            run_cell(problem, OptimizerKind.SIGNSTORM, [hp, other], 10, [1, 2])
+
+
+def test_logistic_chunk_sized_by_its_payload_row(monkeypatch):
+    # a synthetic_logistic payload row is one index, so 40 seeds at d = 200
+    # fit one chunk of the 2^16-value buffer
+    problem = make_problem("synthetic_logistic", {
+        "d": 200, "n_samples": 32, "feature_bound": 1.0, "x_init": 0.1, "data_seed": 3})
+    kind, T = OptimizerKind.SIGNSTORM, 30
+    hp = hyperparams(kind, None)
+    seeds = [derive_seed(40, s) for s in range(40)]
+    chunks = []
+    chunk_body = harness._run_chunk
+
+    def counted_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
+        chunks.append(len(seeds))
+        return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
+
+    monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
+    cell = run_cell(problem, kind, hp, T, seeds)
+    assert chunks == [40]
+    for s in (0, 17, 39):
+        single = run_cell(problem, kind, hp, T, [seeds[s]])
+        assert same_bits(cell.headline[s], single.headline[0])
+
+
+@pytest.mark.parametrize("case", ["staggered_abort", "one_kind"])
+def test_seed_range_tasks_are_worker_count_invariant(case, tmp_path):
+    # a one-optimizer spec splits its seeds into ranges from two workers up
+    if case == "staggered_abort":
+        name, params = STAGGERED
+        spec = ExperimentSpec(
+            problem_name=name, problem_params=params, optimizers=[OptimizerKind.SGD],
+            T_grid=[1900, 2007], n_seeds=8, delta=0.1, param_mode="practical",
+            alpha=3.5e-148, master_seed=7)
+    else:
+        name, params = PROBLEMS["synthetic_logistic"]
+        spec = ExperimentSpec(
+            problem_name=name, problem_params=params, optimizers=[OptimizerKind.SIGNSTORM],
+            T_grid=[20, 30, 45], n_seeds=7, delta=0.1, master_seed=3,
+            collect_diagnostics=True)
+    outputs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for workers in (1, 2, 3, 5):
+            trace_dir = tmp_path / f"w{workers}"
+            report = run_experiment(spec, max_workers=workers, trace_dir=str(trace_dir))
+            files = {p.name: p.read_bytes() for p in sorted(trace_dir.iterdir())}
+            outputs.append((report.to_json(), files))
+    assert len(outputs[0][1]) == spec.n_seeds * len(spec.T_grid)
+    if case == "staggered_abort":
+        assert 0 < json.loads(outputs[0][0])["violations"]["nonfinite_aborts"]
+    assert all(out == outputs[0] for out in outputs[1:])

@@ -367,9 +367,9 @@ def test_check_json_is_chunk_invariant(key, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 2 * d * harness._MIN_PRESAMPLE_ROWS)
     chunks, chunk_body = [], harness._run_chunk
 
-    def counted_chunk(problem, kind, hp, T, seeds, lo, recorder):
+    def counted_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
         chunks.append(len(seeds))
-        return chunk_body(problem, kind, hp, T, seeds, lo, recorder)
+        return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
 
     monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
     assert check_digest(tmp_path, key) == json.loads(CHECK_GOLDEN.read_text())[key]

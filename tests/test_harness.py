@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from signstorm import (
     run_trial,
     write_trace_csv,
 )
+from signstorm import harness
 from signstorm.harness import resolve_hyperparams, trace_stride
 from signstorm.errors import ConfigError
 
@@ -188,6 +190,14 @@ class TestRunExperiment:
         a = run_experiment(spec, max_workers=1).to_json()
         b = run_experiment(spec, max_workers=4).to_json()
         assert a == b
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # an affinity mask or cpuset of one CPU means one worker, whatever
+        # the host's CPU count
+        monkeypatch.delenv("SIGNSTORM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert harness._worker_count() == 1
 
     def test_report_structure(self):
         spec = small_spec()
