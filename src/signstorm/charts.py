@@ -88,11 +88,22 @@ class _LogLogFrame:
         return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _series(report_doc: dict) -> dict[str, list[dict]]:
     try:
         cells = report_doc["cells"]
         by_opt: dict[str, list[dict]] = {}
         for cell in cells:
+            T, qs = cell["T"], cell["quantiles"]
+            if not (_is_number(T) and T > 0):
+                raise MalformedReport(f"a cell's T must be a positive number, got {T!r}")
+            if not (isinstance(qs, dict)
+                    and all(q is None or (_is_number(q) and q >= 0) for q in qs.values())):
+                raise MalformedReport(f"a cell's quantiles must be non-negative numbers "
+                                      f"or null, got {qs!r}")
             by_opt.setdefault(cell["optimizer"], []).append(cell)
         for rows in by_opt.values():
             rows.sort(key=lambda c: c["T"])
@@ -161,6 +172,11 @@ def rate_fit_svg(report_doc: dict) -> str:
     """Log-log medians with the fitted power-law lines and slopes annotated."""
     by_opt = _series(report_doc)
     fits = report_doc.get("rate_fits", {})
+    if not (isinstance(fits, dict) and all(
+            isinstance(fit, dict) and _is_number(fit.get("slope"))
+            and _is_number(fit.get("intercept")) for fit in fits.values())):
+        raise MalformedReport("rate_fits must map each optimizer to a numeric "
+                              "slope and intercept")
     parts = _header("log-log rate fit of the median headline metric")
     pts = []
     for rows in by_opt.values():

@@ -111,6 +111,15 @@ class RunConfig:
         if not isinstance(T_grid, list) or not all(map(_is_int, T_grid)):
             raise ConfigError(f"T_grid must be a list of integers, got {T_grid!r}")
         typed = {key: _typed(key, raw[key]) for key in _TOP_TYPES if key in raw}
+        if not 0.0 <= typed.get("eps_guard", 0.0) < math.inf:
+            raise ConfigError(f"eps_guard must be a finite number >= 0, got {raw['eps_guard']!r}")
+        param_mode = str(raw.get("param_mode", "theorem"))
+        # the practical schedule's keys, which theorem mode would ignore
+        ignored = [key for key in ("alpha", "beta", "per_step") if key in raw]
+        if param_mode == "theorem" and ignored:
+            raise ConfigError(f'{ignored[0]} applies only to "param_mode": "practical"; '
+                              "theorem mode would ignore it, so remove it or set "
+                              '"param_mode": "practical"')
         check = _check_section(raw.get("check", {}))
         out = raw["output_dir"]
         if not isinstance(out, str) or not out:
@@ -122,7 +131,7 @@ class RunConfig:
             typed["collect_diagnostics"] = typed.pop("diagnostics")
         spec = ExperimentSpec(problem_name=problem["name"], problem_params=dict(params),
                               optimizers=optimizers, T_grid=T_grid,
-                              param_mode=str(raw.get("param_mode", "theorem")), **typed)
+                              param_mode=param_mode, **typed)
         return RunConfig(spec, out, check=check, **cli)
 
     def to_spec(self) -> ExperimentSpec:

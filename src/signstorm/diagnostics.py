@@ -118,9 +118,9 @@ def binomial_margin(p: float, n: int) -> float:
 
 
 class DiagnosticRecorder(Recorder):
-    """Per-coordinate diagnostics of every seed of one run_cell call, as
-    (S, max T, d) arrays, (S, max T) for ``step_l2``, whose row s is seed
-    s; each row is computed as a single run would compute it."""
+    """Per-coordinate arrays of every seed of one run_cell call, (S, max T,
+    d) and (S, max T) for ``step_l2``, row s for seed s, each row as a
+    single run computes it; :meth:`run` derives xi, eps and Z from them."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
 
@@ -128,9 +128,6 @@ class DiagnosticRecorder(Recorder):
         super().__init__(n_seeds, T)
         steps = int(self.horizon.max(initial=0))
         shape = (n_seeds, steps, d)
-        self.xi = np.empty(shape)
-        self.eps = np.empty(shape)
-        self.z = np.zeros(shape)       # Z_1 = 0
         self.m = np.empty(shape)
         self.v = np.empty(shape)
         self.grad_exact = np.empty(shape)
@@ -141,14 +138,10 @@ class DiagnosticRecorder(Recorder):
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         """Every array's row t-1 for the live seeds."""
         i = t - 1
-        g_curr = grads.g_curr
-        self.xi[live, i] = g_curr - g_exact
         if t > 1:
-            self.z[live, i] = (g_curr - grads.g_prev) + (self.grad_exact[live, i - 1] - g_exact)
             self.g_prev[live, i] = grads.g_prev
         self.grad_exact[live, i] = g_exact
-        self.g_curr[live, i] = g_curr
-        self.eps[live, i] = state.m - g_exact
+        self.g_curr[live, i] = grads.g_curr
         self.m[live, i] = state.m
         self.v[live, i] = state.v
         diff = state.x - state.prev_x
@@ -156,14 +149,17 @@ class DiagnosticRecorder(Recorder):
             self.step_l2[s, i] = math.sqrt(float(diff[r].dot(diff[r])))
 
     def run(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> DiagnosticRun:
-        """Seed s's diagnostics, as views; NonFiniteValue if the seed aborted."""
+        """Seed s's diagnostics, recorded arrays as views; NonFiniteValue if it aborted."""
         n = self.horizon[s]
         if self.done[s] < n:
             raise NonFiniteValue(self.abort_reasons[s])
-        return DiagnosticRun(EpsilonTrace(self.xi[s, :n], self.eps[s, :n], self.z[s, :n]),
-                             self.m[s, :n], self.v[s, :n], self.grad_exact[s, :n],
-                             self.step_l2[s, :n], self.g_curr[s, :n], self.g_prev[s, :n],
-                             hp, seed, kind)
+        m, grad_exact = self.m[s, :n], self.grad_exact[s, :n]
+        g_curr, g_prev = self.g_curr[s, :n], self.g_prev[s, :n]
+        z = np.zeros_like(g_curr)  # Z_1 = 0
+        z[1:] = (g_curr[1:] - g_prev[1:]) + (grad_exact[:-1] - grad_exact[1:])
+        return DiagnosticRun(EpsilonTrace(g_curr - grad_exact, m - grad_exact, z),
+                             m, self.v[s, :n], grad_exact, self.step_l2[s, :n],
+                             g_curr, g_prev, hp, seed, kind)
 
 
 def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,

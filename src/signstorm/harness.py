@@ -42,7 +42,6 @@ from .optim import (
     HyperParams,
     OptimizerKind,
     OptimizerState,
-    Schedule,
     _check_finite,
     step_batch,
 )
@@ -84,10 +83,6 @@ _PRESAMPLE_VALUES = 1 << 16
 _MIN_PRESAMPLE_ROWS = 64
 
 
-def _block_rows(T: int, row_size: int) -> int:
-    return max(1, min(T, _PRESAMPLE_VALUES // row_size))
-
-
 # a traced task steps parts of rows whose columns hold at most this many
 # values (16 MiB), or one row where its columns alone are more
 _TRACE_VALUES = 1 << 21
@@ -101,11 +96,11 @@ class Recorder:
     per-seed ``horizon``; ``done`` starts there.  After step t it calls
     ``record(t, live, state, grads, g_exact, grad_l1, loss)`` with the new
     state (``prev_x`` is x_t), the gradients at x_t and F(x_t); row r is
-    seed ``live[r]``.  Then, if a row turned non-finite,
-    ``end_aborted(t, live, state, finite)``: its seed ends with ``done``
-    finite steps (aborted iff under its horizon) and the error :func:`step`
-    would raise.  ``needs_prev`` asks for g_prev for every kind,
-    ``needs_loss`` for the loss (else it is None).
+    seed ``live[r]``.  Then a seed whose row turned non-finite ends,
+    aborted, with ``done`` = t - 1 and the error :func:`step` would raise,
+    and a seed that reached its horizon gets its headline.  ``needs_prev``
+    asks for g_prev for every kind, ``needs_loss`` for the loss (else it
+    is None).
     """
 
     needs_prev = False
@@ -119,16 +114,6 @@ class Recorder:
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         pass
-
-    def end_aborted(self, t: int, live: np.ndarray, state: OptimizerState,
-                    finite: np.ndarray) -> None:
-        for r in np.flatnonzero(~finite):
-            s = live[r]
-            self.done[s] = t - 1
-            try:
-                _check_finite(state.x[r], state.m[r], state.v[r])
-            except NonFiniteValue as exc:
-                self.abort_reasons[s] = str(exc)
 
 
 class TraceRecorder(Recorder):
@@ -184,6 +169,7 @@ class _RowParams:
     t`` stays a scalar power) and an (S, 1) column otherwise."""
 
     __slots__ = ("eta", "beta1", "beta2", "eps_guard", "schedule")
+    step_size = HyperParams.step_size
 
     def __init__(self, hps: list[HyperParams]):
         first = hps[0]
@@ -199,20 +185,6 @@ class _RowParams:
             else:
                 setattr(self, name, getattr(first, name))
 
-    def step_size(self, t: int):
-        if self.schedule is Schedule.PER_STEP_SQRT_T:
-            return self.eta / math.sqrt(t)
-        return self.eta
-
-    def take(self, rows) -> "_RowParams":
-        """The parameters of the rows ``rows`` selects (a mask or a slice)."""
-        out = object.__new__(_RowParams)
-        out.schedule, out.eps_guard = self.schedule, self.eps_guard
-        for name in ("eta", "beta1", "beta2"):
-            val = getattr(self, name)
-            setattr(out, name, val[rows] if isinstance(val, np.ndarray) else val)
-        return out
-
 
 def _per_seed(value, n_seeds: int, single) -> list:
     if isinstance(value, single):
@@ -227,25 +199,27 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp, T, seeds: list
              recorder: Recorder | None = None) -> Recorder:
     """S seeded trials stepped as (S, d) states; returns the recorder.
 
-    ``hp`` and ``T`` are one :class:`HyperParams` and one horizon for
-    every seed, or one per seed; all seeds must share the schedule and
-    ``eps_guard``.  Row s draws from ``make_rng(seeds[s])`` and follows,
-    bit for bit, the trajectory that calling :func:`step` on that seed
-    alone would for its own horizon.  The :class:`Recorder`, sized for
-    these seeds and horizons (a base one if none is given), receives every
-    step of every seed and keeps its headline and abort.  A row that turns
-    non-finite aborts its seed and is dropped.
+    ``hp`` and ``T`` are one :class:`HyperParams` and one horizon (at
+    least 1) for every seed, or one per seed; all seeds must share the
+    schedule and ``eps_guard``.  Row s draws from ``make_rng(seeds[s])``
+    and follows, bit for bit, the trajectory that calling :func:`step` on
+    that seed alone would for its own horizon.  The :class:`Recorder`,
+    sized for these seeds and horizons (a base one if none is given),
+    receives every step of every seed and keeps its headline and abort.
 
-    Rows are ordered by descending horizon, so a row whose horizon has
-    ended retires as a tail slice, its headline written.  Seeds are stepped
-    in chunks, the most that leave each seed min(max T, 64) payload rows of
-    one presample buffer of bounded size; rows are independent, so order
-    and chunking change no bit.  Each step makes one call of each block
-    oracle of the problem, which evaluates the block at once or row by row.
+    Rows are ordered by descending horizon.  A row leaves after the step
+    where it turns non-finite, aborting its seed, or reaches its horizon,
+    its headline written.  Seeds are stepped in chunks, the most that
+    leave each seed min(max T, 64) payload rows of one presample buffer of
+    bounded size; rows are independent, so order and chunking change no
+    bit.  Each step makes one call of each block oracle of the problem,
+    which evaluates the block at once or row by row.
     """
     S = len(seeds)
     horizons = _per_seed(T, S, (int, np.integer))
     hps = _per_seed(hp, S, HyperParams)
+    if min(horizons, default=1) < 1:
+        raise ValueError(f"every horizon must be at least 1, got {min(horizons)}")
     if recorder is None:
         recorder = Recorder(S, horizons)
     if S == 0:
@@ -253,18 +227,18 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp, T, seeds: list
     # a zero-row block draws nothing and has the payload rows' shape
     empty = problem.presample_payloads(make_rng(seeds[0]), 0)
     row_size = math.prod(empty.shape[1:])
-    order = sorted(range(S), key=lambda s: -horizons[s])
-    longest = horizons[order[0]]
-    chunk = max(1, _PRESAMPLE_VALUES // (row_size * min(longest, _MIN_PRESAMPLE_ROWS)))
+    order = np.array(sorted(range(S), key=lambda s: -horizons[s]))
+    ends = np.array(horizons, dtype=np.int64)[order]
+    chunk = max(1, _PRESAMPLE_VALUES // (row_size * min(int(ends[0]), _MIN_PRESAMPLE_ROWS)))
     for lo in range(0, S, chunk):
         rows = order[lo:lo + chunk]
-        _run_chunk(problem, kind, [hps[s] for s in rows], [horizons[s] for s in rows],
-                   [seeds[s] for s in rows], np.array(rows), recorder, empty)
+        _run_chunk(problem, kind, [hps[s] for s in rows], ends[lo:lo + chunk],
+                   [seeds[s] for s in rows], rows, recorder, empty)
     return recorder
 
 
 def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperParams],
-               ends: list[int], seeds: list[int], live: np.ndarray, recorder: Recorder,
+               ends: np.ndarray, seeds: list[int], live: np.ndarray, recorder: Recorder,
                empty: np.ndarray) -> None:
     """Seeds ``seeds``, recorder rows ``live``, in descending horizon order."""
     S, d = len(seeds), problem.d
@@ -278,15 +252,15 @@ def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperP
     exact_grads = problem.exact_grads
     sampled_grads = problem.sampled_grads
 
-    T = ends[0]
-    rows = _block_rows(T, S * math.prod(empty.shape[1:]))
+    T = int(ends[0])
+    rows = max(1, min(T, _PRESAMPLE_VALUES // (S * math.prod(empty.shape[1:]))))
     buf = np.empty((rows, S) + empty.shape[1:], empty.dtype)
     block_start = 1 - rows           # step 1 fills the buffer
     g_exact_prev = None
     for t in range(1, T + 1):
         if t - block_start >= rows:
             block_start = t
-            for r, (rng, end) in enumerate(zip(rngs, ends)):
+            for r, (rng, end) in enumerate(zip(rngs, ends.tolist())):
                 n = min(rows, end - t + 1)
                 buf[:n, r] = problem.presample_payloads(rng, n)
         pay = buf[t - block_start]
@@ -298,31 +272,33 @@ def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperP
         grads = GradientPair(g_curr, g_prev)
         state, finite = step_batch(state, grads, params, kind)
         recorder.record(t, live, state, grads, g_exact, grad_l1, loss)
-        if finite is not None:
-            recorder.end_aborted(t, live, state, finite)
-            state, params = _keep_rows(state, finite), params.take(finite)
-            live, best, g_exact, buf = live[finite], best[finite], g_exact[finite], buf[:, finite]
-            rngs = [rng for rng, ok in zip(rngs, finite) if ok]
-            ends = [end for end, ok in zip(ends, finite) if ok]
-            if live.size == 0:
-                break
         g_exact_prev = g_exact
-        if ends[-1] == t:
-            # the rows whose horizon is t are the tail
-            k = len(ends) - 1
-            while k and ends[k - 1] == t:
-                k -= 1
-            recorder.headline[live[k:]] = best[k:]
-            if k == 0:
-                break
-            state, params = _keep_rows(state, slice(k)), params.take(slice(k))
-            live, best, g_exact_prev, buf = live[:k], best[:k], g_exact_prev[:k], buf[:, :k]
-            rngs, ends = rngs[:k], ends[:k]
-
-
-def _keep_rows(state: OptimizerState, rows) -> OptimizerState:
-    return OptimizerState(x=state.x[rows], m=state.m[rows], v=state.v[rows],
-                          prev_x=state.prev_x[rows], t=state.t)
+        # rows run in descending horizon order, so the last row ends first
+        if finite is None and ends[-1] > t:
+            continue
+        # the one exit: a non-finite row aborts its seed, and a finite row
+        # whose horizon is t keeps its headline; both leave
+        if finite is None:
+            finite = np.ones(ends.size, dtype=bool)
+        for r in np.flatnonzero(~finite):
+            s = live[r]
+            recorder.done[s] = t - 1
+            try:
+                _check_finite(state.x[r], state.m[r], state.v[r])
+            except NonFiniteValue as exc:
+                recorder.abort_reasons[s] = str(exc)
+        ended = finite & (ends == t)
+        recorder.headline[live[ended]] = best[ended]
+        keep = finite & (ends > t)
+        if not keep.any():
+            break
+        hps = [hp for hp, ok in zip(hps, keep) if ok]
+        rngs = [rng for rng, ok in zip(rngs, keep) if ok]
+        params = _RowParams(hps)
+        state = OptimizerState(x=state.x[keep], m=state.m[keep], v=state.v[keep],
+                               prev_x=state.prev_x[keep], t=state.t)
+        live, best, ends, g_exact_prev, buf = (live[keep], best[keep], ends[keep],
+                                               g_exact_prev[keep], buf[:, keep])
 
 
 def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
@@ -453,48 +429,43 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
     return hp
 
 
-def _experiment_task(args) -> list[tuple[tuple[int, int, int], Recorder]]:
+def _experiment_task(args) -> tuple[tuple[int, int], Recorder]:
     """One optimizer's seeds lo..hi-1 at every horizon of the grid, stepped
     by one :func:`run_cell` call, or, traced, in parts of rows whose columns
-    stay under the trace bound.  Returns ((optimizer index, T index, lo),
-    recorder of those seeds) for each of its cells."""
+    stay under the trace bound.  Returns ((optimizer index, lo), recorder
+    of its rows), which run from the longest horizon down, hi - lo rows
+    per horizon in seed order."""
     spec, oi, lo, hi, trace_dir = args
     problem = spec.build_problem()
     kind = spec.optimizers[oi]
-    cells = [Recorder(hi - lo, T) for T in spec.T_grid]
     hps = [resolve_hyperparams(spec, problem, kind, T) for T in spec.T_grid]
     # longest horizon first, so that a traced part holds like horizons
     rows = [(ti, si) for ti in reversed(range(len(spec.T_grid))) for si in range(lo, hi)]
     seeds = [derive_seed(spec.master_seed, oi, ti, si) for ti, si in rows]
     horizons = [spec.T_grid[ti] for ti, _ in rows]
     row_hps = [hps[ti] for ti, _ in rows]
-
-    def keep(start: int, recorder: Recorder) -> None:
-        for r, (ti, si) in enumerate(rows[start:start + len(recorder.done)]):
-            cell = cells[ti]
-            cell.headline[si - lo] = recorder.headline[r]
-            cell.done[si - lo] = recorder.done[r]
-            cell.abort_reasons[si - lo] = recorder.abort_reasons[r]
-
     if trace_dir is None:
-        keep(0, run_cell(problem, kind, row_hps, horizons, seeds))
-    else:
-        os.makedirs(trace_dir, exist_ok=True)
-        diag = spec.collect_diagnostics
-        start = 0
-        while start < len(rows):
-            # rows x longest horizon x columns under the bound
-            size = max(1, _TRACE_VALUES // (horizons[start] * (5 if diag else 4)))
-            part = slice(start, start + size)
-            recorder = run_cell(problem, kind, row_hps[part], horizons[part], seeds[part],
-                                TraceRecorder(len(seeds[part]), horizons[part], diag))
-            for r, ((ti, si), seed) in enumerate(zip(rows[part], seeds[part])):
-                write_trace_csv(recorder.trace(r, seed, kind, hps[ti]), os.path.join(
-                    trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))
-            keep(start, recorder)
-            start += len(seeds[part])
-            del recorder  # free this part's columns before the next is allocated
-    return [((oi, ti, lo), cell) for ti, cell in enumerate(cells)]
+        return (oi, lo), run_cell(problem, kind, row_hps, horizons, seeds)
+
+    os.makedirs(trace_dir, exist_ok=True)
+    diag = spec.collect_diagnostics
+    recorder = Recorder(len(rows), horizons)
+    start = 0
+    while start < len(rows):
+        # rows x longest horizon x columns under the bound
+        size = max(1, _TRACE_VALUES // (horizons[start] * (5 if diag else 4)))
+        part = slice(start, start + size)
+        traced = run_cell(problem, kind, row_hps[part], horizons[part], seeds[part],
+                          TraceRecorder(len(seeds[part]), horizons[part], diag))
+        for r, ((ti, si), seed) in enumerate(zip(rows[part], seeds[part])):
+            write_trace_csv(traced.trace(r, seed, kind, hps[ti]), os.path.join(
+                trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))
+        recorder.headline[part] = traced.headline
+        recorder.done[part] = traced.done
+        recorder.abort_reasons[part] = traced.abort_reasons
+        start += len(seeds[part])
+        del traced  # free this part's columns before the next is allocated
+    return (oi, lo), recorder
 
 
 def _worker_count() -> int:
@@ -567,7 +538,9 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_experiment_task, tasks))
-    results = dict(item for part in parts for item in part)
+    # a task's rows run from the longest horizon down, in seed order
+    headlines = {key: recorder.headline.reshape(len(spec.T_grid), -1)[::-1]
+                 for key, recorder in parts}
 
     levels = {"0.5": 0.5, "0.9": 0.9, "1-delta": 1.0 - spec.delta}
     cells = []
@@ -576,7 +549,7 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
     for oi, kind in enumerate(spec.optimizers):
         for ti, T in enumerate(spec.T_grid):
             vals = [float(h) for lo in bounds[:-1]
-                    for h in results[oi, ti, lo].headline if math.isfinite(h)]
+                    for h in headlines[oi, lo][ti] if math.isfinite(h)]
             n_fail = spec.n_seeds - len(vals)
             nonfinite += n_fail
             qs = {name: quantile(vals, lv) if vals else None

@@ -28,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signstorm import (
@@ -363,9 +363,9 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
             return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
 
         def kept_task(task):
-            part = experiment_task(task)
-            results.update(part)
-            return part
+            key, recorder = experiment_task(task)
+            results[key] = recorder
+            return key, recorder
 
         monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
         monkeypatch.setattr(harness, "_experiment_task", kept_task)
@@ -376,11 +376,14 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
     if case == "staggered_abort":
         assert (expected[0, 0].done[3:6] < spec.T_grid[0]).any()
     for cell, (oi, ti) in zip(report.cells, cells):
-        whole_cell, chunked = expected[oi, ti], results[oi, ti, 0]
+        # the one task of optimizer oi holds its rows from the longest horizon down
+        k = len(spec.T_grid) - 1 - ti
+        rows = slice(k * spec.n_seeds, (k + 1) * spec.n_seeds)
+        whole_cell, task = expected[oi, ti], results[oi, 0]
         aborted = whole_cell.done < spec.T_grid[ti]
-        assert same_bits(chunked.headline, whole_cell.headline)
-        assert chunked.done.tolist() == whole_cell.done.tolist()
-        assert chunked.abort_reasons == whole_cell.abort_reasons
+        assert same_bits(task.headline[rows], whole_cell.headline)
+        assert task.done[rows].tolist() == whole_cell.done.tolist()
+        assert task.abort_reasons[rows] == whole_cell.abort_reasons
         assert cell["n_fail"] == int(np.sum(aborted | ~np.isfinite(whole_cell.headline)))
 
 
@@ -519,8 +522,17 @@ def mixed_horizon_cases(draw):
     return problem, kind, hps, horizons, seeds, per_chunk
 
 
+# with the hyperparameters of T = 2007, staggered seeds 0 and 2 turn
+# non-finite at steps 1997 and 1999: under horizons 1997 and 1998 the first
+# aborts at its horizon step and the second finishes one step before its abort
+EXIT_AT_HORIZON = (make_problem(*STAGGERED), OptimizerKind.SGD,
+                   [practical_params(3.5e-148, 1.0, 2007)] * 2, [1997, 1998],
+                   [derive_seed(7, 0, 0, s) for s in (0, 2)], None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(mixed_horizon_cases())
+@example(EXIT_AT_HORIZON)
 def test_mixed_horizons_match_one_horizon_calls(case):
     problem, kind, hps, horizons, seeds, per_chunk = case
     row_size = math.prod(problem.presample_payloads(make_rng(0), 0).shape[1:])
@@ -540,6 +552,9 @@ def test_mixed_horizons_match_one_horizon_calls(case):
                 assert cell.done[s] == single.done[0]
                 assert cell.abort_reasons[s] == single.abort_reasons[0]
             assert_same_trace(traced.trace(s, seed, kind, hp), single.trace(0, seed, kind, hp))
+    if case is EXIT_AT_HORIZON:
+        assert np.isnan(base.headline[0]) and base.done[0] == horizons[0] - 1
+        assert np.isfinite(base.headline[1]) and base.done[1] == horizons[1]
 
 
 def test_rows_must_share_schedule_and_guard():
@@ -549,6 +564,12 @@ def test_rows_must_share_schedule_and_guard():
                   dataclasses.replace(hp, eps_guard=1e-8)):
         with pytest.raises(ValueError):
             run_cell(problem, OptimizerKind.SIGNSTORM, [hp, other], 10, [1, 2])
+    # and every horizon must be at least 1
+    for T in (0, [5, 0], [-3, 5]):
+        with pytest.raises(ValueError, match="horizon must be at least 1, got (0|-3)"):
+            run_cell(problem, OptimizerKind.SIGNSTORM, hp, T, [1, 2])
+    with pytest.raises(ValueError, match="got 0"):
+        run_trial(problem, OptimizerKind.SIGNSTORM, hp, 0, 1)
 
 
 def test_logistic_chunk_sized_by_its_payload_row(monkeypatch):

@@ -113,6 +113,8 @@ class TestConfigValidation:
         ("problem.params.d", 0),
         ("problem.params.data_seed", -1),
         ("problem.params.feature_bound", math.inf),
+        ("eps_guard", -1.0),
+        ("eps_guard", math.inf),
     ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
             "string_write_traces", "string_diagnostics", "float_n_seeds",
             "bool_n_seeds", "float_in_T_grid", "scalar_T_grid", "null_delta",
@@ -120,7 +122,7 @@ class TestConfigValidation:
             "list_output_dir", "empty_output_dir", "practical_infinite_alpha",
             "practical_underflowing_alpha", "practical_negative_beta2", "string_d",
             "float_d", "bool_d", "negative_d", "zero_d", "negative_data_seed",
-            "infinite_feature_bound"])
+            "infinite_feature_bound", "negative_eps_guard", "infinite_eps_guard"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
@@ -144,6 +146,24 @@ class TestConfigValidation:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err
         assert not (tmp_path / "out").exists()
+
+    # theorem mode takes its schedule from the problem's constants, so the
+    # practical schedule's keys would be ignored
+    @pytest.mark.parametrize("key, value", [("alpha", -1.0), ("alpha", 1.0), ("beta", 0.5),
+                                            ("per_step", False)])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_practical_key_in_theorem_mode_is_config_error(self, tmp_path, capsys,
+                                                           command, key, value):
+        cfg = base_config(tmp_path / "out")
+        cfg[key] = value
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err and '"param_mode": "practical"' in err
+        assert not (tmp_path / "out").exists()
+        if value != -1.0:  # a valid value of the practical schedule
+            cfg["param_mode"] = "practical"
+            assert RunConfig.load(write_config(tmp_path, cfg)).spec.param_mode == "practical"
 
     # sizes that pass load but whose arrays cannot be allocated, so the
     # error comes when the problem is built
@@ -368,6 +388,9 @@ class TestCheckAbort:
 
 
 class TestCmdReport:
+    CELL = {"optimizer": "signstorm", "T": 100, "n_fail": 0,
+            "quantiles": {"0.5": 0.1, "0.9": 0.2, "1-delta": 0.3}}
+
     def synthetic_report(self, tmp_path, cells, fits):
         doc = {"config": {}, "master_seed": 0, "cells": cells,
                "rate_fits": fits, "violations": {}}
@@ -415,10 +438,25 @@ class TestCmdReport:
                      "--out", str(out)]) == EXIT_OK
         assert "no data" in out.read_text()
 
-    def test_malformed_report_is_config_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"cells": "nope"}))
-        assert main(["report", str(path)]) == EXIT_CONFIG
+    @pytest.mark.parametrize("chart, cells, fits", [
+        *[pytest.param(chart, cells, {}, id=f"{name}-{chart}")
+          for name, cells in [
+              ("cells_not_a_list", "nope"),
+              ("null_quantiles", [{**CELL, "quantiles": None}]),
+              ("zero_T", [{**CELL, "T": 0}]),
+              ("string_T", [{**CELL, "T": "a"}]),
+              ("string_quantile", [{**CELL, "quantiles": {**CELL["quantiles"], "0.5": "0.1"}}]),
+          ] for chart in ("convergence_bands", "rate_fit")],
+        pytest.param("rate_fit", [CELL], {"signstorm": {"slope": -0.3, "r2": 1.0, "n_points": 3}},
+                     id="fit_without_intercept-rate_fit"),
+    ])
+    def test_malformed_report_is_config_error(self, tmp_path, capsys, chart, cells, fits):
+        path = self.synthetic_report(tmp_path, cells, fits)
+        out = tmp_path / "chart.svg"
+        assert main(["report", path, "--chart", chart, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unreadable_or_unwritable_is_io_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == EXIT_IO
