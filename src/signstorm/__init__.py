@@ -57,7 +57,6 @@ from .optim import (
 )
 from .problems import (
     AssumptionReport,
-    NoiseRealization,
     ProblemConstants,
     StochasticProblem,
     bounded_nonconvex,

@@ -168,6 +168,17 @@ def convergence_bands_svg(report_doc: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _fitted(fit: dict, T: float, opt: str) -> float:
+    """exp(intercept + slope log T), where the log axis can place it."""
+    try:
+        y = math.exp(fit["intercept"] + fit["slope"] * math.log(T))
+    except OverflowError:
+        y = math.inf
+    if not 0.0 < y < math.inf:
+        raise MalformedReport(f"the rate fit of {opt} leaves the float range at T = {T}")
+    return y
+
+
 def rate_fit_svg(report_doc: dict) -> str:
     """Log-log medians with the fitted power-law lines and slopes annotated."""
     by_opt = _series(report_doc)
@@ -201,8 +212,7 @@ def rate_fit_svg(report_doc: dict) -> str:
         fit = fits.get(opt)
         if fit:
             T_lo, T_hi = valid[0][0], valid[-1][0]
-            y_lo = math.exp(fit["intercept"] + fit["slope"] * math.log(T_lo))
-            y_hi = math.exp(fit["intercept"] + fit["slope"] * math.log(T_hi))
+            y_lo, y_hi = _fitted(fit, T_lo, opt), _fitted(fit, T_hi, opt)
             parts.append(f'<line x1="{frame.px(T_lo):.1f}" y1="{frame.py(y_lo):.1f}" '
                          f'x2="{frame.px(T_hi):.1f}" y2="{frame.py(y_hi):.1f}" '
                          f'stroke="{color}" stroke-width="1.5" stroke-dasharray="5,3"/>')

@@ -222,6 +222,8 @@ def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp, T, seeds: list
         raise ValueError(f"every horizon must be at least 1, got {min(horizons)}")
     if recorder is None:
         recorder = Recorder(S, horizons)
+    elif not np.array_equal(recorder.horizon, horizons):
+        raise ValueError("the recorder is not sized for these seeds and horizons")
     if S == 0:
         return recorder
     # a zero-row block draws nothing and has the payload rows' shape

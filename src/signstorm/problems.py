@@ -9,12 +9,12 @@ declares the constants its contracts promise:
   normalized convention ``|d_j f(x) - d_j f(y)| <= (L_j / sqrt(d)) ||x - y||_2``;
 * ``sigma_vec``    — almost-sure per-coordinate bounds on the gradient noise.
 
-Two noise models are bundled.  Additive problems perturb the exact gradient
-by per-coordinate uniform draws on [-sigma_j, sigma_j]; the perturbation is
-independent of the query point, so one realization evaluated at two points
-shifts both gradients by the same vector.  Finite-sum problems draw a data
-index; their noise support is enumerable, which lets the verifier check
-unbiasedness exactly.
+Noise is drawn as payload rows.  Additive problems' payload row is a
+per-coordinate uniform draw on [-sigma_j, sigma_j] added to the exact
+gradient; it is independent of the query point, so one realization
+evaluated at two points shifts both gradients by the same vector.  A
+finite-sum problem's payload is a data index; its support, one block of
+every index, lets the verifier check unbiasedness exactly.
 """
 
 from __future__ import annotations
@@ -51,17 +51,6 @@ def _sigmoid(z) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseRealization:
-    """One frozen draw of the gradient noise.
-
-    ``payload`` is either the per-coordinate additive noise vector or a data
-    index; it fully determines the stochastic gradient map x -> grad f(x, Xi).
-    """
-
-    payload: np.ndarray | int
-
-
-@dataclass(frozen=True)
 class ProblemConstants:
     delta_upper: float
     L_vec: np.ndarray
@@ -90,7 +79,8 @@ class StochasticProblem(abc.ABC):
     """Objective F(x) = E[f(x, Xi)] with sampled and exact gradient oracles.
 
     Noise is drawn as blocks of payload rows, one realization per row, and
-    the block oracles evaluate an (S, d) array of points against S rows.
+    the block oracles evaluate an (S, d) array of points against S rows;
+    ``draw_noise`` and ``stoch_grad`` are their one-row calls.
     """
 
     name: str
@@ -123,21 +113,45 @@ class StochasticProblem(abc.ABC):
         # indexing the rows costs less than iterating over the array
         return grads, [self.value(xs[r]) for r in range(len(xs))] if with_loss else None
 
-    def draw_noise(self, rng: np.random.Generator) -> NoiseRealization:
-        """One realization: the only row of a one-row presample."""
-        return NoiseRealization(self.presample_payloads(rng, 1)[0])
+    def draw_noise(self, rng: np.random.Generator) -> np.ndarray:
+        """One realization: the only payload row of a one-row presample."""
+        return self.presample_payloads(rng, 1)[0]
 
-    def stoch_grad(self, x: np.ndarray, xi: NoiseRealization) -> np.ndarray:
-        """Sampled gradient at one point under one realization."""
-        return self.sampled_grads(x[None], np.asarray(xi.payload)[None], None)[0]
+    def stoch_grad(self, x: np.ndarray, payload) -> np.ndarray:
+        """Sampled gradient at one point under one payload row."""
+        return self.sampled_grads(x[None], np.asarray(payload)[None], None)[0]
 
-    def noise_support(self) -> list[NoiseRealization] | None:
-        """All realizations when the noise distribution is finite, else None."""
+    def noise_support(self) -> np.ndarray | None:
+        """All realizations as one payload block when finite, else None."""
         return None
 
 
 class _AdditiveNoiseProblem(StochasticProblem):
-    """Noise enters as an x-independent additive perturbation of the gradient."""
+    """Noise enters as an x-independent additive perturbation of the gradient.
+
+    F(x) = sum_j scale_j phi(x_j), min phi = phi(0) = 0, |phi''| <= the
+    subclass's ``curvature``: L_j = curvature * scale_j * sqrt(d), and
+    F(x_init) is the gap.  The scale is the parameter ``scale_key``, and
+    ``scale_name`` names it in errors."""
+
+    def __init__(self, d: int, scale: np.ndarray, sigma_vec: np.ndarray,
+                 x_init: np.ndarray):
+        scale = np.asarray(scale, dtype=np.float64)
+        sigma = np.asarray(sigma_vec, dtype=np.float64)
+        x0 = np.asarray(x_init, dtype=np.float64)
+        if not (scale.shape == sigma.shape == x0.shape == (d,)):
+            raise InvalidConstant(f"expected three vectors of length d={d}")
+        if np.any(scale <= 0):
+            raise InvalidConstant(f"{self.scale_name} must be positive")
+        self.d = d
+        self.scale = scale
+        self.constants = ProblemConstants(
+            delta_upper=self.value(x0),
+            L_vec=self.curvature * scale * np.sqrt(d),
+            sigma_vec=sigma,
+            x_init=x0.copy(),
+            x_star=np.zeros(d),
+        )
 
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # numpy fills row-major, so one (n, d) draw equals n sequential (d,) draws
@@ -152,31 +166,14 @@ class NoisyQuadratic(_AdditiveNoiseProblem):
     """F(x) = 1/2 sum_j h_j x_j^2 with uniform additive gradient noise."""
 
     name = "noisy_quadratic"
-
-    def __init__(self, d: int, hessian_diag: np.ndarray, sigma_vec: np.ndarray,
-                 x_init: np.ndarray):
-        h = np.asarray(hessian_diag, dtype=np.float64)
-        sigma = np.asarray(sigma_vec, dtype=np.float64)
-        x0 = np.asarray(x_init, dtype=np.float64)
-        if not (h.shape == sigma.shape == x0.shape == (d,)):
-            raise InvalidConstant(f"expected three vectors of length d={d}")
-        if np.any(h <= 0):
-            raise InvalidConstant("hessian diagonal entries must be positive")
-        self.d = d
-        self.h = h
-        self.constants = ProblemConstants(
-            delta_upper=0.5 * float((h * x0) @ x0),
-            L_vec=h * np.sqrt(d),
-            sigma_vec=sigma,
-            x_init=x0.copy(),
-            x_star=np.zeros(d),
-        )
+    curvature = 1.0
+    scale_key, scale_name = "hessian_diag", "hessian diagonal entries"
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.h * x
+        return self.scale * x
 
     def value(self, x: np.ndarray) -> float:
-        return 0.5 * float((self.h * x).dot(x))
+        return 0.5 * float((self.scale * x).dot(x))
 
 
 class BoundedNonConvex(_AdditiveNoiseProblem):
@@ -187,31 +184,14 @@ class BoundedNonConvex(_AdditiveNoiseProblem):
     """
 
     name = "bounded_nonconvex"
-
-    def __init__(self, d: int, a_vec: np.ndarray, sigma_vec: np.ndarray,
-                 x_init: np.ndarray):
-        a = np.asarray(a_vec, dtype=np.float64)
-        sigma = np.asarray(sigma_vec, dtype=np.float64)
-        x0 = np.asarray(x_init, dtype=np.float64)
-        if not (a.shape == sigma.shape == x0.shape == (d,)):
-            raise InvalidConstant(f"expected three vectors of length d={d}")
-        if np.any(a <= 0):
-            raise InvalidConstant("scale entries a_j must be positive")
-        self.d = d
-        self.a = a
-        self.constants = ProblemConstants(
-            delta_upper=float(np.sum(a * x0 * x0 / (1.0 + x0 * x0))),
-            L_vec=_BOUNDED_CURVATURE * a * np.sqrt(d),
-            sigma_vec=sigma,
-            x_init=x0.copy(),
-            x_star=np.zeros(d),
-        )
+    curvature = _BOUNDED_CURVATURE
+    scale_key, scale_name = "a", "scale entries a_j"
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.a * 2.0 * x / (1.0 + x * x) ** 2
+        return self.scale * 2.0 * x / (1.0 + x * x) ** 2
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.sum(self.a * x * x / (1.0 + x * x)))
+        return float(np.sum(self.scale * x * x / (1.0 + x * x)))
 
 
 class SyntheticLogistic(StochasticProblem):
@@ -225,14 +205,13 @@ class SyntheticLogistic(StochasticProblem):
 
     The oracles share work without changing a bit of their results:
 
-    * ``exact_grad`` and ``value`` share the margins y * (W @ x) of the
-      last point through a one-entry memo keyed on the bytes of x, so a
-      point mutated in place is a new key.  ``exact_grads`` asks for each
-      row's loss right after its gradient, so the memo hits there.
-    * ``exact_grad`` takes the weighted mean of the rows with one einsum,
-      which adds the weighted rows in row order, as the axis-0 mean of their
-      (n, d) product does, without building it.  At d = 1 einsum sums the
-      lone column in another order, so d = 1 keeps that axis-0 mean.
+    * ``exact_grads`` computes each row's margins y * (W @ x) once and
+      derives both its gradient and its loss from them; ``exact_grad`` and
+      ``value`` each compute the margins of their one point.
+    * the exact gradient takes the weighted mean of the rows with one
+      einsum, which adds the weighted rows in row order, as the axis-0 mean
+      of their (n, d) product does, without building it.  At d = 1 einsum
+      sums the lone column in another order, so d = 1 keeps that axis-0 mean.
     * a sampled gradient evaluates its one sigmoid on a scalar with numpy's exp:
       ``math.exp`` differs from numpy's in the last bit for some inputs.
     """
@@ -253,13 +232,11 @@ class SyntheticLogistic(StochasticProblem):
         self.n_samples = n_samples
         self.features = rng.uniform(-feature_bound, feature_bound, size=(n_samples, d))
         self.labels = rng.choice([-1.0, 1.0], size=n_samples)
-        self._memo_key = b""          # x.tobytes() of the last point
-        self._memo_margins = None     # and its margins
         abs_w_max = np.max(np.abs(self.features), axis=0)
         row_norms = np.linalg.norm(self.features, axis=1)
         self.constants = ProblemConstants(
             # F >= 0 everywhere, so F(x_init) upper-bounds the gap to the minimum.
-            delta_upper=self._full_value(x0),
+            delta_upper=self.value(x0),
             L_vec=np.sqrt(d) / 4.0 * np.max(np.abs(self.features) * row_norms[:, None], axis=0),
             sigma_vec=2.0 * abs_w_max,
             x_init=x0.copy(),
@@ -267,23 +244,25 @@ class SyntheticLogistic(StochasticProblem):
         )
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        """y * (W @ x) for a (d,) point, computed once for consecutive
-        calls at equal points; callers only read it."""
-        key = np.asarray(x, dtype=np.float64).tobytes()
-        if key != self._memo_key:
-            self._memo_margins = self.labels * (self.features @ x)
-            self._memo_key = key
-        return self._memo_margins
+        """y * (W @ x) for a (d,) point."""
+        return self.labels * (self.features @ x)
 
-    def _full_value(self, x: np.ndarray) -> float:
-        return float(np.mean(np.logaddexp(0.0, -self._margins(x))))
+    def _grad_of(self, margins: np.ndarray) -> np.ndarray:
+        weights = -self.labels * _sigmoid(-margins)
+        if self.d == 1:
+            return np.mean(weights[:, None] * self.features, axis=0)
+        return np.einsum("i,ij->j", weights, self.features) / self.n_samples
+
+    @staticmethod
+    def _loss_of(margins: np.ndarray) -> float:
+        return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # one block of indices draws what n scalar integers calls would
         return rng.integers(0, self.n_samples, size=n)
 
-    def noise_support(self) -> list[NoiseRealization]:
-        return [NoiseRealization(i) for i in range(self.n_samples)]
+    def noise_support(self) -> np.ndarray:
+        return np.arange(self.n_samples)
 
     def _sample_grad(self, x: np.ndarray, i: int) -> np.ndarray:
         z = -self.labels[i] * float(self.features[i] @ x)
@@ -303,23 +282,22 @@ class SyntheticLogistic(StochasticProblem):
 
     def exact_grads(self, xs, with_loss):
         """Row by row, since a matrix product over the rows would not
-        reproduce the per-vector arithmetic (the memo: see the class)."""
+        reproduce the per-vector arithmetic; a row's gradient and loss
+        share its margins."""
         grads = np.empty(xs.shape)
         loss = np.empty(len(xs)) if with_loss else None
         for r in range(len(xs)):
-            grads[r] = self.exact_grad(xs[r])
+            margins = self._margins(xs[r])
+            grads[r] = self._grad_of(margins)
             if with_loss:
-                loss[r] = self.value(xs[r])
+                loss[r] = self._loss_of(margins)
         return grads, loss
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        weights = -self.labels * _sigmoid(-self._margins(x))
-        if self.d == 1:
-            return np.mean(weights[:, None] * self.features, axis=0)
-        return np.einsum("i,ij->j", weights, self.features) / self.n_samples
+        return self._grad_of(self._margins(x))
 
     def value(self, x: np.ndarray) -> float:
-        return self._full_value(x)
+        return self._loss_of(self._margins(x))
 
 
 def noisy_quadratic(d: int, hessian_diag, sigma_vec, x_init) -> NoisyQuadratic:
@@ -345,12 +323,19 @@ def _as_vec(value, d: int) -> np.ndarray:
 
 # typed bundled-problem parameter -> its type, the range its value must lie
 # in, and what the two read as; a bool is of neither type
+_FINITE_POSITIVE = (numbers.Real, lambda v: 0 < v < np.inf, "a finite positive number")
 _PARAM_RULES = {
     "d": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
     "n_samples": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
     "data_seed": (numbers.Integral, lambda v: v >= 0, "an integer >= 0"),
-    "feature_bound": (numbers.Real, lambda v: 0 < v < np.inf, "a finite positive number"),
+    "feature_bound": _FINITE_POSITIVE,
+    "hessian_diag": _FINITE_POSITIVE,
+    "a": _FINITE_POSITIVE,
+    "sigma": (numbers.Real, lambda v: 0 <= v < np.inf, "a finite number >= 0"),
+    "x_init": (numbers.Real, lambda v: -np.inf < v < np.inf, "a finite number"),
 }
+# one value for every coordinate, or a list (or 1-d array) of one per coordinate
+_VECTOR_PARAMS = ("hessian_diag", "a", "sigma", "x_init")
 
 
 def check_params(params: dict) -> None:
@@ -358,8 +343,13 @@ def check_params(params: dict) -> None:
     its type or out of its range.  Values are checked, not converted."""
     for key, (kind, in_range, name) in _PARAM_RULES.items():
         value = params.get(key)
-        if key in params and (isinstance(value, bool) or not isinstance(value, kind)
-                              or not in_range(value)):
+        values = [value]
+        if key in _VECTOR_PARAMS:
+            name += " or a list of them"
+            if isinstance(value, list) or getattr(value, "ndim", 0) == 1:
+                values = value
+        if key in params and not all(isinstance(v, kind) and not isinstance(v, bool)
+                                     and in_range(v) for v in values):
             raise InvalidConstant(f"problem.params.{key} must be {name}, got {value!r}")
 
 
@@ -391,14 +381,10 @@ def make_problem(name: str, params: dict) -> StochasticProblem:
 
 def _build_problem(name: str, d: int, p: dict) -> StochasticProblem:
     """The named problem at dimension d, popping its parameters from p."""
-    if name == "noisy_quadratic":
-        return NoisyQuadratic(d, _as_vec(p.pop("hessian_diag", 1.0), d),
-                              _as_vec(p.pop("sigma", 0.0), d),
-                              _as_vec(p.pop("x_init", 1.0), d))
-    if name == "bounded_nonconvex":
-        return BoundedNonConvex(d, _as_vec(p.pop("a", 1.0), d),
-                                _as_vec(p.pop("sigma", 0.0), d),
-                                _as_vec(p.pop("x_init", 1.0), d))
+    for cls in (NoisyQuadratic, BoundedNonConvex):
+        if name == cls.name:
+            return cls(d, _as_vec(p.pop(cls.scale_key, 1.0), d), _as_vec(p.pop("sigma", 0.0), d),
+                       _as_vec(p.pop("x_init", 1.0), d))
     if name == "synthetic_logistic":
         return SyntheticLogistic(d, int(p.pop("n_samples", 32)),
                                  float(p.pop("feature_bound", 1.0)),
@@ -487,7 +473,8 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     if support is not None:
         for x in points:
             exact = problem.exact_grad(x)
-            mean = np.mean([problem.stoch_grad(x, xi) for xi in support], axis=0)
+            block = np.broadcast_to(x, (len(support), problem.d))
+            mean = np.mean(problem.sampled_grads(block, support, None), axis=0)
             gap = np.max(np.abs(mean - exact))
             tol = 1e-12 * (1.0 + float(np.max(np.abs(exact))))
             worst = max(worst, gap / tol)

@@ -570,6 +570,11 @@ def test_rows_must_share_schedule_and_guard():
             run_cell(problem, OptimizerKind.SIGNSTORM, hp, T, [1, 2])
     with pytest.raises(ValueError, match="got 0"):
         run_trial(problem, OptimizerKind.SIGNSTORM, hp, 0, 1)
+    # and a given recorder must be sized for the call's seeds and horizons
+    for recorder in (TraceRecorder(2, 50), TraceRecorder(2, 10), harness.Recorder(3, 20),
+                     harness.Recorder(2, [20, 10])):
+        with pytest.raises(ValueError, match="not sized for these seeds and horizons"):
+            run_cell(problem, OptimizerKind.SIGNSTORM, hp, 20, [1, 2], recorder)
 
 
 def test_logistic_chunk_sized_by_its_payload_row(monkeypatch):

@@ -55,6 +55,8 @@ def benchmark_workloads() -> dict:
 PRACTICAL_KEYS = {"alpha", "beta2"}
 # parameters only synthetic_logistic takes; their cases run on it
 LOGISTIC_KEYS = {"problem.params.data_seed", "problem.params.feature_bound"}
+# and the one only bounded_nonconvex takes
+BOUNDED_KEYS = {"problem.params.a"}
 
 
 class TestConfigValidation:
@@ -113,6 +115,14 @@ class TestConfigValidation:
         ("problem.params.d", 0),
         ("problem.params.data_seed", -1),
         ("problem.params.feature_bound", math.inf),
+        ("problem.params.hessian_diag", "abc"),
+        ("problem.params.hessian_diag", math.inf),
+        ("problem.params.hessian_diag", 0.0),
+        ("problem.params.a", [1.0, -1.0, 1.0]),
+        ("problem.params.sigma", None),
+        ("problem.params.sigma", math.inf),
+        ("problem.params.sigma", -0.25),
+        ("problem.params.x_init", [1.0, math.nan, 1.0]),
         ("eps_guard", -1.0),
         ("eps_guard", math.inf),
     ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
@@ -122,7 +132,9 @@ class TestConfigValidation:
             "list_output_dir", "empty_output_dir", "practical_infinite_alpha",
             "practical_underflowing_alpha", "practical_negative_beta2", "string_d",
             "float_d", "bool_d", "negative_d", "zero_d", "negative_data_seed",
-            "infinite_feature_bound", "negative_eps_guard", "infinite_eps_guard"])
+            "infinite_feature_bound", "string_hessian_diag", "infinite_hessian_diag",
+            "zero_hessian_diag", "negative_a_entry", "null_sigma", "infinite_sigma",
+            "negative_sigma", "nan_x_init_entry", "negative_eps_guard", "infinite_eps_guard"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
@@ -136,6 +148,8 @@ class TestConfigValidation:
             cfg["param_mode"] = "practical"
         if key in LOGISTIC_KEYS:
             cfg["problem"] = {"name": "synthetic_logistic", "params": {"d": 3}}
+        if key in BOUNDED_KEYS:
+            cfg["problem"] = {"name": "bounded_nonconvex", "params": {"d": 3}}
         *sections, leaf = key.split(".")
         functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
         path = write_config(tmp_path, cfg)
@@ -449,6 +463,17 @@ class TestCmdReport:
           ] for chart in ("convergence_bands", "rate_fit")],
         pytest.param("rate_fit", [CELL], {"signstorm": {"slope": -0.3, "r2": 1.0, "n_points": 3}},
                      id="fit_without_intercept-rate_fit"),
+        # finite fits whose line leaves the float range: exp overflows, or
+        # underflows to 0, which a log axis cannot place
+        pytest.param("rate_fit", [CELL], {"signstorm": {"slope": -0.3, "intercept": 1000.0,
+                                                        "r2": 1.0, "n_points": 3}},
+                     id="fit_overflowing_intercept-rate_fit"),
+        pytest.param("rate_fit", [CELL], {"signstorm": {"slope": -0.3, "intercept": -1000.0,
+                                                        "r2": 1.0, "n_points": 3}},
+                     id="fit_underflowing_intercept-rate_fit"),
+        pytest.param("rate_fit", [CELL], {"signstorm": {"slope": 1e308, "intercept": 0.0,
+                                                        "r2": 1.0, "n_points": 3}},
+                     id="fit_slope_1e308-rate_fit"),
     ])
     def test_malformed_report_is_config_error(self, tmp_path, capsys, chart, cells, fits):
         path = self.synthetic_report(tmp_path, cells, fits)

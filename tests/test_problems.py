@@ -16,7 +16,7 @@ from signstorm import (
     synthetic_logistic,
     verify_assumptions,
 )
-from signstorm.problems import NoiseRealization, NoisyQuadratic
+from signstorm.problems import BoundedNonConvex, NoisyQuadratic
 
 
 def central_difference(value_fn, x, h=1e-5):
@@ -69,13 +69,41 @@ class TestNoisyQuadratic:
         nx = p.stoch_grad(x, xi) - p.exact_grad(x)
         ny = p.stoch_grad(y, xi) - p.exact_grad(y)
         ulp = np.spacing(np.maximum(np.abs(p.exact_grad(x)), np.abs(p.exact_grad(y))))
-        assert np.all(np.abs(nx - xi.payload) <= ulp)
-        assert np.all(np.abs(ny - xi.payload) <= ulp)
+        assert np.all(np.abs(nx - xi) <= ulp)
+        assert np.all(np.abs(ny - xi) <= ulp)
 
     def test_invalid_hessian(self):
         with pytest.raises(InvalidConstant):
             noisy_quadratic(2, np.array([1.0, 0.0]), np.zeros(2), np.ones(2))
 
+
+
+class TestAdditiveConstants:
+    """The one additive constructor against frozen copies of the formulas
+    that each additive problem's own constructor used."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-150.0, 150.0), log_x=st.floats(-3.0, 3.0))
+    @example(d=1, seed=0, log_scale=150.0, log_x=0.0)
+    @example(d=1, seed=1, log_scale=-150.0, log_x=2.0)
+    @example(d=5, seed=2, log_scale=149.9, log_x=-3.0)
+    @example(d=12, seed=3, log_scale=-149.9, log_x=3.0)
+    def test_constants_match_frozen_formulas(self, d, seed, log_scale, log_x):
+        gen = np.random.default_rng(seed)
+        scale = gen.uniform(0.5, 2.0, d) * 10.0 ** log_scale
+        sigma = gen.uniform(0.0, 2.0, d) * 10.0 ** log_scale
+        x0 = gen.standard_normal(d) * 10.0 ** log_x
+        frozen = {
+            NoisyQuadratic: (0.5 * float((scale * x0) @ x0), scale * np.sqrt(d)),
+            BoundedNonConvex: (float(np.sum(scale * x0 * x0 / (1.0 + x0 * x0))),
+                               2.0 * scale * np.sqrt(d)),
+        }
+        for cls, (delta_upper, L_vec) in frozen.items():
+            consts = cls(d, scale, sigma, x0).constants
+            assert same_bits(consts.delta_upper, delta_upper)
+            assert same_bits(consts.L_vec, L_vec)
+            assert same_bits(consts.sigma_vec, sigma) and same_bits(consts.x_init, x0)
 
 
 class TestPresample:
@@ -90,7 +118,7 @@ class TestPresample:
     def test_presample_matches_single_draws(self, problem):
         block_rng, rng = make_rng(5), make_rng(5)
         batch = problem.presample_payloads(block_rng, 50)
-        singles = np.stack([problem.draw_noise(rng).payload for _ in range(50)])
+        singles = np.stack([problem.draw_noise(rng) for _ in range(50)])
         np.testing.assert_array_equal(batch, singles)
         assert block_rng.bit_generator.state == rng.bit_generator.state
 
@@ -242,9 +270,11 @@ class TestLogisticOraclesBitForBit:
         x[hit] = gen.choice([0.0, -0.0], hit.sum())
         assert same_bits(p.exact_grad(x), frozen_exact_grad(p, x))
         assert same_bits(p.value(x), frozen_value(p, x))
-        assert same_bits(p.value(x), frozen_value(p, x))  # a memo hit
+        grads, loss = p.exact_grads(np.stack([x, -x]), True)
+        assert same_bits(grads, [frozen_exact_grad(p, x), frozen_exact_grad(p, -x)])
+        assert same_bits(loss, [frozen_value(p, x), frozen_value(p, -x)])
         for i in range(n):
-            assert same_bits(p.stoch_grad(x, NoiseRealization(i)), frozen_stoch_grad(p, x, i))
+            assert same_bits(p.stoch_grad(x, i), frozen_stoch_grad(p, x, i))
 
     @settings(max_examples=200, deadline=None)
     @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
@@ -260,10 +290,9 @@ class TestLogisticOraclesBitForBit:
         p.features, p.labels = np.ones((1, 1)), np.ones(1)
         for zk in z:
             x = np.array([-zk])
-            assert same_bits(p.stoch_grad(x, NoiseRealization(0)),
-                             frozen_stoch_grad(p, x, 0))
+            assert same_bits(p.stoch_grad(x, 0), frozen_stoch_grad(p, x, 0))
 
-    def test_memo_keys_on_the_values_of_x(self):
+    def test_oracles_read_the_values_of_x(self):
         p = synthetic_logistic(5, 20, 1.0, np.zeros(5), seed=3)
         x = np.linspace(-1.0, 1.0, 5)
         before = frozen_value(p, x)
@@ -272,34 +301,22 @@ class TestLogisticOraclesBitForBit:
         assert p.value(x) == frozen_value(p, x) != before
         assert same_bits(p.exact_grad(x), frozen_exact_grad(p, x))
 
-    def test_memo_holds_the_last_point_only(self):
-        p = synthetic_logistic(3, 16, 1.0, np.zeros(3))
-        rng = make_rng(5)
-        xs = [rng.standard_normal(3) for _ in range(50)]
-        for x in xs:
-            p.exact_grad(x)
-            assert same_bits(p.value(x), frozen_value(p, x))
-        assert p._memo_key == xs[-1].tobytes()
-        # an earlier point is recomputed, and evicts the last one
-        assert same_bits(p.value(xs[0]), frozen_value(p, xs[0]))
-        assert p._memo_key == xs[0].tobytes()
-
-    def test_memo_hits_for_every_seed_of_a_traced_cell(self):
-        """run_cell asks for each row's loss right after its gradient, so
-        every loss reuses the margins, for any seed count."""
+    def test_traced_cell_computes_margins_once_per_row_step(self):
+        """A traced cell asks for every row's gradient and loss at every
+        step; both come from one margins product, for any seed count."""
         p = synthetic_logistic(4, 30, 1.0, np.full(4, 0.5), seed=1)
-        hits = []
-        value = p.value
+        calls = []
+        margins = p._margins
 
         def spy(x):
-            hits.append(p._memo_key == np.asarray(x).tobytes())
-            return value(x)
+            calls.append(1)
+            return margins(x)
 
-        p.value = spy
+        p._margins = spy
         S, T = 70, 5
-        run_cell(p, OptimizerKind.STORM, HyperParams(eta=0.05, beta1=0.9, beta2=0.0), T, list(range(S)),
-                 TraceRecorder(S, T))
-        assert len(hits) == S * T and all(hits)
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.0)
+        cell = run_cell(p, OptimizerKind.STORM, hp, T, list(range(S)), TraceRecorder(S, T))
+        assert np.all(cell.done == T) and len(calls) == S * T
 
 
 def per_probe_verify(problem, n_probes, rng):
@@ -316,7 +333,7 @@ def per_probe_verify(problem, n_probes, rng):
     for x in points:
         exact = problem.exact_grad(x)
         if support is not None:
-            mean = np.mean([problem.stoch_grad(x, xi) for xi in support], axis=0)
+            mean = np.mean([problem.stoch_grad(x, i) for i in support], axis=0)
             tol = 1e-12 * (1.0 + float(np.max(np.abs(exact))))
             worst = max(worst, np.max(np.abs(mean - exact)) / tol)
             continue
@@ -362,7 +379,7 @@ class UnderstatedNoise(NoisyQuadratic):
         self.true_sigma = true_sigma
 
     def draw_noise(self, rng):
-        return NoiseRealization(rng.uniform(-self.true_sigma, self.true_sigma))
+        return rng.uniform(-self.true_sigma, self.true_sigma)
 
     def presample_payloads(self, rng, n):
         return rng.uniform(-self.true_sigma, self.true_sigma, size=(n, self.d))
@@ -477,7 +494,7 @@ class TestMakeProblem:
     def test_scalar_broadcast(self):
         p = make_problem("noisy_quadratic",
                          {"d": 3, "hessian_diag": 2.0, "sigma": 0.1, "x_init": 1.0})
-        np.testing.assert_array_equal(p.h, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(p.scale, [2.0, 2.0, 2.0])
 
     def test_unknown_name(self):
         with pytest.raises(InvalidConstant):
@@ -506,6 +523,24 @@ class TestMakeProblem:
         ("synthetic_logistic", "feature_bound", np.inf),
         ("synthetic_logistic", "feature_bound", np.nan),
         ("synthetic_logistic", "feature_bound", -1.0),
+        # vectors: a finite number or a list of them, scales positive and
+        # noise bounds nonnegative
+        ("noisy_quadratic", "hessian_diag", "abc"),
+        ("noisy_quadratic", "hessian_diag", np.inf),
+        ("noisy_quadratic", "hessian_diag", 0.0),
+        ("noisy_quadratic", "hessian_diag", [1.0, -1.0]),
+        ("noisy_quadratic", "hessian_diag", True),
+        ("bounded_nonconvex", "a", [1.0, np.nan]),
+        ("bounded_nonconvex", "a", -2),
+        ("noisy_quadratic", "sigma", None),
+        ("noisy_quadratic", "sigma", np.inf),
+        ("noisy_quadratic", "sigma", -0.5),
+        ("noisy_quadratic", "sigma", [0.1, "0.2"]),
+        ("bounded_nonconvex", "sigma", np.array([0.1, -0.1])),
+        ("noisy_quadratic", "x_init", np.nan),
+        ("noisy_quadratic", "x_init", [1.0, [2.0]]),
+        ("noisy_quadratic", "x_init", np.ones((2, 1))),
+        ("synthetic_logistic", "x_init", [0.0, -np.inf]),
         # in range, but with arrays larger than memory (numpy's MemoryError)
         # or than any array can be (its "array is too big" ValueError)
         ("noisy_quadratic", "d", 10**12),
@@ -519,9 +554,20 @@ class TestMakeProblem:
         with pytest.raises(InvalidConstant, match=f"problem.params.{key}"):
             make_problem(name, params)
 
-    def test_other_value_errors_pass_through(self):
-        with pytest.raises(ValueError, match="could not convert"):
-            make_problem("noisy_quadratic", {"d": 2, "sigma": "abc"})
+    def test_other_value_errors_pass_through(self, monkeypatch):
+        # only numpy's allocation errors become an InvalidConstant
+        def failing_value(self, x):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(NoisyQuadratic, "value", failing_value)
+        with pytest.raises(ValueError, match="math domain error"):
+            make_problem("noisy_quadratic", {"d": 2})
+
+    def test_vector_params_accept_numbers_lists_and_arrays(self):
+        for value in (2, 2.5, np.float64(2.5), [1, 2.5], np.array([1.0, 2.5])):
+            p = make_problem("bounded_nonconvex", {"d": 2, "a": value, "sigma": value,
+                                                   "x_init": value})
+            np.testing.assert_array_equal(p.scale, np.broadcast_to(value, 2))
 
     def test_integer_types_accepted(self):
         p = make_problem("synthetic_logistic", {"d": np.int64(3), "n_samples": 4,
