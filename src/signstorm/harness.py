@@ -139,16 +139,17 @@ class TraceRecorder(Recorder):
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         """Columns of x_t and of the step from it."""
         i = t - 1
+        self.loss[live, i] = loss
+        self.grad_l1[live, i] = grad_l1
+        if self.eps_l1 is not None:
+            # an axis-1 reduce sums each row as np.sum sums it alone
+            self.eps_l1[live, i] = np.add.reduce(np.abs(state.m - g_exact), axis=1)
         diff = state.x - state.prev_x
         # ndarray.dot runs the same kernel as @, so the same bits, in half the time
         for r, s in enumerate(live.tolist()):
             g, move = g_exact[r], diff[r]
-            self.loss[s, i] = loss[r]
-            self.grad_l1[s, i] = grad_l1[r]
             self.grad_l2[s, i] = math.sqrt(float(g.dot(g)))
             self.step_l2[s, i] = math.sqrt(float(move.dot(move)))
-            if self.eps_l1 is not None:
-                self.eps_l1[s, i] = np.sum(np.abs(state.m[r] - g))
 
     def trace(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> TrialTrace:
         """Seed s's trace; views, not copies."""
@@ -585,14 +586,10 @@ def trace_stride(T: int) -> int:
 def write_trace_csv(trace: TrialTrace, path: str) -> None:
     """CSV trace (UTF-8, LF endings); long runs are strided, metrics are not."""
     stride = trace_stride(trace.t.size)
-    lines = [TRACE_HEADER]
-    eps = trace.eps_l1
-    for i in range(0, trace.t.size, stride):
-        eps_field = repr(float(eps[i])) if eps is not None else ""
-        lines.append(",".join([
-            str(int(trace.t[i])), repr(float(trace.loss[i])),
-            repr(float(trace.grad_l1[i])), repr(float(trace.grad_l2[i])),
-            eps_field, repr(float(trace.step_l2[i])),
-        ]))
+    t = trace.t[::stride].tolist()
+    # tolist() gives Python floats, whose repr is that of float(x)
+    cols = [map(repr, col[::stride].tolist()) if col is not None else [""] * len(t)
+            for col in (trace.loss, trace.grad_l1, trace.grad_l2, trace.eps_l1, trace.step_l2)]
+    lines = [TRACE_HEADER, *map(",".join, zip(map(str, t), *cols))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

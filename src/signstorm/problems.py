@@ -36,6 +36,9 @@ _BOUNDED_CURVATURE = 2.0
 # smoothness of a one-dimensional quadratic, rounds to just above 1
 _REL_SLACK = 1e-9
 
+# SyntheticLogistic.exact_grads' blocks hold at most this many margins, or one row
+_MARGIN_VALUES = 1 << 16
+
 
 def _sigmoid(z) -> np.ndarray:
     """Logistic function, stable for large |z|: 1 / (1 + exp(-z)) for
@@ -145,6 +148,9 @@ class _AdditiveNoiseProblem(StochasticProblem):
             raise InvalidConstant(f"{self.scale_name} must be positive")
         self.d = d
         self.scale = scale
+        # uniform(-sigma, sigma) is lo + range * random(), with these per call
+        self._lo = -sigma
+        self._range = sigma - self._lo
         self.constants = ProblemConstants(
             delta_upper=self.value(x0),
             L_vec=self.curvature * scale * np.sqrt(d),
@@ -154,9 +160,10 @@ class _AdditiveNoiseProblem(StochasticProblem):
         )
 
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # numpy fills row-major, so one (n, d) draw equals n sequential (d,) draws
-        sigma = self.constants.sigma_vec
-        return rng.uniform(-sigma, sigma, size=(n, self.d))
+        # rng.uniform(-sigma, sigma, size=(n, d)) bit for bit, generator state
+        # included, without its range checks; numpy fills row-major, so one
+        # (n, d) draw equals n sequential (d,) draws
+        return self._lo + self._range * rng.random((n, self.d))
 
     def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
         return (self.exact_grad(xs) if exact is None else exact) + payloads
@@ -205,14 +212,16 @@ class SyntheticLogistic(StochasticProblem):
 
     The oracles share work without changing a bit of their results:
 
-    * ``exact_grads`` computes each row's margins y * (W @ x) once and
-      derives both its gradient and its loss from them; ``exact_grad`` and
-      ``value`` each compute the margins of their one point.
+    * ``exact_grads`` computes each row's margins y * (W @ x) with its own
+      matrix-vector product, as a matrix product over the rows would round
+      differently, and then the sigmoid, gradient and loss once per block
+      of rows; ``exact_grad`` and ``value`` are its one-row calls.
     * the exact gradient takes the weighted mean of the rows with one
       einsum, which adds the weighted rows in row order, as the axis-0 mean
       of their (n, d) product does, without building it.  At d = 1 einsum
-      sums the lone column in another order, so d = 1 keeps that axis-0 mean.
-    * a sampled gradient evaluates its one sigmoid on a scalar with numpy's exp:
+      sums the lone column in another order, so d = 1 keeps that mean.
+    * ``sampled_grads`` stays row by row (a block measured slower at the
+      few rows a step holds), each sigmoid on a scalar with numpy's exp:
       ``math.exp`` differs from numpy's in the last bit for some inputs.
     """
 
@@ -247,16 +256,6 @@ class SyntheticLogistic(StochasticProblem):
         """y * (W @ x) for a (d,) point."""
         return self.labels * (self.features @ x)
 
-    def _grad_of(self, margins: np.ndarray) -> np.ndarray:
-        weights = -self.labels * _sigmoid(-margins)
-        if self.d == 1:
-            return np.mean(weights[:, None] * self.features, axis=0)
-        return np.einsum("i,ij->j", weights, self.features) / self.n_samples
-
-    @staticmethod
-    def _loss_of(margins: np.ndarray) -> float:
-        return float(np.mean(np.logaddexp(0.0, -margins)))
-
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # one block of indices draws what n scalar integers calls would
         return rng.integers(0, self.n_samples, size=n)
@@ -281,23 +280,26 @@ class SyntheticLogistic(StochasticProblem):
         return out
 
     def exact_grads(self, xs, with_loss):
-        """Row by row, since a matrix product over the rows would not
-        reproduce the per-vector arithmetic; a row's gradient and loss
-        share its margins."""
         grads = np.empty(xs.shape)
         loss = np.empty(len(xs)) if with_loss else None
-        for r in range(len(xs)):
-            margins = self._margins(xs[r])
-            grads[r] = self._grad_of(margins)
+        step = max(1, _MARGIN_VALUES // self.n_samples)
+        for lo in range(0, len(xs), step):
+            rows = slice(lo, lo + step)
+            margins = np.array([self._margins(x) for x in xs[rows]])
+            weights = -self.labels * _sigmoid(-margins)
+            if self.d == 1:
+                grads[rows] = np.mean(weights[:, :, None] * self.features, axis=1)
+            else:
+                grads[rows] = np.einsum("si,ij->sj", weights, self.features) / self.n_samples
             if with_loss:
-                loss[r] = self._loss_of(margins)
+                loss[rows] = np.mean(np.logaddexp(0.0, -margins), axis=1)
         return grads, loss
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        return self._grad_of(self._margins(x))
+        return self.exact_grads(x[None], False)[0][0]
 
     def value(self, x: np.ndarray) -> float:
-        return self._loss_of(self._margins(x))
+        return float(self.exact_grads(x[None], True)[1][0])
 
 
 def noisy_quadratic(d: int, hessian_diag, sigma_vec, x_init) -> NoisyQuadratic:
@@ -323,16 +325,22 @@ def _as_vec(value, d: int) -> np.ndarray:
 
 # typed bundled-problem parameter -> its type, the range its value must lie
 # in, and what the two read as; a bool is of neither type
-_FINITE_POSITIVE = (numbers.Real, lambda v: 0 < v < np.inf, "a finite positive number")
+# a value is finite if at most the largest float, a test that also holds for
+# an int too large to convert; a bound b is drawn on [-b, b], whose width 2b
+# must be finite too
+_MAX = float(np.finfo(np.float64).max)
+_FINITE_POSITIVE = (numbers.Real, lambda v: 0 < v <= _MAX, "a finite positive number")
 _PARAM_RULES = {
     "d": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
     "n_samples": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
     "data_seed": (numbers.Integral, lambda v: v >= 0, "an integer >= 0"),
-    "feature_bound": _FINITE_POSITIVE,
+    "feature_bound": (numbers.Real, lambda v: 0 < v <= _MAX / 2,
+                      "a positive number whose double is finite"),
     "hessian_diag": _FINITE_POSITIVE,
     "a": _FINITE_POSITIVE,
-    "sigma": (numbers.Real, lambda v: 0 <= v < np.inf, "a finite number >= 0"),
-    "x_init": (numbers.Real, lambda v: -np.inf < v < np.inf, "a finite number"),
+    "sigma": (numbers.Real, lambda v: 0 <= v <= _MAX / 2,
+              "a number >= 0 whose double is finite"),
+    "x_init": (numbers.Real, lambda v: -_MAX <= v <= _MAX, "a finite number"),
 }
 # one value for every coordinate, or a list (or 1-d array) of one per coordinate
 _VECTOR_PARAMS = ("hessian_diag", "a", "sigma", "x_init")
@@ -366,8 +374,9 @@ def make_problem(name: str, params: dict) -> StochasticProblem:
         out = _build_problem(name, d, p)
     except (MemoryError, ValueError) as exc:
         # numpy's errors for an array larger than memory and for one larger
-        # than any array can be
-        if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+        # than any array can be, in bytes or in a dimension
+        too_big = ("array is too big", "Maximum allowed dimension exceeded")
+        if isinstance(exc, ValueError) and not any(text in str(exc) for text in too_big):
             raise
         keys = ("d", "n_samples") if name == "synthetic_logistic" else ("d",)
         sizes = ", ".join(f"problem.params.{key} = {params[key]!r}"

@@ -123,6 +123,9 @@ class TestConfigValidation:
         ("problem.params.sigma", math.inf),
         ("problem.params.sigma", -0.25),
         ("problem.params.x_init", [1.0, math.nan, 1.0]),
+        ("problem.params.sigma", 1e308),
+        ("problem.params.feature_bound", 1e308),
+        ("problem.params.hessian_diag", 10**400),
         ("eps_guard", -1.0),
         ("eps_guard", math.inf),
     ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
@@ -134,7 +137,9 @@ class TestConfigValidation:
             "float_d", "bool_d", "negative_d", "zero_d", "negative_data_seed",
             "infinite_feature_bound", "string_hessian_diag", "infinite_hessian_diag",
             "zero_hessian_diag", "negative_a_entry", "null_sigma", "infinite_sigma",
-            "negative_sigma", "nan_x_init_entry", "negative_eps_guard", "infinite_eps_guard"])
+            "negative_sigma", "nan_x_init_entry", "overflowing_sigma_range",
+            "overflowing_feature_range", "huge_int_hessian_diag", "negative_eps_guard",
+            "infinite_eps_guard"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
@@ -186,7 +191,8 @@ class TestConfigValidation:
         ({"name": "noisy_quadratic", "params": {"d": 2**62}}, "problem.params.d"),
         ({"name": "synthetic_logistic", "params": {"d": 3, "n_samples": 10**12}},
          "problem.params.n_samples"),
-    ], ids=["memory_d", "too_big_d", "memory_n_samples"])
+        ({"name": "noisy_quadratic", "params": {"d": 2**63}}, "problem.params.d"),
+    ], ids=["memory_d", "too_big_d", "memory_n_samples", "beyond_max_dimension_d"])
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.usefixtures("bounded_address_space")
     def test_unallocatable_size_is_one_config_error_line(self, tmp_path, capsys,

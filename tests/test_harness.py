@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
     DegenerateFit,
@@ -13,7 +13,9 @@ from signstorm import (
     ExperimentSpec,
     HyperParams,
     OptimizerKind,
+    OptimizerState,
     OutOfRange,
+    TraceRecorder,
     derive_seed,
     fit_rate,
     make_problem,
@@ -272,6 +274,97 @@ class TestTraceCsv:
         assert trace_stride(10) == 1
         assert trace_stride(1_000_000) == 1
         assert trace_stride(3_000_000) == 3
+
+    @pytest.mark.parametrize("max_rows", [harness.MAX_TRACE_ROWS, 7, 1])
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_bytes_match_frozen_writer(self, tmp_path, monkeypatch, max_rows, diagnostics):
+        # a lowered MAX_TRACE_ROWS strides the 50-step trace by 8 or 50
+        monkeypatch.setattr(harness, "MAX_TRACE_ROWS", max_rows)
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.0)
+        trace = run_trial(small_problem(), OptimizerKind.SIGNSTORM, hp, 50, seed=1,
+                          collect_diagnostics=diagnostics)
+        # values whose repr is easy to get wrong
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310, 0.1, 1e22, 2.0**53]
+        for col in (trace.loss, trace.grad_l1, trace.grad_l2, trace.step_l2, trace.eps_l1):
+            if col is not None:
+                col[:len(special)] = special
+                special.reverse()
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_trace_csv(trace, str(new))
+        frozen_write_trace_csv(trace, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_text().count("\n") == 1 + len(range(0, 50, trace_stride(50)))
+
+
+def frozen_write_trace_csv(trace, path):
+    """The row-by-row trace writer the trace digests were pinned with."""
+    stride = trace_stride(trace.t.size)
+    lines = [harness.TRACE_HEADER]
+    eps = trace.eps_l1
+    for i in range(0, trace.t.size, stride):
+        eps_field = repr(float(eps[i])) if eps is not None else ""
+        lines.append(",".join([
+            str(int(trace.t[i])), repr(float(trace.loss[i])),
+            repr(float(trace.grad_l1[i])), repr(float(trace.grad_l2[i])),
+            eps_field, repr(float(trace.step_l2[i])),
+        ]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def frozen_record(rec, t, live, state, g_exact, grad_l1, loss):
+    """The row-by-row TraceRecorder.record the trace digests were pinned with."""
+    i = t - 1
+    diff = state.x - state.prev_x
+    for r, s in enumerate(live.tolist()):
+        g, move = g_exact[r], diff[r]
+        rec.loss[s, i] = loss[r]
+        rec.grad_l1[s, i] = grad_l1[r]
+        rec.grad_l2[s, i] = math.sqrt(float(g.dot(g)))
+        rec.step_l2[s, i] = math.sqrt(float(move.dot(move)))
+        if rec.eps_l1 is not None:
+            rec.eps_l1[s, i] = np.sum(np.abs(state.m[r] - g))
+
+
+class TestTraceRecorder:
+    # d around numpy's pairwise-sum block of 128 values
+    @settings(max_examples=150, deadline=None)
+    @given(S=st.integers(1, 70), d=st.sampled_from([1, 2, 127, 128, 129, 200]),
+           seed=st.integers(0, 2**32 - 1), t=st.integers(1, 3), list_loss=st.booleans(),
+           diagnostics=st.booleans())
+    @example(S=1, d=1, seed=0, t=1, list_loss=True, diagnostics=True)
+    @example(S=70, d=128, seed=1, t=3, list_loss=False, diagnostics=True)
+    @example(S=70, d=129, seed=2, t=2, list_loss=True, diagnostics=True)
+    def test_columns_match_frozen_record(self, S, d, seed, t, list_loss, diagnostics):
+        gen = np.random.default_rng(seed)
+
+        def block():
+            # scales far apart, with +-0, inf and NaN entries
+            out = gen.standard_normal((S, d)) * 10.0 ** gen.integers(-300, 300, (S, 1))
+            pick = gen.random((S, d))
+            out[pick < 0.05] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan])
+            return out
+
+        state = OptimizerState(x=block(), m=block(), v=block(), prev_x=block(), t=t + 1)
+        g_exact = block()
+        with np.errstate(all="ignore"):
+            grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
+        loss = block()[:, 0]
+        if list_loss:  # the additive problems' exact_grads gives a list
+            loss = loss.tolist()
+        rows = S + int(gen.integers(0, 5))
+        live = gen.permutation(rows)[:S]
+        new, old = (TraceRecorder(rows, 3, diagnostics) for _ in range(2))
+        for rec in (new, old):
+            for col in (rec.loss, rec.grad_l1, rec.grad_l2, rec.step_l2, rec.eps_l1):
+                if col is not None:
+                    col[:] = 0.0
+        with np.errstate(all="ignore"):
+            new.record(t, live, state, None, g_exact, grad_l1, loss)
+            frozen_record(old, t, live, state, g_exact, grad_l1, loss)
+        for name in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -120,6 +122,30 @@ class TestPresample:
         batch = problem.presample_payloads(block_rng, 50)
         singles = np.stack([problem.draw_noise(rng) for _ in range(50)])
         np.testing.assert_array_equal(batch, singles)
+        assert block_rng.bit_generator.state == rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 200), n=st.integers(0, 80), before=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-320.0, 307.0),
+           zero=st.booleans())
+    @example(d=1, n=0, before=0, seed=0, log_scale=0.0, zero=False)
+    @example(d=20, n=68, before=1, seed=1, log_scale=-0.5, zero=True)
+    @example(d=200, n=1000, before=0, seed=2, log_scale=1.0, zero=True)
+    @example(d=1, n=1000, before=3, seed=3, log_scale=0.0, zero=True)
+    @example(d=3, n=5, before=0, seed=4, log_scale=307.0, zero=False)
+    def test_additive_block_equals_uniform_draw(self, d, n, before, seed, log_scale, zero):
+        # the additive presample is lo + range * random(), which must give
+        # the bits and leave the state of uniform(-sigma, sigma, (n, d))
+        gen = np.random.default_rng(seed)
+        sigma = gen.uniform(0.0, 2.0, d) * 10.0 ** log_scale
+        if zero:
+            sigma[gen.integers(0, d)] = 0.0
+        p = noisy_quadratic(d, np.ones(d), sigma, np.ones(d))
+        block_rng, rng = make_rng(seed), make_rng(seed)
+        for g in (block_rng, rng):
+            g.integers(0, 5, size=before)
+        block = p.presample_payloads(block_rng, n)
+        assert same_bits(block, rng.uniform(-sigma, sigma, size=(n, d)))
         assert block_rng.bit_generator.state == rng.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
@@ -275,6 +301,39 @@ class TestLogisticOraclesBitForBit:
         assert same_bits(loss, [frozen_value(p, x), frozen_value(p, -x)])
         for i in range(n):
             assert same_bits(p.stoch_grad(x, i), frozen_stoch_grad(p, x, i))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 48), d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           big=st.integers(257, 300), margin_values=st.sampled_from([None, 1, 50]))
+    @example(n=1, d=1, seed=0, sizes=[1, 9], big=257, margin_values=None)
+    @example(n=40, d=1, seed=1, sizes=[2, 6], big=300, margin_values=50)
+    @example(n=17, d=2, seed=4, sizes=[9], big=257, margin_values=1)
+    def test_block_rows_match_frozen_formulas(self, n, d, seed, sizes, big, margin_values):
+        """Each row of an ``exact_grads`` block, gradient and loss, is the
+        per-row formula at that row alone, whatever rows share its block or
+        how many rows a block of margins holds (``margin_values``)."""
+        p = synthetic_logistic(d, n, 1.0, np.zeros(d), seed=seed)
+        gen = np.random.default_rng(seed)
+
+        def point():
+            # a scale reaching |z| > 745, and a share of the coordinates
+            # +-0; all of them make every margin +-0
+            x = gen.standard_normal(d) * 10.0 ** gen.uniform(-2.0, 4.0)
+            hit = gen.random(d) < gen.choice([0.0, 0.5, 1.0])
+            x[hit] = gen.choice([0.0, -0.0], hit.sum())
+            return x
+
+        limit = problems._MARGIN_VALUES if margin_values is None else margin_values
+        with mock.patch.object(problems, "_MARGIN_VALUES", limit):
+            for S in sizes + [big]:
+                xs = np.stack([point() for _ in range(S)])
+                grads, loss = p.exact_grads(xs, True)
+                only_grads, no_loss = p.exact_grads(xs, False)
+                assert no_loss is None and same_bits(only_grads, grads)
+                for r in range(S):
+                    assert same_bits(grads[r], frozen_exact_grad(p, xs[r]))
+                    assert same_bits(loss[r], frozen_value(p, xs[r]))
 
     @settings(max_examples=200, deadline=None)
     @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
@@ -541,12 +600,23 @@ class TestMakeProblem:
         ("noisy_quadratic", "x_init", [1.0, [2.0]]),
         ("noisy_quadratic", "x_init", np.ones((2, 1))),
         ("synthetic_logistic", "x_init", [0.0, -np.inf]),
+        # ints beyond the float range, which an inf bound would let through
+        pytest.param("noisy_quadratic", "hessian_diag", 10**400, id="huge_int_hessian_diag"),
+        pytest.param("noisy_quadratic", "sigma", [0.1, 10**400], id="huge_int_sigma_entry"),
+        pytest.param("noisy_quadratic", "x_init", -10**400, id="huge_negative_int_x_init"),
+        # a bound whose uniform draw's width 2b overflows
+        ("noisy_quadratic", "sigma", 1e308),
+        ("bounded_nonconvex", "sigma", [0.5, np.nextafter(np.finfo(float).max / 2, np.inf)]),
+        ("synthetic_logistic", "feature_bound", 1e308),
         # in range, but with arrays larger than memory (numpy's MemoryError)
-        # or than any array can be (its "array is too big" ValueError)
+        # or than any array can be (its "array is too big" ValueError and,
+        # from 2^63 on, "Maximum allowed dimension exceeded")
         ("noisy_quadratic", "d", 10**12),
         ("noisy_quadratic", "d", 2**62),
         ("bounded_nonconvex", "d", 2**62),
         ("synthetic_logistic", "n_samples", 10**12),
+        ("noisy_quadratic", "d", 2**63),
+        ("synthetic_logistic", "n_samples", 2**63),
     ])
     @pytest.mark.usefixtures("bounded_address_space")
     def test_typed_params_checked_not_converted(self, name, key, value):
@@ -562,6 +632,11 @@ class TestMakeProblem:
         monkeypatch.setattr(NoisyQuadratic, "value", failing_value)
         with pytest.raises(ValueError, match="math domain error"):
             make_problem("noisy_quadratic", {"d": 2})
+
+    def test_noise_bound_up_to_half_the_largest_float_accepted(self):
+        # the largest noise bound whose draw width is finite, so every draw is
+        p = make_problem("noisy_quadratic", {"d": 2, "sigma": np.finfo(float).max / 2})
+        assert np.all(np.isfinite(p.presample_payloads(make_rng(0), 50)))
 
     def test_vector_params_accept_numbers_lists_and_arrays(self):
         for value in (2, 2.5, np.float64(2.5), [1, 2.5], np.array([1.0, 2.5])):
