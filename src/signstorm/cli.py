@@ -37,7 +37,7 @@ from .errors import (
 )
 from .harness import ExperimentSpec, resolve_hyperparams, run_cell, run_experiment
 from .optim import OptimizerKind
-from .problems import verify_assumptions
+from .problems import unallocatable, verify_assumptions
 from .rngutil import derive_seed, make_rng
 from .theory import TheoremInputs, c_rho, theorem_bound, theorem_params
 
@@ -240,8 +240,10 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
                 "pass" if c.passed else "fail",
                 worst_ratio=c.worst_ratio, detail=c.detail)
 
+    with unallocatable(f"check.T = {T}, check.n_seeds = {n_seeds}: the diagnosed "
+                       "runs' arrays are too large to allocate"):
+        recorder = diag.DiagnosticRecorder(n_seeds, T, problem.d)
     seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
-    recorder = diag.DiagnosticRecorder(n_seeds, T, problem.d)
     run_cell(problem, kind, hp, T, seeds, recorder)
     runs = [recorder.run(s, seed, kind, hp) for s, seed in enumerate(seeds)]
 
@@ -275,9 +277,11 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
         verdict("epsilon_bound", "statistical", "skipped", reason=str(exc))
         verdict("sign_dichotomy", "statistical", "skipped", reason=str(exc))
 
-    l1_rep = diag.lemma1_montecarlo(check["lemma1_trials"], check["lemma1_T"],
-                                    spec.delta, diag.MdsKind(check["mds"]),
-                                    seed=derive_seed(spec.master_seed, 303))
+    with unallocatable(f"check.lemma1_T = {check['lemma1_T']}: the simulated "
+                       "martingale paths are too large to allocate"):
+        l1_rep = diag.lemma1_montecarlo(check["lemma1_trials"], check["lemma1_T"],
+                                        spec.delta, diag.MdsKind(check["mds"]),
+                                        seed=derive_seed(spec.master_seed, 303))
     verdict(l1_rep.name, "statistical", "pass" if l1_rep.passed else "fail",
             violation_fraction=l1_rep.violation_fraction,
             allowed_fraction=l1_rep.allowed_fraction, n_total=l1_rep.n_total)

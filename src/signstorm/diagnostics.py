@@ -187,27 +187,43 @@ def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckR
                        f"T={T}, bound factor sqrt(d/(1-beta2))={math.sqrt(d / (1.0 - hp.beta2)):.6g}")
 
 
+def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
+    """Row t-1 holds sum_{s<=t} beta1^(t-s) rows[s-1], summed in ascending s.
+
+    Row 0's terms seed every sum; then one pass over the lag k = t - s,
+    from the longest down, adds beta1^k times the contiguous block of
+    rows 1.. to the sums k rows below.  A row's lags arrive in descending
+    k, which is ascending s, so every sum adds the products beta1^(t-s)
+    rows[s-1] one at a time in the order of a sequential loop over s.
+    """
+    T = rows.shape[0]
+    # 0^0 = 1 keeps the s = t term alive when beta1 = 0
+    w = beta1 ** np.arange(T, dtype=np.float64)
+    acc = w[:, None] * rows[0]
+    term = np.empty_like(acc)
+    for k in range(T - 2, -1, -1):
+        n = T - 1 - k
+        # a scalar times a contiguous block is numpy's fastest multiply
+        np.multiply(rows[1:n + 1], w[k], out=term[:n])
+        acc[k + 1:] += term[:n]
+    return acc
+
+
 def representation_check(eps_trace: EpsilonTrace, beta1: float,
                          tol: float = 1e-6) -> CheckResult:
     """Verify eps_t = b1^t eps_0 + b1 sum b1^(t-s) Z_s + (1-b1) sum b1^(t-s) xi_s.
 
     The right side is rebuilt by direct weighted summation over s, never by
-    the recurrence that produced eps_t.  One pass over s adds the s-th term
-    to the sums of every t >= s, so each sum runs sequentially in ascending
-    s; the worst t is the first one with the largest error ratio.
+    the recurrence that produced eps_t: :func:`_geometric_sums` on the
+    stacked [Z | xi] rows, one pass over the lag t - s.  Each sum still
+    adds the same products in ascending s, one at a time, as a loop over s
+    would, so every bit of the sums, the worst ratio and the worst t is the
+    one that loop computes, at every d.  The worst t is the first one with
+    the largest error ratio.
     """
     T, d = eps_trace.xi.shape
     scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))
-    zx = np.concatenate([eps_trace.z, eps_trace.xi], axis=1)
-    # 0^0 = 1 keeps the s = t term alive when beta1 = 0; row k holds
-    # beta1^k in every column (a full array multiplies faster than a
-    # broadcast column)
-    weights = np.repeat(beta1 ** np.arange(T, dtype=np.float64)[:, None], 2 * d, axis=1)
-    acc = weights * zx[0]
-    term = np.empty_like(acc)
-    for s in range(1, T):
-        np.multiply(weights[:T - s], zx[s], out=term[:T - s])
-        acc[s:] += term[:T - s]
+    acc = _geometric_sums(np.concatenate([eps_trace.z, eps_trace.xi], axis=1), beta1)
     decay = np.array([beta1 ** t for t in range(1, T + 1)])
     rhs = (decay[:, None] * eps_trace.eps0
            + beta1 * acc[:, :d]

@@ -45,7 +45,7 @@ from .optim import (
     _check_finite,
     step_batch,
 )
-from .problems import StochasticProblem, check_params, make_problem
+from .problems import StochasticProblem, check_params, make_problem, unallocatable
 from .rngutil import derive_seed, make_rng
 from .theory import TheoremInputs, practical_params, theorem_params
 
@@ -450,7 +450,6 @@ def _experiment_task(args) -> tuple[tuple[int, int], Recorder]:
     if trace_dir is None:
         return (oi, lo), run_cell(problem, kind, row_hps, horizons, seeds)
 
-    os.makedirs(trace_dir, exist_ok=True)
     diag = spec.collect_diagnostics
     recorder = Recorder(len(rows), horizons)
     start = 0
@@ -458,8 +457,11 @@ def _experiment_task(args) -> tuple[tuple[int, int], Recorder]:
         # rows x longest horizon x columns under the bound
         size = max(1, _TRACE_VALUES // (horizons[start] * (5 if diag else 4)))
         part = slice(start, start + size)
-        traced = run_cell(problem, kind, row_hps[part], horizons[part], seeds[part],
-                          TraceRecorder(len(seeds[part]), horizons[part], diag))
+        with unallocatable(f"T_grid = {spec.T_grid}: the traces of the T = "
+                           f"{horizons[start]} runs are too large to allocate"):
+            traced = TraceRecorder(len(seeds[part]), horizons[part], diag)
+        run_cell(problem, kind, row_hps[part], horizons[part], seeds[part], traced)
+        os.makedirs(trace_dir, exist_ok=True)
         for r, ((ti, si), seed) in enumerate(zip(rows[part], seeds[part])):
             write_trace_csv(traced.trace(r, seed, kind, hps[ti]), os.path.join(
                 trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))

@@ -20,12 +20,13 @@ every index, lets the verifier check unbiasedness exactly.
 from __future__ import annotations
 
 import abc
+import contextlib
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConstant
+from .errors import ConfigError, InvalidConstant, SignStormError
 
 # Largest |second derivative| of u -> u^2/(1+u^2), attained at u = 0.
 _BOUNDED_CURVATURE = 2.0
@@ -38,6 +39,23 @@ _REL_SLACK = 1e-9
 
 # SyntheticLogistic.exact_grads' blocks hold at most this many margins, or one row
 _MARGIN_VALUES = 1 << 16
+
+
+# numpy's messages for an array larger than any array can be, in bytes or
+# in a dimension; one larger than memory raises a MemoryError
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
+
+@contextlib.contextmanager
+def unallocatable(message: str, error: type[SignStormError] = ConfigError):
+    """Turn numpy's errors for an array that cannot be allocated into
+    ``error(message)``; the message names the values that sized it."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not any(text in str(exc) for text in _TOO_BIG):
+            raise
+        raise error(message) from None
 
 
 def _sigmoid(z) -> np.ndarray:
@@ -76,6 +94,16 @@ class ProblemConstants:
     @property
     def sigma1_norm(self) -> float:
         return float(np.sum(self.sigma_vec))
+
+
+def _check_smoothness(L_vec: np.ndarray, key: str) -> None:
+    """An InvalidConstant naming the parameter ``key`` when a smoothness
+    constant L_j or their sum ||L||_1 leaves the float range."""
+    with np.errstate(over="ignore"):
+        total = np.sum(L_vec)
+    if not np.isfinite(total):
+        raise InvalidConstant(f"problem.params.{key} is too large: the smoothness "
+                              "constants L_j or their sum ||L||_1 overflow the float range")
 
 
 class StochasticProblem(abc.ABC):
@@ -151,9 +179,12 @@ class _AdditiveNoiseProblem(StochasticProblem):
         # uniform(-sigma, sigma) is lo + range * random(), with these per call
         self._lo = -sigma
         self._range = sigma - self._lo
+        with np.errstate(over="ignore"):
+            L_vec = self.curvature * scale * np.sqrt(d)
+        _check_smoothness(L_vec, self.scale_key)
         self.constants = ProblemConstants(
             delta_upper=self.value(x0),
-            L_vec=self.curvature * scale * np.sqrt(d),
+            L_vec=L_vec,
             sigma_vec=sigma,
             x_init=x0.copy(),
             x_star=np.zeros(d),
@@ -242,11 +273,14 @@ class SyntheticLogistic(StochasticProblem):
         self.features = rng.uniform(-feature_bound, feature_bound, size=(n_samples, d))
         self.labels = rng.choice([-1.0, 1.0], size=n_samples)
         abs_w_max = np.max(np.abs(self.features), axis=0)
-        row_norms = np.linalg.norm(self.features, axis=1)
+        with np.errstate(over="ignore"):
+            row_norms = np.linalg.norm(self.features, axis=1)
+            L_vec = np.sqrt(d) / 4.0 * np.max(np.abs(self.features) * row_norms[:, None], axis=0)
+        _check_smoothness(L_vec, "feature_bound")
         self.constants = ProblemConstants(
             # F >= 0 everywhere, so F(x_init) upper-bounds the gap to the minimum.
             delta_upper=self.value(x0),
-            L_vec=np.sqrt(d) / 4.0 * np.max(np.abs(self.features) * row_norms[:, None], axis=0),
+            L_vec=L_vec,
             sigma_vec=2.0 * abs_w_max,
             x_init=x0.copy(),
             x_star=None,
@@ -370,19 +404,12 @@ def make_problem(name: str, params: dict) -> StochasticProblem:
         d = int(p.pop("d"))
     except KeyError as exc:
         raise InvalidConstant("problem params need a dimension 'd'") from exc
-    try:
+    keys = ("d", "n_samples") if name == "synthetic_logistic" else ("d",)
+    sizes = ", ".join(f"problem.params.{key} = {params[key]!r}"
+                      for key in keys if key in params)
+    with unallocatable(f"{sizes}: the {name} problem's arrays are too large to allocate",
+                       InvalidConstant):
         out = _build_problem(name, d, p)
-    except (MemoryError, ValueError) as exc:
-        # numpy's errors for an array larger than memory and for one larger
-        # than any array can be, in bytes or in a dimension
-        too_big = ("array is too big", "Maximum allowed dimension exceeded")
-        if isinstance(exc, ValueError) and not any(text in str(exc) for text in too_big):
-            raise
-        keys = ("d", "n_samples") if name == "synthetic_logistic" else ("d",)
-        sizes = ", ".join(f"problem.params.{key} = {params[key]!r}"
-                          for key in keys if key in params)
-        raise InvalidConstant(f"{sizes}: the {name} problem's arrays are too large "
-                              "to allocate") from None
     if p:
         raise InvalidConstant(f"unknown problem parameters: {sorted(p)}")
     return out

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,41 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err
+
+    # values that pass load but that the run cannot use: arrays sized by a
+    # check horizon or a traced T_grid horizon that cannot be allocated, and
+    # problem scales whose smoothness constants overflow.  The error comes
+    # when the run reaches them, one line naming the key, with no warning.
+    @pytest.mark.parametrize("command, problem, key, value", [
+        ("check", None, "check.T", 10**12),
+        ("check", None, "check.lemma1_T", 10**12),
+        ("run", None, "T_grid", [10**12]),
+        ("run", "bounded_nonconvex", "problem.params.a", 1e308),
+        ("check", "bounded_nonconvex", "problem.params.a", 1e308),
+        ("run", "synthetic_logistic", "problem.params.feature_bound", 1e200),
+        ("check", "synthetic_logistic", "problem.params.feature_bound", 1e200),
+    ], ids=["check_T", "check_lemma1_T", "traced_T_grid", "run_overflowing_a",
+            "check_overflowing_a", "run_overflowing_feature_bound",
+            "check_overflowing_feature_bound"])
+    @pytest.mark.usefixtures("bounded_address_space")
+    def test_unusable_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
+                                                     command, problem, key, value):
+        # one worker, so that the tasks raise and warn in this process
+        monkeypatch.setenv("SIGNSTORM_THREADS", "1")
+        cfg = base_config(tmp_path / "out")
+        if problem is not None:
+            cfg["problem"] = {"name": problem, "params": {"d": 3}}
+        *sections, leaf = key.split(".")
+        functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

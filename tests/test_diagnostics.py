@@ -23,6 +23,7 @@ from signstorm import (
     run_with_diagnostics,
     sign_dichotomy_frequency,
 )
+from signstorm.diagnostics import _geometric_sums
 
 
 def quadratic(d=4, sigma=0.5, h=1.0):
@@ -80,6 +81,30 @@ def per_t_representation(eps_trace, beta1, tol=1e-6):
             worst_ratio = err / scale
             worst_t = t
     return worst_ratio <= 1.0, worst_ratio, worst_t
+
+
+def one_pass_over_s(eps_trace, beta1, tol=1e-6):
+    """A frozen copy of the representation check as it summed before its
+    lag loop, one pass over s with a repeated (T, 2d) weights array:
+    the bit-for-bit reference for the lag loop.  Returns (acc, passed,
+    worst_ratio, worst_t)."""
+    T, d = eps_trace.xi.shape
+    scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))
+    zx = np.concatenate([eps_trace.z, eps_trace.xi], axis=1)
+    weights = np.repeat(beta1 ** np.arange(T, dtype=np.float64)[:, None], 2 * d, axis=1)
+    acc = weights * zx[0]
+    term = np.empty_like(acc)
+    for s in range(1, T):
+        np.multiply(weights[:T - s], zx[s], out=term[:T - s])
+        acc[s:] += term[:T - s]
+    decay = np.array([beta1 ** t for t in range(1, T + 1)])
+    rhs = (decay[:, None] * eps_trace.eps0
+           + beta1 * acc[:, :d]
+           + (1.0 - beta1) * acc[:, d:])
+    ratio = np.max(np.abs(eps_trace.eps - rhs), axis=1) / scale
+    ratio[~(ratio > 0.0)] = 0.0
+    worst = int(np.argmax(ratio))
+    return acc, float(ratio[worst]) <= 1.0, float(ratio[worst]), worst + 1
 
 
 class TestMovementBound:
@@ -187,6 +212,49 @@ class TestRepresentation:
         else:
             assert res.worst_ratio == pytest.approx(worst_ratio, rel=1e-12, abs=0.0)
             assert res.passed == passed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.integers(1, 40), d=st.integers(1, 5),
+           beta1=st.just(0.0) | st.sampled_from([0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), n_zero=st.integers(0, 3),
+           specials=st.lists(st.tuples(st.sampled_from(["xi", "z", "eps"]),
+                                       st.integers(0, 10**6), st.integers(0, 10**6),
+                                       st.sampled_from([math.nan, math.inf, -math.inf])),
+                             max_size=3),
+           perturb=st.booleans())
+    @example(T=1, d=1, beta1=0.9, seed=0, n_zero=0, specials=[], perturb=False)
+    @example(T=2, d=1, beta1=0.0, seed=0, n_zero=0, specials=[], perturb=True)
+    @example(T=2, d=3, beta1=0.0, seed=1, n_zero=1, specials=[], perturb=False)
+    @example(T=30, d=1, beta1=0.9, seed=2, n_zero=0, specials=[], perturb=True)
+    @example(T=12, d=2, beta1=0.7, seed=3, n_zero=2,
+             specials=[("z", 4, 1, math.nan), ("xi", 7, 0, math.inf)], perturb=False)
+    def test_lag_loop_matches_one_pass_loop_bit_for_bit(self, T, d, beta1, seed, n_zero,
+                                                        specials, perturb):
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((T, d))
+        z = rng.standard_normal((T, d))
+        z[0] = 0
+        for row in rng.integers(0, T, size=n_zero):
+            xi[row] = 0.0
+            z[row] = 0.0
+        trace = trace_from_recurrence(xi, z, beta1)
+        if perturb:
+            trace.eps += rng.standard_normal((T, d))
+        for name, row, col, value in specials:
+            getattr(trace, name)[row % T, col % d] = value
+        acc, passed, worst_ratio, worst_t = one_pass_over_s(trace, beta1)
+        zx = np.concatenate([trace.z, trace.xi], axis=1)
+        sums = _geometric_sums(zx, beta1)
+        # every bit of every number, signed zeros included, and NaN where
+        # the reference has NaN.  A NaN's own sign is not pinned: where two
+        # NaNs meet, which one an add keeps depends on whether the element
+        # falls in numpy's SIMD body or its scalar tail.
+        nan = np.isnan(acc)
+        assert np.array_equal(np.isnan(sums), nan)
+        assert sums[~nan].tobytes() == acc[~nan].tobytes()
+        res = representation_check(trace, beta1)
+        assert (res.passed, res.worst_ratio, res.worst_t) == (passed, worst_ratio, worst_t)
 
 
 class TestDecompositionAndRatio:

@@ -11,11 +11,14 @@ in practical mode, and d = 1.  ``golden/check_sha256.json`` pins the
 computed before ``lemma1_montecarlo`` transformed its chunks in place, and
 before ``representation_check`` and ``verify_assumptions`` lost their
 per-t and per-probe loops.  Its second digest, ``check_d1``, pins a
-d = 1 run.  It was computed after those loops went, by the one-pass
-representation check, whose d = 1 sums run sequentially where the per-t
+d = 1 run.  It was computed after those loops went, by a representation
+check whose d = 1 sums run sequentially in ascending s where the per-t
 loop's ran pairwise; on this config the per-t loop wrote the same bytes.
 It was re-pinned when the assumption verifier gained its relative slack:
-only the smoothness verdict moved, from fail to pass.
+only the smoothness verdict moved, from fail to pass.  That check made
+one pass over s; the one that replaced it makes one pass over the lag
+t - s and adds the same products to each sum in the same ascending-s
+order, so both check digests held unchanged.
 Both check digests also hold when ``run_cell`` steps the diagnosed seeds
 in several chunks.  ``golden/trace_sha256.json`` pins every trace CSV
 that ``signstorm run`` writes for three of the specs: one with the

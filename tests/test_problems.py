@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -623,6 +624,20 @@ class TestMakeProblem:
         params = {"d": 2, key: value}
         with pytest.raises(InvalidConstant, match=f"problem.params.{key}"):
             make_problem(name, params)
+
+    # in range, but a smoothness constant L_j, or their sum ||L||_1,
+    # overflows: 2 a sqrt(d), h sqrt(d) summed over d = 2, and the
+    # logistic's sqrt(d)/4 max |w_ij| ||w_i||
+    @pytest.mark.parametrize("name, key, value", [
+        ("bounded_nonconvex", "a", 1e308),
+        ("noisy_quadratic", "hessian_diag", 1e308),
+        ("synthetic_logistic", "feature_bound", 1e200),
+    ])
+    def test_overflowing_smoothness_names_its_key_without_warning(self, name, key, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConstant, match=f"problem.params.{key} is too large"):
+                make_problem(name, {"d": 2, key: value})
 
     def test_other_value_errors_pass_through(self, monkeypatch):
         # only numpy's allocation errors become an InvalidConstant
