@@ -188,13 +188,12 @@ def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckR
 
 
 def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
-    """Row t-1 holds sum_{s<=t} beta1^(t-s) rows[s-1], summed in ascending s.
+    """Row t-1 holds sum_{s<=t} beta1^(t-s) rows[s-1].
 
     Row 0's terms seed every sum; then one pass over the lag k = t - s,
-    from the longest down, adds beta1^k times the contiguous block of
-    rows 1.. to the sums k rows below.  A row's lags arrive in descending
-    k, which is ascending s, so every sum adds the products beta1^(t-s)
-    rows[s-1] one at a time in the order of a sequential loop over s.
+    longest first, adds beta1^k times the contiguous rows 1.. to the sums
+    k rows below.  Each sum thus receives its products in ascending s, one
+    at a time, and every bit equals that of a sequential loop over s.
     """
     T = rows.shape[0]
     # 0^0 = 1 keeps the s = t term alive when beta1 = 0
@@ -203,7 +202,6 @@ def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
     term = np.empty_like(acc)
     for k in range(T - 2, -1, -1):
         n = T - 1 - k
-        # a scalar times a contiguous block is numpy's fastest multiply
         np.multiply(rows[1:n + 1], w[k], out=term[:n])
         acc[k + 1:] += term[:n]
     return acc
@@ -213,13 +211,9 @@ def representation_check(eps_trace: EpsilonTrace, beta1: float,
                          tol: float = 1e-6) -> CheckResult:
     """Verify eps_t = b1^t eps_0 + b1 sum b1^(t-s) Z_s + (1-b1) sum b1^(t-s) xi_s.
 
-    The right side is rebuilt by direct weighted summation over s, never by
-    the recurrence that produced eps_t: :func:`_geometric_sums` on the
-    stacked [Z | xi] rows, one pass over the lag t - s.  Each sum still
-    adds the same products in ascending s, one at a time, as a loop over s
-    would, so every bit of the sums, the worst ratio and the worst t is the
-    one that loop computes, at every d.  The worst t is the first one with
-    the largest error ratio.
+    The right side is rebuilt by direct weighted summation over s
+    (:func:`_geometric_sums`), never by the recurrence that produced eps_t;
+    the worst t is the first one with the largest error ratio.
     """
     T, d = eps_trace.xi.shape
     scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidConstant, SignStormError
+from .errors import InvalidConstant
 
 # Largest |second derivative| of u -> u^2/(1+u^2), attained at u = 0.
 _BOUNDED_CURVATURE = 2.0
@@ -47,15 +47,15 @@ _TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 @contextlib.contextmanager
-def unallocatable(message: str, error: type[SignStormError] = ConfigError):
+def unallocatable(message: str):
     """Turn numpy's errors for an array that cannot be allocated into
-    ``error(message)``; the message names the values that sized it."""
+    ``InvalidConstant(message)``; the message names the values that sized it."""
     try:
         yield
     except (MemoryError, ValueError) as exc:
         if isinstance(exc, ValueError) and not any(text in str(exc) for text in _TOO_BIG):
             raise
-        raise error(message) from None
+        raise InvalidConstant(message) from None
 
 
 def _sigmoid(z) -> np.ndarray:
@@ -407,8 +407,7 @@ def make_problem(name: str, params: dict) -> StochasticProblem:
     keys = ("d", "n_samples") if name == "synthetic_logistic" else ("d",)
     sizes = ", ".join(f"problem.params.{key} = {params[key]!r}"
                       for key in keys if key in params)
-    with unallocatable(f"{sizes}: the {name} problem's arrays are too large to allocate",
-                       InvalidConstant):
+    with unallocatable(f"{sizes}: the {name} problem's arrays are too large to allocate"):
         out = _build_problem(name, d, p)
     if p:
         raise InvalidConstant(f"unknown problem parameters: {sorted(p)}")

@@ -185,51 +185,43 @@ class TestConfigValidation:
             cfg["param_mode"] = "practical"
             assert RunConfig.load(write_config(tmp_path, cfg)).spec.param_mode == "practical"
 
-    # sizes that pass load but whose arrays cannot be allocated, so the
-    # error comes when the problem is built
-    @pytest.mark.parametrize("problem, key", [
-        ({"name": "noisy_quadratic", "params": {"d": 10**12}}, "problem.params.d"),
-        ({"name": "noisy_quadratic", "params": {"d": 2**62}}, "problem.params.d"),
-        ({"name": "synthetic_logistic", "params": {"d": 3, "n_samples": 10**12}},
-         "problem.params.n_samples"),
-        ({"name": "noisy_quadratic", "params": {"d": 2**63}}, "problem.params.d"),
-    ], ids=["memory_d", "too_big_d", "memory_n_samples", "beyond_max_dimension_d"])
-    @pytest.mark.parametrize("command", ["run", "check"])
+    # values that pass load but that the run cannot use: sizes whose arrays
+    # cannot be allocated and problem scales whose smoothness constants
+    # overflow.  The error comes when the run reaches them, one line naming
+    # the key, with no warning.
+    @pytest.mark.parametrize("command, patch, key", [
+        *(pytest.param(command, {"problem": problem}, key, id=f"{command}-{name}")
+          for command in ("run", "check")
+          for name, problem, key in [
+              ("memory_d", {"name": "noisy_quadratic", "params": {"d": 10**12}},
+               "problem.params.d"),
+              ("too_big_d", {"name": "noisy_quadratic", "params": {"d": 2**62}},
+               "problem.params.d"),
+              ("memory_n_samples",
+               {"name": "synthetic_logistic", "params": {"d": 3, "n_samples": 10**12}},
+               "problem.params.n_samples"),
+              ("beyond_max_dimension_d", {"name": "noisy_quadratic", "params": {"d": 2**63}},
+               "problem.params.d"),
+              ("overflowing_a", {"name": "bounded_nonconvex", "params": {"d": 3, "a": 1e308}},
+               "problem.params.a"),
+              ("overflowing_feature_bound",
+               {"name": "synthetic_logistic", "params": {"d": 3, "feature_bound": 1e200}},
+               "problem.params.feature_bound"),
+          ]),
+        pytest.param("check", {"check.T": 10**12}, "check.T", id="check-memory_T"),
+        pytest.param("check", {"check.lemma1_T": 10**12}, "check.lemma1_T",
+                     id="check-memory_lemma1_T"),
+        pytest.param("run", {"T_grid": [10**12]}, "T_grid", id="run-memory_traced_T_grid"),
+    ])
     @pytest.mark.usefixtures("bounded_address_space")
-    def test_unallocatable_size_is_one_config_error_line(self, tmp_path, capsys,
-                                                         command, problem, key):
-        cfg = base_config(tmp_path / "out")
-        cfg["problem"] = problem
-        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert key in err
-
-    # values that pass load but that the run cannot use: arrays sized by a
-    # check horizon or a traced T_grid horizon that cannot be allocated, and
-    # problem scales whose smoothness constants overflow.  The error comes
-    # when the run reaches them, one line naming the key, with no warning.
-    @pytest.mark.parametrize("command, problem, key, value", [
-        ("check", None, "check.T", 10**12),
-        ("check", None, "check.lemma1_T", 10**12),
-        ("run", None, "T_grid", [10**12]),
-        ("run", "bounded_nonconvex", "problem.params.a", 1e308),
-        ("check", "bounded_nonconvex", "problem.params.a", 1e308),
-        ("run", "synthetic_logistic", "problem.params.feature_bound", 1e200),
-        ("check", "synthetic_logistic", "problem.params.feature_bound", 1e200),
-    ], ids=["check_T", "check_lemma1_T", "traced_T_grid", "run_overflowing_a",
-            "check_overflowing_a", "run_overflowing_feature_bound",
-            "check_overflowing_feature_bound"])
-    @pytest.mark.usefixtures("bounded_address_space")
-    def test_unusable_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
-                                                     command, problem, key, value):
+    def test_unallocatable_size_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
+                                                         command, patch, key):
         # one worker, so that the tasks raise and warn in this process
         monkeypatch.setenv("SIGNSTORM_THREADS", "1")
         cfg = base_config(tmp_path / "out")
-        if problem is not None:
-            cfg["problem"] = {"name": problem, "params": {"d": 3}}
-        *sections, leaf = key.split(".")
-        functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
+        for path, value in patch.items():
+            *sections, leaf = path.split(".")
+            functools.reduce(dict.__getitem__, sections, cfg)[leaf] = value
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
