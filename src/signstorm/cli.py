@@ -35,7 +35,8 @@ from .errors import (
     RhoConstraintViolated,
     SignStormError,
 )
-from .harness import ExperimentSpec, resolve_hyperparams, run_cell, run_experiment
+from .harness import (MAX_HORIZON, ExperimentSpec, resolve_hyperparams, run_cell,
+                      run_experiment)
 from .optim import OptimizerKind
 from .problems import unallocatable, verify_assumptions
 from .rngutil import derive_seed, make_rng
@@ -53,7 +54,7 @@ _TOP_TYPES = {"n_seeds": int, "master_seed": int, "delta": float, "beta2": float
               "alpha": float, "beta": float, "eps_guard": float,
               "diagnostics": bool, "per_step": bool, "write_traces": bool}
 _TOP_KEYS = {*_REQUIRED, *_TOP_TYPES, "param_mode", "check"}
-# integer check key -> its smallest allowed value
+# integer check key -> its smallest allowed value; the largest is MAX_HORIZON
 _CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
                "lemma1_trials": diag.LEMMA1_MIN_TRIALS, "lemma1_T": 1}
 _CHECK_KEYS = {*_CHECK_INTS, "mds", "fault_injection"}
@@ -165,8 +166,9 @@ def _check_section(check) -> dict:
     check = {**_CHECK_DEFAULTS, **check}
     for key, low in _CHECK_INTS.items():
         value = check.get(key, low)
-        if not _is_int(value) or value < low:
-            raise ConfigError(f"check.{key} must be an integer >= {low}, got {value!r}")
+        if not _is_int(value) or not low <= value <= MAX_HORIZON:
+            raise ConfigError(f"check.{key} must be an integer from {low} to {MAX_HORIZON}, "
+                              f"got {value!r}")
     kinds = [m.value for m in diag.MdsKind]
     if check["mds"] not in kinds:
         raise ConfigError(f"check.mds must be one of {kinds}, got {check['mds']!r}")
@@ -215,8 +217,14 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     lowest-index one's NonFiniteValue is raised.
     """
     spec = config.spec
-    problem = spec.build_problem()
     check = config.check
+    # first, so that paths too large to allocate fail before any other work
+    with unallocatable(f"check.lemma1_T = {check['lemma1_T']}: the simulated "
+                       "martingale paths are too large to allocate"):
+        l1_rep = diag.lemma1_montecarlo(check["lemma1_trials"], check["lemma1_T"],
+                                        spec.delta, diag.MdsKind(check["mds"]),
+                                        seed=derive_seed(spec.master_seed, 303))
+    problem = spec.build_problem()
     scale = check["fault_injection"]["L_scale"]
     if scale != 1.0:
         problem.constants = dataclasses.replace(
@@ -277,11 +285,6 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
         verdict("epsilon_bound", "statistical", "skipped", reason=str(exc))
         verdict("sign_dichotomy", "statistical", "skipped", reason=str(exc))
 
-    with unallocatable(f"check.lemma1_T = {check['lemma1_T']}: the simulated "
-                       "martingale paths are too large to allocate"):
-        l1_rep = diag.lemma1_montecarlo(check["lemma1_trials"], check["lemma1_T"],
-                                        spec.delta, diag.MdsKind(check["mds"]),
-                                        seed=derive_seed(spec.master_seed, 303))
     verdict(l1_rep.name, "statistical", "pass" if l1_rep.passed else "fail",
             violation_fraction=l1_rep.violation_fraction,
             allowed_fraction=l1_rep.allowed_fraction, n_total=l1_rep.n_total)

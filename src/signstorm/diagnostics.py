@@ -36,6 +36,7 @@ from .optim import (
     HyperParams,
     OptimizerKind,
     _guarded_ratio,
+    _row_norms,
     storm_decomposition,
 )
 from .problems import StochasticProblem
@@ -144,9 +145,7 @@ class DiagnosticRecorder(Recorder):
         self.g_curr[live, i] = grads.g_curr
         self.m[live, i] = state.m
         self.v[live, i] = state.v
-        diff = state.x - state.prev_x
-        for r, s in enumerate(live):
-            self.step_l2[s, i] = math.sqrt(float(diff[r].dot(diff[r])))
+        self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
     def run(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> DiagnosticRun:
         """Seed s's diagnostics, recorded arrays as views; NonFiniteValue if it aborted."""

@@ -43,6 +43,7 @@ from .optim import (
     OptimizerKind,
     OptimizerState,
     _check_finite,
+    _row_norms,
     step_batch,
 )
 from .problems import StochasticProblem, check_params, make_problem, unallocatable
@@ -86,6 +87,8 @@ _MIN_PRESAMPLE_ROWS = 64
 # a traced task steps parts of rows whose columns hold at most this many
 # values (16 MiB), or one row where its columns alone are more
 _TRACE_VALUES = 1 << 21
+# a recorder keeps horizons as int64
+MAX_HORIZON = (1 << 63) - 1
 
 
 class Recorder:
@@ -120,7 +123,7 @@ class TraceRecorder(Recorder):
     """The trace columns of every seed of one :func:`run_cell` call.
 
     Each column is an (S, max T) array whose row s belongs to seed s,
-    written one scalar at a time, which keeps a single seed's steps cheap.
+    written for every live seed at once.
     A seed's trace stops at its horizon, or at its last finite step if it
     aborted.
     """
@@ -144,12 +147,8 @@ class TraceRecorder(Recorder):
         if self.eps_l1 is not None:
             # an axis-1 reduce sums each row as np.sum sums it alone
             self.eps_l1[live, i] = np.add.reduce(np.abs(state.m - g_exact), axis=1)
-        diff = state.x - state.prev_x
-        # ndarray.dot runs the same kernel as @, so the same bits, in half the time
-        for r, s in enumerate(live.tolist()):
-            g, move = g_exact[r], diff[r]
-            self.grad_l2[s, i] = math.sqrt(float(g.dot(g)))
-            self.step_l2[s, i] = math.sqrt(float(move.dot(move)))
+        self.grad_l2[live, i] = _row_norms(g_exact)[:, 0]
+        self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
     def trace(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> TrialTrace:
         """Seed s's trace; views, not copies."""
@@ -377,6 +376,9 @@ class ExperimentSpec:
             raise ConfigError("n_seeds must be >= 1")
         if not self.T_grid or any(b <= a for a, b in zip(self.T_grid, self.T_grid[1:])):
             raise ConfigError("T_grid must be non-empty and strictly increasing")
+        if self.T_grid[-1] > MAX_HORIZON:
+            raise ConfigError(f"T_grid horizons must be at most {MAX_HORIZON}, "
+                              f"got {self.T_grid[-1]}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
         if self.param_mode not in ("theorem", "practical"):

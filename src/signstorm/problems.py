@@ -243,17 +243,17 @@ class SyntheticLogistic(StochasticProblem):
 
     The oracles share work without changing a bit of their results:
 
-    * ``exact_grads`` computes each row's margins y * (W @ x) with its own
-      matrix-vector product, as a matrix product over the rows would round
-      differently, and then the sigmoid, gradient and loss once per block
-      of rows; ``exact_grad`` and ``value`` are its one-row calls.
+    * both block oracles take each row's dot products in one stacked
+      ``np.matmul``, which runs the BLAS matrix-vector product (or dot) of
+      each row alone, as the row's own ``@`` does, so a row's bits do not
+      depend on the rows beside it; a matrix product over the rows would
+      round differently.  The sigmoid, gradient and loss then run once per
+      block, each sigmoid with numpy's exp: ``math.exp`` differs from
+      numpy's in the last bit for some inputs.
     * the exact gradient takes the weighted mean of the rows with one
       einsum, which adds the weighted rows in row order, as the axis-0 mean
       of their (n, d) product does, without building it.  At d = 1 einsum
       sums the lone column in another order, so d = 1 keeps that mean.
-    * ``sampled_grads`` stays row by row (a block measured slower at the
-      few rows a step holds), each sigmoid on a scalar with numpy's exp:
-      ``math.exp`` differs from numpy's in the last bit for some inputs.
     """
 
     name = "synthetic_logistic"
@@ -286,10 +286,6 @@ class SyntheticLogistic(StochasticProblem):
             x_star=None,
         )
 
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        """y * (W @ x) for a (d,) point."""
-        return self.labels * (self.features @ x)
-
     def presample_payloads(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # one block of indices draws what n scalar integers calls would
         return rng.integers(0, self.n_samples, size=n)
@@ -297,21 +293,12 @@ class SyntheticLogistic(StochasticProblem):
     def noise_support(self) -> np.ndarray:
         return np.arange(self.n_samples)
 
-    def _sample_grad(self, x: np.ndarray, i: int) -> np.ndarray:
-        z = -self.labels[i] * float(self.features[i] @ x)
-        # _sigmoid's two branches on one number
-        if z >= 0:
-            s = 1.0 / (1.0 + np.exp(-z))
-        else:
-            e = np.exp(z)
-            s = e / (1.0 + e)
-        return -self.labels[i] * self.features[i] * float(s)
-
     def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
-        out = np.empty(xs.shape)
-        for r in range(len(xs)):
-            out[r] = self._sample_grad(xs[r], payloads[r])
-        return out
+        rows = self.features.take(payloads, axis=0)
+        neg_labels = -self.labels.take(payloads)
+        z = neg_labels * np.matmul(rows[:, None, :], xs[:, :, None])[:, 0, 0]
+        # w * (-y s) has the bits of (-y w) * s, as y is +-1
+        return rows * (neg_labels * _sigmoid(z))[:, None]
 
     def exact_grads(self, xs, with_loss):
         grads = np.empty(xs.shape)
@@ -319,14 +306,19 @@ class SyntheticLogistic(StochasticProblem):
         step = max(1, _MARGIN_VALUES // self.n_samples)
         for lo in range(0, len(xs), step):
             rows = slice(lo, lo + step)
-            margins = np.array([self._margins(x) for x in xs[rows]])
-            weights = -self.labels * _sigmoid(-margins)
+            # -y * (W @ x) of each row
+            neg_margins = -(self.labels * np.matmul(self.features, xs[rows, :, None])[..., 0])
+            weights = -self.labels * _sigmoid(neg_margins)
             if self.d == 1:
                 grads[rows] = np.mean(weights[:, :, None] * self.features, axis=1)
             else:
-                grads[rows] = np.einsum("si,ij->sj", weights, self.features) / self.n_samples
+                # "is" on the transposed weights adds in the same order as
+                # "si", and a contiguous block runs faster
+                grads[rows] = np.einsum("is,ij->sj", np.ascontiguousarray(weights.T),
+                                        self.features) / self.n_samples
             if with_loss:
-                loss[rows] = np.mean(np.logaddexp(0.0, -margins), axis=1)
+                # what np.mean computes, without its Python wrapper
+                loss[rows] = np.add.reduce(np.logaddexp(0.0, neg_margins), axis=1) / self.n_samples
         return grads, loss
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:

@@ -91,6 +91,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("check.n_seeds", 0),
         ("check.T", "abc"),
+        ("check.T", 2**63),
+        ("check.lemma1_T", 2**63),
         ("check.mds", "gauss"),
         ("check.fault_injection", {"x": 1}),
         ("write_traces", "false"),
@@ -99,6 +101,7 @@ class TestConfigValidation:
         ("n_seeds", True),
         ("T_grid", [10.7, 20, 40]),
         ("T_grid", 100),
+        ("T_grid", [60, 2**63]),
         ("delta", None),
         ("delta", True),
         ("optimizers", 5),
@@ -129,9 +132,10 @@ class TestConfigValidation:
         ("problem.params.hessian_diag", 10**400),
         ("eps_guard", -1.0),
         ("eps_guard", math.inf),
-    ], ids=["zero_seeds", "non_integer_T", "unknown_mds", "unknown_fault_key",
-            "string_write_traces", "string_diagnostics", "float_n_seeds",
-            "bool_n_seeds", "float_in_T_grid", "scalar_T_grid", "null_delta",
+    ], ids=["zero_seeds", "non_integer_T", "int64_overflowing_T", "int64_overflowing_lemma1_T",
+            "unknown_mds", "unknown_fault_key", "string_write_traces", "string_diagnostics",
+            "float_n_seeds", "bool_n_seeds", "float_in_T_grid", "scalar_T_grid",
+            "int64_overflowing_T_grid", "null_delta",
             "bool_delta", "scalar_optimizers", "list_params", "null_output_dir",
             "list_output_dir", "empty_output_dir", "practical_infinite_alpha",
             "practical_underflowing_alpha", "practical_negative_beta2", "string_d",
@@ -230,6 +234,22 @@ class TestConfigValidation:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err and "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.usefixtures("bounded_address_space")
+    def test_unallocatable_lemma1_T_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("check started work before sizing the lemma 1 paths")
+
+        for name in ("harness.ExperimentSpec.build_problem", "cli.verify_assumptions",
+                     "cli.run_cell"):
+            monkeypatch.setattr(f"signstorm.{name}", no_work)
+        cfg = base_config(tmp_path / "out")
+        cfg["check"]["lemma1_T"] = 10**12
+        assert main(["check", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "check.lemma1_T" in err
         assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, tmp_path):

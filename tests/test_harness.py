@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
     DegenerateFit,
+    DiagnosticRecorder,
     EmptyInput,
     ExperimentReport,
     ExperimentSpec,
+    GradientPair,
     HyperParams,
     OptimizerKind,
     OptimizerState,
@@ -365,6 +367,11 @@ class TestTraceRecorder:
         for name in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
             a, b = getattr(new, name), getattr(old, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        # the diagnostic recorder's step_l2 is the same per-row norm
+        diag = DiagnosticRecorder(rows, 3, d)
+        with np.errstate(all="ignore"):
+            diag.record(t, live, state, GradientPair(block(), block()), g_exact, grad_l1, loss)
+        assert diag.step_l2[live, t - 1].tobytes() == old.step_l2[live, t - 1].tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from signstorm import optim
 from signstorm import (
     DimensionMismatch,
     GradientPair,
@@ -358,3 +359,22 @@ class TestConventionProperties:
         assert new.x[new.m == 0.0].tobytes() == state.x[new.m == 0.0].tobytes()
         row, _ = step_batch(*batched(state, grads), hp)
         assert row.x[0].tobytes() == expected.tobytes()
+
+
+class TestRowNorms:
+    # d around numpy's pairwise-sum block of 128 values; any leading axes
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.sampled_from([(1,), (7,), (1, 1), (2, 3), (70, 33), (3, 4, 129),
+                                  (2, 128), (5, 200)]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, 1), seed=0)
+    def test_each_row_is_its_linalg_norm(self, shape, seed):
+        gen = np.random.default_rng(seed)
+        # scales far apart, with +-0, inf and NaN entries
+        m = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300, shape[:-1] + (1,))
+        m[gen.random(shape) < 0.05] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            norms = optim._row_norms(m)
+            expected = [np.linalg.norm(row) for row in m.reshape(-1, shape[-1])]
+        assert norms.shape == shape[:-1] + (1,)
+        assert norms.tobytes() == np.array(expected).tobytes()

@@ -270,6 +270,15 @@ def frozen_stoch_grad(p, x, i):
     return -p.labels[i] * p.features[i] * float(frozen_sigmoid(z)[0])
 
 
+def edge_point(gen, d):
+    """A point at a scale reaching |z| > 745, with a share of its
+    coordinates +-0; all of them make every margin +-0."""
+    x = gen.standard_normal(d) * 10.0 ** gen.uniform(-2.0, 4.0)
+    hit = gen.random(d) < gen.choice([0.0, 0.5, 1.0])
+    x[hit] = gen.choice([0.0, -0.0], hit.sum())
+    return x
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -316,25 +325,40 @@ class TestLogisticOraclesBitForBit:
         how many rows a block of margins holds (``margin_values``)."""
         p = synthetic_logistic(d, n, 1.0, np.zeros(d), seed=seed)
         gen = np.random.default_rng(seed)
-
-        def point():
-            # a scale reaching |z| > 745, and a share of the coordinates
-            # +-0; all of them make every margin +-0
-            x = gen.standard_normal(d) * 10.0 ** gen.uniform(-2.0, 4.0)
-            hit = gen.random(d) < gen.choice([0.0, 0.5, 1.0])
-            x[hit] = gen.choice([0.0, -0.0], hit.sum())
-            return x
-
         limit = problems._MARGIN_VALUES if margin_values is None else margin_values
         with mock.patch.object(problems, "_MARGIN_VALUES", limit):
             for S in sizes + [big]:
-                xs = np.stack([point() for _ in range(S)])
+                xs = np.stack([edge_point(gen, d) for _ in range(S)])
                 grads, loss = p.exact_grads(xs, True)
                 only_grads, no_loss = p.exact_grads(xs, False)
                 assert no_loss is None and same_bits(only_grads, grads)
                 for r in range(S):
                     assert same_bits(grads[r], frozen_exact_grad(p, xs[r]))
                     assert same_bits(loss[r], frozen_value(p, xs[r]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 48), d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           S=st.sampled_from([1, 2, 70]))
+    @example(n=1, d=1, seed=0, S=70)
+    @example(n=40, d=1, seed=1, S=2)
+    @example(n=17, d=2, seed=4, S=1)
+    def test_sampled_block_rows_match_frozen_formula(self, n, d, seed, S):
+        """Each row of a ``sampled_grads`` block is the one-point formula
+        at that row and payload alone, whatever rows share its block."""
+        p = synthetic_logistic(d, n, 1.0, np.zeros(d), seed=seed)
+        gen = np.random.default_rng(seed)
+        xs = np.stack([edge_point(gen, d) for _ in range(S)])
+        payloads = gen.integers(0, n, S)
+        block = p.sampled_grads(xs, payloads, None)
+        for r in range(S):
+            assert same_bits(block[r], frozen_stoch_grad(p, xs[r], payloads[r]))
+        part = gen.permutation(S)[:max(1, S // 2)]
+        assert same_bits(p.sampled_grads(xs[part], payloads[part], None), block[part])
+        # the verifier's block: one point under every sample
+        support = p.noise_support()
+        at_x = p.sampled_grads(np.broadcast_to(xs[0], (n, d)), support, None)
+        for i in support:
+            assert same_bits(at_x[i], frozen_stoch_grad(p, xs[0], i))
 
     @settings(max_examples=200, deadline=None)
     @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
@@ -344,13 +368,15 @@ class TestLogisticOraclesBitForBit:
     def test_sigmoids_match_frozen_formula(self, z):
         expected = frozen_sigmoid(z)
         assert same_bits(problems._sigmoid(z), expected)
-        # the scalar path of stoch_grad: one sample with w = 1 and y = 1
-        # evaluates the sigmoid at z = -(w x) = zk for x = -zk
+        # the sampled oracle, one row and one block: one sample with w = 1
+        # and y = 1 evaluates the sigmoid at z = -(w x) = zk for x = -zk
         p = synthetic_logistic(1, 1, 1.0, np.zeros(1))
         p.features, p.labels = np.ones((1, 1)), np.ones(1)
-        for zk in z:
-            x = np.array([-zk])
+        xs = -np.array(z)[:, None]
+        block = p.sampled_grads(xs, np.zeros(len(z), dtype=np.int64), None)
+        for r, x in enumerate(xs):
             assert same_bits(p.stoch_grad(x, 0), frozen_stoch_grad(p, x, 0))
+            assert same_bits(block[r], frozen_stoch_grad(p, x, 0))
 
     def test_oracles_read_the_values_of_x(self):
         p = synthetic_logistic(5, 20, 1.0, np.zeros(5), seed=3)
@@ -363,20 +389,22 @@ class TestLogisticOraclesBitForBit:
 
     def test_traced_cell_computes_margins_once_per_row_step(self):
         """A traced cell asks for every row's gradient and loss at every
-        step; both come from one margins product, for any seed count."""
+        step; both come from one block margins product, for any seed count."""
         p = synthetic_logistic(4, 30, 1.0, np.full(4, 0.5), seed=1)
-        calls = []
-        margins = p._margins
+        rows = []
+        matmul = np.matmul
 
-        def spy(x):
-            calls.append(1)
-            return margins(x)
+        def spy(a, b, *args, **kwargs):
+            if a is p.features:  # the margins of the rows of b
+                rows.append(len(b))
+            return matmul(a, b, *args, **kwargs)
 
-        p._margins = spy
         S, T = 70, 5
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.0)
-        cell = run_cell(p, OptimizerKind.STORM, hp, T, list(range(S)), TraceRecorder(S, T))
-        assert np.all(cell.done == T) and len(calls) == S * T
+        with mock.patch.object(problems.np, "matmul", spy):
+            cell = run_cell(p, OptimizerKind.STORM, hp, T, list(range(S)), TraceRecorder(S, T))
+        # one call per step, as 70 rows of 30 margins make one block
+        assert np.all(cell.done == T) and rows == [S] * T
 
 
 def per_probe_verify(problem, n_probes, rng):
