@@ -22,6 +22,7 @@ its single-seed call.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -176,8 +177,7 @@ def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckR
     if hp.eps_guard != 0.0:
         raise PreconditionNotMet("movement bound is stated for eps_guard = 0")
     T = step_l2.shape[0]
-    eta_t = np.array([hp.step_size(t) for t in range(1, T + 1)])
-    bound = eta_t * math.sqrt(d / (1.0 - hp.beta2))
+    bound = hp.step_sizes(T) * math.sqrt(d / (1.0 - hp.beta2))
     ratios = step_l2 / bound
     worst = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst])
@@ -271,8 +271,7 @@ def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
     """(T, d) high-probability envelope for |eps_tj| at confidence delta."""
     log_term = max(1.0, math.log(1.0 / delta))
     tail = 2.0 * log_term + math.sqrt(log_term / (1.0 - hp.beta1))
-    eta_t = np.array([hp.step_size(t) for t in range(1, T + 1)])
-    drift = eta_t[:, None] * L_vec[None, :] / math.sqrt(1.0 - hp.beta2)
+    drift = hp.step_sizes(T)[:, None] * L_vec[None, :] / math.sqrt(1.0 - hp.beta2)
     decay = (hp.beta1 ** np.arange(1, T + 1))[:, None] * sigma_vec[None, :]
     return decay + 3.0 * (drift + (1.0 - hp.beta1) * sigma_vec[None, :]) * tail
 
@@ -288,11 +287,12 @@ def epsilon_bound_frequency(eps_traces: EpsilonTrace | Sequence[EpsilonTrace],
     """
     traces = [eps_traces] if isinstance(eps_traces, EpsilonTrace) else list(eps_traces)
     stated = 6.0 * confidence_delta
+    envelope = functools.cache(lambda hp, T: epsilon_envelope(hp, L_vec, sigma_vec, T,
+                                                              confidence_delta))
     total = 0
     violations = 0
     for trace in traces:
-        rhs = epsilon_envelope(hp, L_vec, sigma_vec, trace.horizon, confidence_delta)
-        violations += int(np.sum(np.abs(trace.eps) > rhs))
+        violations += int(np.sum(np.abs(trace.eps) > envelope(hp, trace.horizon)))
         total += trace.eps.size
     margin = binomial_margin(stated, total)
     frac = violations / total if total else 0.0
@@ -313,6 +313,8 @@ def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
     """
     runs = [runs] if isinstance(runs, DiagnosticRun) else list(runs)
     stated = 6.0 * confidence_delta
+    envelope = functools.cache(lambda hp, T: epsilon_envelope(hp, L_vec, sigma_vec, T,
+                                                              confidence_delta))
     total = 0
     violations = 0
     for run in runs:
@@ -322,8 +324,7 @@ def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
         rho = hp.rho
         if not rho < 1.0:
             raise PreconditionNotMet(f"dichotomy check needs rho < 1, got {rho}")
-        T = run.grad_exact.shape[0]
-        rhs = epsilon_envelope(hp, L_vec, sigma_vec, T, confidence_delta)
+        rhs = envelope(hp, run.grad_exact.shape[0])
         branch1 = c_rho(rho) * np.abs(run.grad_exact) < rhs
         ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
         threshold = (1.0 - rho) / (5.0 * math.sqrt(1.0 - hp.beta2))
@@ -339,7 +340,8 @@ def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
 
 # fewer trials make the violation frequency meaningless
 LEMMA1_MIN_TRIALS = 100
-# trials drawn per block: the peak memory is one (block, T) array
+# trials drawn per block: the peak memory is one (block, T) array, int32
+# step counts for Rademacher terms and float64 partial sums otherwise
 _LEMMA1_CHUNK = 2000
 
 
@@ -348,6 +350,16 @@ class MdsKind(enum.Enum):
 
     RADEMACHER = "rademacher"
     BOUNDED_UNIFORM = "bounded_uniform"
+
+
+def _escaped_paths(paths: np.ndarray, bound: np.ndarray) -> int:
+    """Rows of |partial sums| ``paths`` that exceed ``bound`` at some t.
+
+    ``paths`` is overwritten with paths - bound, which is positive exactly
+    where a path exceeds its bound, in integers and in IEEE arithmetic alike.
+    """
+    np.subtract(paths, bound, out=paths)
+    return int(np.count_nonzero(paths.max(axis=1) > 0))
 
 
 def lemma1_montecarlo(n_trials: int, T: int, delta: float,
@@ -360,6 +372,11 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
 
     and count trials whose partial-sum path ever escapes it.  The envelope
     holds per trial with probability >= 1 - 3*delta.
+
+    Rademacher paths are simulated on integer step counts: with c_t the
+    number of +1 steps up to t, the partial sum is 2 c_t - t, the value the
+    float64 sum of +-1.0 terms holds exactly, and an integer exceeds the
+    bound exactly when it exceeds the bound's floor.
     """
     if n_trials < LEMMA1_MIN_TRIALS:
         raise OutOfRange(f"need n_trials >= {LEMMA1_MIN_TRIALS} for a meaningful "
@@ -374,22 +391,33 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
     log_term = max(1.0, math.log(1.0 / delta))
     sigma_seq = np.full(T, sigma_sq)
     bound = 3.0 * R * log_term + 3.0 * np.sqrt(np.cumsum(sigma_seq) * log_term)
+    if mds_spec is MdsKind.RADEMACHER:
+        # 2 c_t - t must not overflow; both dtypes draw the same stream
+        counts = np.int32 if 2 * T <= np.iinfo(np.int32).max else np.int64
+        steps = np.arange(1, T + 1, dtype=counts)
+        # no |S_t| exceeds T, so a larger bound is as good as T
+        bound = np.minimum(np.floor(bound), T).astype(counts)
 
     rng = make_rng(seed)
     violations = 0
     done = 0
     while done < n_trials:
         n = min(_LEMMA1_CHUNK, n_trials - done)
-        if mds_spec is MdsKind.RADEMACHER:
-            draws = rng.choice([-1.0, 1.0], size=(n, T))
-        else:
-            draws = rng.uniform(-1.0, 1.0, size=(n, T))
-        # the chunk is transformed in place and released before the next
+        # each block is transformed in place and released before the next
         # draw, so at most one (n, T) array is alive between draws
-        paths = np.cumsum(draws, axis=1, out=draws)
+        if mds_spec is MdsKind.RADEMACHER:
+            # the indices, and the generator state after them, that
+            # choice([-1.0, 1.0]) draws
+            paths = rng.integers(0, 2, size=(n, T), dtype=counts)
+            np.cumsum(paths, axis=1, dtype=counts, out=paths)
+            paths *= 2
+            paths -= steps
+        else:
+            paths = rng.uniform(-1.0, 1.0, size=(n, T))
+            np.cumsum(paths, axis=1, out=paths)
         np.abs(paths, out=paths)
-        violations += int(np.sum(np.any(paths > bound[None, :], axis=1)))
-        del draws, paths
+        violations += _escaped_paths(paths, bound)
+        del paths
         done += n
 
     stated = 3.0 * delta

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -89,6 +88,9 @@ _MIN_PRESAMPLE_ROWS = 64
 _TRACE_VALUES = 1 << 21
 # a recorder keeps horizons as int64
 MAX_HORIZON = (1 << 63) - 1
+# about what an experiment task keeps per (horizon, seed) row: its lists
+# of rows, seeds, horizons and hyperparameters, and its recorder's arrays
+_ROW_BYTES = 256
 
 
 class Recorder:
@@ -385,9 +387,14 @@ class ExperimentSpec:
             raise ConfigError(f"unknown param_mode {self.param_mode!r}")
         if not self.optimizers:
             raise ConfigError("need at least one optimizer")
-        # problem parameters of a wrong type or out of range and, in practical
-        # mode, the schedule at every horizon fail here, before any cell runs
+        # a seed count whose rows cannot be allocated (the probe touches no
+        # page), problem parameters of a wrong type or out of range and, in
+        # practical mode, the schedule at every horizon fail here, before
+        # any cell runs
         try:
+            with unallocatable(f"n_seeds = {self.n_seeds}: the per-seed rows of "
+                               f"{len(self.T_grid)} horizons are too large to allocate"):
+                np.empty((len(self.T_grid) * self.n_seeds, _ROW_BYTES), dtype=np.uint8)
             check_params(self.problem_params)
             for T in self.T_grid if self.param_mode == "practical" else ():
                 practical_params(self.alpha, self.beta, T, beta2=self.beta2, per_step=self.per_step)
@@ -543,6 +550,9 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
     if workers <= 1 or len(tasks) == 1:
         parts = map(_experiment_task, tasks)
     else:
+        # imported here, so that commands that start no pool skip its modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_experiment_task, tasks))
     # a task's rows run from the longest horizon down, in seed order

@@ -95,6 +95,13 @@ class HyperParams:
             return self.eta / math.sqrt(t)
         return self.eta
 
+    def step_sizes(self, T: int) -> np.ndarray:
+        """step_size(t) for t = 1..T, bit for bit: IEEE sqrt and division
+        are correctly rounded in numpy as in math."""
+        if self.schedule is Schedule.PER_STEP_SQRT_T:
+            return self.eta / np.sqrt(np.arange(1, T + 1, dtype=np.float64))
+        return np.full(T, self.eta)
+
     @staticmethod
     def adam_defaults(eta: float) -> "HyperParams":
         """Standard Adam configuration (b1, b2, eps) = (0.9, 0.999, 1e-8)."""

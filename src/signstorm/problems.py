@@ -64,11 +64,14 @@ def _sigmoid(z) -> np.ndarray:
 
     minimum(z, -z) is -|z| and keeps a NaN's sign as exp(z) would;
     negation is exact, so every element is the same IEEE computation as
-    its branch of the two-branch form.
+    its branch of the two-branch form.  It takes the float64 arrays its
+    callers pass, or a list of floats, with no conversion.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.minimum(z, np.negative(z)))
+    den = e + 1.0
+    np.copyto(e, 1.0, where=np.greater_equal(z, 0.0))
+    e /= den
+    return e
 
 
 @dataclass(frozen=True)

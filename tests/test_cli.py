@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import os
+import subprocess
 import sys
 import types
 import warnings
@@ -252,6 +254,30 @@ class TestConfigValidation:
         assert "check.lemma1_T" in err
         assert not (tmp_path / "out").exists()
 
+    # seed counts whose per-seed rows cannot be allocated fail at load,
+    # before any worker starts or any per-seed list is built
+    @pytest.mark.parametrize("n_seeds", [2**62, 2**63])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.usefixtures("bounded_address_space")
+    def test_unallocatable_n_seeds_fails_at_load(self, tmp_path, capsys, monkeypatch,
+                                                 command, n_seeds):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work on n_seeds = {n_seeds}")
+
+        for name in ("cli.run_experiment", "cli.run_cell", "cli.verify_assumptions",
+                     "diagnostics.lemma1_montecarlo"):
+            monkeypatch.setattr(f"signstorm.{name}", no_work)
+        cfg = base_config(tmp_path / "out")
+        cfg["n_seeds"] = n_seeds
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match="n_seeds"):
+            RunConfig.load(path)
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "n_seeds" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -280,6 +306,18 @@ def test_unwritable_output_is_one_io_error_line(tmp_path, capsys, command):
     assert main([command, write_config(tmp_path, base_config(blocker))]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a run that starts a pool imports it; every other command skips
+    # multiprocessing and its imports
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, signstorm.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("name", sorted(benchmark_workloads()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from signstorm import (
     run_with_diagnostics,
     sign_dichotomy_frequency,
 )
-from signstorm.diagnostics import _geometric_sums
+from signstorm import diagnostics
+from signstorm.diagnostics import _escaped_paths, _geometric_sums
+from signstorm.rngutil import make_rng
 
 
 def quadratic(d=4, sigma=0.5, h=1.0):
@@ -353,6 +356,60 @@ class TestSignDichotomy:
                                      p.constants.sigma_vec, 0.05)
 
 
+def test_frequency_checkers_build_one_envelope_per_hp_and_T(monkeypatch):
+    p = quadratic()
+    hp_a = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
+    hp_b = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
+    runs = [run_with_diagnostics(p, hp, T, seed=s)
+            for s, (hp, T) in enumerate([(hp_a, 60), (hp_b, 60), (hp_a, 60),
+                                         (hp_a, 40), (hp_b, 60)])]
+    L, sigma = p.constants.L_vec, p.constants.sigma_vec
+    # each run alone builds its own envelope
+    dich_alone = sum(sign_dichotomy_frequency(r, L, sigma, 0.05).n_violations for r in runs)
+    eps_alone = sum(epsilon_bound_frequency(r.trace, hp_a, L, sigma, 0.05).n_violations
+                    for r in runs)
+    built = []
+    envelope = diagnostics.epsilon_envelope
+
+    def counted(hp, L_vec, sigma_vec, T, delta):
+        built.append((hp, T))
+        return envelope(hp, L_vec, sigma_vec, T, delta)
+
+    monkeypatch.setattr(diagnostics, "epsilon_envelope", counted)
+    assert sign_dichotomy_frequency(runs, L, sigma, 0.05).n_violations == dich_alone
+    assert built == [(hp_a, 60), (hp_b, 60), (hp_a, 40)]
+    built.clear()
+    assert epsilon_bound_frequency([r.trace for r in runs], hp_a, L, sigma,
+                                   0.05).n_violations == eps_alone
+    assert built == [(hp_a, 60), (hp_a, 40)]
+
+
+def frozen_lemma1_violations(n_trials, T, delta, mds, seed):
+    """The float64 loop the Lemma 1 simulation counted escapes with before
+    Rademacher paths were summed as integer step counts."""
+    if mds is MdsKind.RADEMACHER:
+        R, sigma_sq = 1.0, 1.0
+    else:
+        R, sigma_sq = 1.0, 1.0 / 3.0
+    log_term = max(1.0, math.log(1.0 / delta))
+    sigma_seq = np.full(T, sigma_sq)
+    bound = 3.0 * R * log_term + 3.0 * np.sqrt(np.cumsum(sigma_seq) * log_term)
+    rng = make_rng(seed)
+    violations = 0
+    done = 0
+    while done < n_trials:
+        n = min(diagnostics._LEMMA1_CHUNK, n_trials - done)
+        if mds is MdsKind.RADEMACHER:
+            draws = rng.choice([-1.0, 1.0], size=(n, T))
+        else:
+            draws = rng.uniform(-1.0, 1.0, size=(n, T))
+        paths = np.cumsum(draws, axis=1, out=draws)
+        np.abs(paths, out=paths)
+        violations += int(np.sum(np.any(paths > bound[None, :], axis=1)))
+        done += n
+    return violations
+
+
 class TestLemma1:
     def test_rademacher_rarely_escapes(self):
         rep = lemma1_montecarlo(2000, 500, 0.05, MdsKind.RADEMACHER, seed=0)
@@ -377,3 +434,49 @@ class TestLemma1:
         a = lemma1_montecarlo(500, 100, 0.05, seed=9)
         b = lemma1_montecarlo(500, 100, 0.05, seed=9)
         assert a.n_violations == b.n_violations
+
+    @settings(max_examples=100, deadline=None)
+    @given(mds=st.sampled_from(list(MdsKind)), n_trials=st.integers(100, 2300),
+           T=st.integers(1, 300),
+           delta=st.sampled_from([0.05, 0.5, 0.9]) | st.floats(1e-12, 0.999),
+           seed=st.integers(0, 2**64 - 1))
+    @example(mds=MdsKind.RADEMACHER, n_trials=100, T=1, delta=0.5, seed=0)
+    @example(mds=MdsKind.BOUNDED_UNIFORM, n_trials=100, T=1, delta=0.5, seed=0)
+    @example(mds=MdsKind.RADEMACHER, n_trials=2001, T=300, delta=0.5, seed=1)
+    @example(mds=MdsKind.BOUNDED_UNIFORM, n_trials=2300, T=300, delta=0.9, seed=2)
+    def test_counts_match_frozen_float_loop(self, mds, n_trials, T, delta, seed):
+        rep = lemma1_montecarlo(n_trials, T, delta, mds, seed=seed)
+        assert rep.n_violations == frozen_lemma1_violations(n_trials, T, delta, mds, seed)
+
+    @pytest.mark.parametrize("mds", list(MdsKind))
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_counts_match_frozen_float_loop_where_paths_escape(self, mds, delta, seed):
+        # two blocks, the second partial, at a horizon where some paths escape
+        rep = lemma1_montecarlo(2500, 600, delta, mds, seed=seed)
+        assert rep.n_violations > 0
+        assert rep.n_violations == frozen_lemma1_violations(2500, 600, delta, mds, seed)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_step_indices_are_the_choice_draws(self, dtype):
+        signs_rng, steps_rng = make_rng(11), make_rng(11)
+        signs = signs_rng.choice([-1.0, 1.0], size=(300, 77))
+        steps = steps_rng.integers(0, 2, size=(300, 77), dtype=dtype)
+        assert np.array_equal(signs, 2.0 * steps - 1.0)
+        assert signs_rng.bit_generator.state == steps_rng.bit_generator.state
+
+    def test_escape_is_strict_in_integers_and_floats(self):
+        assert _escaped_paths(np.array([[3, 4], [3, 5], [4, 0]]), np.array([3, 4])) == 2
+        above = np.nextafter(4.0, 5.0)
+        assert _escaped_paths(np.array([[3.0, 4.0], [3.0, above]]), np.array([3.0, 4.0])) == 1
+
+    def test_rademacher_block_holds_four_bytes_per_entry(self):
+        tracemalloc.start()
+        try:
+            lemma1_montecarlo(2000, 1000, 0.05, MdsKind.RADEMACHER, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int32 block of step counts; the float64 draws and the bool
+        # comparison held 17 bytes per entry
+        assert peak < 5 * 2000 * 1000

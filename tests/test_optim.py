@@ -62,6 +62,20 @@ class TestHyperParams:
         hp = HyperParams(1.0, 0.0, 0.0, schedule=Schedule.PER_STEP_SQRT_T)
         assert hp.step_size(4) == 2.0 * hp.step_size(16)
 
+    @settings(max_examples=100, deadline=None)
+    @given(eta=st.floats(5e-324, 1e308), T=st.integers(1, 3000),
+           schedule=st.sampled_from(list(Schedule)))
+    @example(eta=1.0, T=1, schedule=Schedule.PER_STEP_SQRT_T)
+    @example(eta=0.1, T=2000, schedule=Schedule.PER_STEP_SQRT_T)
+    def test_step_sizes_match_frozen_list_form(self, eta, T, schedule):
+        hp = HyperParams(eta, 0.5, 0.0, schedule=schedule)
+        if schedule is Schedule.PER_STEP_SQRT_T:
+            frozen = np.array([eta / math.sqrt(t) for t in range(1, T + 1)])
+        else:
+            frozen = np.array([eta] * T)
+        got = hp.step_sizes(T)
+        assert got.dtype == np.float64 and got.tobytes() == frozen.tobytes()
+
 
 class TestSignStormStep:
     def test_first_step_sign_branch(self):
