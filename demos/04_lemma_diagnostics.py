@@ -32,19 +32,19 @@ problem = noisy_quadratic(d, np.ones(d), 0.4 * np.ones(d), np.linspace(0.6, 1.4,
 hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
 
 print("deterministic checks on a single run (T=2000):")
-run = run_with_diagnostics(problem, hp, 2000, seed=42)
+run = run_with_diagnostics(problem, hp, 2000, [42])
 for result in (movement_bound_check(run.step_l2, hp, d),
-               representation_check(run.trace, hp.beta1),
+               representation_check(run.xi, run.eps, run.z, hp.beta1),
                decomposition_check(run),
                estimator_ratio_check(run)):
     print(f"  {result.name:22s} worst ratio {result.worst_ratio:10.3e}  "
           f"passed={result.passed}")
 
 print("\nfrequency checks over 50 seeds (delta = 0.05):")
-runs = [run_with_diagnostics(problem, hp, 300, seed=s) for s in range(50)]
+# the 50 seeds step together in one engine call
+runs = run_with_diagnostics(problem, hp, 300, list(range(50)))
 consts = problem.constants
-eps_rep = epsilon_bound_frequency([r.trace for r in runs], hp,
-                                  consts.L_vec, consts.sigma_vec, 0.05)
+eps_rep = epsilon_bound_frequency(runs.eps, hp, consts.L_vec, consts.sigma_vec, 0.05)
 dich_rep = sign_dichotomy_frequency(runs, consts.L_vec, consts.sigma_vec, 0.05)
 for rep in (eps_rep, dich_rep):
     print(f"  {rep.name:22s} violations {rep.n_violations}/{rep.n_total} "

@@ -5,7 +5,6 @@ from .diagnostics import (
     CheckResult,
     DiagnosticRecorder,
     DiagnosticRun,
-    EpsilonTrace,
     FrequencyReport,
     MdsKind,
     decomposition_check,

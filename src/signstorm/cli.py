@@ -35,8 +35,7 @@ from .errors import (
     RhoConstraintViolated,
     SignStormError,
 )
-from .harness import (MAX_HORIZON, ExperimentSpec, resolve_hyperparams, run_cell,
-                      run_experiment)
+from .harness import MAX_HORIZON, ExperimentSpec, resolve_hyperparams, run_experiment
 from .optim import OptimizerKind
 from .problems import unallocatable, verify_assumptions
 from .rngutil import derive_seed, make_rng
@@ -241,53 +240,48 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     def verdict(name, kind_, status, **extra):
         verdicts.append({"checker": name, "kind": kind_, "status": status, **extra})
 
-    rep = verify_assumptions(problem, check["n_probes"],
-                             make_rng(derive_seed(spec.master_seed, 101)))
+    with unallocatable(f"check.n_probes = {check['n_probes']}: the assumption "
+                       "probes are too large to allocate"):
+        rep = verify_assumptions(problem, check["n_probes"],
+                                 make_rng(derive_seed(spec.master_seed, 101)))
     for c in rep.checks():
         verdict(f"assumption_{c.name}", "deterministic",
                 "pass" if c.passed else "fail",
                 worst_ratio=c.worst_ratio, detail=c.detail)
 
+    seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
     with unallocatable(f"check.T = {T}, check.n_seeds = {n_seeds}: the diagnosed "
                        "runs' arrays are too large to allocate"):
-        recorder = diag.DiagnosticRecorder(n_seeds, T, problem.d)
-    seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
-    run_cell(problem, kind, hp, T, seeds, recorder)
-    runs = [recorder.run(s, seed, kind, hp) for s, seed in enumerate(seeds)]
+        run = diag.run_with_diagnostics(problem, hp, T, seeds, kind)
 
-    for name, fn in (("movement_bound",
-                      lambda r: diag.movement_bound_check(r.step_l2, r.hp, problem.d)),
-                     ("representation",
-                      lambda r: diag.representation_check(r.trace, r.hp.beta1)),
-                     ("storm_decomposition", diag.decomposition_check),
-                     ("estimator_ratio", diag.estimator_ratio_check)):
+    def deterministic(name, checker, *args):
         try:
-            # max holds one result at a time and keeps the first of equal
-            # ratios, whose worst_t the verdict reports
-            worst = max(map(fn, runs), key=lambda res: res.worst_ratio)
+            res = checker(*args)
         except PreconditionNotMet as exc:
             verdict(name, "deterministic", "skipped", reason=str(exc))
-            continue
-        verdict(name, "deterministic", "pass" if worst.passed else "fail",
-                worst_ratio=worst.worst_ratio, worst_t=worst.worst_t)
+            return
+        verdict(name, "deterministic", "pass" if res.passed else "fail",
+                worst_ratio=res.worst_ratio, worst_t=res.worst_t)
+
+    deterministic("movement_bound", diag.movement_bound_check, run.step_l2, hp, problem.d)
+    deterministic("representation", diag.representation_check, run.xi, run.eps, run.z,
+                  hp.beta1)
+    deterministic("storm_decomposition", diag.decomposition_check, run)
+    deterministic("estimator_ratio", diag.estimator_ratio_check, run)
 
     try:
-        eps_rep = diag.epsilon_bound_frequency([r.trace for r in runs], hp,
-                                               consts.L_vec, consts.sigma_vec,
-                                               spec.delta)
-        dich_rep = diag.sign_dichotomy_frequency(runs, consts.L_vec,
-                                                 consts.sigma_vec, spec.delta)
-        for rep_ in (eps_rep, dich_rep):
-            verdict(rep_.name, "statistical", "pass" if rep_.passed else "fail",
-                    violation_fraction=rep_.violation_fraction,
-                    allowed_fraction=rep_.allowed_fraction, n_total=rep_.n_total)
+        reports = [diag.epsilon_bound_frequency(run.eps, hp, consts.L_vec, consts.sigma_vec,
+                                                spec.delta),
+                   diag.sign_dichotomy_frequency(run, consts.L_vec, consts.sigma_vec,
+                                                 spec.delta)]
     except (PreconditionNotMet, RhoConstraintViolated) as exc:
-        verdict("epsilon_bound", "statistical", "skipped", reason=str(exc))
-        verdict("sign_dichotomy", "statistical", "skipped", reason=str(exc))
-
-    verdict(l1_rep.name, "statistical", "pass" if l1_rep.passed else "fail",
-            violation_fraction=l1_rep.violation_fraction,
-            allowed_fraction=l1_rep.allowed_fraction, n_total=l1_rep.n_total)
+        for name in ("epsilon_bound", "sign_dichotomy"):
+            verdict(name, "statistical", "skipped", reason=str(exc))
+        reports = []
+    for rep_ in (*reports, l1_rep):
+        verdict(rep_.name, "statistical", "pass" if rep_.passed else "fail",
+                violation_fraction=rep_.violation_fraction,
+                allowed_fraction=rep_.allowed_fraction, n_total=rep_.n_total)
     return verdicts
 
 

@@ -16,16 +16,18 @@ failure probability plus a binomial margin.
 
 Diagnosed runs come from the experiment engine, ``harness.run_cell``,
 through a :class:`DiagnosticRecorder`; :func:`run_with_diagnostics` is
-its single-seed call.
+its call for a list of seeds, and its :class:`DiagnosticRun` holds every
+seed's rows.  Every checker takes arrays with leading seed axes,
+(..., T, d), and runs once over all seeds: a deterministic check reports
+the first largest ratio in (seed, t) order, and a frequency check counts
+the violations of every (seed, t, j) entry against one envelope.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,36 +55,35 @@ _DECOMPOSITION_TOL = 1e-12
 
 
 @dataclass
-class EpsilonTrace:
-    """Per-iteration noise/error/drift records of one run; row t-1 holds time t."""
-
-    xi: np.ndarray   # (T, d)
-    eps: np.ndarray  # (T, d)
-    z: np.ndarray    # (T, d), first row identically zero
-
-    @property
-    def eps0(self) -> np.ndarray:
-        return self.xi[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.xi.shape[0]
-
-
-@dataclass
 class DiagnosticRun:
-    """EpsilonTrace plus the optimizer internals the lemma checks consume."""
+    """Every seed of one diagnosed run: row s of each array is ``seeds[s]``,
+    and row t-1 of a seed holds time t.  xi, eps and Z are derived on access."""
 
-    trace: EpsilonTrace
-    m: np.ndarray            # (T, d) estimator after each step
-    v: np.ndarray            # (T, d) second moment after each step
-    grad_exact: np.ndarray   # (T, d) exact gradient at x_t
-    step_l2: np.ndarray      # (T,)   ||x_{t+1} - x_t||_2
-    g_curr: np.ndarray       # (T, d) sampled gradient at x_t
-    g_prev: np.ndarray       # (T, d) same sample at x_{t-1}; row 0 unused (zero)
+    m: np.ndarray            # (S, T, d) estimator after each step
+    v: np.ndarray            # (S, T, d) second moment after each step
+    grad_exact: np.ndarray   # (S, T, d) exact gradient at x_t
+    step_l2: np.ndarray      # (S, T)    ||x_{t+1} - x_t||_2
+    g_curr: np.ndarray       # (S, T, d) sampled gradient at x_t
+    g_prev: np.ndarray       # (S, T, d) same sample at x_{t-1}; row 0 unused (zero)
     hp: HyperParams
-    seed: int
+    seeds: list[int]
     kind: OptimizerKind
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.g_curr - self.grad_exact
+
+    @property
+    def eps(self) -> np.ndarray:
+        return self.m - self.grad_exact
+
+    @property
+    def z(self) -> np.ndarray:
+        z = np.zeros_like(self.g_curr)  # Z_1 = 0
+        # (g_curr - g_prev) + (grad_{t-1} - grad_t), one temporary at a time
+        np.subtract(self.g_curr[..., 1:, :], self.g_prev[..., 1:, :], out=z[..., 1:, :])
+        z[..., 1:, :] += self.grad_exact[..., :-1, :] - self.grad_exact[..., 1:, :]
+        return z
 
 
 @dataclass
@@ -96,13 +97,18 @@ class CheckResult:
 
 @dataclass
 class FrequencyReport:
+    """n_violations of n_total cases against a stated failure probability;
+    it passes up to that probability plus a binomial margin."""
+
     name: str
     n_total: int
     n_violations: int
     stated_bound: float
-    margin: float
-    passed: bool
     detail: str = ""
+
+    @property
+    def margin(self) -> float:
+        return binomial_margin(self.stated_bound, self.n_total)
 
     @property
     def violation_fraction(self) -> float:
@@ -112,6 +118,10 @@ class FrequencyReport:
     def allowed_fraction(self) -> float:
         return self.stated_bound + self.margin
 
+    @property
+    def passed(self) -> bool:
+        return self.violation_fraction <= self.allowed_fraction
+
 
 def binomial_margin(p: float, n: int) -> float:
     """One-sided slack added to a stated failure probability p over n cases."""
@@ -120,22 +130,21 @@ def binomial_margin(p: float, n: int) -> float:
 
 
 class DiagnosticRecorder(Recorder):
-    """Per-coordinate arrays of every seed of one run_cell call, (S, max T,
-    d) and (S, max T) for ``step_l2``, row s for seed s, each row as a
-    single run computes it; :meth:`run` derives xi, eps and Z from them."""
+    """Per-coordinate arrays of every seed of one run_cell call with one
+    horizon T, (S, T, d) and (S, T) for ``step_l2``, row s for seed s, each
+    row as a single run computes it; :meth:`run` hands them out."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
 
-    def __init__(self, n_seeds: int, T, d: int):
+    def __init__(self, n_seeds: int, T: int, d: int):
         super().__init__(n_seeds, T)
-        steps = int(self.horizon.max(initial=0))
-        shape = (n_seeds, steps, d)
+        shape = (n_seeds, T, d)
         self.m = np.empty(shape)
         self.v = np.empty(shape)
         self.grad_exact = np.empty(shape)
         self.g_curr = np.empty(shape)
         self.g_prev = np.zeros(shape)  # row 0 unused
-        self.step_l2 = np.empty((n_seeds, steps))
+        self.step_l2 = np.empty((n_seeds, T))
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         """Every array's row t-1 for the live seeds."""
@@ -148,41 +157,43 @@ class DiagnosticRecorder(Recorder):
         self.v[live, i] = state.v
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
-    def run(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> DiagnosticRun:
-        """Seed s's diagnostics, recorded arrays as views; NonFiniteValue if it aborted."""
-        n = self.horizon[s]
-        if self.done[s] < n:
-            raise NonFiniteValue(self.abort_reasons[s])
-        m, grad_exact = self.m[s, :n], self.grad_exact[s, :n]
-        g_curr, g_prev = self.g_curr[s, :n], self.g_prev[s, :n]
-        z = np.zeros_like(g_curr)  # Z_1 = 0
-        z[1:] = (g_curr[1:] - g_prev[1:]) + (grad_exact[:-1] - grad_exact[1:])
-        return DiagnosticRun(EpsilonTrace(g_curr - grad_exact, m - grad_exact, z),
-                             m, self.v[s, :n], grad_exact, self.step_l2[s, :n],
-                             g_curr, g_prev, hp, seed, kind)
+    def run(self, kind: OptimizerKind, hp: HyperParams, seeds: list[int]) -> DiagnosticRun:
+        """The diagnostics of every seed, the recorded arrays themselves; the
+        NonFiniteValue of the lowest-index seed that aborted, if any did."""
+        aborted = np.flatnonzero(self.done < self.horizon)
+        if aborted.size:
+            raise NonFiniteValue(self.abort_reasons[aborted[0]])
+        return DiagnosticRun(self.m, self.v, self.grad_exact, self.step_l2, self.g_curr,
+                             self.g_prev, hp, list(seeds), kind)
 
 
 def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,
-                         seed: int, kind: OptimizerKind = OptimizerKind.SIGNSTORM,
+                         seeds: list[int], kind: OptimizerKind = OptimizerKind.SIGNSTORM,
                          ) -> DiagnosticRun:
-    """Execute T iterations recording the full per-coordinate diagnostics;
-    a non-finite update raises :class:`NonFiniteValue`."""
-    recorder = DiagnosticRecorder(1, T, problem.d)
-    run_cell(problem, kind, hp, T, [seed], recorder)
-    return recorder.run(0, seed, kind, hp)
+    """T iterations of every seed, stepped together by one :func:`run_cell`
+    call, with the full per-coordinate diagnostics; if updates turn
+    non-finite, the lowest-index such seed's :class:`NonFiniteValue` is raised."""
+    recorder = DiagnosticRecorder(len(seeds), T, problem.d)
+    run_cell(problem, kind, hp, T, seeds, recorder)
+    return recorder.run(kind, hp, seeds)
+
+
+def _first_max(ratio: np.ndarray) -> tuple[float, int]:
+    """The first largest entry of ``ratio`` in (seed, position) order, which
+    is the first largest of the seeds' own first maxima, and its flat index."""
+    flat = int(np.argmax(ratio))
+    return float(ratio.flat[flat]), flat
 
 
 def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckResult:
     """Almost-sure cap on iterate movement: ||x_{t+1}-x_t||_2 <= eta_t sqrt(d/(1-beta2))."""
     if hp.eps_guard != 0.0:
         raise PreconditionNotMet("movement bound is stated for eps_guard = 0")
-    T = step_l2.shape[0]
+    T = step_l2.shape[-1]
     bound = hp.step_sizes(T) * math.sqrt(d / (1.0 - hp.beta2))
-    ratios = step_l2 / bound
-    worst = int(np.argmax(ratios))
-    worst_ratio = float(ratios[worst])
+    worst_ratio, flat = _first_max(step_l2 / bound)
     return CheckResult("movement_bound", worst_ratio <= 1.0 + _MOVEMENT_SLACK,
-                       worst_ratio, worst + 1,
+                       worst_ratio, flat % T + 1,
                        f"T={T}, bound factor sqrt(d/(1-beta2))={math.sqrt(d / (1.0 - hp.beta2)):.6g}")
 
 
@@ -206,28 +217,32 @@ def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
     return acc
 
 
-def representation_check(eps_trace: EpsilonTrace, beta1: float,
+def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray, beta1: float,
                          tol: float = 1e-6) -> CheckResult:
     """Verify eps_t = b1^t eps_0 + b1 sum b1^(t-s) Z_s + (1-b1) sum b1^(t-s) xi_s.
 
     The right side is rebuilt by direct weighted summation over s
-    (:func:`_geometric_sums`), never by the recurrence that produced eps_t;
-    the worst t is the first one with the largest error ratio.
+    (:func:`_geometric_sums`), never by the recurrence that produced eps_t.
+    Each seed's errors are measured against its own tolerance, and the
+    seeds are summed one at a time: one lag loop over all of them is slower.
     """
-    T, d = eps_trace.xi.shape
-    scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))
-    acc = _geometric_sums(np.concatenate([eps_trace.z, eps_trace.xi], axis=1), beta1)
+    T, d = xi.shape[-2:]
+    xi, eps, z = (a.reshape(-1, T, d) for a in (xi, eps, z))
     decay = np.array([beta1 ** t for t in range(1, T + 1)])
-    rhs = (decay[:, None] * eps_trace.eps0
-           + beta1 * acc[:, :d]
-           + (1.0 - beta1) * acc[:, d:])
-    ratio = np.max(np.abs(eps_trace.eps - rhs), axis=1) / scale
+    ratio = np.empty(eps.shape[:2])
+    for s in range(len(eps)):
+        scale = tol * (1.0 + float(np.max(np.abs(eps[s]))))
+        acc = _geometric_sums(np.concatenate([z[s], xi[s]], axis=1), beta1)
+        rhs = (decay[:, None] * xi[s, 0]  # eps_0 = xi_1
+               + beta1 * acc[:, :d]
+               + (1.0 - beta1) * acc[:, d:])
+        ratio[s] = np.max(np.abs(eps[s] - rhs), axis=1) / scale
+        del acc, rhs  # before the next seed's sums are built
     # a NaN error never counts as worse, nor does a zero one
     ratio[~(ratio > 0.0)] = 0.0
-    worst = int(np.argmax(ratio))
-    worst_ratio = float(ratio[worst])
-    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, worst + 1,
-                       f"T={T}, beta1={beta1}, abs tolerance {scale:.3g}")
+    worst_ratio, flat = _first_max(ratio)
+    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, flat % T + 1,
+                       f"T={T}, beta1={beta1}, abs tolerance {tol:g} (1 + max |eps|)")
 
 
 def decomposition_check(run: DiagnosticRun) -> CheckResult:
@@ -239,17 +254,24 @@ def decomposition_check(run: DiagnosticRun) -> CheckResult:
     """
     if run.kind not in STORM_FAMILY:
         raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
-    T = run.m.shape[0]
+    T, d = run.m.shape[-2:]
     if T < 2:
         return CheckResult("storm_decomposition", True, 0.0, 1, "no t >= 2 rows")
-    pair = GradientPair(run.g_curr[1:], run.g_prev[1:])
-    part_i, part_ii = storm_decomposition(run.m[:-1], pair, run.hp.beta1)
-    err = np.abs((part_i + part_ii) - run.m[1:])
-    ratio = err / (_DECOMPOSITION_TOL * (1.0 + np.abs(run.m[1:])))
-    flat = int(np.argmax(ratio))
-    worst_ratio = float(ratio.flat[flat])
+    m_next = run.m[..., 1:, :]
+    pair = GradientPair(run.g_curr[..., 1:, :], run.g_prev[..., 1:, :])
+    err, part_ii = storm_decomposition(run.m[..., :-1, :], pair, run.hp.beta1)
+    # in place: at S seeds, every (S, T, d) temporary adds to the peak memory
+    err += part_ii
+    del part_ii
+    err -= m_next
+    np.abs(err, out=err)
+    scale = np.abs(m_next)
+    scale += 1.0
+    scale *= _DECOMPOSITION_TOL
+    err /= scale
+    worst_ratio, flat = _first_max(err)
     return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio,
-                       flat // run.m.shape[1] + 2,
+                       flat % ((T - 1) * d) // d + 2,
                        f"T={T}, relative tolerance {_DECOMPOSITION_TOL:g}")
 
 
@@ -257,13 +279,17 @@ def estimator_ratio_check(run: DiagnosticRun) -> CheckResult:
     """Deterministic cap |m_tj| / sqrt(v_tj) <= 1/sqrt(1 - beta2) (eps_guard = 0)."""
     if run.hp.eps_guard != 0.0:
         raise PreconditionNotMet("ratio cap is stated for eps_guard = 0")
-    ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
+    T, d = run.m.shape[-2:]
+    ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0)).reshape(-1, T * d)
     cap = 1.0 / math.sqrt(1.0 - run.hp.beta2)
-    worst_flat = int(np.argmax(ratio))
-    worst = float(ratio.flat[worst_flat] / cap)
-    return CheckResult("estimator_ratio", worst <= 1.0 + _RATIO_SLACK, worst,
-                       worst_flat // run.m.shape[1] + 1,
-                       f"cap 1/sqrt(1-beta2)={cap:.6g}")
+    # each seed's first largest ratio, scaled by the cap, then the first
+    # largest of those: two ratios may round to one scaled value
+    worst = ratio.argmax(axis=1)
+    scaled = ratio[np.arange(len(worst)), worst] / cap
+    s = int(np.argmax(scaled))
+    worst_ratio = float(scaled[s])
+    return CheckResult("estimator_ratio", worst_ratio <= 1.0 + _RATIO_SLACK, worst_ratio,
+                       int(worst[s]) // d + 1, f"cap 1/sqrt(1-beta2)={cap:.6g}")
 
 
 def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
@@ -276,66 +302,50 @@ def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
     return decay + 3.0 * (drift + (1.0 - hp.beta1) * sigma_vec[None, :]) * tail
 
 
-def epsilon_bound_frequency(eps_traces: EpsilonTrace | Sequence[EpsilonTrace],
-                            hp: HyperParams, L_vec: np.ndarray,
+def _frequency(name: str, violations: np.ndarray, confidence_delta: float) -> FrequencyReport:
+    """The report on a (..., T, d) mask of violations, every entry of which
+    carries failure probability 6*delta."""
+    return FrequencyReport(name, violations.size, int(np.count_nonzero(violations)),
+                           6.0 * confidence_delta,
+                           f"{math.prod(violations.shape[:-2])} runs, delta={confidence_delta}")
+
+
+def epsilon_bound_frequency(eps: np.ndarray, hp: HyperParams, L_vec: np.ndarray,
                             sigma_vec: np.ndarray, confidence_delta: float,
                             ) -> FrequencyReport:
-    """Fraction of (t, j, run) entries where |eps_tj| escapes its envelope.
-
-    The statement carries failure probability 6*delta per fixed (t, j), so the
-    empirical fraction must stay below 6*delta plus a binomial margin.
-    """
-    traces = [eps_traces] if isinstance(eps_traces, EpsilonTrace) else list(eps_traces)
-    stated = 6.0 * confidence_delta
-    envelope = functools.cache(lambda hp, T: epsilon_envelope(hp, L_vec, sigma_vec, T,
-                                                              confidence_delta))
-    total = 0
-    violations = 0
-    for trace in traces:
-        violations += int(np.sum(np.abs(trace.eps) > envelope(hp, trace.horizon)))
-        total += trace.eps.size
-    margin = binomial_margin(stated, total)
-    frac = violations / total if total else 0.0
-    return FrequencyReport("epsilon_bound", total, violations, stated, margin,
-                           frac <= stated + margin,
-                           f"{len(traces)} runs, delta={confidence_delta}")
+    """Fraction of the (seed, t, j) entries of ``eps``, (..., T, d), where
+    |eps_tj| escapes its envelope; the statement carries failure probability
+    6*delta per fixed (t, j)."""
+    envelope = epsilon_envelope(hp, L_vec, sigma_vec, eps.shape[-2], confidence_delta)
+    return _frequency("epsilon_bound", np.abs(eps) > envelope, confidence_delta)
 
 
-def sign_dichotomy_frequency(runs: DiagnosticRun | Sequence[DiagnosticRun],
-                             L_vec: np.ndarray, sigma_vec: np.ndarray,
+def sign_dichotomy_frequency(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: np.ndarray,
                              confidence_delta: float) -> FrequencyReport:
-    """Fraction of (t, j, run) entries where neither dichotomy branch holds.
+    """Fraction of the (seed, t, j) entries where neither dichotomy branch holds.
 
     Branch one: c(rho) |d_j F(x_t)| is below the epsilon envelope.  Branch
     two: m_tj agrees in sign with d_j F(x_t) and |m_tj|/sqrt(v_tj) >=
     (1-rho)/(5 sqrt(1-beta2)).  The lemma grants one of the two with failure
     probability 6*delta per fixed (t, j).
     """
-    runs = [runs] if isinstance(runs, DiagnosticRun) else list(runs)
-    stated = 6.0 * confidence_delta
-    envelope = functools.cache(lambda hp, T: epsilon_envelope(hp, L_vec, sigma_vec, T,
-                                                              confidence_delta))
-    total = 0
-    violations = 0
-    for run in runs:
-        hp = run.hp
-        if hp.eps_guard != 0.0:
-            raise PreconditionNotMet("dichotomy check is stated for eps_guard = 0")
-        rho = hp.rho
-        if not rho < 1.0:
-            raise PreconditionNotMet(f"dichotomy check needs rho < 1, got {rho}")
-        rhs = envelope(hp, run.grad_exact.shape[0])
-        branch1 = c_rho(rho) * np.abs(run.grad_exact) < rhs
-        ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
-        threshold = (1.0 - rho) / (5.0 * math.sqrt(1.0 - hp.beta2))
-        branch2 = (np.sign(run.grad_exact) == np.sign(run.m)) & (ratio >= threshold)
-        violations += int(np.sum(~(branch1 | branch2)))
-        total += run.m.size
-    margin = binomial_margin(stated, total)
-    frac = violations / total if total else 0.0
-    return FrequencyReport("sign_dichotomy", total, violations, stated, margin,
-                           frac <= stated + margin,
-                           f"{len(runs)} runs, delta={confidence_delta}")
+    hp = run.hp
+    if hp.eps_guard != 0.0:
+        raise PreconditionNotMet("dichotomy check is stated for eps_guard = 0")
+    rho = hp.rho
+    if not rho < 1.0:
+        raise PreconditionNotMet(f"dichotomy check needs rho < 1, got {rho}")
+    rhs = epsilon_envelope(hp, L_vec, sigma_vec, run.m.shape[-2], confidence_delta)
+    # in place, as in decomposition_check; the ratio's block takes the signs
+    block = np.abs(run.grad_exact)
+    block *= c_rho(rho)
+    branch1 = block < rhs
+    del block
+    ratio = _guarded_ratio(run.m, run.v, 0.0)
+    threshold = (1.0 - rho) / (5.0 * math.sqrt(1.0 - hp.beta2))
+    branch2 = np.abs(ratio, out=ratio) >= threshold
+    branch2 &= np.sign(run.grad_exact, out=ratio) == np.sign(run.m)
+    return _frequency("sign_dichotomy", ~(branch1 | branch2), confidence_delta)
 
 
 # fewer trials make the violation frequency meaningless
@@ -420,9 +430,5 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
         del paths
         done += n
 
-    stated = 3.0 * delta
-    margin = binomial_margin(stated, n_trials)
-    frac = violations / n_trials
-    return FrequencyReport("lemma1_montecarlo", n_trials, violations, stated,
-                           margin, frac <= stated + margin,
+    return FrequencyReport("lemma1_montecarlo", n_trials, violations, 3.0 * delta,
                            f"{mds_spec.value}, T={T}, delta={delta}")

@@ -330,6 +330,9 @@ def storm_decomposition(
             f"shapes disagree: m_prev {m_prev.shape}, g_curr {g.g_curr.shape}, "
             f"g_prev {g.g_prev.shape}"
         )
-    part_i = beta1 * m_prev + (1.0 - beta1) * g.g_curr
-    part_ii = beta1 * (g.g_curr - g.g_prev)
+    # in place, so that at most two (T, d) blocks are alive at once
+    part_i = beta1 * m_prev
+    part_i += (1.0 - beta1) * g.g_curr
+    part_ii = g.g_curr - g.g_prev
+    part_ii *= beta1
     return part_i, part_ii

@@ -114,7 +114,8 @@ class StochasticProblem(abc.ABC):
 
     Noise is drawn as blocks of payload rows, one realization per row, and
     the block oracles evaluate an (S, d) array of points against S rows;
-    ``draw_noise`` and ``stoch_grad`` are their one-row calls.
+    ``draw_noise``, ``stoch_grad``, ``exact_grad`` and ``value`` are their
+    one-row calls.
     """
 
     name: str
@@ -134,18 +135,17 @@ class StochasticProblem(abc.ABC):
         the caller has not computed them."""
 
     @abc.abstractmethod
-    def exact_grad(self, x: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def value(self, x: np.ndarray) -> float: ...
-
-    def exact_grads(self, xs: np.ndarray, with_loss: bool) -> tuple[np.ndarray, list | None]:
+    def exact_grads(self, xs: np.ndarray, with_loss: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """Exact gradients at the rows of xs and, when asked, F at each row
-        (else None).  This default hands ``exact_grad`` the whole block, so
-        it must act on each row as on a single point."""
-        grads = self.exact_grad(xs)
-        # indexing the rows costs less than iterating over the array
-        return grads, [self.value(xs[r]) for r in range(len(xs))] if with_loss else None
+        (else None); each row's bits are those it has alone."""
+
+    def exact_grad(self, x: np.ndarray) -> np.ndarray:
+        """Exact gradient at one point."""
+        return self.exact_grads(x[None], False)[0][0]
+
+    def value(self, x: np.ndarray) -> float:
+        """F at one point."""
+        return float(self.exact_grads(x[None], True)[1][0])
 
     def draw_noise(self, rng: np.random.Generator) -> np.ndarray:
         """One realization: the only payload row of a one-row presample."""
@@ -200,7 +200,7 @@ class _AdditiveNoiseProblem(StochasticProblem):
         return self._lo + self._range * rng.random((n, self.d))
 
     def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
-        return (self.exact_grad(xs) if exact is None else exact) + payloads
+        return (self.exact_grads(xs, False)[0] if exact is None else exact) + payloads
 
 
 class NoisyQuadratic(_AdditiveNoiseProblem):
@@ -210,11 +210,12 @@ class NoisyQuadratic(_AdditiveNoiseProblem):
     curvature = 1.0
     scale_key, scale_name = "hessian_diag", "hessian diagonal entries"
 
-    def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * x
-
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float((self.scale * x).dot(x))
+    def exact_grads(self, xs, with_loss):
+        grads = self.scale * xs
+        if not with_loss:
+            return grads, None
+        # the stacked matmul takes each row's dot as (h * x).dot(x) does alone
+        return grads, 0.5 * np.matmul(grads[:, None, :], xs[:, :, None])[:, 0, 0]
 
 
 class BoundedNonConvex(_AdditiveNoiseProblem):
@@ -228,11 +229,12 @@ class BoundedNonConvex(_AdditiveNoiseProblem):
     curvature = _BOUNDED_CURVATURE
     scale_key, scale_name = "a", "scale entries a_j"
 
-    def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * 2.0 * x / (1.0 + x * x) ** 2
-
-    def value(self, x: np.ndarray) -> float:
-        return float(np.sum(self.scale * x * x / (1.0 + x * x)))
+    def exact_grads(self, xs, with_loss):
+        grads = self.scale * 2.0 * xs / (1.0 + xs * xs) ** 2
+        if not with_loss:
+            return grads, None
+        # an axis-1 reduce sums each row as np.sum sums it alone
+        return grads, np.add.reduce(self.scale * xs * xs / (1.0 + xs * xs), axis=1)
 
 
 class SyntheticLogistic(StochasticProblem):
@@ -323,12 +325,6 @@ class SyntheticLogistic(StochasticProblem):
                 # what np.mean computes, without its Python wrapper
                 loss[rows] = np.add.reduce(np.logaddexp(0.0, neg_margins), axis=1) / self.n_samples
         return grads, loss
-
-    def exact_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.exact_grads(x[None], False)[0][0]
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.exact_grads(x[None], True)[1][0])
 
 
 def noisy_quadratic(d: int, hessian_diag, sigma_vec, x_init) -> NoisyQuadratic:

@@ -62,13 +62,12 @@ def test_criterion_01_algebraic_identities():
     worst_repr = 0.0
     for beta1 in (0.0, 0.9, 0.99):
         hp = HyperParams(eta=0.01, beta1=beta1, beta2=0.5)
-        for s in range(20):
-            run = run_with_diagnostics(problem, hp, 1000,
-                                       derive_seed(11, int(beta1 * 100), s))
-            dec = decomposition_check(run)
-            rep = representation_check(run.trace, beta1, tol=1e-6)
-            worst_decomp = max(worst_decomp, dec.worst_ratio)
-            worst_repr = max(worst_repr, rep.worst_ratio)
+        run = run_with_diagnostics(problem, hp, 1000,
+                                   [derive_seed(11, int(beta1 * 100), s) for s in range(20)])
+        dec = decomposition_check(run)
+        rep = representation_check(run.xi, run.eps, run.z, beta1, tol=1e-6)
+        worst_decomp = max(worst_decomp, dec.worst_ratio)
+        worst_repr = max(worst_repr, rep.worst_ratio)
     elapsed = time.time() - t0
     ok = worst_decomp <= 1.0 and worst_repr <= 1.0 and elapsed < 10.0
     _report(1, ok, f"decomposition worst {worst_decomp:.3g} of 1e-12 budget, "
@@ -106,7 +105,7 @@ def test_criterion_03_sign_degeneracy_bit_level():
     """beta2=0: every applied nonzero update term is exactly eta; |m|/sqrt(v)=1."""
     problem = _diag_quadratic()
     hp = HyperParams(eta=0.0125, beta1=0.9, beta2=0.0)
-    run = run_with_diagnostics(problem, hp, 500, seed=33)
+    run = run_with_diagnostics(problem, hp, 500, [33])
     moved = run.m != 0.0
     ratio = np.zeros_like(run.m)
     np.divide(np.abs(run.m), np.sqrt(run.v), out=ratio, where=moved)
@@ -192,11 +191,10 @@ def test_criterion_08_high_probability_frequencies():
         delta=consts.delta_upper, L1_norm=consts.L1_norm,
         sigma1_norm=consts.sigma1_norm, T=300, beta2=0.0,
         confidence_delta=delta, d=problem.d))
-    runs = [run_with_diagnostics(problem, hp, 300, derive_seed(88, s))
-            for s in range(200)]
-    eps_rep = epsilon_bound_frequency([r.trace for r in runs], hp,
-                                      consts.L_vec, consts.sigma_vec, delta)
-    dich_rep = sign_dichotomy_frequency(runs, consts.L_vec, consts.sigma_vec, delta)
+    # the 200 seeds step together in one engine call
+    run = run_with_diagnostics(problem, hp, 300, [derive_seed(88, s) for s in range(200)])
+    eps_rep = epsilon_bound_frequency(run.eps, hp, consts.L_vec, consts.sigma_vec, delta)
+    dich_rep = sign_dichotomy_frequency(run, consts.L_vec, consts.sigma_vec, delta)
     l1_rep = lemma1_montecarlo(10_000, 1000, delta, MdsKind.RADEMACHER, seed=88)
     elapsed = time.time() - t0
     ok = (eps_rep.violation_fraction <= eps_rep.allowed_fraction

@@ -471,11 +471,11 @@ def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
     recorder = DiagnosticRecorder(len(GRID_SEEDS), 150, problem.d)
     run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder)
-    for s, (seed, trace) in enumerate(zip(GRID_SEEDS, references)):
-        run = recorder.run(s, seed, kind, hp)
-        assert same_bits(run.step_l2, trace.step_l2)
-        assert same_bits([np.sum(np.abs(eps)) for eps in run.trace.eps], trace.eps_l1)
-        assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact],
+    run = recorder.run(kind, hp, GRID_SEEDS)
+    for s, trace in enumerate(references):
+        assert same_bits(run.step_l2[s], trace.step_l2)
+        assert same_bits([np.sum(np.abs(eps)) for eps in run.eps[s]], trace.eps_l1)
+        assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact[s]],
                          trace.grad_l1)
 
 

@@ -153,8 +153,9 @@ class TestConfigValidation:
         def no_work(*args, **kwargs):
             raise AssertionError(f"{command} started work on an invalid config")
 
-        for name in ("verify_assumptions", "run_cell", "run_experiment"):
-            monkeypatch.setattr(f"signstorm.cli.{name}", no_work)
+        for name in ("cli.verify_assumptions", "diagnostics.run_with_diagnostics",
+                     "cli.run_experiment"):
+            monkeypatch.setattr(f"signstorm.{name}", no_work)
         cfg = base_config(tmp_path / "out")
         if key in PRACTICAL_KEYS:
             cfg["param_mode"] = "practical"
@@ -217,6 +218,8 @@ class TestConfigValidation:
         pytest.param("check", {"check.T": 10**12}, "check.T", id="check-memory_T"),
         pytest.param("check", {"check.lemma1_T": 10**12}, "check.lemma1_T",
                      id="check-memory_lemma1_T"),
+        pytest.param("check", {"check.n_probes": 10**12}, "check.n_probes",
+                     id="check-memory_n_probes"),
         pytest.param("run", {"T_grid": [10**12]}, "T_grid", id="run-memory_traced_T_grid"),
     ])
     @pytest.mark.usefixtures("bounded_address_space")
@@ -244,7 +247,7 @@ class TestConfigValidation:
             raise AssertionError("check started work before sizing the lemma 1 paths")
 
         for name in ("harness.ExperimentSpec.build_problem", "cli.verify_assumptions",
-                     "cli.run_cell"):
+                     "diagnostics.run_with_diagnostics"):
             monkeypatch.setattr(f"signstorm.{name}", no_work)
         cfg = base_config(tmp_path / "out")
         cfg["check"]["lemma1_T"] = 10**12
@@ -264,8 +267,8 @@ class TestConfigValidation:
         def no_work(*args, **kwargs):
             raise AssertionError(f"{command} started work on n_seeds = {n_seeds}")
 
-        for name in ("cli.run_experiment", "cli.run_cell", "cli.verify_assumptions",
-                     "diagnostics.lemma1_montecarlo"):
+        for name in ("cli.run_experiment", "diagnostics.run_with_diagnostics",
+                     "cli.verify_assumptions", "diagnostics.lemma1_montecarlo"):
             monkeypatch.setattr(f"signstorm.{name}", no_work)
         cfg = base_config(tmp_path / "out")
         cfg["n_seeds"] = n_seeds
@@ -414,6 +417,12 @@ class TestCmdCheck:
         verdicts = json.loads(capsys.readouterr().out)["verdicts"]
         by_name = {v["checker"]: v for v in verdicts}
         assert by_name["movement_bound"]["status"] == "skipped"
+        # the guard skips every check stated for eps_guard = 0, in suite order
+        assert [(v["checker"], v["status"]) for v in verdicts][3:] == [
+            ("movement_bound", "skipped"), ("representation", "pass"),
+            ("storm_decomposition", "pass"), ("estimator_ratio", "skipped"),
+            ("epsilon_bound", "skipped"), ("sign_dichotomy", "skipped"),
+            ("lemma1_montecarlo", "pass")]
 
     def test_mutated_L_fails_with_nonzero_exit(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
@@ -463,7 +472,7 @@ def diagnosed_abort_reasons(master_seed, n_seeds):
     reasons = []
     for s in range(n_seeds):
         try:
-            run_with_diagnostics(problem, hp, 4, derive_seed(master_seed, 202, s))
+            run_with_diagnostics(problem, hp, 4, [derive_seed(master_seed, 202, s)])
             reasons.append(None)
         except NonFiniteValue as exc:
             reasons.append(str(exc))

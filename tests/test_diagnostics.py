@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
-    EpsilonTrace,
+    DiagnosticRecorder,
     HyperParams,
     MdsKind,
     NonFiniteValue,
@@ -21,17 +22,42 @@ from signstorm import (
     movement_bound_check,
     noisy_quadratic,
     representation_check,
+    run_cell,
     run_with_diagnostics,
     sign_dichotomy_frequency,
 )
 from signstorm import diagnostics
 from signstorm.diagnostics import _escaped_paths, _geometric_sums
+from signstorm.optim import STORM_FAMILY, GradientPair, _guarded_ratio, storm_decomposition
 from signstorm.rngutil import make_rng
+from signstorm.theory import c_rho
 
 
 def quadratic(d=4, sigma=0.5, h=1.0):
     return noisy_quadratic(d, np.full(d, h), np.full(d, sigma),
                            np.linspace(0.8, 1.4, d))
+
+
+@dataclass
+class EpsilonTrace:
+    """A frozen copy of the per-seed record the checkers read before the
+    stacked ``DiagnosticRun``: one seed's (T, d) xi, eps and Z."""
+
+    xi: np.ndarray
+    eps: np.ndarray
+    z: np.ndarray
+
+    @property
+    def eps0(self) -> np.ndarray:
+        return self.xi[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.xi.shape[0]
+
+
+def check_trace(trace, beta1, **kwargs):
+    return representation_check(trace.xi, trace.eps, trace.z, beta1, **kwargs)
 
 
 def trace_from_recurrence(xi, z, beta1):
@@ -49,13 +75,24 @@ class TestRunWithDiagnostics:
     def test_definitions_hold(self):
         p = quadratic()
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
-        run = run_with_diagnostics(p, hp, 50, seed=3)
-        assert np.array_equal(run.trace.z[0], np.zeros(4))
-        assert np.array_equal(run.trace.eps0, run.trace.xi[0])
+        run = run_with_diagnostics(p, hp, 50, [3, 4])
+        assert run.m.shape == (2, 50, 4) and run.step_l2.shape == (2, 50)
+        assert np.array_equal(run.z[:, 0], np.zeros((2, 4)))
+        np.testing.assert_array_equal(run.xi, run.g_curr - run.grad_exact)
         # eps_t = m_t - grad F(x_t) by construction
-        np.testing.assert_array_equal(run.trace.eps, run.m - run.grad_exact)
+        np.testing.assert_array_equal(run.eps, run.m - run.grad_exact)
         # first-step estimator equals the first sampled gradient
-        np.testing.assert_array_equal(run.m[0], run.trace.xi[0] + run.grad_exact[0])
+        np.testing.assert_array_equal(run.m[:, 0], run.xi[:, 0] + run.grad_exact[:, 0])
+
+    def test_run_holds_the_recorded_arrays(self):
+        p = quadratic()
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
+        recorder = DiagnosticRecorder(3, 20, p.d)
+        run_cell(p, OptimizerKind.SIGNSTORM, hp, 20, [5, 6, 7], recorder)
+        run = recorder.run(OptimizerKind.SIGNSTORM, hp, [5, 6, 7])
+        for name in ("m", "v", "grad_exact", "step_l2", "g_curr", "g_prev"):
+            assert getattr(run, name) is getattr(recorder, name)
+        assert (run.seeds, run.kind, run.hp) == ([5, 6, 7], OptimizerKind.SIGNSTORM, hp)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_nonfinite(self):
@@ -63,7 +100,15 @@ class TestRunWithDiagnostics:
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=1e300, beta1=0.0, beta2=0.0)
         with pytest.raises(NonFiniteValue, match="NaN/Inf"):
-            run_with_diagnostics(p, hp, 50, seed=1)
+            run_with_diagnostics(p, hp, 50, [1])
+
+    def test_lowest_index_aborted_seed_raises(self):
+        recorder = DiagnosticRecorder(4, 5, 2)
+        recorder.done[1:] = [5, 2, 0]
+        recorder.abort_reasons[2:] = ["second", "third"]
+        with pytest.raises(NonFiniteValue, match="^second$"):
+            recorder.run(OptimizerKind.SIGNSTORM, HyperParams(eta=0.1, beta1=0.5, beta2=0.0),
+                         range(4))
 
 
 def per_t_representation(eps_trace, beta1, tol=1e-6):
@@ -115,7 +160,7 @@ class TestMovementBound:
         # beta2=0, d=4, eta=0.1: bound is 0.2, attained when all coordinates move
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.1, beta1=0.0, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 30, seed=1)
+        run = run_with_diagnostics(p, hp, 30, [1])
         res = movement_bound_check(run.step_l2, hp, d=4)
         assert res.passed
         assert res.worst_ratio == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +170,7 @@ class TestMovementBound:
     def test_random_runs_never_violate(self, beta2):
         p = quadratic()
         hp = HyperParams(eta=0.03, beta1=0.9, beta2=beta2)
-        run = run_with_diagnostics(p, hp, 2000, seed=7)
+        run = run_with_diagnostics(p, hp, 2000, [7])
         res = movement_bound_check(run.step_l2, hp, d=4)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
@@ -157,8 +202,7 @@ class TestRepresentation:
         xi = rng.standard_normal((20, 3))
         z = rng.standard_normal((20, 3))
         z[0] = 0
-        trace = EpsilonTrace(xi=xi, eps=xi.copy(), z=z)
-        res = representation_check(trace, beta1=0.0)
+        res = representation_check(xi, xi.copy(), z, beta1=0.0)
         assert res.passed
         assert res.worst_ratio < 1e-9
 
@@ -167,14 +211,14 @@ class TestRepresentation:
         z = np.array([[0.0], [0.1], [-0.4]])
         trace = trace_from_recurrence(xi, z, beta1=0.5)
         np.testing.assert_allclose(trace.eps.ravel(), [0.3, 0.1, 0.1], atol=1e-12)
-        res = representation_check(trace, beta1=0.5, tol=1e-12)
+        res = check_trace(trace, beta1=0.5, tol=1e-12)
         assert res.passed
 
     def test_long_noisy_run(self):
         p = quadratic(d=4)
         hp = HyperParams(eta=0.01, beta1=0.99, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 1000, seed=5)
-        res = representation_check(run.trace, beta1=0.99)
+        run = run_with_diagnostics(p, hp, 1000, [5])
+        res = representation_check(run.xi, run.eps, run.z, beta1=0.99)
         assert res.passed
 
     def test_perturbed_trace_fails(self):
@@ -184,7 +228,7 @@ class TestRepresentation:
         z[0] = 0
         trace = trace_from_recurrence(xi, z, beta1=0.7)
         trace.eps[17, 1] += 1e-3
-        assert not representation_check(trace, beta1=0.7).passed
+        assert not check_trace(trace, beta1=0.7).passed
 
     @settings(max_examples=300, deadline=None)
     @given(T=st.integers(1, 60), d=st.integers(1, 6),
@@ -207,7 +251,7 @@ class TestRepresentation:
             # errors far above rounding, so a changed summation order
             # moves the worst ratio only in its last bits
             trace.eps += rng.standard_normal((T, d))
-        res = representation_check(trace, beta1)
+        res = check_trace(trace, beta1)
         passed, worst_ratio, worst_t = per_t_representation(trace, beta1)
         if d >= 2:
             # the same products added in the same order: bit for bit
@@ -256,7 +300,7 @@ class TestRepresentation:
         nan = np.isnan(acc)
         assert np.array_equal(np.isnan(sums), nan)
         assert sums[~nan].tobytes() == acc[~nan].tobytes()
-        res = representation_check(trace, beta1)
+        res = check_trace(trace, beta1)
         assert (res.passed, res.worst_ratio, res.worst_t) == (passed, worst_ratio, worst_t)
 
 
@@ -264,15 +308,14 @@ class TestDecompositionAndRatio:
     def test_decomposition_on_run(self):
         p = quadratic()
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.81)
-        run = run_with_diagnostics(p, hp, 500, seed=11)
+        run = run_with_diagnostics(p, hp, 500, [11])
         res = decomposition_check(run)
         assert res.passed
 
     def test_decomposition_needs_storm_kind(self):
         p = quadratic()
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.81)
-        run = run_with_diagnostics(p, hp, 10, seed=11,
-                                   kind=OptimizerKind.GENERALIZED_SIGN_SGD)
+        run = run_with_diagnostics(p, hp, 10, [11], kind=OptimizerKind.GENERALIZED_SIGN_SGD)
         with pytest.raises(PreconditionNotMet):
             decomposition_check(run)
 
@@ -280,7 +323,7 @@ class TestDecompositionAndRatio:
         p = quadratic()
         for beta2 in (0.0, 0.5, 0.9):
             hp = HyperParams(eta=0.02, beta1=0.9, beta2=beta2)
-            run = run_with_diagnostics(p, hp, 300, seed=13)
+            run = run_with_diagnostics(p, hp, 300, [13])
             res = estimator_ratio_check(run)
             assert res.passed
             assert res.worst_ratio <= 1.0 + 1e-12
@@ -290,8 +333,8 @@ class TestEpsilonBound:
     def test_noiseless_momentum_free_never_violates(self):
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.05, beta1=0.0, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 200, seed=2)
-        rep = epsilon_bound_frequency(run.trace, hp, p.constants.L_vec,
+        run = run_with_diagnostics(p, hp, 200, [2])
+        rep = epsilon_bound_frequency(run.eps, hp, p.constants.L_vec,
                                       p.constants.sigma_vec, 0.1)
         assert rep.n_violations == 0
         assert rep.passed
@@ -313,8 +356,8 @@ class TestEpsilonBound:
     def test_multi_run_aggregation(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.0)
-        traces = [run_with_diagnostics(p, hp, 100, seed=s).trace for s in range(5)]
-        rep = epsilon_bound_frequency(traces, hp, p.constants.L_vec,
+        run = run_with_diagnostics(p, hp, 100, list(range(5)))
+        rep = epsilon_bound_frequency(run.eps, hp, p.constants.L_vec,
                                       p.constants.sigma_vec, 0.05)
         assert rep.n_total == 5 * 100 * 4
         assert rep.passed
@@ -325,7 +368,7 @@ class TestSignDichotomy:
         # sigma=0 and beta1=0, beta2=0: m equals grad F, ratio is 1 >= 1/5
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.05, beta1=0.0, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 200, seed=4)
+        run = run_with_diagnostics(p, hp, 200, [4])
         rep = sign_dichotomy_frequency(run, p.constants.L_vec,
                                        p.constants.sigma_vec, 0.05)
         assert rep.n_violations == 0
@@ -334,7 +377,7 @@ class TestSignDichotomy:
         # start at the optimum: gradients stay tiny, branch one carries everything
         p = noisy_quadratic(3, np.ones(3), 0.2 * np.ones(3), np.zeros(3))
         hp = HyperParams(eta=0.001, beta1=0.9, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 100, seed=6)
+        run = run_with_diagnostics(p, hp, 100, [6])
         rep = sign_dichotomy_frequency(run, p.constants.L_vec,
                                        p.constants.sigma_vec, 0.05)
         assert rep.passed
@@ -342,32 +385,26 @@ class TestSignDichotomy:
     def test_noisy_runs_under_budget(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
-        runs = [run_with_diagnostics(p, hp, 150, seed=s) for s in range(10)]
-        rep = sign_dichotomy_frequency(runs, p.constants.L_vec,
+        run = run_with_diagnostics(p, hp, 150, list(range(10)))
+        rep = sign_dichotomy_frequency(run, p.constants.L_vec,
                                        p.constants.sigma_vec, 0.05)
         assert rep.passed
 
     def test_guard_refused(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.0, eps_guard=1e-8)
-        run = run_with_diagnostics(p, hp, 10, seed=1)
+        run = run_with_diagnostics(p, hp, 10, [1])
         with pytest.raises(PreconditionNotMet):
             sign_dichotomy_frequency(run, p.constants.L_vec,
                                      p.constants.sigma_vec, 0.05)
 
 
-def test_frequency_checkers_build_one_envelope_per_hp_and_T(monkeypatch):
-    p = quadratic()
-    hp_a = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
-    hp_b = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
-    runs = [run_with_diagnostics(p, hp, T, seed=s)
-            for s, (hp, T) in enumerate([(hp_a, 60), (hp_b, 60), (hp_a, 60),
-                                         (hp_a, 40), (hp_b, 60)])]
-    L, sigma = p.constants.L_vec, p.constants.sigma_vec
-    # each run alone builds its own envelope
-    dich_alone = sum(sign_dichotomy_frequency(r, L, sigma, 0.05).n_violations for r in runs)
-    eps_alone = sum(epsilon_bound_frequency(r.trace, hp_a, L, sigma, 0.05).n_violations
-                    for r in runs)
+def test_frequency_checkers_build_one_envelope(monkeypatch):
+    p = quadratic(sigma=2.0)
+    hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
+    run = run_with_diagnostics(p, hp, 60, list(range(5)))
+    # an envelope tight enough that some entries leave it
+    L, sigma = 0.01 * p.constants.L_vec, 0.01 * p.constants.sigma_vec
     built = []
     envelope = diagnostics.epsilon_envelope
 
@@ -376,12 +413,257 @@ def test_frequency_checkers_build_one_envelope_per_hp_and_T(monkeypatch):
         return envelope(hp, L_vec, sigma_vec, T, delta)
 
     monkeypatch.setattr(diagnostics, "epsilon_envelope", counted)
-    assert sign_dichotomy_frequency(runs, L, sigma, 0.05).n_violations == dich_alone
-    assert built == [(hp_a, 60), (hp_b, 60), (hp_a, 40)]
-    built.clear()
-    assert epsilon_bound_frequency([r.trace for r in runs], hp_a, L, sigma,
-                                   0.05).n_violations == eps_alone
-    assert built == [(hp_a, 60), (hp_a, 40)]
+    dich = sign_dichotomy_frequency(run, L, sigma, 0.05)
+    eps = epsilon_bound_frequency(run.eps, hp, L, sigma, 0.05)
+    assert built == [(hp, 60), (hp, 60)]
+    # the stacked counts are the sums of the seeds' own counts
+    alone = [run_with_diagnostics(p, hp, 60, [s]) for s in range(5)]
+    assert dich.n_violations == sum(sign_dichotomy_frequency(r, L, sigma, 0.05).n_violations
+                                    for r in alone)
+    assert eps.n_violations == sum(epsilon_bound_frequency(r.eps, hp, L, sigma, 0.05).n_violations
+                                   for r in alone)
+    assert 0 < dich.n_violations and 0 < eps.n_violations
+    assert eps.n_total == dich.n_total == 5 * 60 * p.d
+
+
+# A frozen copy of the per-seed path the checkers took before every seed
+# shared one DiagnosticRun: one record per seed with its own EpsilonTrace,
+# each deterministic checker run per seed and reduced with max (which keeps
+# the first of equal ratios), and the frequency counts summed over a list.
+
+@dataclass
+class FrozenRun:
+    trace: EpsilonTrace
+    m: np.ndarray
+    v: np.ndarray
+    grad_exact: np.ndarray
+    step_l2: np.ndarray
+    g_curr: np.ndarray
+    g_prev: np.ndarray
+    hp: HyperParams
+    seed: int
+    kind: OptimizerKind
+
+
+def frozen_recorder_run(rec, s, seed, kind, hp):
+    n = rec.horizon[s]
+    if rec.done[s] < n:
+        raise NonFiniteValue(rec.abort_reasons[s])
+    m, grad_exact = rec.m[s, :n], rec.grad_exact[s, :n]
+    g_curr, g_prev = rec.g_curr[s, :n], rec.g_prev[s, :n]
+    z = np.zeros_like(g_curr)
+    z[1:] = (g_curr[1:] - g_prev[1:]) + (grad_exact[:-1] - grad_exact[1:])
+    return FrozenRun(EpsilonTrace(g_curr - grad_exact, m - grad_exact, z),
+                     m, rec.v[s, :n], grad_exact, rec.step_l2[s, :n], g_curr, g_prev, hp,
+                     seed, kind)
+
+
+def frozen_movement(run, d):
+    hp = run.hp
+    if hp.eps_guard != 0.0:
+        raise PreconditionNotMet("movement bound is stated for eps_guard = 0")
+    T = run.step_l2.shape[0]
+    ratios = run.step_l2 / (hp.step_sizes(T) * math.sqrt(d / (1.0 - hp.beta2)))
+    worst = int(np.argmax(ratios))
+    worst_ratio = float(ratios[worst])
+    return worst_ratio <= 1.0 + 1e-9, worst_ratio, worst + 1
+
+
+def frozen_representation(run, tol=1e-6):
+    eps_trace, beta1 = run.trace, run.hp.beta1
+    T, d = eps_trace.xi.shape
+    scale = tol * (1.0 + float(np.max(np.abs(eps_trace.eps))))
+    acc = _geometric_sums(np.concatenate([eps_trace.z, eps_trace.xi], axis=1), beta1)
+    decay = np.array([beta1 ** t for t in range(1, T + 1)])
+    rhs = decay[:, None] * eps_trace.eps0 + beta1 * acc[:, :d] + (1.0 - beta1) * acc[:, d:]
+    ratio = np.max(np.abs(eps_trace.eps - rhs), axis=1) / scale
+    ratio[~(ratio > 0.0)] = 0.0
+    worst = int(np.argmax(ratio))
+    return float(ratio[worst]) <= 1.0, float(ratio[worst]), worst + 1
+
+
+def frozen_decomposition(run):
+    if run.kind not in STORM_FAMILY:
+        raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
+    T = run.m.shape[0]
+    if T < 2:
+        return True, 0.0, 1
+    pair = GradientPair(run.g_curr[1:], run.g_prev[1:])
+    part_i, part_ii = storm_decomposition(run.m[:-1], pair, run.hp.beta1)
+    err = np.abs((part_i + part_ii) - run.m[1:])
+    ratio = err / (1e-12 * (1.0 + np.abs(run.m[1:])))
+    flat = int(np.argmax(ratio))
+    worst_ratio = float(ratio.flat[flat])
+    return worst_ratio <= 1.0, worst_ratio, flat // run.m.shape[1] + 2
+
+
+def frozen_estimator_ratio(run):
+    if run.hp.eps_guard != 0.0:
+        raise PreconditionNotMet("ratio cap is stated for eps_guard = 0")
+    ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
+    cap = 1.0 / math.sqrt(1.0 - run.hp.beta2)
+    worst_flat = int(np.argmax(ratio))
+    worst = float(ratio.flat[worst_flat] / cap)
+    return worst <= 1.0 + 1e-12, worst, worst_flat // run.m.shape[1] + 1
+
+
+def frozen_worst(fn, runs):
+    """max over the per-seed results, keyed by the worst ratio."""
+    return max(map(fn, runs), key=lambda res: res[1])
+
+
+def frozen_epsilon_count(runs, hp, L_vec, sigma_vec, delta):
+    violations = total = 0
+    for run in runs:
+        envelope = epsilon_envelope(hp, L_vec, sigma_vec, run.trace.horizon, delta)
+        violations += int(np.sum(np.abs(run.trace.eps) > envelope))
+        total += run.trace.eps.size
+    return violations, total
+
+
+def frozen_dichotomy_count(runs, L_vec, sigma_vec, delta):
+    violations = total = 0
+    for run in runs:
+        hp = run.hp
+        if hp.eps_guard != 0.0:
+            raise PreconditionNotMet("dichotomy check is stated for eps_guard = 0")
+        rho = hp.rho
+        if not rho < 1.0:
+            raise PreconditionNotMet(f"dichotomy check needs rho < 1, got {rho}")
+        rhs = epsilon_envelope(hp, L_vec, sigma_vec, run.grad_exact.shape[0], delta)
+        branch1 = c_rho(rho) * np.abs(run.grad_exact) < rhs
+        ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
+        threshold = (1.0 - rho) / (5.0 * math.sqrt(1.0 - hp.beta2))
+        branch2 = (np.sign(run.grad_exact) == np.sign(run.m)) & (ratio >= threshold)
+        violations += int(np.sum(~(branch1 | branch2)))
+        total += run.m.size
+    return violations, total
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (PreconditionNotMet, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_stacked_matches_frozen(recorder, kind, hp, seeds, L_vec, sigma_vec, delta=0.05):
+    """Every checker on the stacked record against the frozen per-seed path:
+    the verdict, the worst ratio's bits and its t, and the counts."""
+    run = recorder.run(kind, hp, seeds)
+    runs = [frozen_recorder_run(recorder, s, seed, kind, hp) for s, seed in enumerate(seeds)]
+    d = run.m.shape[-1]
+
+    def stacked(check, *args):
+        res = check(*args)
+        return res.passed, res.worst_ratio, res.worst_t
+
+    pairs = [
+        (outcome(stacked, movement_bound_check, run.step_l2, hp, d),
+         outcome(frozen_worst, lambda r: frozen_movement(r, d), runs)),
+        (outcome(stacked, representation_check, run.xi, run.eps, run.z, hp.beta1),
+         outcome(frozen_worst, frozen_representation, runs)),
+        (outcome(stacked, decomposition_check, run),
+         outcome(frozen_worst, frozen_decomposition, runs)),
+        (outcome(stacked, estimator_ratio_check, run),
+         outcome(frozen_worst, frozen_estimator_ratio, runs)),
+    ]
+    for new, old in pairs:
+        assert type(new[1]) is type(old[1])
+        if isinstance(new[1], float):
+            # every bit of the worst ratio
+            assert (new[0], new[1].hex(), new[2]) == (old[0], old[1].hex(), old[2])
+        else:
+            assert new == old
+    eps = epsilon_bound_frequency(run.eps, hp, L_vec, sigma_vec, delta)
+    assert (eps.n_violations, eps.n_total) == frozen_epsilon_count(runs, hp, L_vec, sigma_vec,
+                                                                    delta)
+    dich = outcome(sign_dichotomy_frequency, run, L_vec, sigma_vec, delta)
+    old = outcome(frozen_dichotomy_count, runs, L_vec, sigma_vec, delta)
+    if isinstance(dich, diagnostics.FrequencyReport):
+        assert (dich.n_violations, dich.n_total) == old
+    else:
+        assert dich == old
+    return run
+
+
+class TestStackedMatchesPerSeed:
+    """The stacked checkers against the frozen per-seed path they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(S=st.integers(1, 5), T=st.integers(1, 12), d=st.integers(1, 4),
+           beta1=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99),
+           beta2=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 0.99),
+           coarse=st.booleans(), copies=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    @example(S=1, T=1, d=1, beta1=0.0, beta2=0.0, coarse=True, copies=0, seed=0)
+    @example(S=3, T=2, d=1, beta1=0.5, beta2=0.25, coarse=True, copies=2, seed=1)
+    @example(S=4, T=2, d=3, beta1=0.0, beta2=0.5, coarse=False, copies=1, seed=2)
+    @example(S=5, T=12, d=4, beta1=0.9, beta2=0.0, coarse=True, copies=4, seed=3)
+    def test_synthetic_records(self, S, T, d, beta1, beta2, coarse, copies, seed):
+        rng = np.random.default_rng(seed)
+        hp = HyperParams(eta=0.05, beta1=beta1, beta2=beta2)
+        recorder = DiagnosticRecorder(S, T, d)
+        bound = 0.05 * math.sqrt(d / (1.0 - beta2))
+        if coarse:
+            # a few dyadic values: equal ratios within and across seeds
+            def draw(shape):
+                return rng.integers(-2, 3, shape) * 0.5
+
+            recorder.v[:] = rng.integers(0, 3, (S, T, d)) * 0.25
+            recorder.step_l2[:] = rng.integers(0, 3, (S, T)) * 0.5 * bound
+        else:
+            def draw(shape):
+                return rng.standard_normal(shape)
+
+            recorder.v[:] = rng.standard_normal((S, T, d)) ** 2
+            recorder.step_l2[:] = rng.random((S, T)) * 1.5 * bound
+        for name in ("m", "grad_exact", "g_curr", "g_prev"):
+            getattr(recorder, name)[:] = draw((S, T, d))
+        recorder.g_prev[:, 0] = 0.0
+        # the last seeds repeat the first ones: ties across seeds
+        for s in range(max(0, S - copies), S):
+            for name in ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2"):
+                getattr(recorder, name)[s] = getattr(recorder, name)[s % max(1, S - copies)]
+        L_vec, sigma_vec = rng.random(d) + 0.1, rng.random(d)
+        assert_stacked_matches_frozen(recorder, OptimizerKind.SIGNSTORM, hp,
+                                      [int(x) for x in rng.integers(0, 2**32, S)],
+                                      L_vec, sigma_vec)
+
+    # two ratios one ulp apart that the cap sqrt(2) divides to one value:
+    # a seed keeps the t of its larger ratio, and of equal scaled ratios the
+    # first seed's is kept
+    @pytest.mark.parametrize("rows, worst_t", [([[0.0, 0.9000000000000001, 0.9000000000000002]], 3),
+                                               ([[0.0, 0.9000000000000001, 0.0],
+                                                 [0.9000000000000002, 0.0, 0.0]], 2)])
+    def test_ratios_that_scale_to_one_value(self, rows, worst_t):
+        assert 0.9000000000000001 / math.sqrt(2.0) == 0.9000000000000002 / math.sqrt(2.0)
+        recorder = DiagnosticRecorder(len(rows), 3, 1)
+        for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
+            getattr(recorder, name)[:] = 0.0
+        recorder.v[:] = 1.0
+        recorder.m[:, :, 0] = rows
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
+        run = assert_stacked_matches_frozen(recorder, OptimizerKind.SIGNSTORM, hp,
+                                            list(range(len(rows))), np.ones(1), np.ones(1))
+        assert estimator_ratio_check(run).worst_t == worst_t
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("beta1", [0.0, 0.9])
+    @pytest.mark.parametrize("T", [1, 2, 80])
+    def test_diagnosed_runs(self, d, beta1, T):
+        p = quadratic(d=d)
+        hp = HyperParams(eta=0.02, beta1=beta1, beta2=0.5 if beta1 else 0.0)
+        seeds = [11, 12, 13, 14]
+        stacked = None
+        # one seed alone, then all of them stepped together
+        for part in (seeds[:1], seeds):
+            recorder = DiagnosticRecorder(len(part), T, d)
+            run_cell(p, OptimizerKind.SIGNSTORM, hp, T, part, recorder)
+            stacked = assert_stacked_matches_frozen(recorder, OptimizerKind.SIGNSTORM, hp,
+                                                    part, p.constants.L_vec,
+                                                    p.constants.sigma_vec)
+        assert stacked.m.shape == (4, T, d)
 
 
 def frozen_lemma1_violations(n_trials, T, delta, mds, seed):

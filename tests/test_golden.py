@@ -25,12 +25,14 @@ that ``signstorm run`` writes for three of the specs: one with the
 ``eps_l1`` column, one whose traces stop early at an abort, and one at
 d = 1.  Those digests were
 computed while the traces still came from a serial per-trial re-run.
-``golden/diagnostics_sha256.json`` pins every array of the ``DiagnosticRun``
-of each seed of a few diagnosed runs, among them the seeds ``signstorm
-check`` diagnoses on the ``check_suite`` benchmark config.  Those digests
-were computed while ``run_with_diagnostics`` still had its own per-seed
-loop; both the single-seed call and one seed-batched ``run_cell`` call
-must reproduce them.  ``golden/chart_sha256.json`` pins the two SVG charts
+``golden/diagnostics_sha256.json`` pins every array of each seed of a few
+diagnosed runs, among them the seeds ``signstorm check`` diagnoses on the
+``check_suite`` benchmark config.  Those digests were computed while
+``run_with_diagnostics`` still had its own per-seed loop and returned one
+record per seed.  Each now pins that seed's rows of the stacked
+``DiagnosticRun``, xi, eps and Z derived from them: the same arrays and the
+same bytes.  A one-seed call and one call for all of a case's seeds must
+both reproduce them.  ``golden/chart_sha256.json`` pins the two SVG charts
 that ``signstorm run`` writes for every spec, and
 ``golden/params_stdout.json`` the stdout of ``signstorm params`` for a
 few inputs; both were recorded while the parameter formulas still
@@ -52,14 +54,12 @@ import numpy as np
 import pytest
 
 from signstorm import (
-    DiagnosticRecorder,
     ExperimentSpec,
     HyperParams,
     OptimizerKind as K,
     Schedule,
     derive_seed,
     make_problem,
-    run_cell,
     run_experiment,
     run_with_diagnostics,
 )
@@ -212,18 +212,19 @@ def diag_cell(name: str):
     return problem, hp, kind, T, seeds
 
 
-def run_digests(run) -> dict:
-    arrays = {"xi": run.trace.xi, "eps": run.trace.eps, "z": run.trace.z, "m": run.m,
+def run_digests(run) -> list[dict]:
+    """Per seed of a diagnosed run, the digest of each of its arrays."""
+    arrays = {"xi": run.xi, "eps": run.eps, "z": run.z, "m": run.m,
               "v": run.v, "grad_exact": run.grad_exact, "step_l2": run.step_l2,
               "g_curr": run.g_curr, "g_prev": run.g_prev}
-    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-            for name, a in arrays.items()}
+    return [{name: hashlib.sha256(np.ascontiguousarray(a[s]).tobytes()).hexdigest()
+             for name, a in arrays.items()} for s in range(len(run.seeds))]
 
 
 def diagnostic_digests(name: str) -> list[dict]:
-    """Per seed, the digest of every array of its single-seed diagnosed run."""
+    """Per seed, the digest of every array of its one-seed diagnosed run."""
     problem, hp, kind, T, seeds = diag_cell(name)
-    return [run_digests(run_with_diagnostics(problem, hp, T, seed, kind))
+    return [run_digests(run_with_diagnostics(problem, hp, T, [seed], kind))[0]
             for seed in seeds]
 
 
@@ -389,12 +390,9 @@ def test_diagnostics_match_golden_digests(name):
     assert diagnostic_digests(name) == expected
     # all seeds of the case stepped together in one seed-batched call
     problem, hp, kind, T, seeds = diag_cell(name)
-    recorder = DiagnosticRecorder(len(seeds), T, problem.d)
-    run_cell(problem, kind, hp, T, seeds, recorder)
-    runs = [recorder.run(s, seed, kind, hp) for s, seed in enumerate(seeds)]
-    for run in runs:
-        assert run.m.shape == (T, problem.d) and run.step_l2.shape == (T,)
-    assert [run_digests(run) for run in runs] == expected
+    run = run_with_diagnostics(problem, hp, T, seeds, kind)
+    assert run.m.shape == (len(seeds), T, problem.d) and run.step_l2.shape == (len(seeds), T)
+    assert run_digests(run) == expected
 
 
 if __name__ == "__main__":

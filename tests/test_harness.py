@@ -352,7 +352,7 @@ class TestTraceRecorder:
         with np.errstate(all="ignore"):
             grad_l1 = np.add.reduce(np.abs(g_exact), axis=1)
         loss = block()[:, 0]
-        if list_loss:  # the additive problems' exact_grads gives a list
+        if list_loss:  # record takes the losses as a list of floats too
             loss = loss.tolist()
         rows = S + int(gen.integers(0, 5))
         live = gen.permutation(rows)[:S]
