@@ -57,6 +57,8 @@ _TOP_KEYS = {*_REQUIRED, *_TOP_TYPES, "param_mode", "check"}
 _CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
                "lemma1_trials": diag.LEMMA1_MIN_TRIALS, "lemma1_T": 1}
 _CHECK_KEYS = {*_CHECK_INTS, "mds", "fault_injection"}
+# simulated lemma 1 steps a check may ask for: about 50 s at ~5 ns a step
+_LEMMA1_STEPS = 10**10
 # check key -> its default; T and n_seeds default from the experiment grid
 _CHECK_DEFAULTS = {"n_probes": 2000, "lemma1_trials": 10000, "lemma1_T": 1000,
                    "mds": diag.MdsKind.RADEMACHER.value, "fault_injection": {}}
@@ -168,6 +170,10 @@ def _check_section(check) -> dict:
         if not _is_int(value) or not low <= value <= MAX_HORIZON:
             raise ConfigError(f"check.{key} must be an integer from {low} to {MAX_HORIZON}, "
                               f"got {value!r}")
+    steps = check["lemma1_trials"] * check["lemma1_T"]
+    if steps > _LEMMA1_STEPS:
+        raise ConfigError(f"check.lemma1_trials * check.lemma1_T must be at most {_LEMMA1_STEPS} "
+                          f"simulated steps (about 50 s), got {steps}")
     kinds = [m.value for m in diag.MdsKind]
     if check["mds"] not in kinds:
         raise ConfigError(f"check.mds must be one of {kinds}, got {check['mds']!r}")

@@ -163,11 +163,14 @@ def _check_dims(state: OptimizerState, grads: GradientPair, need_prev: bool) -> 
             )
 
 
-def _sum_is_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> bool:
-    # one reduction on the fast path; infinities never cancel to a finite
-    # sum in IEEE arithmetic, so a False here is either a NaN/Inf or an
-    # all-finite overflow (values near 1e308) that needs the precise check
-    return math.isfinite(float(np.add.reduce(x + m + v, axis=None)))
+def _sum_is_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray, out=None) -> bool:
+    # one reduction on the fast path, summed in ``out`` if given; infinities
+    # never cancel to a finite sum in IEEE arithmetic, so a False here is
+    # either a NaN/Inf or an all-finite overflow (values near 1e308) that
+    # needs the precise check
+    total = np.add(x, m, out=out)
+    total += v
+    return math.isfinite(float(np.add.reduce(total, axis=None)))
 
 
 def _check_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
@@ -178,45 +181,32 @@ def _check_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
             raise NonFiniteValue(f"{name} contains NaN/Inf after the update")
 
 
-def _finite_rows(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Per row of an (S, d) state: True where x, m and v are all finite;
-    None when every row is."""
-    if _sum_is_finite(x, m, v):
-        return None
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
-    return None if finite.all() else finite
+class StepWork:
+    """Scratch of one step of a state of this shape, reusable from step to step."""
+
+    __slots__ = ("denom", "mask", "ratio")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.denom, self.mask, self.ratio = np.empty(shape), np.empty(shape, bool), np.empty(shape)
 
 
-def _guarded_ratio(m: np.ndarray, v: np.ndarray, eps_guard: float) -> np.ndarray:
-    """m / (sqrt(v) + eps), element-wise, with 0/0 = 0 where the denominator is 0.
+def _guarded_ratio(m: np.ndarray, v: np.ndarray, eps_guard: float,
+                   work: StepWork | None = None) -> np.ndarray:
+    """m / (sqrt(v) + eps), element-wise, with 0/0 = 0 where the denominator
+    is 0, in ``work.ratio`` (fresh scratch if None); v may be ``work.denom``.
 
     Zero-denominator lanes are masked out of the division, so finite inputs
     never trip numpy warnings; non-finite inputs may, and then the caller's
     finite check raises.
     """
-    denom = np.sqrt(v)
+    work = work or StepWork(m.shape)
+    denom = np.sqrt(v, out=work.denom)
     if eps_guard != 0.0:
         denom += eps_guard
-    out = np.zeros(m.shape)
-    np.divide(m, denom, out=out, where=denom > 0.0)
-    return out
-
-
-def _storm_estimator(state: OptimizerState, grads: GradientPair, beta1: float) -> np.ndarray:
-    if state.t == 1:
-        return grads.g_curr.copy()
-    m = state.m - grads.g_prev
-    m *= beta1
-    m += grads.g_curr
-    return m
-
-
-def _second_moment(v_prev: np.ndarray, m: np.ndarray, beta2: float) -> np.ndarray:
-    v = v_prev * beta2
-    mm = m * m
-    mm *= 1.0 - beta2
-    v += mm
-    return v
+    if np.minimum.reduce(denom, axis=None, initial=np.inf) > 0.0:  # no lane to mask
+        return np.divide(m, denom, out=work.ratio)
+    work.ratio.fill(0.0)
+    return np.divide(m, denom, out=work.ratio, where=np.greater(denom, 0.0, out=work.mask))
 
 
 def _row_norms(m: np.ndarray) -> np.ndarray:
@@ -229,50 +219,55 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(m[..., None, :], m[..., :, None]))[..., 0]
 
 
-def _advance(state: OptimizerState, grads: GradientPair, hp: HyperParams,
-             kind: OptimizerKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New (x, m, v) of one iteration; element-wise over any leading axes."""
-    eta = hp.step_size(state.t)
+def _advance(x: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, grads: GradientPair,
+             hp: HyperParams, kind: OptimizerKind, out: np.ndarray, work: StepWork) -> None:
+    """Iteration t from iterate x, element-wise over any leading axes: m and v
+    in place, the new x into ``out``, which shares no memory with x."""
+    eta = hp.step_size(t)
     g = grads.g_curr
+    tmp = work.ratio  # free until the ratio is formed
 
-    if kind is OptimizerKind.SIGNSTORM:
-        m = _storm_estimator(state, grads, hp.beta1)
-        v = _second_moment(state.v, m, hp.beta2)
-        x = _guarded_ratio(m, v, hp.eps_guard)
-        x *= -eta
-        x += state.x
-    elif kind is OptimizerKind.SGD:
-        m = g.copy()
-        v = state.v.copy()
-        x = state.x - eta * m
-    elif kind is OptimizerKind.MOMENTUM_SGD:
-        m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-        v = state.v.copy()
-        x = state.x - eta * m
-    elif kind is OptimizerKind.GENERALIZED_SIGN_SGD:
-        m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-        v = _second_moment(state.v, m, hp.beta2)
-        x = state.x - eta * _guarded_ratio(m, v, hp.eps_guard)
-    elif kind is OptimizerKind.STORM:
-        m = _storm_estimator(state, grads, hp.beta1)
-        v = state.v.copy()
-        x = state.x - eta * m
-    elif kind is OptimizerKind.ADAM:
-        m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-        v = hp.beta2 * state.v + (1.0 - hp.beta2) * g * g
-        m_hat = m / (1.0 - hp.beta1 ** state.t)
-        v_hat = v / (1.0 - hp.beta2 ** state.t)
-        x = state.x - eta * _guarded_ratio(m_hat, v_hat, hp.eps_guard)
-    elif kind is OptimizerKind.L2_NORMALIZED_STORM:
-        m = _storm_estimator(state, grads, hp.beta1)
-        v = state.v.copy()
-        # a zero (or NaN) norm leaves the row in place
-        norm = _row_norms(m)
-        move = np.divide(eta * m, norm, out=np.zeros(m.shape), where=norm > 0.0)
-        x = state.x - move
+    if kind is OptimizerKind.SGD or (kind in STORM_FAMILY and t == 1):
+        np.copyto(m, g)
+    elif kind in STORM_FAMILY:
+        # b1 * (m - g_prev) + g
+        np.subtract(m, grads.g_prev, out=m)
+        m *= hp.beta1
+        m += g
+    elif kind in (OptimizerKind.MOMENTUM_SGD, OptimizerKind.GENERALIZED_SIGN_SGD,
+                  OptimizerKind.ADAM):
+        # b1 * m + (1 - b1) * g
+        m *= hp.beta1
+        m += np.multiply(g, 1.0 - hp.beta1, out=tmp)
     else:
         raise UnsupportedKind(f"unhandled kind: {kind!r}")
-    return x, m, v
+
+    if kind in (OptimizerKind.SIGNSTORM, OptimizerKind.GENERALIZED_SIGN_SGD):
+        # b2 * v + (1 - b2) * m^2
+        v *= hp.beta2
+        np.multiply(m, m, out=tmp)
+        tmp *= 1.0 - hp.beta2
+        v += tmp
+        step = _guarded_ratio(m, v, hp.eps_guard, work)
+        step *= eta
+    elif kind is OptimizerKind.ADAM:
+        # b2 * v + (1 - b2) * g * g; the bias-corrected m sits in out until the step
+        v *= hp.beta2
+        np.multiply(g, 1.0 - hp.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, 1.0 - hp.beta1 ** t, out=out)
+        step = _guarded_ratio(out, np.divide(v, 1.0 - hp.beta2 ** t, out=work.denom),
+                              hp.eps_guard, work)
+        step *= eta
+    elif kind is OptimizerKind.L2_NORMALIZED_STORM:
+        # a zero (or NaN) norm leaves the row in place
+        norm = _row_norms(m)
+        tmp.fill(0.0)
+        step = np.divide(np.multiply(m, eta, out=work.denom), norm, out=tmp, where=norm > 0.0)
+    else:
+        step = np.multiply(m, eta, out=tmp)
+    np.subtract(x, step, out=out)
 
 
 def step(
@@ -288,9 +283,11 @@ def step(
     raises :class:`NonFiniteValue`.
     """
     _check_dims(state, grads, need_prev=kind in STORM_FAMILY and state.t > 1)
-    x, m, v = _advance(state, grads, hp, kind)
-    _check_finite(x, m, v)
-    return OptimizerState(x=x, m=m, v=v, prev_x=state.x.copy(), t=state.t + 1)
+    new = OptimizerState(x=np.empty(state.x.shape), m=state.m.copy(), v=state.v.copy(),
+                         prev_x=state.x.copy(), t=state.t + 1)
+    _advance(state.x, new.m, new.v, state.t, grads, hp, kind, new.x, StepWork(state.x.shape))
+    _check_finite(new.x, new.m, new.v)
+    return new
 
 
 def step_batch(
@@ -298,6 +295,7 @@ def step_batch(
     grads: GradientPair,
     hp: HyperParams,
     kind: OptimizerKind = OptimizerKind.SIGNSTORM,
+    work: StepWork | None = None,
 ) -> tuple[OptimizerState, np.ndarray | None]:
     """One iteration of every row of an (S, d) state, each row an independent run.
 
@@ -305,12 +303,22 @@ def step_batch(
     Instead of raising on a non-finite update, returns with the new state
     the boolean mask of the rows that stayed finite, or None when all did;
     the caller drops the other rows.  Shapes are the caller's contract and
-    are not checked, and the new state's ``prev_x`` is the input's ``x``
-    array itself, not a copy.
+    are not checked.
+
+    The step is in place and returns ``state``: m and v are updated in their
+    arrays, the new x is written over ``prev_x``'s, a buffer the engine owns,
+    and the two swap.  ``work`` is the engine's scratch.  The next step
+    overwrites all of these arrays, so a caller copies what it keeps.
     """
-    x, m, v = _advance(state, grads, hp, kind)
-    return (OptimizerState(x=x, m=m, v=v, prev_x=state.x, t=state.t + 1),
-            _finite_rows(x, m, v))
+    out = state.prev_x
+    work = work or StepWork(out.shape)
+    _advance(state.x, state.m, state.v, state.t, grads, hp, kind, out, work)
+    state.prev_x, state.x, state.t = state.x, out, state.t + 1
+    x, m, v = state.x, state.m, state.v
+    if _sum_is_finite(x, m, v, work.ratio):
+        return state, None
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
+    return state, None if finite.all() else finite
 
 
 def storm_decomposition(

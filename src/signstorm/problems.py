@@ -129,15 +129,16 @@ class StochasticProblem(abc.ABC):
 
     @abc.abstractmethod
     def sampled_grads(self, xs: np.ndarray, payloads: np.ndarray,
-                      exact: np.ndarray | None) -> np.ndarray:
+                      exact: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
         """Sampled gradient at each row of xs under the payload row of the
-        same index; ``exact`` holds the exact gradients at xs, or None where
-        the caller has not computed them."""
+        same index, written into ``out`` if given; ``exact`` holds the exact
+        gradients at xs, or None where the caller has not computed them."""
 
     @abc.abstractmethod
-    def exact_grads(self, xs: np.ndarray, with_loss: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Exact gradients at the rows of xs and, when asked, F at each row
-        (else None); each row's bits are those it has alone."""
+    def exact_grads(self, xs: np.ndarray, with_loss: bool,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Exact gradients at the rows of xs (into ``out`` if given) and, when
+        asked, F at each row (else None); each row's bits are those it has alone."""
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
         """Exact gradient at one point."""
@@ -199,19 +200,31 @@ class _AdditiveNoiseProblem(StochasticProblem):
         # (n, d) draw equals n sequential (d,) draws
         return self._lo + self._range * rng.random((n, self.d))
 
-    def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
-        return (self.exact_grads(xs, False)[0] if exact is None else exact) + payloads
+    _factor = np.empty(0)
+
+    def _factor_rows(self, xs: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """scale * grad_factor; for the engine's calls, which pass ``out``, a
+        copy of the chunk's shape, as a same-shape product is the faster."""
+        if out is None:
+            return self.scale * self.grad_factor
+        if self._factor.shape != xs.shape:
+            self._factor = np.broadcast_to(self.scale * self.grad_factor, xs.shape).copy()
+        return self._factor
+
+    def sampled_grads(self, xs, payloads, exact, out=None) -> np.ndarray:
+        exact = self.exact_grads(xs, False, out)[0] if exact is None else exact
+        return np.add(exact, payloads, out=out)
 
 
 class NoisyQuadratic(_AdditiveNoiseProblem):
     """F(x) = 1/2 sum_j h_j x_j^2 with uniform additive gradient noise."""
 
     name = "noisy_quadratic"
-    curvature = 1.0
+    curvature = grad_factor = 1.0
     scale_key, scale_name = "hessian_diag", "hessian diagonal entries"
 
-    def exact_grads(self, xs, with_loss):
-        grads = self.scale * xs
+    def exact_grads(self, xs, with_loss, out=None):
+        grads = np.multiply(self._factor_rows(xs, out), xs, out=out)
         if not with_loss:
             return grads, None
         # the stacked matmul takes each row's dot as (h * x).dot(x) does alone
@@ -227,10 +240,12 @@ class BoundedNonConvex(_AdditiveNoiseProblem):
 
     name = "bounded_nonconvex"
     curvature = _BOUNDED_CURVATURE
+    grad_factor = 2.0
     scale_key, scale_name = "a", "scale entries a_j"
 
-    def exact_grads(self, xs, with_loss):
-        grads = self.scale * 2.0 * xs / (1.0 + xs * xs) ** 2
+    def exact_grads(self, xs, with_loss, out=None):
+        grads = np.multiply(self._factor_rows(xs, out), xs, out=out)
+        grads /= np.square(1.0 + xs * xs)
         if not with_loss:
             return grads, None
         # an axis-1 reduce sums each row as np.sum sums it alone
@@ -298,15 +313,15 @@ class SyntheticLogistic(StochasticProblem):
     def noise_support(self) -> np.ndarray:
         return np.arange(self.n_samples)
 
-    def sampled_grads(self, xs, payloads, exact) -> np.ndarray:
+    def sampled_grads(self, xs, payloads, exact, out=None) -> np.ndarray:
         rows = self.features.take(payloads, axis=0)
         neg_labels = -self.labels.take(payloads)
         z = neg_labels * np.matmul(rows[:, None, :], xs[:, :, None])[:, 0, 0]
         # w * (-y s) has the bits of (-y w) * s, as y is +-1
-        return rows * (neg_labels * _sigmoid(z))[:, None]
+        return np.multiply(rows, (neg_labels * _sigmoid(z))[:, None], out=out)
 
-    def exact_grads(self, xs, with_loss):
-        grads = np.empty(xs.shape)
+    def exact_grads(self, xs, with_loss, out=None):
+        grads = np.empty(xs.shape) if out is None else out
         loss = np.empty(len(xs)) if with_loss else None
         step = max(1, _MARGIN_VALUES // self.n_samples)
         for lo in range(0, len(xs), step):

@@ -106,7 +106,10 @@ def test_step_batch_equals_looped_steps(case):
     state, g_curr, g_prev, hp, kind = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        batched, finite = step_batch(state, GradientPair(g_curr, g_prev), hp, kind)
+        # the step is taken in place, on a copy of the drawn state
+        batched, finite = step_batch(dataclasses.replace(
+            state, x=state.x.copy(), m=state.m.copy(), v=state.v.copy(),
+            prev_x=state.prev_x.copy()), GradientPair(g_curr, g_prev), hp, kind)
         if finite is None:
             finite = np.ones(state.x.shape[0], dtype=bool)
         else:

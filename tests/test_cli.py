@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -218,6 +219,11 @@ class TestConfigValidation:
         pytest.param("check", {"check.T": 10**12}, "check.T", id="check-memory_T"),
         pytest.param("check", {"check.lemma1_T": 10**12}, "check.lemma1_T",
                      id="check-memory_lemma1_T"),
+        # within the step budget, one 2000-path block of 5 * 10**6 floats
+        # is 80 GB, over the address-space cap
+        pytest.param("check", {"check.mds": "bounded_uniform", "check.lemma1_trials": 2000,
+                               "check.lemma1_T": 5 * 10**6}, "check.lemma1_T",
+                     id="check-memory_lemma1_paths"),
         pytest.param("check", {"check.n_probes": 10**12}, "check.n_probes",
                      id="check-memory_n_probes"),
         pytest.param("run", {"T_grid": [10**12]}, "T_grid", id="run-memory_traced_T_grid"),
@@ -256,6 +262,24 @@ class TestConfigValidation:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "check.lemma1_T" in err
         assert not (tmp_path / "out").exists()
+
+    def test_lemma1_step_budget_fails_at_load(self, tmp_path, capsys):
+        # 10**15 simulated steps would run for over a century
+        cfg = base_config(tmp_path / "out")
+        cfg["check"]["lemma1_trials"] = 10**15
+        start = time.perf_counter()
+        assert main(["check", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "check.lemma1_trials" in err and "check.lemma1_T" in err
+        assert not (tmp_path / "out").exists()
+        # the budget is 10**10 steps, inclusive
+        cfg["check"].update(lemma1_trials=10**7, lemma1_T=1000)
+        assert RunConfig.load(write_config(tmp_path, cfg)).check["lemma1_T"] == 1000
+        cfg["check"]["lemma1_T"] = 1001
+        with pytest.raises(ConfigError, match="check.lemma1_trials"):
+            RunConfig.load(write_config(tmp_path, cfg))
 
     # seed counts whose per-seed rows cannot be allocated fail at load,
     # before any worker starts or any per-seed list is built

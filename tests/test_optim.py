@@ -321,9 +321,10 @@ def random_state(gen, d, t, zero, scale=1.0):
 
 
 def batched(state, grads):
-    """The same state as the one row of a (1, d) batch."""
-    row = OptimizerState(x=state.x[None], m=state.m[None], v=state.v[None],
-                         prev_x=state.prev_x[None], t=state.t)
+    """A copy of the state as the one row of a (1, d) batch, which
+    step_batch steps in place."""
+    row = OptimizerState(x=state.x[None].copy(), m=state.m[None].copy(),
+                         v=state.v[None].copy(), prev_x=state.prev_x[None].copy(), t=state.t)
     return row, GradientPair(grads.g_curr[None], grads.g_prev[None])
 
 
