@@ -3,7 +3,6 @@ verification harness for its convergence theory at desk scale."""
 
 from .diagnostics import (
     CheckResult,
-    DiagnosticRecorder,
     DiagnosticRun,
     FrequencyReport,
     MdsKind,
@@ -51,7 +50,6 @@ from .optim import (
     OptimizerState,
     Schedule,
     step,
-    step_batch,
     storm_decomposition,
 )
 from .problems import (

@@ -122,6 +122,9 @@ class RunConfig:
             raise ConfigError(f'{ignored[0]} applies only to "param_mode": "practical"; '
                               "theorem mode would ignore it, so remove it or set "
                               '"param_mode": "practical"')
+        if typed.get("diagnostics") and typed.get("write_traces") is False:
+            raise ConfigError('"diagnostics": true adds a column to the traces that '
+                              '"write_traces": false turns off, so remove one of the two')
         check = _check_section(raw.get("check", {}))
         out = raw["output_dir"]
         if not isinstance(out, str) or not out:

@@ -15,12 +15,12 @@ independently seeded runs and compared one-sidedly against their stated
 failure probability plus a binomial margin.
 
 Diagnosed runs come from the experiment engine, ``harness.run_cell``,
-through a :class:`DiagnosticRecorder`; :func:`run_with_diagnostics` is
-its call for a list of seeds, and its :class:`DiagnosticRun` holds every
-seed's rows.  Every checker takes arrays with leading seed axes,
-(..., T, d), and runs once over all seeds: a deterministic check reports
-the first largest ratio in (seed, t) order, and a frequency check counts
-the violations of every (seed, t, j) entry against one envelope.
+whose recorder is a :class:`DiagnosticRun` holding every seed's rows;
+:func:`run_with_diagnostics` is its call for a list of seeds.  Every
+checker takes arrays with leading seed axes, (..., T, d), and runs once
+over all seeds: a deterministic check reports the first largest ratio in
+(seed, t) order, and a frequency check counts the violations of every
+(seed, t, j) entry against one envelope.
 """
 
 from __future__ import annotations
@@ -52,38 +52,6 @@ _MOVEMENT_SLACK = 1e-9
 _RATIO_SLACK = 1e-12
 # the estimator's two parts must reassemble it up to this relative error
 _DECOMPOSITION_TOL = 1e-12
-
-
-@dataclass
-class DiagnosticRun:
-    """Every seed of one diagnosed run: row s of each array is ``seeds[s]``,
-    and row t-1 of a seed holds time t.  xi, eps and Z are derived on access."""
-
-    m: np.ndarray            # (S, T, d) estimator after each step
-    v: np.ndarray            # (S, T, d) second moment after each step
-    grad_exact: np.ndarray   # (S, T, d) exact gradient at x_t
-    step_l2: np.ndarray      # (S, T)    ||x_{t+1} - x_t||_2
-    g_curr: np.ndarray       # (S, T, d) sampled gradient at x_t
-    g_prev: np.ndarray       # (S, T, d) same sample at x_{t-1}; row 0 unused (zero)
-    hp: HyperParams
-    seeds: list[int]
-    kind: OptimizerKind
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.g_curr - self.grad_exact
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self.m - self.grad_exact
-
-    @property
-    def z(self) -> np.ndarray:
-        z = np.zeros_like(self.g_curr)  # Z_1 = 0
-        # (g_curr - g_prev) + (grad_{t-1} - grad_t), one temporary at a time
-        np.subtract(self.g_curr[..., 1:, :], self.g_prev[..., 1:, :], out=z[..., 1:, :])
-        z[..., 1:, :] += self.grad_exact[..., :-1, :] - self.grad_exact[..., 1:, :]
-        return z
 
 
 @dataclass
@@ -129,22 +97,24 @@ def binomial_margin(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n) if n > 0 else 0.0
 
 
-class DiagnosticRecorder(Recorder):
-    """Per-coordinate arrays of every seed of one run_cell call with one
-    horizon T, (S, T, d) and (S, T) for ``step_l2``, row s for seed s, each
-    row as a single run computes it; :meth:`run` hands them out."""
+class DiagnosticRun(Recorder):
+    """Every seed of one diagnosed :func:`run_cell` call with one horizon T:
+    row s of each array is ``seeds[s]``, as a single run computes it, and
+    row t-1 of a seed holds time t.  xi, eps and Z are derived on access."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
 
-    def __init__(self, n_seeds: int, T: int, d: int):
-        super().__init__(n_seeds, T)
-        shape = (n_seeds, T, d)
-        self.m = np.empty(shape)
-        self.v = np.empty(shape)
-        self.grad_exact = np.empty(shape)
-        self.g_curr = np.empty(shape)
-        self.g_prev = np.zeros(shape)  # row 0 unused
-        self.step_l2 = np.empty((n_seeds, T))
+    def __init__(self, seeds: list[int], T: int, d: int, hp: HyperParams,
+                 kind: OptimizerKind):
+        super().__init__(len(seeds), T)
+        self.seeds, self.hp, self.kind = list(seeds), hp, kind
+        shape = (len(self.seeds), T, d)
+        self.m = np.empty(shape)           # estimator after each step
+        self.v = np.empty(shape)           # second moment after each step
+        self.grad_exact = np.empty(shape)  # exact gradient at x_t
+        self.g_curr = np.empty(shape)      # sampled gradient at x_t
+        self.g_prev = np.zeros(shape)      # same sample at x_{t-1}; row 0 unused
+        self.step_l2 = np.empty(shape[:2])  # ||x_{t+1} - x_t||_2
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         """Every array's row t-1 for the live seeds."""
@@ -157,14 +127,21 @@ class DiagnosticRecorder(Recorder):
         self.v[live, i] = state.v
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
-    def run(self, kind: OptimizerKind, hp: HyperParams, seeds: list[int]) -> DiagnosticRun:
-        """The diagnostics of every seed, the recorded arrays themselves; the
-        NonFiniteValue of the lowest-index seed that aborted, if any did."""
-        aborted = np.flatnonzero(self.done < self.horizon)
-        if aborted.size:
-            raise NonFiniteValue(self.abort_reasons[aborted[0]])
-        return DiagnosticRun(self.m, self.v, self.grad_exact, self.step_l2, self.g_curr,
-                             self.g_prev, hp, list(seeds), kind)
+    @property
+    def xi(self) -> np.ndarray:
+        return self.g_curr - self.grad_exact
+
+    @property
+    def eps(self) -> np.ndarray:
+        return self.m - self.grad_exact
+
+    @property
+    def z(self) -> np.ndarray:
+        z = np.zeros_like(self.g_curr)  # Z_1 = 0
+        # (g_curr - g_prev) + (grad_{t-1} - grad_t), one temporary at a time
+        np.subtract(self.g_curr[..., 1:, :], self.g_prev[..., 1:, :], out=z[..., 1:, :])
+        z[..., 1:, :] += self.grad_exact[..., :-1, :] - self.grad_exact[..., 1:, :]
+        return z
 
 
 def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,
@@ -173,9 +150,11 @@ def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,
     """T iterations of every seed, stepped together by one :func:`run_cell`
     call, with the full per-coordinate diagnostics; if updates turn
     non-finite, the lowest-index such seed's :class:`NonFiniteValue` is raised."""
-    recorder = DiagnosticRecorder(len(seeds), T, problem.d)
-    run_cell(problem, kind, hp, T, seeds, recorder)
-    return recorder.run(kind, hp, seeds)
+    run = run_cell(problem, kind, hp, T, seeds, DiagnosticRun(seeds, T, problem.d, hp, kind))
+    aborted = np.flatnonzero(run.done < run.horizon)
+    if aborted.size:
+        raise NonFiniteValue(run.abort_reasons[aborted[0]])
+    return run
 
 
 def _first_max(ratio: np.ndarray) -> tuple[float, int]:
@@ -350,9 +329,11 @@ def sign_dichotomy_frequency(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: n
 
 # fewer trials make the violation frequency meaningless
 LEMMA1_MIN_TRIALS = 100
-# trials drawn per block: the peak memory is one (block, T) array, int32
-# step counts for Rademacher terms and float64 partial sums otherwise
+# trials drawn per block, at most 2000 and 8 MB (one trial at least): the
+# peak memory is one (block, T) array, int32 step counts for Rademacher
+# terms and float64 partial sums otherwise
 _LEMMA1_CHUNK = 2000
+_LEMMA1_BYTES = 8_000_000
 
 
 class MdsKind(enum.Enum):
@@ -401,6 +382,7 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
     log_term = max(1.0, math.log(1.0 / delta))
     sigma_seq = np.full(T, sigma_sq)
     bound = 3.0 * R * log_term + 3.0 * np.sqrt(np.cumsum(sigma_seq) * log_term)
+    counts = np.float64
     if mds_spec is MdsKind.RADEMACHER:
         # 2 c_t - t must not overflow; both dtypes draw the same stream
         counts = np.int32 if 2 * T <= np.iinfo(np.int32).max else np.int64
@@ -408,11 +390,11 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
         # no |S_t| exceeds T, so a larger bound is as good as T
         bound = np.minimum(np.floor(bound), T).astype(counts)
 
+    block = max(1, min(_LEMMA1_CHUNK, _LEMMA1_BYTES // (T * np.dtype(counts).itemsize)))
     rng = make_rng(seed)
     violations = 0
-    done = 0
-    while done < n_trials:
-        n = min(_LEMMA1_CHUNK, n_trials - done)
+    for done in range(0, n_trials, block):
+        n = min(block, n_trials - done)
         # each block is transformed in place and released before the next
         # draw, so at most one (n, T) array is alive between draws
         if mds_spec is MdsKind.RADEMACHER:
@@ -428,7 +410,6 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
         np.abs(paths, out=paths)
         violations += _escaped_paths(paths, bound)
         del paths
-        done += n
 
     return FrequencyReport("lemma1_montecarlo", n_trials, violations, 3.0 * delta,
                            f"{mds_spec.value}, T={T}, delta={delta}")

@@ -12,7 +12,7 @@ noise is presampled into one buffer of bounded size.  Its recorder
 chooses what is kept beyond each seed's headline and abort: nothing (the
 base :class:`Recorder`), the CSV trace columns (:class:`TraceRecorder`),
 or the per-coordinate arrays the lemma checks read
-(``diagnostics.DiagnosticRecorder``).  An experiment runs one task per
+(``diagnostics.DiagnosticRun``).  An experiment runs one task per
 optimizer, which steps that optimizer's seeds at every horizon together
 (split into seed ranges when there are fewer optimizers than workers),
 reduces each (optimizer, horizon) cell to quantiles of the headline and
@@ -42,9 +42,10 @@ from .optim import (
     OptimizerKind,
     OptimizerState,
     StepWork,
+    _advance,
     _check_finite,
+    _finite_rows,
     _row_norms,
-    step_batch,
 )
 from .problems import StochasticProblem, check_params, make_problem, unallocatable
 from .rngutil import derive_seed, make_rng
@@ -100,9 +101,10 @@ class Recorder:
 
     ``T`` is one horizon for every seed or one per seed, kept as the
     per-seed ``horizon``; ``done`` starts there.  After step t it calls
-    ``record(t, live, state, grads, g_exact, grad_l1, loss)`` with the new
-    state (``prev_x`` is x_t), the gradients at x_t and F(x_t); row r is
-    the recorder's row ``live[r]``, and ``live`` is a slice while those
+    ``record(t, live, state, grads, g_exact, grad_l1, loss)`` with the
+    stepped state (``x`` is x_{t+1}, ``prev_x`` is x_t, ``t`` is t + 1),
+    the gradients at x_t (``g_prev`` is None at t = 1) and F(x_t); row r
+    is the recorder's row ``live[r]``, and ``live`` is a slice while those
     rows are contiguous, else an index array.  The engine overwrites the
     arrays it passes on the next step, so a recorder copies what it keeps.
     Then a seed whose row turned non-finite ends,
@@ -250,7 +252,8 @@ def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperP
                ends: np.ndarray, seeds: list[int], live: np.ndarray, recorder: Recorder,
                empty: np.ndarray) -> None:
     """Seeds ``seeds``, recorder rows ``live``, in descending horizon order;
-    the (S, d) arrays are made when rows join or leave and stepped in place."""
+    the (S, d) arrays are made when rows join or leave, and ``_advance``
+    steps them in place."""
     S = len(seeds)
     x = np.tile(OptimizerState.initial(problem.constants.x_init).x, (S, 1))
     state = OptimizerState(x=x, m=np.zeros_like(x), v=np.zeros_like(x),
@@ -287,7 +290,10 @@ def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperP
         np.add.reduce(np.abs(g_exact, out=work.ratio), axis=1, out=grad_l1)
         np.minimum(best, grad_l1, out=best)
         grads = pair if t > 1 else first
-        state, finite = step_batch(state, grads, params, kind, work)
+        # the new x is written over prev_x's buffer, and the two swap
+        _advance(state.x, state.m, state.v, t, grads, params, kind, state.prev_x, work)
+        state.x, state.prev_x, state.t = state.prev_x, state.x, t + 1
+        finite = _finite_rows(state.x, state.m, state.v, work.ratio)
         recorder.record(t, at, state, grads, g_exact, grad_l1, loss)
         g_exact, g_exact_prev = g_exact_prev, g_exact
         # rows run in descending horizon order, so the last row ends first

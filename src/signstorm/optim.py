@@ -18,9 +18,9 @@ momentum-estimator sign method (``m = b1*m + (1-b1)*g`` with the same
 v/x rules), the plain variance-reduced method (``x -= eta*m``), Adam with
 bias correction, and an L2-normalized variant (``x -= eta*m/||m||_2``).
 
-Every rule is element-wise, so a state may also carry a leading seed axis:
-:func:`step_batch` advances an (S, d) state whose rows are independent
-runs, bit for bit as S calls of :func:`step` would.
+Every rule is element-wise, so the kernel behind :func:`step` also steps
+an (S, d) state whose rows are independent runs, in place and bit for bit
+as S calls of :func:`step` would; ``harness.run_cell`` runs it that way.
 """
 
 from __future__ import annotations
@@ -163,18 +163,24 @@ def _check_dims(state: OptimizerState, grads: GradientPair, need_prev: bool) -> 
             )
 
 
-def _sum_is_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray, out=None) -> bool:
-    # one reduction on the fast path, summed in ``out`` if given; infinities
-    # never cancel to a finite sum in IEEE arithmetic, so a False here is
-    # either a NaN/Inf or an all-finite overflow (values near 1e308) that
-    # needs the precise check
+def _finite_rows(x: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray | None:
+    """None when every row (the last axis) of x, m and v is finite, else the
+    boolean mask of the rows that are; ``out`` is scratch of their shape."""
+    # one reduction on the fast path; infinities never cancel to a finite
+    # sum in IEEE arithmetic, so a non-finite sum is either a NaN/Inf or an
+    # all-finite overflow (values near 1e308) that needs the precise check
     total = np.add(x, m, out=out)
     total += v
-    return math.isfinite(float(np.add.reduce(total, axis=None)))
+    if math.isfinite(float(np.add.reduce(total, axis=None))):
+        return None
+    finite = np.isfinite(x).all(axis=-1) & np.isfinite(m).all(axis=-1)
+    finite &= np.isfinite(v).all(axis=-1)
+    return None if finite.all() else finite
 
 
 def _check_finite(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
-    if _sum_is_finite(x, m, v):
+    if _finite_rows(x, m, v) is None:
         return
     for name, arr in (("x", x), ("m", m), ("v", v)):
         if not np.all(np.isfinite(arr)):
@@ -288,37 +294,6 @@ def step(
     _advance(state.x, new.m, new.v, state.t, grads, hp, kind, new.x, StepWork(state.x.shape))
     _check_finite(new.x, new.m, new.v)
     return new
-
-
-def step_batch(
-    state: OptimizerState,
-    grads: GradientPair,
-    hp: HyperParams,
-    kind: OptimizerKind = OptimizerKind.SIGNSTORM,
-    work: StepWork | None = None,
-) -> tuple[OptimizerState, np.ndarray | None]:
-    """One iteration of every row of an (S, d) state, each row an independent run.
-
-    Row s of the result equals :func:`step` on row s alone, bit for bit.
-    Instead of raising on a non-finite update, returns with the new state
-    the boolean mask of the rows that stayed finite, or None when all did;
-    the caller drops the other rows.  Shapes are the caller's contract and
-    are not checked.
-
-    The step is in place and returns ``state``: m and v are updated in their
-    arrays, the new x is written over ``prev_x``'s, a buffer the engine owns,
-    and the two swap.  ``work`` is the engine's scratch.  The next step
-    overwrites all of these arrays, so a caller copies what it keeps.
-    """
-    out = state.prev_x
-    work = work or StepWork(out.shape)
-    _advance(state.x, state.m, state.v, state.t, grads, hp, kind, out, work)
-    state.prev_x, state.x, state.t = state.x, out, state.t + 1
-    x, m, v = state.x, state.m, state.v
-    if _sum_is_finite(x, m, v, work.ratio):
-        return state, None
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
-    return state, None if finite.all() else finite
 
 
 def storm_decomposition(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConstant
+from .optim import _row_norms
 
 # Largest |second derivative| of u -> u^2/(1+u^2), attained at u = 0.
 _BOUNDED_CURVATURE = 2.0
@@ -546,7 +547,7 @@ def verify_assumptions(problem: StochasticProblem, n_probes: int,
     sqrt_d = np.sqrt(problem.d)
     xs = _probe_points(problem, rng, n_probes)
     ys = _probe_points(problem, rng, n_probes)
-    dist = np.array([np.linalg.norm(x - y) for x, y in zip(xs, ys)])
+    dist = _row_norms(xs - ys)[:, 0]
     apart = dist != 0.0  # a pair at distance 0 draws no noise
     gx, gy = _block_grads(problem, rng, xs[apart], ys[apart])
     ratio = np.abs(gx - gy) * sqrt_d / (consts.L_vec * dist[apart, None])

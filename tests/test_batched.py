@@ -1,11 +1,12 @@
 """The seed-batched engine against its per-seed reference, bit for bit.
 
-``step_batch`` on an (S, d) state must equal S calls of ``step``.  The
+The engine's step of an (S, d) state, ``_advance`` in place and then
+``_finite_rows``, must equal S calls of ``step``.  The
 reference for ``run_cell`` is :func:`reference_trial`, a frozen copy of
 the hand-written per-seed loop the engine replaced.  ``run_cell`` must
 reproduce the headline and the abort of every seed's reference trial,
-with a ``TraceRecorder`` every column of its trace, and with a
-``DiagnosticRecorder`` the step norms and estimator errors of its
+with a ``TraceRecorder`` every column of its trace, and as a
+``DiagnosticRun`` the step norms and estimator errors of its
 diagnostics columns.  ``run_trial``, the engine's single-seed call, must
 reproduce the reference trace too.  The three grids that check this over
 every problem and kind share one seed list and run each case's reference
@@ -32,7 +33,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signstorm import (
-    DiagnosticRecorder,
     ExperimentSpec,
     GradientPair,
     HyperParams,
@@ -49,12 +49,12 @@ from signstorm import (
     run_cell,
     run_experiment,
     run_trial,
+    run_with_diagnostics,
     step,
-    step_batch,
     write_trace_csv,
 )
 from signstorm import harness
-from signstorm.optim import STORM_FAMILY
+from signstorm.optim import STORM_FAMILY, StepWork, _advance, _finite_rows
 
 
 def same_bits(a, b) -> bool:
@@ -102,14 +102,18 @@ def batch_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(batch_cases())
-def test_step_batch_equals_looped_steps(case):
+def test_batched_step_equals_looped_steps(case):
     state, g_curr, g_prev, hp, kind = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        # the step is taken in place, on a copy of the drawn state
-        batched, finite = step_batch(dataclasses.replace(
-            state, x=state.x.copy(), m=state.m.copy(), v=state.v.copy(),
-            prev_x=state.prev_x.copy()), GradientPair(g_curr, g_prev), hp, kind)
+        # the step is taken in place, on a copy of the drawn state, and the
+        # new x is written over the copy of prev_x, as the engine steps
+        batched = dataclasses.replace(state, x=state.x.copy(), m=state.m.copy(),
+                                      v=state.v.copy(), prev_x=state.prev_x.copy())
+        _advance(batched.x, batched.m, batched.v, batched.t, GradientPair(g_curr, g_prev),
+                 hp, kind, batched.prev_x, StepWork(state.x.shape))
+        batched.x, batched.prev_x, batched.t = batched.prev_x, batched.x, batched.t + 1
+        finite = _finite_rows(batched.x, batched.m, batched.v)
         if finite is None:
             finite = np.ones(state.x.shape[0], dtype=bool)
         else:
@@ -472,9 +476,7 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
 def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
                                               monkeypatch):
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
-    recorder = DiagnosticRecorder(len(GRID_SEEDS), 150, problem.d)
-    run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder)
-    run = recorder.run(kind, hp, GRID_SEEDS)
+    run = run_with_diagnostics(problem, hp, 150, GRID_SEEDS, kind)
     for s, trace in enumerate(references):
         assert same_bits(run.step_l2[s], trace.step_l2)
         assert same_bits([np.sum(np.abs(eps)) for eps in run.eps[s]], trace.eps_l1)

@@ -193,6 +193,25 @@ class TestConfigValidation:
             cfg["param_mode"] = "practical"
             assert RunConfig.load(write_config(tmp_path, cfg)).spec.param_mode == "practical"
 
+    # a trace column with no traces to hold it
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_diagnostics_without_traces_is_config_error(self, tmp_path, capsys, command):
+        cfg = base_config(tmp_path / "out")
+        cfg.update(diagnostics=True, write_traces=False)
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match="diagnostics"):
+            RunConfig.load(path)
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert '"diagnostics": true' in err and '"write_traces": false' in err
+        assert not (tmp_path / "out").exists()
+        # either key alone is valid
+        for diagnostics, traces in [(True, True), (False, False)]:
+            cfg.update(diagnostics=diagnostics, write_traces=traces)
+            config = RunConfig.load(write_config(tmp_path, cfg))
+            assert (config.spec.collect_diagnostics, config.write_traces) == (diagnostics, traces)
+
     # values that pass load but that the run cannot use: sizes whose arrays
     # cannot be allocated and problem scales whose smoothness constants
     # overflow.  The error comes when the run reaches them, one line naming
@@ -219,11 +238,6 @@ class TestConfigValidation:
         pytest.param("check", {"check.T": 10**12}, "check.T", id="check-memory_T"),
         pytest.param("check", {"check.lemma1_T": 10**12}, "check.lemma1_T",
                      id="check-memory_lemma1_T"),
-        # within the step budget, one 2000-path block of 5 * 10**6 floats
-        # is 80 GB, over the address-space cap
-        pytest.param("check", {"check.mds": "bounded_uniform", "check.lemma1_trials": 2000,
-                               "check.lemma1_T": 5 * 10**6}, "check.lemma1_T",
-                     id="check-memory_lemma1_paths"),
         pytest.param("check", {"check.n_probes": 10**12}, "check.n_probes",
                      id="check-memory_n_probes"),
         pytest.param("run", {"T_grid": [10**12]}, "T_grid", id="run-memory_traced_T_grid"),

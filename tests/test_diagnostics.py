@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
-    DiagnosticRecorder,
+    DiagnosticRun,
     HyperParams,
     MdsKind,
     NonFiniteValue,
@@ -22,7 +22,6 @@ from signstorm import (
     movement_bound_check,
     noisy_quadratic,
     representation_check,
-    run_cell,
     run_with_diagnostics,
     sign_dichotomy_frequency,
 )
@@ -76,6 +75,7 @@ class TestRunWithDiagnostics:
         p = quadratic()
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
         run = run_with_diagnostics(p, hp, 50, [3, 4])
+        assert (run.seeds, run.kind, run.hp) == ([3, 4], OptimizerKind.SIGNSTORM, hp)
         assert run.m.shape == (2, 50, 4) and run.step_l2.shape == (2, 50)
         assert np.array_equal(run.z[:, 0], np.zeros((2, 4)))
         np.testing.assert_array_equal(run.xi, run.g_curr - run.grad_exact)
@@ -83,16 +83,6 @@ class TestRunWithDiagnostics:
         np.testing.assert_array_equal(run.eps, run.m - run.grad_exact)
         # first-step estimator equals the first sampled gradient
         np.testing.assert_array_equal(run.m[:, 0], run.xi[:, 0] + run.grad_exact[:, 0])
-
-    def test_run_holds_the_recorded_arrays(self):
-        p = quadratic()
-        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
-        recorder = DiagnosticRecorder(3, 20, p.d)
-        run_cell(p, OptimizerKind.SIGNSTORM, hp, 20, [5, 6, 7], recorder)
-        run = recorder.run(OptimizerKind.SIGNSTORM, hp, [5, 6, 7])
-        for name in ("m", "v", "grad_exact", "step_l2", "g_curr", "g_prev"):
-            assert getattr(run, name) is getattr(recorder, name)
-        assert (run.seeds, run.kind, run.hp) == ([5, 6, 7], OptimizerKind.SIGNSTORM, hp)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_nonfinite(self):
@@ -102,13 +92,17 @@ class TestRunWithDiagnostics:
         with pytest.raises(NonFiniteValue, match="NaN/Inf"):
             run_with_diagnostics(p, hp, 50, [1])
 
-    def test_lowest_index_aborted_seed_raises(self):
-        recorder = DiagnosticRecorder(4, 5, 2)
-        recorder.done[1:] = [5, 2, 0]
-        recorder.abort_reasons[2:] = ["second", "third"]
+    def test_lowest_index_aborted_seed_raises(self, monkeypatch):
+        # seed 3 aborts first, but seed 2 has the lower index
+        def run_cell(problem, kind, hp, T, seeds, run):
+            run.done[1:] = [5, 2, 0]
+            run.abort_reasons[2:] = ["second", "third"]
+            return run
+
+        monkeypatch.setattr(diagnostics, "run_cell", run_cell)
         with pytest.raises(NonFiniteValue, match="^second$"):
-            recorder.run(OptimizerKind.SIGNSTORM, HyperParams(eta=0.1, beta1=0.5, beta2=0.0),
-                         range(4))
+            run_with_diagnostics(quadratic(d=2), HyperParams(eta=0.1, beta1=0.5, beta2=0.0), 5,
+                                 list(range(4)))
 
 
 def per_t_representation(eps_trace, beta1, tol=1e-6):
@@ -548,11 +542,11 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_stacked_matches_frozen(recorder, kind, hp, seeds, L_vec, sigma_vec, delta=0.05):
+def assert_stacked_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
     """Every checker on the stacked record against the frozen per-seed path:
     the verdict, the worst ratio's bits and its t, and the counts."""
-    run = recorder.run(kind, hp, seeds)
-    runs = [frozen_recorder_run(recorder, s, seed, kind, hp) for s, seed in enumerate(seeds)]
+    kind, hp = run.kind, run.hp
+    runs = [frozen_recorder_run(run, s, seed, kind, hp) for s, seed in enumerate(run.seeds)]
     d = run.m.shape[-1]
 
     def stacked(check, *args):
@@ -603,7 +597,7 @@ class TestStackedMatchesPerSeed:
     def test_synthetic_records(self, S, T, d, beta1, beta2, coarse, copies, seed):
         rng = np.random.default_rng(seed)
         hp = HyperParams(eta=0.05, beta1=beta1, beta2=beta2)
-        recorder = DiagnosticRecorder(S, T, d)
+        recorder = DiagnosticRun(list(range(S)), T, d, hp, OptimizerKind.SIGNSTORM)
         bound = 0.05 * math.sqrt(d / (1.0 - beta2))
         if coarse:
             # a few dyadic values: equal ratios within and across seeds
@@ -626,9 +620,8 @@ class TestStackedMatchesPerSeed:
             for name in ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2"):
                 getattr(recorder, name)[s] = getattr(recorder, name)[s % max(1, S - copies)]
         L_vec, sigma_vec = rng.random(d) + 0.1, rng.random(d)
-        assert_stacked_matches_frozen(recorder, OptimizerKind.SIGNSTORM, hp,
-                                      [int(x) for x in rng.integers(0, 2**32, S)],
-                                      L_vec, sigma_vec)
+        recorder.seeds = [int(x) for x in rng.integers(0, 2**32, S)]
+        assert_stacked_matches_frozen(recorder, L_vec, sigma_vec)
 
     # two ratios one ulp apart that the cap sqrt(2) divides to one value:
     # a seed keeps the t of its larger ratio, and of equal scaled ratios the
@@ -638,14 +631,13 @@ class TestStackedMatchesPerSeed:
                                                  [0.9000000000000002, 0.0, 0.0]], 2)])
     def test_ratios_that_scale_to_one_value(self, rows, worst_t):
         assert 0.9000000000000001 / math.sqrt(2.0) == 0.9000000000000002 / math.sqrt(2.0)
-        recorder = DiagnosticRecorder(len(rows), 3, 1)
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
+        recorder = DiagnosticRun(list(range(len(rows))), 3, 1, hp, OptimizerKind.SIGNSTORM)
         for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
             getattr(recorder, name)[:] = 0.0
         recorder.v[:] = 1.0
         recorder.m[:, :, 0] = rows
-        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
-        run = assert_stacked_matches_frozen(recorder, OptimizerKind.SIGNSTORM, hp,
-                                            list(range(len(rows))), np.ones(1), np.ones(1))
+        run = assert_stacked_matches_frozen(recorder, np.ones(1), np.ones(1))
         assert estimator_ratio_check(run).worst_t == worst_t
 
     @pytest.mark.parametrize("d", [1, 4])
@@ -658,11 +650,8 @@ class TestStackedMatchesPerSeed:
         stacked = None
         # one seed alone, then all of them stepped together
         for part in (seeds[:1], seeds):
-            recorder = DiagnosticRecorder(len(part), T, d)
-            run_cell(p, OptimizerKind.SIGNSTORM, hp, T, part, recorder)
-            stacked = assert_stacked_matches_frozen(recorder, OptimizerKind.SIGNSTORM, hp,
-                                                    part, p.constants.L_vec,
-                                                    p.constants.sigma_vec)
+            stacked = assert_stacked_matches_frozen(run_with_diagnostics(p, hp, T, part),
+                                                    p.constants.L_vec, p.constants.sigma_vec)
         assert stacked.m.shape == (4, T, d)
 
 
@@ -762,3 +751,27 @@ class TestLemma1:
         # one int32 block of step counts; the float64 draws and the bool
         # comparison held 17 bytes per entry
         assert peak < 5 * 2000 * 1000
+
+    @pytest.mark.parametrize("mds", list(MdsKind))
+    def test_long_paths_are_drawn_in_blocks_of_bounded_bytes(self, mds):
+        # 100 trials of 2 * 10**5 steps in one block would hold 160 MB of
+        # float64 sums (80 MB of int32 counts); blocks of 8 MB keep the peak
+        # at that block and the O(T) bound arrays
+        tracemalloc.start()
+        try:
+            lemma1_montecarlo(100, 200_000, 0.05, mds, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+
+    # a budget under one row's bytes draws one trial per block; 7 int32 or
+    # 3 float64 rows of 600 steps draw a few, the last block partial
+    @pytest.mark.parametrize("budget", [1, 7 * 600 * 4])
+    @pytest.mark.parametrize("mds", list(MdsKind))
+    def test_byte_bounded_blocks_match_frozen_float_loop(self, mds, budget, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_LEMMA1_BYTES", budget)
+        for delta, seed in [(0.5, 0), (0.9, 3)]:
+            rep = lemma1_montecarlo(130, 600, delta, mds, seed=seed)
+            assert rep.n_violations > 0
+            assert rep.n_violations == frozen_lemma1_violations(130, 600, delta, mds, seed)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
     DegenerateFit,
-    DiagnosticRecorder,
+    DiagnosticRun,
     EmptyInput,
     ExperimentReport,
     ExperimentSpec,
@@ -367,8 +367,9 @@ class TestTraceRecorder:
         for name in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
             a, b = getattr(new, name), getattr(old, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
-        # the diagnostic recorder's step_l2 is the same per-row norm
-        diag = DiagnosticRecorder(rows, 3, d)
+        # a diagnosed run's step_l2 is the same per-row norm
+        diag = DiagnosticRun(list(range(rows)), 3, d, HyperParams(eta=0.1, beta1=0.5, beta2=0.0),
+                             OptimizerKind.SIGNSTORM)
         with np.errstate(all="ignore"):
             diag.record(t, live, state, GradientPair(block(), block()), g_exact, grad_l1, loss)
         assert diag.step_l2[live, t - 1].tobytes() == old.step_l2[live, t - 1].tobytes()

@@ -11,7 +11,9 @@ different steps (an abort in the middle breaks the contiguous run of live
 rows), per-row hyperparameters, and the edge values beta1 = 0, beta2 > 0,
 eps_guard > 0, sigma = 0 and d = 1.  The engine must also leave the
 problem's initial point and the rows a recorder has finished alone, and
-``step`` must share no array with its input.
+``step`` must share no array with its input.  Each ``record`` call must
+receive the state the step left: ``prev_x`` is x_t, ``x`` is x_{t+1} and
+``t`` is t + 1, and the gradient pair has no ``g_prev`` at t = 1.
 """
 
 import dataclasses
@@ -19,10 +21,11 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from signstorm import (
-    DiagnosticRecorder,
+    DiagnosticRun,
     GradientPair,
     HyperParams,
     NonFiniteValue,
@@ -262,7 +265,7 @@ def assert_same_records(new, old):
                 a, b = getattr(new, name), getattr(old, name)
                 if a is not None:
                     assert same_bits(a[s, :n], b[s, :n]), (name, s)
-        if isinstance(new, DiagnosticRecorder):
+        if isinstance(new, DiagnosticRun):
             for name in ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2"):
                 assert same_bits(getattr(new, name)[s, :n], getattr(old, name)[s, :n]), (name, s)
 
@@ -306,12 +309,12 @@ def engine_cases(draw):
     return name, params, kind, hps, horizons, seeds, recorder, budget
 
 
-def make_recorder(which, S, horizons, d):
+def make_recorder(which, seeds, horizons, d, hp, kind):
     if which == "trace":
-        return TraceRecorder(S, horizons, collect_diagnostics=True)
+        return TraceRecorder(len(seeds), horizons, collect_diagnostics=True)
     if which == "diagnostics":
-        return DiagnosticRecorder(S, horizons[0], d)
-    return Recorder(S, horizons)
+        return DiagnosticRun(seeds, horizons[0], d, hp, kind)
+    return Recorder(len(seeds), horizons)
 
 
 @settings(max_examples=300, deadline=None)
@@ -331,9 +334,9 @@ def test_in_place_engine_matches_frozen_allocating_engine(case):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             new = run_cell(problem, kind, hps, horizons, seeds,
-                           make_recorder(which, S, horizons, problem.d))
+                           make_recorder(which, seeds, horizons, problem.d, hps[0], kind))
             old = frozen_run_cell(make_problem(name, params), kind, hps, horizons, seeds,
-                                  make_recorder(which, S, horizons, problem.d))
+                                  make_recorder(which, seeds, horizons, problem.d, hps[0], kind))
     finally:
         harness._PRESAMPLE_VALUES = real_budget
     assert_same_records(new, old)
@@ -390,3 +393,42 @@ def test_step_shares_no_array_with_its_input(kind, d, t, seed):
         assert not any(np.shares_memory(out, a) for a in inputs)
     assert all(same_bits(a, b) for a, b in
                zip((state.x, state.m, state.v, state.prev_x), before))
+
+
+class StateWatch(Recorder):
+    """Copies of what every ``record`` call receives, with the recorder
+    rows it writes; asks for g_prev for every kind."""
+
+    needs_prev = True
+
+    def __init__(self, n_seeds, T):
+        super().__init__(n_seeds, T)
+        self.calls = []
+
+    def record(self, t, live, state, grads, g_exact, grad_l1, loss):
+        g_prev = None if grads.g_prev is None else grads.g_prev.copy()
+        self.calls.append((t, np.arange(len(self.horizon))[live], state.t, state.prev_x.copy(),
+                           state.x.copy(), grads.g_curr.copy(), g_prev))
+
+
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+@pytest.mark.parametrize("name, params", [
+    ("noisy_quadratic", {"d": 3, "sigma": 0.5, "x_init": 1.0}),
+    ("synthetic_logistic", {"d": 2, "n_samples": 5, "x_init": [0.5, -1.0]}),
+])
+def test_record_receives_the_stepped_state(name, params, kind):
+    problem = make_problem(name, params)
+    hp = HyperParams(eta=0.05, beta1=0.6, beta2=0.3)
+    horizons = [7, 3, 1, 5]  # rows leave the chunk at different steps
+    watch = StateWatch(4, horizons)
+    run_cell(problem, kind, hp, horizons, [derive_seed(4, s) for s in range(4)], watch)
+    # each seed replayed by step from the gradients it was given
+    replay = [OptimizerState.initial(problem.constants.x_init) for _ in horizons]
+    for t, rows, state_t, prev_x, x, g_curr, g_prev in watch.calls:
+        assert state_t == t + 1 and (g_prev is None) == (t == 1)
+        for r, s in enumerate(rows.tolist()):
+            assert replay[s].t == t and same_bits(prev_x[r], replay[s].x)
+            pair = GradientPair(g_curr[r], None if g_prev is None else g_prev[r])
+            replay[s] = step(replay[s], pair, hp, kind)
+            assert same_bits(x[r], replay[s].x)
+    assert [state.t - 1 for state in replay] == horizons

@@ -15,7 +15,6 @@ from signstorm import (
     Schedule,
     UnsupportedKind,
     step,
-    step_batch,
     storm_decomposition,
 )
 
@@ -320,12 +319,15 @@ def random_state(gen, d, t, zero, scale=1.0):
     return state, GradientPair(g_curr, g_prev)
 
 
-def batched(state, grads):
-    """A copy of the state as the one row of a (1, d) batch, which
-    step_batch steps in place."""
-    row = OptimizerState(x=state.x[None].copy(), m=state.m[None].copy(),
-                         v=state.v[None].copy(), prev_x=state.prev_x[None].copy(), t=state.t)
-    return row, GradientPair(grads.g_curr[None], grads.g_prev[None])
+def step_row(state, grads, hp, kind=OptimizerKind.SIGNSTORM):
+    """A copy of the state as the one row of a (1, d) batch, stepped in
+    place as the engine steps its rows: ``_advance`` writes the new x over
+    the copy of prev_x, then ``_finite_rows`` marks the rows left finite.
+    Returns the new (1, d) x and that mask."""
+    x, m, v, out = (a[None].copy() for a in (state.x, state.m, state.v, state.prev_x))
+    optim._advance(x, m, v, state.t, GradientPair(grads.g_curr[None], grads.g_prev[None]),
+                   hp, kind, out, optim.StepWork(x.shape))
+    return out, optim._finite_rows(out, m, v)
 
 
 class TestConventionProperties:
@@ -349,10 +351,10 @@ class TestConventionProperties:
         hp = HyperParams(eta=0.1, beta1=beta1, beta2=beta2)
         with np.errstate(divide="raise", invalid="raise"):
             new = step(state, grads, hp, kind)
-            row, finite = step_batch(*batched(state, grads), hp, kind)
+            row_x, finite = step_row(state, grads, hp, kind)
         assert new.x[zero].tobytes() == state.x[zero].tobytes()
         assert np.all(new.m[zero] == 0.0)
-        assert finite is None and row.x[0].tobytes() == new.x.tobytes()
+        assert finite is None and row_x[0].tobytes() == new.x.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(1, 8), t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
@@ -372,8 +374,8 @@ class TestConventionProperties:
         expected = state.x - hp.step_size(t) * np.sign(new.m)
         assert new.x.tobytes() == expected.tobytes()
         assert new.x[new.m == 0.0].tobytes() == state.x[new.m == 0.0].tobytes()
-        row, _ = step_batch(*batched(state, grads), hp)
-        assert row.x[0].tobytes() == expected.tobytes()
+        row_x, _ = step_row(state, grads, hp)
+        assert row_x[0].tobytes() == expected.tobytes()
 
 
 class TestRowNorms:
