@@ -31,7 +31,6 @@ from . import charts, diagnostics as diag
 from .errors import (
     ConfigError,
     InvalidConstant,
-    PreconditionNotMet,
     RhoConstraintViolated,
     SignStormError,
 )
@@ -263,29 +262,22 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
                        "runs' arrays are too large to allocate"):
         run = diag.run_with_diagnostics(problem, hp, T, seeds, kind)
 
-    def deterministic(name, checker, *args):
-        try:
-            res = checker(*args)
-        except PreconditionNotMet as exc:
-            verdict(name, "deterministic", "skipped", reason=str(exc))
-            return
-        verdict(name, "deterministic", "pass" if res.passed else "fail",
-                worst_ratio=res.worst_ratio, worst_t=res.worst_t)
+    # one seed at a time: the record plus one seed's work
+    results = diag.check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, spec.delta)
+    for name in ("movement_bound", "representation", "storm_decomposition",
+                 "estimator_ratio"):
+        res = results[name]
+        if isinstance(res, Exception):
+            verdict(name, "deterministic", "skipped", reason=str(res))
+        else:
+            verdict(name, "deterministic", "pass" if res.passed else "fail",
+                    worst_ratio=res.worst_ratio, worst_t=res.worst_t)
 
-    deterministic("movement_bound", diag.movement_bound_check, run.step_l2, hp, problem.d)
-    deterministic("representation", diag.representation_check, run.xi, run.eps, run.z,
-                  hp.beta1)
-    deterministic("storm_decomposition", diag.decomposition_check, run)
-    deterministic("estimator_ratio", diag.estimator_ratio_check, run)
-
-    try:
-        reports = [diag.epsilon_bound_frequency(run.eps, hp, consts.L_vec, consts.sigma_vec,
-                                                spec.delta),
-                   diag.sign_dichotomy_frequency(run, consts.L_vec, consts.sigma_vec,
-                                                 spec.delta)]
-    except (PreconditionNotMet, RhoConstraintViolated) as exc:
+    reports = [results["epsilon_bound"], results["sign_dichotomy"]]
+    failed = next((res for res in reports if isinstance(res, Exception)), None)
+    if failed is not None:
         for name in ("epsilon_bound", "sign_dichotomy"):
-            verdict(name, "statistical", "skipped", reason=str(exc))
+            verdict(name, "statistical", "skipped", reason=str(failed))
         reports = []
     for rep_ in (*reports, l1_rep):
         verdict(rep_.name, "statistical", "pass" if rep_.passed else "fail",

@@ -17,21 +17,25 @@ failure probability plus a binomial margin.
 Diagnosed runs come from the experiment engine, ``harness.run_cell``,
 whose recorder is a :class:`DiagnosticRun` holding every seed's rows;
 :func:`run_with_diagnostics` is its call for a list of seeds.  Every
-checker takes arrays with leading seed axes, (..., T, d), and runs once
-over all seeds: a deterministic check reports the first largest ratio in
-(seed, t) order, and a frequency check counts the violations of every
-(seed, t, j) entry against one envelope.
+checker takes arrays with leading seed axes, (..., T, d): a deterministic
+check reports the first largest ratio in (seed, t) order, and a frequency
+check counts the violations of every (seed, t, j) entry.
+:func:`check_seed_by_seed` walks a record one seed at a time instead,
+calling every checker on each :meth:`DiagnosticRun.seed_view` and merging
+the results to those of the stacked calls, so that beside the record it
+holds one seed's work.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValue, OutOfRange, PreconditionNotMet
+from .errors import NonFiniteValue, OutOfRange, PreconditionNotMet, RhoConstraintViolated
 from .harness import Recorder, run_cell
 from .optim import (
     STORM_FAMILY,
@@ -127,6 +131,16 @@ class DiagnosticRun(Recorder):
         self.v[live, i] = state.v
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
+    def seed_view(self, s: int) -> "DiagnosticRun":
+        """Seed ``seeds[s]`` alone, a one-seed run whose arrays are views of
+        row s, not copies, so that xi, eps and Z derive that seed only."""
+        view = copy.copy(self)
+        # every per-seed field is an array or a list with one row per seed
+        for name, value in vars(self).items():
+            if isinstance(value, (np.ndarray, list)):
+                setattr(view, name, value[s:s + 1])
+        return view
+
     @property
     def xi(self) -> np.ndarray:
         return self.g_curr - self.grad_exact
@@ -204,6 +218,9 @@ def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray, beta1: 
     (:func:`_geometric_sums`), never by the recurrence that produced eps_t.
     Each seed's errors are measured against its own tolerance, and the
     seeds are summed one at a time: one lag loop over all of them is slower.
+    Stacked arguments are whole (S, T, d) arrays beside the record, so
+    ``check`` passes one seed's xi, eps and Z at a time
+    (:func:`check_seed_by_seed`).
     """
     T, d = xi.shape[-2:]
     xi, eps, z = (a.reshape(-1, T, d) for a in (xi, eps, z))
@@ -281,12 +298,18 @@ def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
     return decay + 3.0 * (drift + (1.0 - hp.beta1) * sigma_vec[None, :]) * tail
 
 
+def _frequency_report(name: str, n_total: int, n_violations: int, runs: int,
+                      confidence_delta: float) -> FrequencyReport:
+    """n_violations of the n_total entries of ``runs`` runs, every entry of
+    which carries failure probability 6*delta."""
+    return FrequencyReport(name, n_total, n_violations, 6.0 * confidence_delta,
+                           f"{runs} runs, delta={confidence_delta}")
+
+
 def _frequency(name: str, violations: np.ndarray, confidence_delta: float) -> FrequencyReport:
-    """The report on a (..., T, d) mask of violations, every entry of which
-    carries failure probability 6*delta."""
-    return FrequencyReport(name, violations.size, int(np.count_nonzero(violations)),
-                           6.0 * confidence_delta,
-                           f"{math.prod(violations.shape[:-2])} runs, delta={confidence_delta}")
+    """The report on a (..., T, d) mask of violations."""
+    return _frequency_report(name, violations.size, int(np.count_nonzero(violations)),
+                             math.prod(violations.shape[:-2]), confidence_delta)
 
 
 def epsilon_bound_frequency(eps: np.ndarray, hp: HyperParams, L_vec: np.ndarray,
@@ -327,13 +350,68 @@ def sign_dichotomy_frequency(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: n
     return _frequency("sign_dichotomy", ~(branch1 | branch2), confidence_delta)
 
 
+def _later_is_worse(kept: CheckResult, later: CheckResult) -> bool:
+    """Whether a later seed's result replaces the one kept: a larger worst
+    ratio does, and NaN counts as largest, as in :func:`_first_max`."""
+    if math.isnan(kept.worst_ratio):
+        return False
+    return later.worst_ratio > kept.worst_ratio or math.isnan(later.worst_ratio)
+
+
+def check_seed_by_seed(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: np.ndarray,
+                       confidence_delta: float) -> dict:
+    """Every record-reading checker on ``run``, one seed at a time.
+
+    Each checker runs on every :meth:`DiagnosticRun.seed_view` in seed
+    order, so beside the record only one seed's temporaries are alive.  A
+    :class:`CheckResult` keeps the first largest worst ratio, NaN counting
+    as largest; a :class:`FrequencyReport` sums its counts over the seeds.
+    Both equal the stacked call's result.  Returns checker name -> merged
+    result, or the precondition error the checker raised on the first seed.
+    """
+    hp, d = run.hp, run.m.shape[-1]
+    checkers = {
+        "movement_bound": lambda r: movement_bound_check(r.step_l2, hp, d),
+        "representation": lambda r: representation_check(r.xi, r.eps, r.z, hp.beta1),
+        "storm_decomposition": decomposition_check,
+        "estimator_ratio": estimator_ratio_check,
+        "epsilon_bound": lambda r: epsilon_bound_frequency(r.eps, hp, L_vec, sigma_vec,
+                                                           confidence_delta),
+        "sign_dichotomy": lambda r: sign_dichotomy_frequency(r, L_vec, sigma_vec,
+                                                             confidence_delta),
+    }
+    merged: dict = {}
+    for s in range(len(run.seeds)):
+        view = run.seed_view(s)
+        for name, checker in checkers.items():
+            kept = merged.get(name)
+            if isinstance(kept, Exception):
+                continue  # a precondition fails on every seed alike
+            try:
+                res = checker(view)
+            except (PreconditionNotMet, RhoConstraintViolated) as exc:
+                merged[name] = exc
+                continue
+            if isinstance(res, FrequencyReport) and kept is not None:
+                res = _frequency_report(name, kept.n_total + res.n_total,
+                                        kept.n_violations + res.n_violations, s + 1,
+                                        confidence_delta)
+            elif kept is not None and not _later_is_worse(kept, res):
+                res = kept
+            merged[name] = res
+    return merged
+
+
 # fewer trials make the violation frequency meaningless
 LEMMA1_MIN_TRIALS = 100
-# trials drawn per block, at most 2000 and 8 MB (one trial at least): the
+# trials drawn per block, at most 2000 and 1 MB (one trial at least): the
 # peak memory is one (block, T) array, int32 step counts for Rademacher
-# terms and float64 partial sums otherwise
+# terms and float64 partial sums otherwise.  Blocks draw one stream at any
+# row boundary, so the budget moves no count; from 0.5 to 8 MB it moves
+# the time by a few percent, while a larger block adds its bytes to the
+# peak of `check`
 _LEMMA1_CHUNK = 2000
-_LEMMA1_BYTES = 8_000_000
+_LEMMA1_BYTES = 1_000_000
 
 
 class MdsKind(enum.Enum):

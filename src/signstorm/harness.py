@@ -103,7 +103,9 @@ class Recorder:
     per-seed ``horizon``; ``done`` starts there.  After step t it calls
     ``record(t, live, state, grads, g_exact, grad_l1, loss)`` with the
     stepped state (``x`` is x_{t+1}, ``prev_x`` is x_t, ``t`` is t + 1),
-    the gradients at x_t (``g_prev`` is None at t = 1) and F(x_t); row r
+    the gradients at x_t and F(x_t); ``g_prev``, the same sample's gradient
+    at x_{t-1}, is None at t = 1 and, unless ``needs_prev``, for kinds
+    outside the STORM family, which do not compute it; row r
     is the recorder's row ``live[r]``, and ``live`` is a slice while those
     rows are contiguous, else an index array.  The engine overwrites the
     arrays it passes on the next step, so a recorder copies what it keeps.
@@ -289,7 +291,7 @@ def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperP
             sampled_grads(state.prev_x, pay, g_exact_prev, g_prev)
         np.add.reduce(np.abs(g_exact, out=work.ratio), axis=1, out=grad_l1)
         np.minimum(best, grad_l1, out=best)
-        grads = pair if t > 1 else first
+        grads = pair if needs_prev and t > 1 else first
         # the new x is written over prev_x's buffer, and the two swap
         _advance(state.x, state.m, state.v, t, grads, params, kind, state.prev_x, work)
         state.x, state.prev_x, state.t = state.prev_x, state.x, t + 1

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from signstorm import (
     NonFiniteValue,
+    cli,
     derive_seed,
     make_problem,
     practical_params,
@@ -483,6 +485,39 @@ class TestCmdCheck:
         by_name = {v["checker"]: v for v in verdicts}
         assert by_name["representation"]["status"] == "pass"
         assert by_name["storm_decomposition"]["status"] == "pass"
+
+    @pytest.mark.parametrize("n_seeds", [4, 40])
+    def test_checkers_hold_one_seeds_work_beside_the_record(self, tmp_path, monkeypatch,
+                                                            n_seeds):
+        # once the record is built, the checkers may add only a fixed number
+        # of one-seed (T, d) blocks, whatever the seed count; stacked
+        # checkers add whole-record blocks (about 21 at 4 seeds, 160 at 40)
+        T, d = 400, 8
+        cfg = base_config(tmp_path / "out")
+        cfg["problem"]["params"]["d"] = d
+        cfg["check"] = {"T": T, "n_seeds": n_seeds, "n_probes": 10,
+                        "lemma1_trials": 100, "lemma1_T": 10}
+        config = RunConfig.load(write_config(tmp_path, cfg))
+        built = cli.diag.run_with_diagnostics
+        held = []
+
+        def run_with_diagnostics(*args):
+            run = built(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return run
+
+        monkeypatch.setattr(cli.diag, "run_with_diagnostics", run_with_diagnostics)
+        tracemalloc.start()
+        try:
+            verdicts = cli._check_verdicts(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v["n_total"] for v in verdicts if v["checker"] == "epsilon_bound"] == [
+            n_seeds * T * d]
+        # about 12 blocks in practice
+        assert peak - held[0] < 16 * T * d * 8
 
 
 # x_init near the largest double and a sign step of about 6.7e307: a step

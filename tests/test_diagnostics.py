@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from signstorm import (
     sign_dichotomy_frequency,
 )
 from signstorm import diagnostics
-from signstorm.diagnostics import _escaped_paths, _geometric_sums
+from signstorm.diagnostics import _escaped_paths, _geometric_sums, check_seed_by_seed
 from signstorm.optim import STORM_FAMILY, GradientPair, _guarded_ratio, storm_decomposition
 from signstorm.rngutil import make_rng
 from signstorm.theory import c_rho
@@ -582,46 +583,60 @@ def assert_stacked_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
     return run
 
 
+RECORD_FIELDS = ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2")
+# the synthetic records' parameters
+SYNTHETIC = dict(S=st.integers(1, 5), T=st.integers(1, 12), d=st.integers(1, 4),
+                 beta1=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99),
+                 beta2=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 0.99),
+                 coarse=st.booleans(), copies=st.integers(0, 4),
+                 seed=st.integers(0, 2**32 - 1))
+
+
+def synthetic_record(S, T, d, beta1, beta2, coarse, copies, seed):
+    """A filled DiagnosticRun of S seeds, with L_vec and sigma_vec: coarse
+    dyadic values tie ratios within and across seeds, and the last
+    ``copies`` seeds repeat the first ones."""
+    rng = np.random.default_rng(seed)
+    hp = HyperParams(eta=0.05, beta1=beta1, beta2=beta2)
+    recorder = DiagnosticRun(list(range(S)), T, d, hp, OptimizerKind.SIGNSTORM)
+    bound = 0.05 * math.sqrt(d / (1.0 - beta2))
+    if coarse:
+        # a few dyadic values: equal ratios within and across seeds
+        def draw(shape):
+            return rng.integers(-2, 3, shape) * 0.5
+
+        recorder.v[:] = rng.integers(0, 3, (S, T, d)) * 0.25
+        recorder.step_l2[:] = rng.integers(0, 3, (S, T)) * 0.5 * bound
+    else:
+        def draw(shape):
+            return rng.standard_normal(shape)
+
+        recorder.v[:] = rng.standard_normal((S, T, d)) ** 2
+        recorder.step_l2[:] = rng.random((S, T)) * 1.5 * bound
+    for name in ("m", "grad_exact", "g_curr", "g_prev"):
+        getattr(recorder, name)[:] = draw((S, T, d))
+    recorder.g_prev[:, 0] = 0.0
+    # the last seeds repeat the first ones: ties across seeds
+    for s in range(max(0, S - copies), S):
+        for name in RECORD_FIELDS:
+            getattr(recorder, name)[s] = getattr(recorder, name)[s % max(1, S - copies)]
+    L_vec, sigma_vec = rng.random(d) + 0.1, rng.random(d)
+    recorder.seeds = [int(x) for x in rng.integers(0, 2**32, S)]
+    return recorder, L_vec, sigma_vec
+
+
 class TestStackedMatchesPerSeed:
     """The stacked checkers against the frozen per-seed path they replaced."""
 
     @settings(max_examples=300, deadline=None)
-    @given(S=st.integers(1, 5), T=st.integers(1, 12), d=st.integers(1, 4),
-           beta1=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99),
-           beta2=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 0.99),
-           coarse=st.booleans(), copies=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    @given(**SYNTHETIC)
     @example(S=1, T=1, d=1, beta1=0.0, beta2=0.0, coarse=True, copies=0, seed=0)
     @example(S=3, T=2, d=1, beta1=0.5, beta2=0.25, coarse=True, copies=2, seed=1)
     @example(S=4, T=2, d=3, beta1=0.0, beta2=0.5, coarse=False, copies=1, seed=2)
     @example(S=5, T=12, d=4, beta1=0.9, beta2=0.0, coarse=True, copies=4, seed=3)
     def test_synthetic_records(self, S, T, d, beta1, beta2, coarse, copies, seed):
-        rng = np.random.default_rng(seed)
-        hp = HyperParams(eta=0.05, beta1=beta1, beta2=beta2)
-        recorder = DiagnosticRun(list(range(S)), T, d, hp, OptimizerKind.SIGNSTORM)
-        bound = 0.05 * math.sqrt(d / (1.0 - beta2))
-        if coarse:
-            # a few dyadic values: equal ratios within and across seeds
-            def draw(shape):
-                return rng.integers(-2, 3, shape) * 0.5
-
-            recorder.v[:] = rng.integers(0, 3, (S, T, d)) * 0.25
-            recorder.step_l2[:] = rng.integers(0, 3, (S, T)) * 0.5 * bound
-        else:
-            def draw(shape):
-                return rng.standard_normal(shape)
-
-            recorder.v[:] = rng.standard_normal((S, T, d)) ** 2
-            recorder.step_l2[:] = rng.random((S, T)) * 1.5 * bound
-        for name in ("m", "grad_exact", "g_curr", "g_prev"):
-            getattr(recorder, name)[:] = draw((S, T, d))
-        recorder.g_prev[:, 0] = 0.0
-        # the last seeds repeat the first ones: ties across seeds
-        for s in range(max(0, S - copies), S):
-            for name in ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2"):
-                getattr(recorder, name)[s] = getattr(recorder, name)[s % max(1, S - copies)]
-        L_vec, sigma_vec = rng.random(d) + 0.1, rng.random(d)
-        recorder.seeds = [int(x) for x in rng.integers(0, 2**32, S)]
-        assert_stacked_matches_frozen(recorder, L_vec, sigma_vec)
+        assert_stacked_matches_frozen(*synthetic_record(S, T, d, beta1, beta2, coarse,
+                                                        copies, seed))
 
     # two ratios one ulp apart that the cap sqrt(2) divides to one value:
     # a seed keeps the t of its larger ratio, and of equal scaled ratios the
@@ -653,6 +668,100 @@ class TestStackedMatchesPerSeed:
             stacked = assert_stacked_matches_frozen(run_with_diagnostics(p, hp, T, part),
                                                     p.constants.L_vec, p.constants.sigma_vec)
         assert stacked.m.shape == (4, T, d)
+
+
+def fields(res):
+    """A merged or stacked checker outcome, every float as its bits."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    if isinstance(res, tuple):  # outcome()'s error
+        return res
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res))
+
+
+def assert_walk_matches_stacked(run, L_vec, sigma_vec, delta=0.05):
+    """check_seed_by_seed against one stacked call of each checker: every
+    field of every result, or the same error."""
+    hp, d = run.hp, run.m.shape[-1]
+    stacked = {
+        "movement_bound": outcome(movement_bound_check, run.step_l2, hp, d),
+        "representation": outcome(representation_check, run.xi, run.eps, run.z, hp.beta1),
+        "storm_decomposition": outcome(decomposition_check, run),
+        "estimator_ratio": outcome(estimator_ratio_check, run),
+        "epsilon_bound": outcome(epsilon_bound_frequency, run.eps, hp, L_vec, sigma_vec, delta),
+        "sign_dichotomy": outcome(sign_dichotomy_frequency, run, L_vec, sigma_vec, delta),
+    }
+    walked = check_seed_by_seed(run, L_vec, sigma_vec, delta)
+    assert list(walked) == list(stacked)
+    for name, res in walked.items():
+        assert fields(res) == fields(stacked[name]), name
+
+
+class TestWalkMatchesStacked:
+    """The seed-by-seed walk against the stacked checkers it replaced in `check`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**SYNTHETIC,
+           nans=st.lists(st.tuples(st.sampled_from(RECORD_FIELDS), st.integers(0, 2**32 - 1)),
+                         max_size=4),
+           kind=st.sampled_from([OptimizerKind.SIGNSTORM, OptimizerKind.SGD]),
+           eps_guard=st.sampled_from([0.0, 1e-8]))
+    @example(S=1, T=1, d=1, beta1=0.0, beta2=0.0, coarse=True, copies=0, seed=0, nans=[],
+             kind=OptimizerKind.SIGNSTORM, eps_guard=0.0)
+    @example(S=5, T=12, d=4, beta1=0.9, beta2=0.0, coarse=True, copies=4, seed=3, nans=[],
+             kind=OptimizerKind.SIGNSTORM, eps_guard=0.0)
+    @example(S=4, T=3, d=2, beta1=0.5, beta2=0.25, coarse=True, copies=2, seed=1,
+             nans=[("m", 5), ("v", 2), ("step_l2", 1)], kind=OptimizerKind.SIGNSTORM,
+             eps_guard=0.0)
+    @example(S=3, T=2, d=1, beta1=0.5, beta2=0.25, coarse=False, copies=0, seed=4,
+             nans=[("grad_exact", 0), ("g_curr", 1)], kind=OptimizerKind.SGD, eps_guard=1e-8)
+    def test_synthetic_records(self, S, T, d, beta1, beta2, coarse, copies, seed, nans,
+                               kind, eps_guard):
+        run, L_vec, sigma_vec = synthetic_record(S, T, d, beta1, beta2, coarse, copies, seed)
+        run.kind, run.hp = kind, dataclasses.replace(run.hp, eps_guard=eps_guard)
+        # NaN entries in a later seed than the first, where there is one
+        for name, at in nans:
+            row = getattr(run, name)[1 + at % (S - 1) if S > 1 else 0]
+            row.flat[at % row.size] = np.nan
+        assert_walk_matches_stacked(run, L_vec, sigma_vec)
+
+    @pytest.mark.parametrize("rows", [[[0.0, 0.9000000000000001, 0.9000000000000002]],
+                                      [[0.0, 0.9000000000000001, 0.0],
+                                       [0.9000000000000002, 0.0, 0.0]],
+                                      [[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0],
+                                       [0.0, np.nan, 2.0]]])
+    def test_ratios_that_scale_to_one_value_or_are_nan(self, rows):
+        # equal scaled ratios keep the first seed's, and the first NaN wins
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
+        run = DiagnosticRun(list(range(len(rows))), 3, 1, hp, OptimizerKind.SIGNSTORM)
+        for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
+            getattr(run, name)[:] = 0.0
+        run.v[:] = 1.0
+        run.m[:, :, 0] = rows
+        assert_walk_matches_stacked(run, np.ones(1), np.ones(1))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("T", [1, 2, 80])
+    def test_diagnosed_runs(self, d, T):
+        p = quadratic(d=d)
+        hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
+        run = run_with_diagnostics(p, hp, T, [11, 12, 13, 14])
+        assert_walk_matches_stacked(run, p.constants.L_vec, p.constants.sigma_vec)
+        # a tight envelope, so that the counts are not all zero
+        assert_walk_matches_stacked(run, 0.01 * p.constants.L_vec,
+                                    0.01 * p.constants.sigma_vec)
+
+    def test_seed_view_holds_views_of_one_seed(self):
+        p = quadratic()
+        hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
+        run = run_with_diagnostics(p, hp, 20, [11, 12, 13])
+        view = run.seed_view(1)
+        assert view.seeds == [12] and view.hp is hp and view.kind is run.kind
+        for name in RECORD_FIELDS:
+            assert getattr(view, name).base is getattr(run, name)
+            assert np.array_equal(getattr(view, name), getattr(run, name)[1:2])
+        for name in ("xi", "eps", "z"):
+            assert np.array_equal(getattr(view, name), getattr(run, name)[1:2])
 
 
 def frozen_lemma1_violations(n_trials, T, delta, mds, seed):
@@ -755,15 +864,16 @@ class TestLemma1:
     @pytest.mark.parametrize("mds", list(MdsKind))
     def test_long_paths_are_drawn_in_blocks_of_bounded_bytes(self, mds):
         # 100 trials of 2 * 10**5 steps in one block would hold 160 MB of
-        # float64 sums (80 MB of int32 counts); blocks of 8 MB keep the peak
-        # at that block and the O(T) bound arrays
+        # float64 sums (80 MB of int32 counts); blocks of at most 1 MB, here
+        # one trial's row, keep the peak at that row and the O(T) bound
+        # arrays (about 7.2 MB for int32 counts, 4.8 MB for float64 sums)
         tracemalloc.start()
         try:
             lemma1_montecarlo(100, 200_000, 0.05, mds, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16_000_000
+        assert peak < 10_000_000
 
     # a budget under one row's bytes draws one trial per block; 7 int32 or
     # 3 float64 rows of 600 steps draw a few, the last block partial

@@ -13,7 +13,8 @@ eps_guard > 0, sigma = 0 and d = 1.  The engine must also leave the
 problem's initial point and the rows a recorder has finished alone, and
 ``step`` must share no array with its input.  Each ``record`` call must
 receive the state the step left: ``prev_x`` is x_t, ``x`` is x_{t+1} and
-``t`` is t + 1, and the gradient pair has no ``g_prev`` at t = 1.
+``t`` is t + 1, and the gradient pair has no ``g_prev`` at t = 1, nor at
+any t where the engine does not compute it.
 """
 
 import dataclasses
@@ -432,3 +433,21 @@ def test_record_receives_the_stepped_state(name, params, kind):
             replay[s] = step(replay[s], pair, hp, kind)
             assert same_bits(x[r], replay[s].x)
     assert [state.t - 1 for state in replay] == horizons
+
+
+class UnaskedWatch(StateWatch):
+    """A StateWatch that does not ask for g_prev."""
+
+    needs_prev = False
+
+
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+def test_g_prev_is_none_where_the_engine_does_not_compute_it(kind):
+    # only the STORM family's estimator needs g_prev, so only there does a
+    # recorder that does not ask for it receive it, and never at t = 1
+    problem = make_problem("noisy_quadratic", {"d": 3, "sigma": 0.5, "x_init": 1.0})
+    hp = HyperParams(eta=0.05, beta1=0.6, beta2=0.3)
+    watch = UnaskedWatch(2, 4)
+    run_cell(problem, kind, hp, 4, [derive_seed(4, s) for s in range(2)], watch)
+    assert [(t, g_prev is None) for t, *_, g_prev in watch.calls] == [
+        (t, t == 1 or kind not in STORM_FAMILY) for t in range(1, 5)]
