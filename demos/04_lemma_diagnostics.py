@@ -6,7 +6,8 @@ representation of the estimator error eps_t = m_t - grad F(x_t), the
 estimator split, and the ratio cap |m|/sqrt(v) <= 1/sqrt(1-beta2).  The
 probability-bearing statements (the eps_t envelope, the sign dichotomy,
 and the martingale partial-sum envelope) are measured as violation
-frequencies over seeds.
+frequencies over seeds.  Every checker reads one seed's record;
+check_seed_by_seed runs them all on each seed in turn and merges the results.
 
 Run:  python demos/04_lemma_diagnostics.py
 """
@@ -16,15 +17,14 @@ import numpy as np
 from signstorm import (
     HyperParams,
     MdsKind,
+    check_seed_by_seed,
     decomposition_check,
-    epsilon_bound_frequency,
     estimator_ratio_check,
     lemma1_montecarlo,
     movement_bound_check,
     noisy_quadratic,
     representation_check,
     run_with_diagnostics,
-    sign_dichotomy_frequency,
 )
 
 d = 8
@@ -32,21 +32,20 @@ problem = noisy_quadratic(d, np.ones(d), 0.4 * np.ones(d), np.linspace(0.6, 1.4,
 hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
 
 print("deterministic checks on a single run (T=2000):")
-run = run_with_diagnostics(problem, hp, 2000, [42])
-for result in (movement_bound_check(run.step_l2, hp, d),
-               representation_check(run.xi, run.eps, run.z, hp.beta1),
-               decomposition_check(run),
-               estimator_ratio_check(run)):
+record = run_with_diagnostics(problem, hp, 2000, [42]).seed_view(0)
+for result in (movement_bound_check(record.step_l2, hp, d),
+               representation_check(record.xi, record.eps, record.z, hp.beta1),
+               decomposition_check(record),
+               estimator_ratio_check(record)):
     print(f"  {result.name:22s} worst ratio {result.worst_ratio:10.3e}  "
           f"passed={result.passed}")
 
 print("\nfrequency checks over 50 seeds (delta = 0.05):")
-# the 50 seeds step together in one engine call
+# the 50 seeds step together in one engine call, then are checked one by one
 runs = run_with_diagnostics(problem, hp, 300, list(range(50)))
 consts = problem.constants
-eps_rep = epsilon_bound_frequency(runs.eps, hp, consts.L_vec, consts.sigma_vec, 0.05)
-dich_rep = sign_dichotomy_frequency(runs, consts.L_vec, consts.sigma_vec, 0.05)
-for rep in (eps_rep, dich_rep):
+results = check_seed_by_seed(runs, consts.L_vec, consts.sigma_vec, 0.05)
+for rep in (results["epsilon_bound"], results["sign_dichotomy"]):
     print(f"  {rep.name:22s} violations {rep.n_violations}/{rep.n_total} "
           f"(allowed fraction {rep.allowed_fraction:.3f})")
 

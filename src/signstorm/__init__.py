@@ -6,6 +6,8 @@ from .diagnostics import (
     DiagnosticRun,
     FrequencyReport,
     MdsKind,
+    SeedRecord,
+    check_seed_by_seed,
     decomposition_check,
     epsilon_bound_frequency,
     epsilon_envelope,

@@ -208,7 +208,7 @@ def cmd_run(config_path: str) -> int:
     doc = json.loads(text)
     for name, render in (("convergence_bands", charts.convergence_bands_svg),
                          ("rate_fit", charts.rate_fit_svg)):
-        with open(os.path.join(out, f"{name}.svg"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(out, f"{name}.svg"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render(doc))
     print(f"report written to {report_path}")
     return EXIT_OK
@@ -248,6 +248,11 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     def verdict(name, kind_, status, **extra):
         verdicts.append({"checker": name, "kind": kind_, "status": status, **extra})
 
+    def frequency_verdict(rep):
+        verdict(rep.name, "statistical", "pass" if rep.passed else "fail",
+                violation_fraction=rep.violation_fraction,
+                allowed_fraction=rep.allowed_fraction, n_total=rep.n_total)
+
     with unallocatable(f"check.n_probes = {check['n_probes']}: the assumption "
                        "probes are too large to allocate"):
         rep = verify_assumptions(problem, check["n_probes"],
@@ -262,27 +267,20 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
                        "runs' arrays are too large to allocate"):
         run = diag.run_with_diagnostics(problem, hp, T, seeds, kind)
 
-    # one seed at a time: the record plus one seed's work
     results = diag.check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, spec.delta)
-    for name in ("movement_bound", "representation", "storm_decomposition",
-                 "estimator_ratio"):
-        res = results[name]
+    # a failed statistical precondition skips both statistical verdicts
+    failed = next((res for name, res in results.items() if isinstance(res, Exception)
+                   and diag.RECORD_CHECKS[name][0] == "statistical"), None)
+    for name, (kind_, _) in diag.RECORD_CHECKS.items():
+        res = failed if failed is not None and kind_ == "statistical" else results[name]
         if isinstance(res, Exception):
-            verdict(name, "deterministic", "skipped", reason=str(res))
-        else:
-            verdict(name, "deterministic", "pass" if res.passed else "fail",
+            verdict(name, kind_, "skipped", reason=str(res))
+        elif kind_ == "deterministic":
+            verdict(name, kind_, "pass" if res.passed else "fail",
                     worst_ratio=res.worst_ratio, worst_t=res.worst_t)
-
-    reports = [results["epsilon_bound"], results["sign_dichotomy"]]
-    failed = next((res for res in reports if isinstance(res, Exception)), None)
-    if failed is not None:
-        for name in ("epsilon_bound", "sign_dichotomy"):
-            verdict(name, "statistical", "skipped", reason=str(failed))
-        reports = []
-    for rep_ in (*reports, l1_rep):
-        verdict(rep_.name, "statistical", "pass" if rep_.passed else "fail",
-                violation_fraction=rep_.violation_fraction,
-                allowed_fraction=rep_.allowed_fraction, n_total=rep_.n_total)
+        else:
+            frequency_verdict(res)
+    frequency_verdict(l1_rep)
     return verdicts
 
 
@@ -311,7 +309,7 @@ def cmd_report(report_path: str, chart: str, out_path: str | None) -> int:
               "rate_fit": charts.rate_fit_svg}[chart]
     svg = render(doc)
     target = out_path or os.path.join(os.path.dirname(report_path) or ".", f"{chart}.svg")
-    with open(target, "w", encoding="utf-8") as fh:
+    with open(target, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     print(f"chart written to {target}")
     return EXIT_OK

@@ -16,26 +16,21 @@ failure probability plus a binomial margin.
 
 Diagnosed runs come from the experiment engine, ``harness.run_cell``,
 whose recorder is a :class:`DiagnosticRun` holding every seed's rows;
-:func:`run_with_diagnostics` is its call for a list of seeds.  Every
-checker takes arrays with leading seed axes, (..., T, d): a deterministic
-check reports the first largest ratio in (seed, t) order, and a frequency
-check counts the violations of every (seed, t, j) entry.
-:func:`check_seed_by_seed` walks a record one seed at a time instead,
-calling every checker on each :meth:`DiagnosticRun.seed_view` and merging
-the results to those of the stacked calls, so that beside the record it
-holds one seed's work.
+:func:`run_with_diagnostics` is its call for a list of seeds.  The lemmas
+are statements about one run, so every checker reads one seed, as
+:meth:`DiagnosticRun.seed_view` gives it, and refuses a stacked argument;
+:func:`check_seed_by_seed` is the one reduction over seeds.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValue, OutOfRange, PreconditionNotMet, RhoConstraintViolated
+from .errors import DimensionMismatch, NonFiniteValue, OutOfRange, PreconditionNotMet
 from .harness import Recorder, run_cell
 from .optim import (
     STORM_FAMILY,
@@ -104,7 +99,7 @@ def binomial_margin(p: float, n: int) -> float:
 class DiagnosticRun(Recorder):
     """Every seed of one diagnosed :func:`run_cell` call with one horizon T:
     row s of each array is ``seeds[s]``, as a single run computes it, and
-    row t-1 of a seed holds time t.  xi, eps and Z are derived on access."""
+    row t-1 of a seed holds time t."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
 
@@ -131,15 +126,25 @@ class DiagnosticRun(Recorder):
         self.v[live, i] = state.v
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
-    def seed_view(self, s: int) -> "DiagnosticRun":
-        """Seed ``seeds[s]`` alone, a one-seed run whose arrays are views of
-        row s, not copies, so that xi, eps and Z derive that seed only."""
-        view = copy.copy(self)
-        # every per-seed field is an array or a list with one row per seed
-        for name, value in vars(self).items():
-            if isinstance(value, (np.ndarray, list)):
-                setattr(view, name, value[s:s + 1])
-        return view
+    def seed_view(self, s: int) -> "SeedRecord":
+        """Seed ``seeds[s]`` alone: its rows of the six arrays, as views, not copies."""
+        return SeedRecord(self.hp, self.kind, self.m[s], self.v[s], self.grad_exact[s],
+                          self.g_curr[s], self.g_prev[s], self.step_l2[s])
+
+
+@dataclass(frozen=True, eq=False)
+class SeedRecord:
+    """One diagnosed seed, as every checker reads it: :class:`DiagnosticRun`'s
+    rows of that seed, (T, d) or (T,).  xi, eps and Z are derived on access."""
+
+    hp: HyperParams
+    kind: OptimizerKind
+    m: np.ndarray
+    v: np.ndarray
+    grad_exact: np.ndarray
+    g_curr: np.ndarray
+    g_prev: np.ndarray
+    step_l2: np.ndarray
 
     @property
     def xi(self) -> np.ndarray:
@@ -153,8 +158,8 @@ class DiagnosticRun(Recorder):
     def z(self) -> np.ndarray:
         z = np.zeros_like(self.g_curr)  # Z_1 = 0
         # (g_curr - g_prev) + (grad_{t-1} - grad_t), one temporary at a time
-        np.subtract(self.g_curr[..., 1:, :], self.g_prev[..., 1:, :], out=z[..., 1:, :])
-        z[..., 1:, :] += self.grad_exact[..., :-1, :] - self.grad_exact[..., 1:, :]
+        np.subtract(self.g_curr[1:], self.g_prev[1:], out=z[1:])
+        z[1:] += self.grad_exact[:-1] - self.grad_exact[1:]
         return z
 
 
@@ -171,22 +176,25 @@ def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,
     return run
 
 
-def _first_max(ratio: np.ndarray) -> tuple[float, int]:
-    """The first largest entry of ``ratio`` in (seed, position) order, which
-    is the first largest of the seeds' own first maxima, and its flat index."""
-    flat = int(np.argmax(ratio))
-    return float(ratio.flat[flat]), flat
+def _one_seed(ndim: int = 2, **arrays: np.ndarray) -> None:
+    """Refuse any of ``arrays`` that is not one seed's: (T, d), or (T,) at ndim 1."""
+    for name, array in arrays.items():
+        if np.ndim(array) != ndim:
+            raise DimensionMismatch(f"{name} must be one seed's {('(T,)', '(T, d)')[ndim - 1]} "
+                                    f"array, got shape {np.shape(array)}")
 
 
 def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckResult:
     """Almost-sure cap on iterate movement: ||x_{t+1}-x_t||_2 <= eta_t sqrt(d/(1-beta2))."""
+    _one_seed(1, step_l2=step_l2)
     if hp.eps_guard != 0.0:
         raise PreconditionNotMet("movement bound is stated for eps_guard = 0")
-    T = step_l2.shape[-1]
-    bound = hp.step_sizes(T) * math.sqrt(d / (1.0 - hp.beta2))
-    worst_ratio, flat = _first_max(step_l2 / bound)
+    T = len(step_l2)
+    ratio = step_l2 / (hp.step_sizes(T) * math.sqrt(d / (1.0 - hp.beta2)))
+    worst = int(np.argmax(ratio))
+    worst_ratio = float(ratio[worst])
     return CheckResult("movement_bound", worst_ratio <= 1.0 + _MOVEMENT_SLACK,
-                       worst_ratio, flat % T + 1,
+                       worst_ratio, worst + 1,
                        f"T={T}, bound factor sqrt(d/(1-beta2))={math.sqrt(d / (1.0 - hp.beta2)):.6g}")
 
 
@@ -216,47 +224,41 @@ def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray, beta1: 
 
     The right side is rebuilt by direct weighted summation over s
     (:func:`_geometric_sums`), never by the recurrence that produced eps_t.
-    Each seed's errors are measured against its own tolerance, and the
-    seeds are summed one at a time: one lag loop over all of them is slower.
-    Stacked arguments are whole (S, T, d) arrays beside the record, so
-    ``check`` passes one seed's xi, eps and Z at a time
-    (:func:`check_seed_by_seed`).
     """
-    T, d = xi.shape[-2:]
-    xi, eps, z = (a.reshape(-1, T, d) for a in (xi, eps, z))
+    _one_seed(xi=xi, eps=eps, z=z)
+    T, d = xi.shape
+    scale = tol * (1.0 + float(np.max(np.abs(eps))))
+    acc = _geometric_sums(np.concatenate([z, xi], axis=1), beta1)
     decay = np.array([beta1 ** t for t in range(1, T + 1)])
-    ratio = np.empty(eps.shape[:2])
-    for s in range(len(eps)):
-        scale = tol * (1.0 + float(np.max(np.abs(eps[s]))))
-        acc = _geometric_sums(np.concatenate([z[s], xi[s]], axis=1), beta1)
-        rhs = (decay[:, None] * xi[s, 0]  # eps_0 = xi_1
-               + beta1 * acc[:, :d]
-               + (1.0 - beta1) * acc[:, d:])
-        ratio[s] = np.max(np.abs(eps[s] - rhs), axis=1) / scale
-        del acc, rhs  # before the next seed's sums are built
+    rhs = (decay[:, None] * xi[0]  # eps_0 = xi_1
+           + beta1 * acc[:, :d]
+           + (1.0 - beta1) * acc[:, d:])
+    ratio = np.max(np.abs(eps - rhs), axis=1) / scale
     # a NaN error never counts as worse, nor does a zero one
     ratio[~(ratio > 0.0)] = 0.0
-    worst_ratio, flat = _first_max(ratio)
-    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, flat % T + 1,
+    worst = int(np.argmax(ratio))
+    worst_ratio = float(ratio[worst])
+    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, worst + 1,
                        f"T={T}, beta1={beta1}, abs tolerance {tol:g} (1 + max |eps|)")
 
 
-def decomposition_check(run: DiagnosticRun) -> CheckResult:
+def decomposition_check(run: SeedRecord) -> CheckResult:
     """The momentum + correction split must reassemble the estimator exactly.
 
     For every t >= 2, part_i + part_ii (from
     :func:`signstorm.storm_decomposition`, applied to all rows at once) is
     compared against the recorded m_t at relative tolerance ``_DECOMPOSITION_TOL``.
     """
+    _one_seed(m=run.m)
     if run.kind not in STORM_FAMILY:
         raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
-    T, d = run.m.shape[-2:]
+    T, d = run.m.shape
     if T < 2:
         return CheckResult("storm_decomposition", True, 0.0, 1, "no t >= 2 rows")
-    m_next = run.m[..., 1:, :]
-    pair = GradientPair(run.g_curr[..., 1:, :], run.g_prev[..., 1:, :])
-    err, part_ii = storm_decomposition(run.m[..., :-1, :], pair, run.hp.beta1)
-    # in place: at S seeds, every (S, T, d) temporary adds to the peak memory
+    m_next = run.m[1:]
+    pair = GradientPair(run.g_curr[1:], run.g_prev[1:])
+    err, part_ii = storm_decomposition(run.m[:-1], pair, run.hp.beta1)
+    # in place: every (T, d) temporary adds to the peak memory of `check`
     err += part_ii
     del part_ii
     err -= m_next
@@ -265,31 +267,28 @@ def decomposition_check(run: DiagnosticRun) -> CheckResult:
     scale += 1.0
     scale *= _DECOMPOSITION_TOL
     err /= scale
-    worst_ratio, flat = _first_max(err)
-    return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio,
-                       flat % ((T - 1) * d) // d + 2,
+    flat = int(np.argmax(err))
+    worst_ratio = float(err.flat[flat])
+    return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio, flat // d + 2,
                        f"T={T}, relative tolerance {_DECOMPOSITION_TOL:g}")
 
 
-def estimator_ratio_check(run: DiagnosticRun) -> CheckResult:
+def estimator_ratio_check(run: SeedRecord) -> CheckResult:
     """Deterministic cap |m_tj| / sqrt(v_tj) <= 1/sqrt(1 - beta2) (eps_guard = 0)."""
+    _one_seed(m=run.m)
     if run.hp.eps_guard != 0.0:
         raise PreconditionNotMet("ratio cap is stated for eps_guard = 0")
-    T, d = run.m.shape[-2:]
-    ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0)).reshape(-1, T * d)
+    ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
     cap = 1.0 / math.sqrt(1.0 - run.hp.beta2)
-    # each seed's first largest ratio, scaled by the cap, then the first
-    # largest of those: two ratios may round to one scaled value
-    worst = ratio.argmax(axis=1)
-    scaled = ratio[np.arange(len(worst)), worst] / cap
-    s = int(np.argmax(scaled))
-    worst_ratio = float(scaled[s])
+    # the first largest ratio, then scaled: two ratios may round to one scaled value
+    flat = int(np.argmax(ratio))
+    worst_ratio = float(ratio.flat[flat] / cap)
     return CheckResult("estimator_ratio", worst_ratio <= 1.0 + _RATIO_SLACK, worst_ratio,
-                       int(worst[s]) // d + 1, f"cap 1/sqrt(1-beta2)={cap:.6g}")
+                       flat // run.m.shape[1] + 1, f"cap 1/sqrt(1-beta2)={cap:.6g}")
 
 
 def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
-                 T: int, delta: float) -> np.ndarray:
+                     T: int, delta: float) -> np.ndarray:
     """(T, d) high-probability envelope for |eps_tj| at confidence delta."""
     log_term = max(1.0, math.log(1.0 / delta))
     tail = 2.0 * log_term + math.sqrt(log_term / (1.0 - hp.beta1))
@@ -307,41 +306,40 @@ def _frequency_report(name: str, n_total: int, n_violations: int, runs: int,
 
 
 def _frequency(name: str, violations: np.ndarray, confidence_delta: float) -> FrequencyReport:
-    """The report on a (..., T, d) mask of violations."""
-    return _frequency_report(name, violations.size, int(np.count_nonzero(violations)),
-                             math.prod(violations.shape[:-2]), confidence_delta)
+    """The report on one run's (T, d) mask of violations."""
+    return _frequency_report(name, violations.size, int(np.count_nonzero(violations)), 1,
+                             confidence_delta)
 
 
-def epsilon_bound_frequency(eps: np.ndarray, hp: HyperParams, L_vec: np.ndarray,
-                            sigma_vec: np.ndarray, confidence_delta: float,
-                            ) -> FrequencyReport:
-    """Fraction of the (seed, t, j) entries of ``eps``, (..., T, d), where
-    |eps_tj| escapes its envelope; the statement carries failure probability
-    6*delta per fixed (t, j)."""
-    envelope = epsilon_envelope(hp, L_vec, sigma_vec, eps.shape[-2], confidence_delta)
+def epsilon_bound_frequency(eps: np.ndarray, envelope: np.ndarray,
+                            confidence_delta: float) -> FrequencyReport:
+    """Fraction of one seed's (t, j) entries where |eps_tj| escapes
+    ``envelope``, its :func:`epsilon_envelope`; the statement carries
+    failure probability 6*delta per fixed (t, j)."""
+    _one_seed(eps=eps)
     return _frequency("epsilon_bound", np.abs(eps) > envelope, confidence_delta)
 
 
-def sign_dichotomy_frequency(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: np.ndarray,
+def sign_dichotomy_frequency(run: SeedRecord, envelope: np.ndarray,
                              confidence_delta: float) -> FrequencyReport:
-    """Fraction of the (seed, t, j) entries where neither dichotomy branch holds.
+    """Fraction of one seed's (t, j) entries where neither dichotomy branch holds.
 
-    Branch one: c(rho) |d_j F(x_t)| is below the epsilon envelope.  Branch
-    two: m_tj agrees in sign with d_j F(x_t) and |m_tj|/sqrt(v_tj) >=
+    Branch one: c(rho) |d_j F(x_t)| is below ``envelope``.  Branch two:
+    m_tj agrees in sign with d_j F(x_t) and |m_tj|/sqrt(v_tj) >=
     (1-rho)/(5 sqrt(1-beta2)).  The lemma grants one of the two with failure
     probability 6*delta per fixed (t, j).
     """
+    _one_seed(m=run.m)
     hp = run.hp
     if hp.eps_guard != 0.0:
         raise PreconditionNotMet("dichotomy check is stated for eps_guard = 0")
     rho = hp.rho
     if not rho < 1.0:
         raise PreconditionNotMet(f"dichotomy check needs rho < 1, got {rho}")
-    rhs = epsilon_envelope(hp, L_vec, sigma_vec, run.m.shape[-2], confidence_delta)
     # in place, as in decomposition_check; the ratio's block takes the signs
     block = np.abs(run.grad_exact)
     block *= c_rho(rho)
-    branch1 = block < rhs
+    branch1 = block < envelope
     del block
     ratio = _guarded_ratio(run.m, run.v, 0.0)
     threshold = (1.0 - rho) / (5.0 * math.sqrt(1.0 - hp.beta2))
@@ -350,54 +348,55 @@ def sign_dichotomy_frequency(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: n
     return _frequency("sign_dichotomy", ~(branch1 | branch2), confidence_delta)
 
 
-def _later_is_worse(kept: CheckResult, later: CheckResult) -> bool:
-    """Whether a later seed's result replaces the one kept: a larger worst
-    ratio does, and NaN counts as largest, as in :func:`_first_max`."""
-    if math.isnan(kept.worst_ratio):
-        return False
-    return later.worst_ratio > kept.worst_ratio or math.isnan(later.worst_ratio)
+# Each record-reading checker in suite order: name -> its verdict's kind and
+# its call on one seed's record r, given the run's envelope and delta.  A
+# call looks its checker up here when it runs, so a patched one is called.
+RECORD_CHECKS = {
+    "movement_bound": ("deterministic", lambda r, envelope, delta:
+                       movement_bound_check(r.step_l2, r.hp, r.m.shape[1])),
+    "representation": ("deterministic", lambda r, envelope, delta:
+                       representation_check(r.xi, r.eps, r.z, r.hp.beta1)),
+    "storm_decomposition": ("deterministic", lambda r, envelope, delta: decomposition_check(r)),
+    "estimator_ratio": ("deterministic", lambda r, envelope, delta: estimator_ratio_check(r)),
+    "epsilon_bound": ("statistical", lambda r, envelope, delta:
+                      epsilon_bound_frequency(r.eps, envelope, delta)),
+    "sign_dichotomy": ("statistical", lambda r, envelope, delta:
+                       sign_dichotomy_frequency(r, envelope, delta)),
+}
 
 
 def check_seed_by_seed(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: np.ndarray,
                        confidence_delta: float) -> dict:
-    """Every record-reading checker on ``run``, one seed at a time.
+    """Every checker of :data:`RECORD_CHECKS` on ``run``, one seed at a time.
 
-    Each checker runs on every :meth:`DiagnosticRun.seed_view` in seed
-    order, so beside the record only one seed's temporaries are alive.  A
-    :class:`CheckResult` keeps the first largest worst ratio, NaN counting
-    as largest; a :class:`FrequencyReport` sums its counts over the seeds.
-    Both equal the stacked call's result.  Returns checker name -> merged
-    result, or the precondition error the checker raised on the first seed.
+    The one reduction over seeds: each checker runs on every
+    :meth:`DiagnosticRun.seed_view` in seed order, so beside the record
+    only one seed's temporaries are alive, and one :func:`epsilon_envelope`
+    serves every seed.  A :class:`CheckResult` keeps the first largest worst
+    ratio, NaN counting as largest; a :class:`FrequencyReport` sums its
+    counts over the seeds.  Returns checker name -> merged result, or the
+    precondition error the checker raised on the first seed.
     """
-    hp, d = run.hp, run.m.shape[-1]
-    checkers = {
-        "movement_bound": lambda r: movement_bound_check(r.step_l2, hp, d),
-        "representation": lambda r: representation_check(r.xi, r.eps, r.z, hp.beta1),
-        "storm_decomposition": decomposition_check,
-        "estimator_ratio": estimator_ratio_check,
-        "epsilon_bound": lambda r: epsilon_bound_frequency(r.eps, hp, L_vec, sigma_vec,
-                                                           confidence_delta),
-        "sign_dichotomy": lambda r: sign_dichotomy_frequency(r, L_vec, sigma_vec,
-                                                             confidence_delta),
-    }
+    envelope = epsilon_envelope(run.hp, L_vec, sigma_vec, run.m.shape[1], confidence_delta)
     merged: dict = {}
     for s in range(len(run.seeds)):
-        view = run.seed_view(s)
-        for name, checker in checkers.items():
+        record = run.seed_view(s)
+        for name, (_, check) in RECORD_CHECKS.items():
             kept = merged.get(name)
-            if isinstance(kept, Exception):
+            if isinstance(kept, PreconditionNotMet):
                 continue  # a precondition fails on every seed alike
             try:
-                res = checker(view)
-            except (PreconditionNotMet, RhoConstraintViolated) as exc:
+                res = check(record, envelope, confidence_delta)
+            except PreconditionNotMet as exc:
                 merged[name] = exc
                 continue
             if isinstance(res, FrequencyReport) and kept is not None:
                 res = _frequency_report(name, kept.n_total + res.n_total,
                                         kept.n_violations + res.n_violations, s + 1,
                                         confidence_delta)
-            elif kept is not None and not _later_is_worse(kept, res):
-                res = kept
+            elif kept is not None and (math.isnan(kept.worst_ratio)
+                                       or res.worst_ratio <= kept.worst_ratio):
+                res = kept  # the first largest worst ratio, NaN counting as largest
             merged[name] = res
     return merged
 

@@ -18,21 +18,18 @@ from signstorm import (
     TheoremInputs,
     TraceRecorder,
     c_rho,
-    decomposition_check,
+    check_seed_by_seed,
     derive_seed,
-    epsilon_bound_frequency,
     g_rho,
     lemma1_montecarlo,
     locate_c_crossover,
     make_rng,
     movement_bound_check,
     noisy_quadratic,
-    representation_check,
     run_cell,
     run_experiment,
     run_trial,
     run_with_diagnostics,
-    sign_dichotomy_frequency,
     synthetic_logistic,
     bounded_nonconvex,
     theorem_params,
@@ -58,16 +55,17 @@ def test_criterion_01_algebraic_identities():
     """STORM decomposition and the error-representation identity, exactly."""
     t0 = time.time()
     problem = _diag_quadratic()
+    consts = problem.constants
     worst_decomp = 0.0
     worst_repr = 0.0
     for beta1 in (0.0, 0.9, 0.99):
         hp = HyperParams(eta=0.01, beta1=beta1, beta2=0.5)
         run = run_with_diagnostics(problem, hp, 1000,
                                    [derive_seed(11, int(beta1 * 100), s) for s in range(20)])
-        dec = decomposition_check(run)
-        rep = representation_check(run.xi, run.eps, run.z, beta1, tol=1e-6)
-        worst_decomp = max(worst_decomp, dec.worst_ratio)
-        worst_repr = max(worst_repr, rep.worst_ratio)
+        # the representation check's tolerance is 1e-6 (1 + max |eps|)
+        results = check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, 0.05)
+        worst_decomp = max(worst_decomp, results["storm_decomposition"].worst_ratio)
+        worst_repr = max(worst_repr, results["representation"].worst_ratio)
     elapsed = time.time() - t0
     ok = worst_decomp <= 1.0 and worst_repr <= 1.0 and elapsed < 10.0
     _report(1, ok, f"decomposition worst {worst_decomp:.3g} of 1e-12 budget, "
@@ -193,8 +191,8 @@ def test_criterion_08_high_probability_frequencies():
         confidence_delta=delta, d=problem.d))
     # the 200 seeds step together in one engine call
     run = run_with_diagnostics(problem, hp, 300, [derive_seed(88, s) for s in range(200)])
-    eps_rep = epsilon_bound_frequency(run.eps, hp, consts.L_vec, consts.sigma_vec, delta)
-    dich_rep = sign_dichotomy_frequency(run, consts.L_vec, consts.sigma_vec, delta)
+    results = check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, delta)
+    eps_rep, dich_rep = results["epsilon_bound"], results["sign_dichotomy"]
     l1_rep = lemma1_montecarlo(10_000, 1000, delta, MdsKind.RADEMACHER, seed=88)
     elapsed = time.time() - t0
     ok = (eps_rep.violation_fraction <= eps_rep.allowed_fraction

@@ -479,7 +479,7 @@ def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
     run = run_with_diagnostics(problem, hp, 150, GRID_SEEDS, kind)
     for s, trace in enumerate(references):
         assert same_bits(run.step_l2[s], trace.step_l2)
-        assert same_bits([np.sum(np.abs(eps)) for eps in run.eps[s]], trace.eps_l1)
+        assert same_bits([np.sum(np.abs(eps)) for eps in run.seed_view(s).eps], trace.eps_l1)
         assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact[s]],
                          trace.grad_l1)
 

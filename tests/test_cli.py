@@ -665,6 +665,26 @@ class TestCmdReport:
         assert len(err) == 2 and all(line.startswith("error:") for line in err)
 
 
+def test_every_written_file_has_lf_line_endings(tmp_path, monkeypatch):
+    # newline="\n" keeps the pinned reports and charts byte-stable on
+    # platforms whose text mode would write CRLF
+    opened = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name, mode, kwargs.get("newline")))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_OK
+    assert main(["report", str(out / "report.json"), "--chart", "rate_fit"]) == EXIT_OK
+    assert main(["check", write_config(tmp_path, base_config(out))]) == EXIT_OK
+    written = [(name, newline) for name, mode, newline in opened if "w" in mode]
+    assert sorted(written) == sorted([
+        ("report.json", "\n"), ("convergence_bands.svg", "\n"), ("rate_fit.svg", "\n"),
+        ("rate_fit.svg", "\n"), ("check.json", "\n")])
+
+
 class TestCmdParams:
     def test_reference_constants(self, capsys):
         assert main(["params", "--delta", "1", "--L1", "1", "--sigma1", "1",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -9,12 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
     DiagnosticRun,
+    DimensionMismatch,
     HyperParams,
     MdsKind,
     NonFiniteValue,
     OptimizerKind,
     OutOfRange,
     PreconditionNotMet,
+    SeedRecord,
+    check_seed_by_seed,
     decomposition_check,
     epsilon_bound_frequency,
     epsilon_envelope,
@@ -27,7 +31,7 @@ from signstorm import (
     sign_dichotomy_frequency,
 )
 from signstorm import diagnostics
-from signstorm.diagnostics import _escaped_paths, _geometric_sums, check_seed_by_seed
+from signstorm.diagnostics import _escaped_paths, _geometric_sums
 from signstorm.optim import STORM_FAMILY, GradientPair, _guarded_ratio, storm_decomposition
 from signstorm.rngutil import make_rng
 from signstorm.theory import c_rho
@@ -78,12 +82,14 @@ class TestRunWithDiagnostics:
         run = run_with_diagnostics(p, hp, 50, [3, 4])
         assert (run.seeds, run.kind, run.hp) == ([3, 4], OptimizerKind.SIGNSTORM, hp)
         assert run.m.shape == (2, 50, 4) and run.step_l2.shape == (2, 50)
-        assert np.array_equal(run.z[:, 0], np.zeros((2, 4)))
-        np.testing.assert_array_equal(run.xi, run.g_curr - run.grad_exact)
-        # eps_t = m_t - grad F(x_t) by construction
-        np.testing.assert_array_equal(run.eps, run.m - run.grad_exact)
-        # first-step estimator equals the first sampled gradient
-        np.testing.assert_array_equal(run.m[:, 0], run.xi[:, 0] + run.grad_exact[:, 0])
+        for s in range(2):
+            rec = run.seed_view(s)
+            assert np.array_equal(rec.z[0], np.zeros(4))
+            np.testing.assert_array_equal(rec.xi, run.g_curr[s] - run.grad_exact[s])
+            # eps_t = m_t - grad F(x_t) by construction
+            np.testing.assert_array_equal(rec.eps, run.m[s] - run.grad_exact[s])
+            # first-step estimator equals the first sampled gradient
+            np.testing.assert_array_equal(run.m[s, 0], rec.xi[0] + run.grad_exact[s, 0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_nonfinite(self):
@@ -155,18 +161,18 @@ class TestMovementBound:
         # beta2=0, d=4, eta=0.1: bound is 0.2, attained when all coordinates move
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.1, beta1=0.0, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 30, [1])
-        res = movement_bound_check(run.step_l2, hp, d=4)
+        rec = run_with_diagnostics(p, hp, 30, [1]).seed_view(0)
+        res = movement_bound_check(rec.step_l2, hp, d=4)
         assert res.passed
         assert res.worst_ratio == pytest.approx(1.0, abs=1e-12)
-        assert np.max(run.step_l2) == pytest.approx(0.2, rel=1e-12)
+        assert np.max(rec.step_l2) == pytest.approx(0.2, rel=1e-12)
 
     @pytest.mark.parametrize("beta2", [0.0, 0.5, 0.81])
     def test_random_runs_never_violate(self, beta2):
         p = quadratic()
         hp = HyperParams(eta=0.03, beta1=0.9, beta2=beta2)
-        run = run_with_diagnostics(p, hp, 2000, [7])
-        res = movement_bound_check(run.step_l2, hp, d=4)
+        rec = run_with_diagnostics(p, hp, 2000, [7]).seed_view(0)
+        res = movement_bound_check(rec.step_l2, hp, d=4)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
 
@@ -212,8 +218,8 @@ class TestRepresentation:
     def test_long_noisy_run(self):
         p = quadratic(d=4)
         hp = HyperParams(eta=0.01, beta1=0.99, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 1000, [5])
-        res = representation_check(run.xi, run.eps, run.z, beta1=0.99)
+        rec = run_with_diagnostics(p, hp, 1000, [5]).seed_view(0)
+        res = representation_check(rec.xi, rec.eps, rec.z, beta1=0.99)
         assert res.passed
 
     def test_perturbed_trace_fails(self):
@@ -303,8 +309,7 @@ class TestDecompositionAndRatio:
     def test_decomposition_on_run(self):
         p = quadratic()
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.81)
-        run = run_with_diagnostics(p, hp, 500, [11])
-        res = decomposition_check(run)
+        res = decomposition_check(run_with_diagnostics(p, hp, 500, [11]).seed_view(0))
         assert res.passed
 
     def test_decomposition_needs_storm_kind(self):
@@ -312,14 +317,13 @@ class TestDecompositionAndRatio:
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.81)
         run = run_with_diagnostics(p, hp, 10, [11], kind=OptimizerKind.GENERALIZED_SIGN_SGD)
         with pytest.raises(PreconditionNotMet):
-            decomposition_check(run)
+            decomposition_check(run.seed_view(0))
 
     def test_ratio_cap(self):
         p = quadratic()
         for beta2 in (0.0, 0.5, 0.9):
             hp = HyperParams(eta=0.02, beta1=0.9, beta2=beta2)
-            run = run_with_diagnostics(p, hp, 300, [13])
-            res = estimator_ratio_check(run)
+            res = estimator_ratio_check(run_with_diagnostics(p, hp, 300, [13]).seed_view(0))
             assert res.passed
             assert res.worst_ratio <= 1.0 + 1e-12
 
@@ -328,9 +332,9 @@ class TestEpsilonBound:
     def test_noiseless_momentum_free_never_violates(self):
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.05, beta1=0.0, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 200, [2])
-        rep = epsilon_bound_frequency(run.eps, hp, p.constants.L_vec,
-                                      p.constants.sigma_vec, 0.1)
+        rec = run_with_diagnostics(p, hp, 200, [2]).seed_view(0)
+        envelope = epsilon_envelope(hp, p.constants.L_vec, p.constants.sigma_vec, 200, 0.1)
+        rep = epsilon_bound_frequency(rec.eps, envelope, 0.1)
         assert rep.n_violations == 0
         assert rep.passed
 
@@ -352,10 +356,17 @@ class TestEpsilonBound:
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.0)
         run = run_with_diagnostics(p, hp, 100, list(range(5)))
-        rep = epsilon_bound_frequency(run.eps, hp, p.constants.L_vec,
-                                      p.constants.sigma_vec, 0.05)
+        rep = check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec,
+                                 0.05)["epsilon_bound"]
         assert rep.n_total == 5 * 100 * 4
         assert rep.passed
+
+
+def dichotomy(p, hp, T, seeds, delta=0.05):
+    """The sign dichotomy's report on a fresh diagnosed run of ``seeds``."""
+    run = run_with_diagnostics(p, hp, T, seeds)
+    return check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec,
+                              delta)["sign_dichotomy"]
 
 
 class TestSignDichotomy:
@@ -363,62 +374,126 @@ class TestSignDichotomy:
         # sigma=0 and beta1=0, beta2=0: m equals grad F, ratio is 1 >= 1/5
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.05, beta1=0.0, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 200, [4])
-        rep = sign_dichotomy_frequency(run, p.constants.L_vec,
-                                       p.constants.sigma_vec, 0.05)
-        assert rep.n_violations == 0
+        rec = run_with_diagnostics(p, hp, 200, [4]).seed_view(0)
+        envelope = epsilon_envelope(hp, p.constants.L_vec, p.constants.sigma_vec, 200, 0.05)
+        assert sign_dichotomy_frequency(rec, envelope, 0.05).n_violations == 0
 
     def test_near_stationary_branch_one(self):
         # start at the optimum: gradients stay tiny, branch one carries everything
         p = noisy_quadratic(3, np.ones(3), 0.2 * np.ones(3), np.zeros(3))
         hp = HyperParams(eta=0.001, beta1=0.9, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 100, [6])
-        rep = sign_dichotomy_frequency(run, p.constants.L_vec,
-                                       p.constants.sigma_vec, 0.05)
-        assert rep.passed
+        assert dichotomy(p, hp, 100, [6]).passed
 
     def test_noisy_runs_under_budget(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
-        run = run_with_diagnostics(p, hp, 150, list(range(10)))
-        rep = sign_dichotomy_frequency(run, p.constants.L_vec,
-                                       p.constants.sigma_vec, 0.05)
-        assert rep.passed
+        assert dichotomy(p, hp, 150, list(range(10))).passed
 
     def test_guard_refused(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.0, eps_guard=1e-8)
-        run = run_with_diagnostics(p, hp, 10, [1])
+        rec = run_with_diagnostics(p, hp, 10, [1]).seed_view(0)
         with pytest.raises(PreconditionNotMet):
-            sign_dichotomy_frequency(run, p.constants.L_vec,
-                                     p.constants.sigma_vec, 0.05)
+            sign_dichotomy_frequency(rec, np.ones((10, p.d)), 0.05)
 
 
-def test_frequency_checkers_build_one_envelope(monkeypatch):
-    p = quadratic(sigma=2.0)
+def test_fold_calls_each_checker_per_seed_and_builds_one_envelope(monkeypatch):
+    # the fold looks checkers up by their module names when it runs, so a
+    # patched name, as a per-layer trace installs it, sees every call
+    p = quadratic()
     hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
-    run = run_with_diagnostics(p, hp, 60, list(range(5)))
-    # an envelope tight enough that some entries leave it
-    L, sigma = 0.01 * p.constants.L_vec, 0.01 * p.constants.sigma_vec
-    built = []
-    envelope = diagnostics.epsilon_envelope
+    run = run_with_diagnostics(p, hp, 30, [5, 6, 7])
+    calls, built = [], []
+    checker, envelope = diagnostics.representation_check, diagnostics.epsilon_envelope
 
-    def counted(hp, L_vec, sigma_vec, T, delta):
-        built.append((hp, T))
-        return envelope(hp, L_vec, sigma_vec, T, delta)
+    def counted_checker(*args, **kwargs):
+        calls.append(args[0].shape)
+        return checker(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "epsilon_envelope", counted)
-    dich = sign_dichotomy_frequency(run, L, sigma, 0.05)
-    eps = epsilon_bound_frequency(run.eps, hp, L, sigma, 0.05)
-    assert built == [(hp, 60), (hp, 60)]
-    # the stacked counts are the sums of the seeds' own counts
-    alone = [run_with_diagnostics(p, hp, 60, [s]) for s in range(5)]
-    assert dich.n_violations == sum(sign_dichotomy_frequency(r, L, sigma, 0.05).n_violations
-                                    for r in alone)
-    assert eps.n_violations == sum(epsilon_bound_frequency(r.eps, hp, L, sigma, 0.05).n_violations
-                                   for r in alone)
-    assert 0 < dich.n_violations and 0 < eps.n_violations
-    assert eps.n_total == dich.n_total == 5 * 60 * p.d
+    def counted_envelope(*args):
+        built.append(args[3])
+        return envelope(*args)
+
+    monkeypatch.setattr(diagnostics, "representation_check", counted_checker)
+    monkeypatch.setattr(diagnostics, "epsilon_envelope", counted_envelope)
+    results = check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec, 0.05)
+    assert calls == [(30, p.d)] * 3
+    assert built == [30]
+    assert results["epsilon_bound"].n_total == results["sign_dichotomy"].n_total == 3 * 30 * p.d
+
+
+def stacked_record():
+    """A diagnosed run of two seeds, T = 5 and d = 3, and its L and sigma."""
+    p = quadratic(d=3)
+    hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
+    return run_with_diagnostics(p, hp, 5, [1, 2]), p.constants
+
+
+# each checker called on the stacked record, and the one-seed shape its
+# error names
+STACKED_CALLS = {
+    "movement_bound": (lambda run, env: movement_bound_check(run.step_l2, run.hp, 3), "(T,)"),
+    "representation": (lambda run, env: representation_check(
+        run.g_curr - run.grad_exact, run.m - run.grad_exact, run.g_curr, run.hp.beta1),
+        "(T, d)"),
+    "storm_decomposition": (lambda run, env: decomposition_check(run), "(T, d)"),
+    "estimator_ratio": (lambda run, env: estimator_ratio_check(run), "(T, d)"),
+    "epsilon_bound": (lambda run, env: epsilon_bound_frequency(run.m - run.grad_exact, env,
+                                                               0.05), "(T, d)"),
+    "sign_dichotomy": (lambda run, env: sign_dichotomy_frequency(run, env, 0.05), "(T, d)"),
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED_CALLS))
+def test_stacked_argument_raises_dimension_mismatch(name):
+    run, consts = stacked_record()
+    envelope = epsilon_envelope(run.hp, consts.L_vec, consts.sigma_vec, 5, 0.05)
+    call, shape = STACKED_CALLS[name]
+    with pytest.raises(DimensionMismatch, match=re.escape(f"one seed's {shape} array")):
+        call(run, envelope)
+    # every checker the fold runs has a stacked case here
+    assert set(STACKED_CALLS) == set(diagnostics.RECORD_CHECKS)
+
+
+@pytest.mark.parametrize("name", list(STACKED_CALLS))
+def test_argument_short_of_an_axis_raises_dimension_mismatch(name):
+    # the guard asks for exactly one seed's axes: one seed with its d axis
+    # dropped, (T,) arrays and a scalar step norm, is refused too
+    run, consts = stacked_record()
+    view = run.seed_view(0)
+    short = dataclasses.replace(view, step_l2=view.step_l2[0], **{
+        field: getattr(view, field)[:, 0] for field in RECORD_FIELDS if field != "step_l2"})
+    envelope = epsilon_envelope(run.hp, consts.L_vec, consts.sigma_vec, 5, 0.05)[:, 0]
+    call, shape = STACKED_CALLS[name]
+    with pytest.raises(DimensionMismatch, match=re.escape(f"one seed's {shape} array")):
+        call(short, envelope)
+
+
+def test_fold_stops_calling_a_checker_once_its_precondition_fails(monkeypatch):
+    # a precondition reads only the hyperparameters, shared by every seed:
+    # the first seed's error stands for all, and later seeds skip the call
+    p = quadratic()
+    hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5, eps_guard=1e-8)
+    run = run_with_diagnostics(p, hp, 10, [5, 6, 7])
+    calls = {"movement": 0, "representation": 0}
+    movement, representation = diagnostics.movement_bound_check, diagnostics.representation_check
+
+    def counted_movement(*args):
+        calls["movement"] += 1
+        return movement(*args)
+
+    def counted_representation(*args):
+        calls["representation"] += 1
+        return representation(*args)
+
+    monkeypatch.setattr(diagnostics, "movement_bound_check", counted_movement)
+    monkeypatch.setattr(diagnostics, "representation_check", counted_representation)
+    results = check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec, 0.05)
+    assert calls == {"movement": 1, "representation": 3}
+    for name in ("movement_bound", "estimator_ratio", "sign_dichotomy"):
+        assert isinstance(results[name], PreconditionNotMet)
+        assert "eps_guard = 0" in str(results[name])
+    assert isinstance(results["representation"], diagnostics.CheckResult)
 
 
 # A frozen copy of the per-seed path the checkers took before every seed
@@ -503,8 +578,10 @@ def frozen_estimator_ratio(run):
 
 
 def frozen_worst(fn, runs):
-    """max over the per-seed results, keyed by the worst ratio."""
-    return max(map(fn, runs), key=lambda res: res[1])
+    """The per-seed result with the first largest worst ratio, as np.argmax
+    orders them: NaN counts as largest, which Python's max does not."""
+    results = [fn(run) for run in runs]
+    return results[int(np.argmax([res[1] for res in results]))]
 
 
 def frozen_epsilon_count(runs, hp, L_vec, sigma_vec, delta):
@@ -543,44 +620,36 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_stacked_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
-    """Every checker on the stacked record against the frozen per-seed path:
-    the verdict, the worst ratio's bits and its t, and the counts."""
+def bits(res):
+    """A checker outcome with every float as its bits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in res)
+
+
+def assert_fold_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
+    """check_seed_by_seed against the frozen per-seed path: the verdict,
+    the worst ratio's bits and its t, the counts, or the same error."""
     kind, hp = run.kind, run.hp
     runs = [frozen_recorder_run(run, s, seed, kind, hp) for s, seed in enumerate(run.seeds)]
     d = run.m.shape[-1]
-
-    def stacked(check, *args):
-        res = check(*args)
-        return res.passed, res.worst_ratio, res.worst_t
-
-    pairs = [
-        (outcome(stacked, movement_bound_check, run.step_l2, hp, d),
-         outcome(frozen_worst, lambda r: frozen_movement(r, d), runs)),
-        (outcome(stacked, representation_check, run.xi, run.eps, run.z, hp.beta1),
-         outcome(frozen_worst, frozen_representation, runs)),
-        (outcome(stacked, decomposition_check, run),
-         outcome(frozen_worst, frozen_decomposition, runs)),
-        (outcome(stacked, estimator_ratio_check, run),
-         outcome(frozen_worst, frozen_estimator_ratio, runs)),
-    ]
-    for new, old in pairs:
-        assert type(new[1]) is type(old[1])
-        if isinstance(new[1], float):
-            # every bit of the worst ratio
-            assert (new[0], new[1].hex(), new[2]) == (old[0], old[1].hex(), old[2])
+    frozen = {
+        "movement_bound": outcome(frozen_worst, lambda r: frozen_movement(r, d), runs),
+        "representation": outcome(frozen_worst, frozen_representation, runs),
+        "storm_decomposition": outcome(frozen_worst, frozen_decomposition, runs),
+        "estimator_ratio": outcome(frozen_worst, frozen_estimator_ratio, runs),
+        "epsilon_bound": outcome(frozen_epsilon_count, runs, hp, L_vec, sigma_vec, delta),
+        "sign_dichotomy": outcome(frozen_dichotomy_count, runs, L_vec, sigma_vec, delta),
+    }
+    folded = check_seed_by_seed(run, L_vec, sigma_vec, delta)
+    assert list(folded) == list(frozen)
+    for name, res in folded.items():
+        if isinstance(res, Exception):
+            res = type(res), str(res)
+        elif isinstance(res, diagnostics.FrequencyReport):
+            res = res.n_violations, res.n_total
         else:
-            assert new == old
-    eps = epsilon_bound_frequency(run.eps, hp, L_vec, sigma_vec, delta)
-    assert (eps.n_violations, eps.n_total) == frozen_epsilon_count(runs, hp, L_vec, sigma_vec,
-                                                                    delta)
-    dich = outcome(sign_dichotomy_frequency, run, L_vec, sigma_vec, delta)
-    old = outcome(frozen_dichotomy_count, runs, L_vec, sigma_vec, delta)
-    if isinstance(dich, diagnostics.FrequencyReport):
-        assert (dich.n_violations, dich.n_total) == old
-    else:
-        assert dich == old
-    return run
+            res = res.passed, res.worst_ratio, res.worst_t
+        assert bits(res) == bits(frozen[name]), name
+    return folded
 
 
 RECORD_FIELDS = ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2")
@@ -625,80 +694,8 @@ def synthetic_record(S, T, d, beta1, beta2, coarse, copies, seed):
     return recorder, L_vec, sigma_vec
 
 
-class TestStackedMatchesPerSeed:
-    """The stacked checkers against the frozen per-seed path they replaced."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(**SYNTHETIC)
-    @example(S=1, T=1, d=1, beta1=0.0, beta2=0.0, coarse=True, copies=0, seed=0)
-    @example(S=3, T=2, d=1, beta1=0.5, beta2=0.25, coarse=True, copies=2, seed=1)
-    @example(S=4, T=2, d=3, beta1=0.0, beta2=0.5, coarse=False, copies=1, seed=2)
-    @example(S=5, T=12, d=4, beta1=0.9, beta2=0.0, coarse=True, copies=4, seed=3)
-    def test_synthetic_records(self, S, T, d, beta1, beta2, coarse, copies, seed):
-        assert_stacked_matches_frozen(*synthetic_record(S, T, d, beta1, beta2, coarse,
-                                                        copies, seed))
-
-    # two ratios one ulp apart that the cap sqrt(2) divides to one value:
-    # a seed keeps the t of its larger ratio, and of equal scaled ratios the
-    # first seed's is kept
-    @pytest.mark.parametrize("rows, worst_t", [([[0.0, 0.9000000000000001, 0.9000000000000002]], 3),
-                                               ([[0.0, 0.9000000000000001, 0.0],
-                                                 [0.9000000000000002, 0.0, 0.0]], 2)])
-    def test_ratios_that_scale_to_one_value(self, rows, worst_t):
-        assert 0.9000000000000001 / math.sqrt(2.0) == 0.9000000000000002 / math.sqrt(2.0)
-        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
-        recorder = DiagnosticRun(list(range(len(rows))), 3, 1, hp, OptimizerKind.SIGNSTORM)
-        for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
-            getattr(recorder, name)[:] = 0.0
-        recorder.v[:] = 1.0
-        recorder.m[:, :, 0] = rows
-        run = assert_stacked_matches_frozen(recorder, np.ones(1), np.ones(1))
-        assert estimator_ratio_check(run).worst_t == worst_t
-
-    @pytest.mark.parametrize("d", [1, 4])
-    @pytest.mark.parametrize("beta1", [0.0, 0.9])
-    @pytest.mark.parametrize("T", [1, 2, 80])
-    def test_diagnosed_runs(self, d, beta1, T):
-        p = quadratic(d=d)
-        hp = HyperParams(eta=0.02, beta1=beta1, beta2=0.5 if beta1 else 0.0)
-        seeds = [11, 12, 13, 14]
-        stacked = None
-        # one seed alone, then all of them stepped together
-        for part in (seeds[:1], seeds):
-            stacked = assert_stacked_matches_frozen(run_with_diagnostics(p, hp, T, part),
-                                                    p.constants.L_vec, p.constants.sigma_vec)
-        assert stacked.m.shape == (4, T, d)
-
-
-def fields(res):
-    """A merged or stacked checker outcome, every float as its bits."""
-    if isinstance(res, Exception):
-        return type(res), str(res)
-    if isinstance(res, tuple):  # outcome()'s error
-        return res
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res))
-
-
-def assert_walk_matches_stacked(run, L_vec, sigma_vec, delta=0.05):
-    """check_seed_by_seed against one stacked call of each checker: every
-    field of every result, or the same error."""
-    hp, d = run.hp, run.m.shape[-1]
-    stacked = {
-        "movement_bound": outcome(movement_bound_check, run.step_l2, hp, d),
-        "representation": outcome(representation_check, run.xi, run.eps, run.z, hp.beta1),
-        "storm_decomposition": outcome(decomposition_check, run),
-        "estimator_ratio": outcome(estimator_ratio_check, run),
-        "epsilon_bound": outcome(epsilon_bound_frequency, run.eps, hp, L_vec, sigma_vec, delta),
-        "sign_dichotomy": outcome(sign_dichotomy_frequency, run, L_vec, sigma_vec, delta),
-    }
-    walked = check_seed_by_seed(run, L_vec, sigma_vec, delta)
-    assert list(walked) == list(stacked)
-    for name, res in walked.items():
-        assert fields(res) == fields(stacked[name]), name
-
-
-class TestWalkMatchesStacked:
-    """The seed-by-seed walk against the stacked checkers it replaced in `check`."""
+class TestFoldMatchesPerSeed:
+    """The seed-by-seed fold against the frozen per-seed path."""
 
     @settings(max_examples=300, deadline=None)
     @given(**SYNTHETIC,
@@ -707,6 +704,10 @@ class TestWalkMatchesStacked:
            kind=st.sampled_from([OptimizerKind.SIGNSTORM, OptimizerKind.SGD]),
            eps_guard=st.sampled_from([0.0, 1e-8]))
     @example(S=1, T=1, d=1, beta1=0.0, beta2=0.0, coarse=True, copies=0, seed=0, nans=[],
+             kind=OptimizerKind.SIGNSTORM, eps_guard=0.0)
+    @example(S=3, T=2, d=1, beta1=0.5, beta2=0.25, coarse=True, copies=2, seed=1, nans=[],
+             kind=OptimizerKind.SIGNSTORM, eps_guard=0.0)
+    @example(S=4, T=2, d=3, beta1=0.0, beta2=0.5, coarse=False, copies=1, seed=2, nans=[],
              kind=OptimizerKind.SIGNSTORM, eps_guard=0.0)
     @example(S=5, T=12, d=4, beta1=0.9, beta2=0.0, coarse=True, copies=4, seed=3, nans=[],
              kind=OptimizerKind.SIGNSTORM, eps_guard=0.0)
@@ -723,45 +724,54 @@ class TestWalkMatchesStacked:
         for name, at in nans:
             row = getattr(run, name)[1 + at % (S - 1) if S > 1 else 0]
             row.flat[at % row.size] = np.nan
-        assert_walk_matches_stacked(run, L_vec, sigma_vec)
+        assert_fold_matches_frozen(run, L_vec, sigma_vec)
 
-    @pytest.mark.parametrize("rows", [[[0.0, 0.9000000000000001, 0.9000000000000002]],
-                                      [[0.0, 0.9000000000000001, 0.0],
-                                       [0.9000000000000002, 0.0, 0.0]],
-                                      [[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0],
-                                       [0.0, np.nan, 2.0]]])
-    def test_ratios_that_scale_to_one_value_or_are_nan(self, rows):
-        # equal scaled ratios keep the first seed's, and the first NaN wins
+    # two ratios one ulp apart that the cap sqrt(2) divides to one value: a
+    # seed keeps the t of its larger ratio, of equal scaled ratios the first
+    # seed's is kept, and the first NaN wins
+    @pytest.mark.parametrize("rows, worst_t", [
+        ([[0.0, 0.9000000000000001, 0.9000000000000002]], 3),
+        ([[0.0, 0.9000000000000001, 0.0], [0.9000000000000002, 0.0, 0.0]], 2),
+        ([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.nan, 2.0]], 1)])
+    def test_ratios_that_scale_to_one_value_or_are_nan(self, rows, worst_t):
+        assert 0.9000000000000001 / math.sqrt(2.0) == 0.9000000000000002 / math.sqrt(2.0)
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
         run = DiagnosticRun(list(range(len(rows))), 3, 1, hp, OptimizerKind.SIGNSTORM)
         for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
             getattr(run, name)[:] = 0.0
         run.v[:] = 1.0
         run.m[:, :, 0] = rows
-        assert_walk_matches_stacked(run, np.ones(1), np.ones(1))
+        folded = assert_fold_matches_frozen(run, np.ones(1), np.ones(1))
+        assert folded["estimator_ratio"].worst_t == worst_t
 
     @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("beta1", [0.0, 0.9])
     @pytest.mark.parametrize("T", [1, 2, 80])
-    def test_diagnosed_runs(self, d, T):
+    def test_diagnosed_runs(self, d, beta1, T):
         p = quadratic(d=d)
-        hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
-        run = run_with_diagnostics(p, hp, T, [11, 12, 13, 14])
-        assert_walk_matches_stacked(run, p.constants.L_vec, p.constants.sigma_vec)
-        # a tight envelope, so that the counts are not all zero
-        assert_walk_matches_stacked(run, 0.01 * p.constants.L_vec,
-                                    0.01 * p.constants.sigma_vec)
+        hp = HyperParams(eta=0.02, beta1=beta1, beta2=0.5 if beta1 else 0.0)
+        seeds = [11, 12, 13, 14]
+        # one seed alone, then all of them stepped together
+        for part in (seeds[:1], seeds):
+            run = run_with_diagnostics(p, hp, T, part)
+            assert_fold_matches_frozen(run, p.constants.L_vec, p.constants.sigma_vec)
+            # a tight envelope, so that the counts are not all zero
+            assert_fold_matches_frozen(run, 0.01 * p.constants.L_vec,
+                                       0.01 * p.constants.sigma_vec)
+        assert run.m.shape == (4, T, d)
 
     def test_seed_view_holds_views_of_one_seed(self):
         p = quadratic()
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
         run = run_with_diagnostics(p, hp, 20, [11, 12, 13])
         view = run.seed_view(1)
-        assert view.seeds == [12] and view.hp is hp and view.kind is run.kind
+        assert isinstance(view, SeedRecord) and view.hp is hp and view.kind is run.kind
         for name in RECORD_FIELDS:
             assert getattr(view, name).base is getattr(run, name)
-            assert np.array_equal(getattr(view, name), getattr(run, name)[1:2])
+            assert np.array_equal(getattr(view, name), getattr(run, name)[1])
+        alone = run_with_diagnostics(p, hp, 20, [12]).seed_view(0)
         for name in ("xi", "eps", "z"):
-            assert np.array_equal(getattr(view, name), getattr(run, name)[1:2])
+            assert getattr(view, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def frozen_lemma1_violations(n_trials, T, delta, mds, seed):

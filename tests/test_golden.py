@@ -30,10 +30,10 @@ diagnosed runs, among them the seeds ``signstorm check`` diagnoses on the
 ``check_suite`` benchmark config.  Those digests were computed while
 ``run_with_diagnostics`` still had its own per-seed loop and returned one
 record per seed.  Each now pins that seed's rows of the stacked
-``DiagnosticRun``, xi, eps and Z derived from them: the same arrays and the
-same bytes.  A one-seed call and one call for all of a case's seeds must
-both reproduce them.  ``golden/chart_sha256.json`` pins the two SVG charts
-that ``signstorm run`` writes for every spec, and
+``DiagnosticRun``, and the xi, eps and Z its seed view derives from them:
+the same arrays and the same bytes.  A one-seed call and one call for all
+of a case's seeds must both reproduce them.  ``golden/chart_sha256.json``
+pins the two SVG charts that ``signstorm run`` writes for every spec, and
 ``golden/params_stdout.json`` the stdout of ``signstorm params`` for a
 few inputs; both were recorded while the parameter formulas still
 returned a wrapper that carried its own copy of rho.
@@ -213,12 +213,11 @@ def diag_cell(name: str):
 
 
 def run_digests(run) -> list[dict]:
-    """Per seed of a diagnosed run, the digest of each of its arrays."""
-    arrays = {"xi": run.xi, "eps": run.eps, "z": run.z, "m": run.m,
-              "v": run.v, "grad_exact": run.grad_exact, "step_l2": run.step_l2,
-              "g_curr": run.g_curr, "g_prev": run.g_prev}
-    return [{name: hashlib.sha256(np.ascontiguousarray(a[s]).tobytes()).hexdigest()
-             for name, a in arrays.items()} for s in range(len(run.seeds))]
+    """Per seed of a diagnosed run, the digest of each array of its seed view."""
+    names = ("xi", "eps", "z", "m", "v", "grad_exact", "step_l2", "g_curr", "g_prev")
+    views = [run.seed_view(s) for s in range(len(run.seeds))]
+    return [{name: hashlib.sha256(np.ascontiguousarray(getattr(view, name)).tobytes()).hexdigest()
+             for name in names} for view in views]
 
 
 def diagnostic_digests(name: str) -> list[dict]:
