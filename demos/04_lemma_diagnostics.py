@@ -6,8 +6,10 @@ representation of the estimator error eps_t = m_t - grad F(x_t), the
 estimator split, and the ratio cap |m|/sqrt(v) <= 1/sqrt(1-beta2).  The
 probability-bearing statements (the eps_t envelope, the sign dichotomy,
 and the martingale partial-sum envelope) are measured as violation
-frequencies over seeds.  Every checker reads one seed's record;
-check_seed_by_seed runs them all on each seed in turn and merges the results.
+frequencies over seeds.  Every checker reads one seed's record.
+run_with_diagnostics yields the records seed by seed as the engine steps
+them in chunks, and check_seed_by_seed runs every checker on each record
+in turn and merges the results, so only one chunk of seeds is held.
 
 Run:  python demos/04_lemma_diagnostics.py
 """
@@ -19,6 +21,7 @@ from signstorm import (
     MdsKind,
     check_seed_by_seed,
     decomposition_check,
+    epsilon_envelope,
     estimator_ratio_check,
     lemma1_montecarlo,
     movement_bound_check,
@@ -32,7 +35,7 @@ problem = noisy_quadratic(d, np.ones(d), 0.4 * np.ones(d), np.linspace(0.6, 1.4,
 hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
 
 print("deterministic checks on a single run (T=2000):")
-record = run_with_diagnostics(problem, hp, 2000, [42]).seed_view(0)
+record = next(run_with_diagnostics(problem, hp, 2000, [42]))
 for result in (movement_bound_check(record.step_l2, hp, d),
                representation_check(record.xi, record.eps, record.z, hp.beta1),
                decomposition_check(record),
@@ -41,10 +44,11 @@ for result in (movement_bound_check(record.step_l2, hp, d),
           f"passed={result.passed}")
 
 print("\nfrequency checks over 50 seeds (delta = 0.05):")
-# the 50 seeds step together in one engine call, then are checked one by one
-runs = run_with_diagnostics(problem, hp, 300, list(range(50)))
+# one envelope serves every seed, which is checked as soon as it is stepped
 consts = problem.constants
-results = check_seed_by_seed(runs, consts.L_vec, consts.sigma_vec, 0.05)
+envelope = epsilon_envelope(hp, consts.L_vec, consts.sigma_vec, 300, 0.05)
+records = run_with_diagnostics(problem, hp, 300, list(range(50)))
+results = check_seed_by_seed(records, envelope, 0.05)
 for rep in (results["epsilon_bound"], results["sign_dichotomy"]):
     print(f"  {rep.name:22s} violations {rep.n_violations}/{rep.n_total} "
           f"(allowed fraction {rep.allowed_fraction:.3f})")

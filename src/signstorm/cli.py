@@ -14,8 +14,8 @@ inside the configured output directory.  A config file loads into a
 :class:`RunConfig`: the ``ExperimentSpec`` its experiment keys build, plus
 the four keys only the CLI reads.  ``run`` steps every trial once, in one
 task per optimizer (or per optimizer and seed range), and those tasks
-record the CSV traces, a bounded amount at a time.  ``check`` steps all
-its diagnosed seeds together in one call of the same engine.
+record the CSV traces, a bounded amount at a time.  ``check`` steps its
+diagnosed seeds in one call of the same engine, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -265,9 +265,9 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
     with unallocatable(f"check.T = {T}, check.n_seeds = {n_seeds}: the diagnosed "
                        "runs' arrays are too large to allocate"):
-        run = diag.run_with_diagnostics(problem, hp, T, seeds, kind)
-
-    results = diag.check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, spec.delta)
+        envelope = diag.epsilon_envelope(hp, consts.L_vec, consts.sigma_vec, T, spec.delta)
+        results = diag.check_seed_by_seed(diag.run_with_diagnostics(problem, hp, T, seeds, kind),
+                                          envelope, spec.delta)
     # a failed statistical precondition skips both statistical verdicts
     failed = next((res for name, res in results.items() if isinstance(res, Exception)
                    and diag.RECORD_CHECKS[name][0] == "statistical"), None)

@@ -15,7 +15,7 @@ independently seeded runs and compared one-sidedly against their stated
 failure probability plus a binomial margin.
 
 Diagnosed runs come from the experiment engine, ``harness.run_cell``,
-whose recorder is a :class:`DiagnosticRun` holding every seed's rows;
+whose recorder is a :class:`DiagnosticRun` holding one chunk of seeds;
 :func:`run_with_diagnostics` is its call for a list of seeds.  The lemmas
 are statements about one run, so every checker reads one seed, as
 :meth:`DiagnosticRun.seed_view` gives it, and refuses a stacked argument;
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +98,16 @@ def binomial_margin(p: float, n: int) -> float:
 
 
 class DiagnosticRun(Recorder):
-    """Every seed of one diagnosed :func:`run_cell` call with one horizon T:
-    row s of each array is ``seeds[s]``, as a single run computes it, and
-    row t-1 of a seed holds time t."""
+    """Every seed of one diagnosed :func:`run_cell` chunk with one horizon T:
+    row s of each array is the chunk's seed s, as a single run computes it,
+    and row t-1 of a seed holds time t."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
 
-    def __init__(self, seeds: list[int], T: int, d: int, hp: HyperParams,
-                 kind: OptimizerKind):
-        super().__init__(len(seeds), T)
-        self.seeds, self.hp, self.kind = list(seeds), hp, kind
-        shape = (len(self.seeds), T, d)
+    def __init__(self, n_seeds: int, T, d: int, hp: HyperParams, kind: OptimizerKind):
+        super().__init__(n_seeds, T)
+        self.hp, self.kind = hp, kind
+        shape = (n_seeds, int(self.horizon.max(initial=0)), d)
         self.m = np.empty(shape)           # estimator after each step
         self.v = np.empty(shape)           # second moment after each step
         self.grad_exact = np.empty(shape)  # exact gradient at x_t
@@ -127,7 +127,7 @@ class DiagnosticRun(Recorder):
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
     def seed_view(self, s: int) -> "SeedRecord":
-        """Seed ``seeds[s]`` alone: its rows of the six arrays, as views, not copies."""
+        """Seed s alone: its rows of the six arrays, as views, not copies."""
         return SeedRecord(self.hp, self.kind, self.m[s], self.v[s], self.grad_exact[s],
                           self.g_curr[s], self.g_prev[s], self.step_l2[s])
 
@@ -165,15 +165,19 @@ class SeedRecord:
 
 def run_with_diagnostics(problem: StochasticProblem, hp: HyperParams, T: int,
                          seeds: list[int], kind: OptimizerKind = OptimizerKind.SIGNSTORM,
-                         ) -> DiagnosticRun:
-    """T iterations of every seed, stepped together by one :func:`run_cell`
-    call, with the full per-coordinate diagnostics; if updates turn
-    non-finite, the lowest-index such seed's :class:`NonFiniteValue` is raised."""
-    run = run_cell(problem, kind, hp, T, seeds, DiagnosticRun(seeds, T, problem.d, hp, kind))
-    aborted = np.flatnonzero(run.done < run.horizon)
-    if aborted.size:
-        raise NonFiniteValue(run.abort_reasons[aborted[0]])
-    return run
+                         ) -> Iterator[SeedRecord]:
+    """T iterations of every seed, stepped by one :func:`run_cell` call with
+    the full per-coordinate diagnostics; yields each seed's :class:`SeedRecord`
+    in seed order, chunk by chunk, and raises the lowest-index non-finite
+    seed's :class:`NonFiniteValue` in place of its chunk's records."""
+    for _, run in run_cell(problem, kind, hp, T, seeds, lambda n_seeds, horizons:
+                           DiagnosticRun(n_seeds, horizons, problem.d, hp, kind)):
+        aborted = np.flatnonzero(run.done < run.horizon)
+        if aborted.size:
+            raise NonFiniteValue(run.abort_reasons[aborted[0]])
+        for s in range(run.horizon.size):
+            yield run.seed_view(s)
+        del run  # not alive while the next chunk is stepped
 
 
 def _one_seed(ndim: int = 2, **arrays: np.ndarray) -> None:
@@ -365,22 +369,24 @@ RECORD_CHECKS = {
 }
 
 
-def check_seed_by_seed(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: np.ndarray,
+def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
                        confidence_delta: float) -> dict:
-    """Every checker of :data:`RECORD_CHECKS` on ``run``, one seed at a time.
+    """Every checker of :data:`RECORD_CHECKS` on each of ``records``.
 
-    The one reduction over seeds: each checker runs on every
-    :meth:`DiagnosticRun.seed_view` in seed order, so beside the record
-    only one seed's temporaries are alive, and one :func:`epsilon_envelope`
-    serves every seed.  A :class:`CheckResult` keeps the first largest worst
-    ratio, NaN counting as largest; a :class:`FrequencyReport` sums its
-    counts over the seeds.  Returns checker name -> merged result, or the
-    precondition error the checker raised on the first seed.
+    The one reduction over seeds: each checker runs on every record in
+    order, and a record is dropped before the next is drawn, so beside
+    ``records`` only one seed's temporaries are alive, and one envelope,
+    the records' :func:`epsilon_envelope`, serves every seed.  A
+    :class:`CheckResult` keeps the first largest worst ratio, NaN counting
+    as largest; a :class:`FrequencyReport` sums its counts over the seeds.
+    Returns checker name -> merged result, or the precondition error the
+    checker raised on the first seed, stripped of the traceback that would
+    hold the seed.
     """
-    envelope = epsilon_envelope(run.hp, L_vec, sigma_vec, run.m.shape[1], confidence_delta)
     merged: dict = {}
-    for s in range(len(run.seeds)):
-        record = run.seed_view(s)
+    runs = 0
+    for record in records:
+        runs += 1
         for name, (_, check) in RECORD_CHECKS.items():
             kept = merged.get(name)
             if isinstance(kept, PreconditionNotMet):
@@ -388,16 +394,17 @@ def check_seed_by_seed(run: DiagnosticRun, L_vec: np.ndarray, sigma_vec: np.ndar
             try:
                 res = check(record, envelope, confidence_delta)
             except PreconditionNotMet as exc:
-                merged[name] = exc
+                merged[name] = exc.with_traceback(None)
                 continue
             if isinstance(res, FrequencyReport) and kept is not None:
                 res = _frequency_report(name, kept.n_total + res.n_total,
-                                        kept.n_violations + res.n_violations, s + 1,
+                                        kept.n_violations + res.n_violations, runs,
                                         confidence_delta)
             elif kept is not None and (math.isnan(kept.worst_ratio)
                                        or res.worst_ratio <= kept.worst_ratio):
                 res = kept  # the first largest worst ratio, NaN counting as largest
             merged[name] = res
+        del record  # not alive while the next chunk is stepped
     return merged
 
 

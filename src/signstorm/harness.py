@@ -8,20 +8,21 @@ headline metric of a trial is min over t of ||grad F(x_t)||_1.
 One engine, :func:`run_cell`, steps S seeded trials as (S, d) states,
 each seed drawing from its own stream derived from one master seed and
 running to its own horizon with its own hyperparameters, in chunks whose
-noise is presampled into one buffer of bounded size.  Its recorder
-chooses what is kept beyond each seed's headline and abort: nothing (the
-base :class:`Recorder`), the CSV trace columns (:class:`TraceRecorder`),
-or the per-coordinate arrays the lemma checks read
-(``diagnostics.DiagnosticRun``).  An experiment runs one task per
+noise is presampled into one buffer of bounded size, and yields each
+chunk with its recorder, so a caller holds one chunk at a time.  The
+recorder chooses what is kept beyond each seed's headline and abort:
+nothing (the base :class:`Recorder`), the CSV trace columns
+(:class:`TraceRecorder`), or the per-coordinate arrays the lemma checks
+read (``diagnostics.DiagnosticRun``).  An experiment runs one task per
 optimizer, which steps that optimizer's seeds at every horizon together
 (split into seed ranges when there are fewer optimizers than workers),
 reduces each (optimizer, horizon) cell to quantiles of the headline and
 fits log-log rates through the medians.  "With probability >= 1 - delta"
 is the empirical (1-delta)-quantile over independent seeds.  Reduction is
 keyed and ordered, so reports are byte-identical for any worker count.
-Given a trace directory, a task steps parts of its rows whose columns
-hold 2^21 values and writes their CSVs.  The engine is the only loop over t:
-:func:`run_trial` is its single-seed call with a :class:`TraceRecorder`.
+Given a trace directory, a task writes each chunk's CSVs.  The engine is
+the only loop over t: :func:`run_trial` is its single-seed call with a
+:class:`TraceRecorder`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -83,24 +85,21 @@ _PRESAMPLE_VALUES = 1 << 16
 # run_cell steps at most as many seeds together as leave each seed
 # min(T, this many) presample rows, so refills stay rare at any S
 _MIN_PRESAMPLE_ROWS = 64
-
-
-# a traced task steps parts of rows whose columns hold at most this many
-# values (16 MiB), or one row where its columns alone are more
-_TRACE_VALUES = 1 << 21
 # a recorder keeps horizons as int64
 MAX_HORIZON = (1 << 63) - 1
 # about what an experiment task keeps per (horizon, seed) row: its lists
-# of rows, seeds, horizons and hyperparameters, and its recorder's arrays
+# of rows, seeds, horizons and hyperparameters, and its headline
 _ROW_BYTES = 256
 
 
 class Recorder:
-    """What :func:`run_cell` keeps of every seed: the base keeps ``headline``
-    (NaN where aborted), ``done`` and ``abort_reasons``, and nothing per step.
+    """What a :func:`run_cell` chunk keeps of each seed: the base keeps
+    ``headline`` (NaN where aborted), ``done`` and ``abort_reasons``, and
+    nothing per step.
 
-    ``T`` is one horizon for every seed or one per seed, kept as the
-    per-seed ``horizon``; ``done`` starts there.  After step t it calls
+    ``T`` is one horizon for every seed offered or one per seed, longest
+    first.  A subclass may keep only the first of those seeds; the kept
+    seeds' horizons are ``horizon``, where ``done`` starts.  After step t it calls
     ``record(t, live, state, grads, g_exact, grad_l1, loss)`` with the
     stepped state (``x`` is x_{t+1}, ``prev_x`` is x_t, ``t`` is t + 1),
     the gradients at x_t and F(x_t); ``g_prev``, the same sample's gradient
@@ -130,18 +129,23 @@ class Recorder:
 
 
 class TraceRecorder(Recorder):
-    """The trace columns of every seed of one :func:`run_cell` call.
+    """The trace columns of the seeds of one :func:`run_cell` chunk.
 
     Each column is an (S, max T) array whose row s belongs to seed s,
-    written for every live seed at once.
-    A seed's trace stops at its horizon, or at its last finite step if it
-    aborted.
+    written for every live seed at once.  It keeps the seeds whose columns
+    hold at most ``max_values`` values (16 MiB), or one seed where its own
+    are more.  A seed's trace stops at its horizon, or at its last finite
+    step if it aborted.
     """
 
     needs_loss = True
+    max_values = 1 << 21
 
     def __init__(self, n_seeds: int, T, collect_diagnostics: bool = False):
-        super().__init__(n_seeds, T)
+        T = np.broadcast_to(np.asarray(T, dtype=np.int64), (n_seeds,))
+        columns = 5 if collect_diagnostics else 4
+        n_seeds = min(n_seeds, max(1, self.max_values // (columns * int(T.max(initial=1)))))
+        super().__init__(n_seeds, T[:n_seeds])
         shape = (n_seeds, int(self.horizon.max(initial=0)))
         self.loss = np.empty(shape)
         self.grad_l1 = np.empty(shape)
@@ -207,56 +211,59 @@ def _per_seed(value, n_seeds: int, single) -> list:
 
 
 def run_cell(problem: StochasticProblem, kind: OptimizerKind, hp, T, seeds: list[int],
-             recorder: Recorder | None = None) -> Recorder:
-    """S seeded trials stepped as (S, d) states; returns the recorder.
+             recorder: Callable[[int, np.ndarray], Recorder] = Recorder,
+             ) -> Iterator[tuple[np.ndarray, Recorder]]:
+    """S seeded trials stepped as (S, d) states, yielded chunk by chunk.
 
     ``hp`` and ``T`` are one :class:`HyperParams` and one horizon (at
     least 1) for every seed, or one per seed; all seeds must share the
     schedule and ``eps_guard``.  Row s draws from ``make_rng(seeds[s])``
     and follows, bit for bit, the trajectory that calling :func:`step` on
-    that seed alone would for its own horizon.  The :class:`Recorder`,
-    sized for these seeds and horizons (a base one if none is given),
-    receives every step of every seed and keeps its headline and abort.
+    that seed alone would for its own horizon.  Each chunk's
+    :class:`Recorder` is ``recorder(n_seeds, horizons)``; it receives every
+    step of the chunk's seeds and keeps their headlines and aborts.  Yields
+    each stepped chunk as ``(rows, recorder)``, recorder row r being
+    ``seeds[rows[r]]``, and drops it before stepping the next.
 
     Rows are ordered by descending horizon.  A row leaves after the step
     where it turns non-finite, aborting its seed, or reaches its horizon,
-    its headline written.  Seeds are stepped in chunks, the most that
-    leave each seed min(max T, 64) payload rows of one presample buffer of
-    bounded size; rows are independent, so order and chunking change no
-    bit.  Each step makes one call of each block oracle of the problem,
-    which evaluates the block at once or row by row.
+    its headline written.  A chunk is offered the most seeds that leave
+    each seed min(max T, 64) payload rows of one presample buffer of
+    bounded size, and holds those its recorder keeps; rows are
+    independent, so order and chunking change no bit.  Each step makes one
+    call of each block oracle of the problem, which evaluates the block at
+    once or row by row.
     """
     S = len(seeds)
     horizons = _per_seed(T, S, (int, np.integer))
     hps = _per_seed(hp, S, HyperParams)
     if min(horizons, default=1) < 1:
         raise ValueError(f"every horizon must be at least 1, got {min(horizons)}")
-    if recorder is None:
-        recorder = Recorder(S, horizons)
-    elif not np.array_equal(recorder.horizon, horizons):
-        raise ValueError("the recorder is not sized for these seeds and horizons")
     if S == 0:
-        return recorder
+        return
     # a zero-row block draws nothing and has the payload rows' shape
     empty = problem.presample_payloads(make_rng(seeds[0]), 0)
     row_size = math.prod(empty.shape[1:])
     order = np.array(sorted(range(S), key=lambda s: -horizons[s]))
     ends = np.array(horizons, dtype=np.int64)[order]
     chunk = max(1, _PRESAMPLE_VALUES // (row_size * min(int(ends[0]), _MIN_PRESAMPLE_ROWS)))
-    for lo in range(0, S, chunk):
-        rows = order[lo:lo + chunk]
-        _run_chunk(problem, kind, [hps[s] for s in rows], ends[lo:lo + chunk],
-                   [seeds[s] for s in rows], rows, recorder, empty)
-    return recorder
+    lo = 0
+    while lo < S:
+        kept = recorder(min(chunk, S - lo), ends[lo:lo + chunk])
+        rows = order[lo:lo + len(kept.horizon)]
+        _run_chunk(problem, kind, [hps[s] for s in rows], [seeds[s] for s in rows], kept, empty)
+        lo += rows.size
+        yield rows, kept
+        del kept  # freed, once the caller drops it, before the next chunk is made
 
 
 def _run_chunk(problem: StochasticProblem, kind: OptimizerKind, hps: list[HyperParams],
-               ends: np.ndarray, seeds: list[int], live: np.ndarray, recorder: Recorder,
-               empty: np.ndarray) -> None:
-    """Seeds ``seeds``, recorder rows ``live``, in descending horizon order;
+               seeds: list[int], recorder: Recorder, empty: np.ndarray) -> None:
+    """Seeds ``seeds``, the recorder's rows, in descending horizon order;
     the (S, d) arrays are made when rows join or leave, and ``_advance``
     steps them in place."""
     S = len(seeds)
+    ends, live = recorder.horizon, np.arange(S)
     x = np.tile(OptimizerState.initial(problem.constants.x_init).x, (S, 1))
     state = OptimizerState(x=x, m=np.zeros_like(x), v=np.zeros_like(x),
                            prev_x=np.empty_like(x), t=1)
@@ -331,8 +338,8 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
               T: int, seed: int, collect_diagnostics: bool = False) -> TrialTrace:
     """One deterministic trial, the single-seed call of :func:`run_cell`; a
     non-finite update aborts it with a partial trace."""
-    recorder = TraceRecorder(1, T, collect_diagnostics)
-    run_cell(problem, kind, hp, T, [seed], recorder)
+    [(_, recorder)] = run_cell(problem, kind, hp, T, [seed], lambda n_seeds, horizons:
+                               TraceRecorder(n_seeds, horizons, collect_diagnostics))
     return recorder.trace(0, seed, kind, hp)
 
 
@@ -409,6 +416,10 @@ class ExperimentSpec:
             raise ConfigError(f"unknown param_mode {self.param_mode!r}")
         if not self.optimizers:
             raise ConfigError("need at least one optimizer")
+        # a report keys its cells, fits and trace files by optimizer name
+        repeated = [k.value for i, k in enumerate(self.optimizers) if k in self.optimizers[:i]]
+        if repeated:
+            raise ConfigError(f"optimizers lists {repeated[0]!r} more than once")
         # a seed count whose rows cannot be allocated (the probe touches no
         # page), problem parameters of a wrong type or out of range and, in
         # practical mode, the schedule at every horizon fail here, before
@@ -463,45 +474,36 @@ def resolve_hyperparams(spec: ExperimentSpec, problem: StochasticProblem,
     return hp
 
 
-def _experiment_task(args) -> tuple[tuple[int, int], Recorder]:
+def _experiment_task(args) -> tuple[tuple[int, int], np.ndarray]:
     """One optimizer's seeds lo..hi-1 at every horizon of the grid, stepped
-    by one :func:`run_cell` call, or, traced, in parts of rows whose columns
-    stay under the trace bound.  Returns ((optimizer index, lo), recorder
-    of its rows), which run from the longest horizon down, hi - lo rows
-    per horizon in seed order."""
+    by one :func:`run_cell` call, and, given a trace directory, each chunk's
+    CSVs.  Returns ((optimizer index, lo), headlines), row ti of which
+    holds horizon ti's seeds in seed order."""
     spec, oi, lo, hi, trace_dir = args
     problem = spec.build_problem()
     kind = spec.optimizers[oi]
     hps = [resolve_hyperparams(spec, problem, kind, T) for T in spec.T_grid]
-    # longest horizon first, so that a traced part holds like horizons
-    rows = [(ti, si) for ti in reversed(range(len(spec.T_grid))) for si in range(lo, hi)]
-    seeds = [derive_seed(spec.master_seed, oi, ti, si) for ti, si in rows]
-    horizons = [spec.T_grid[ti] for ti, _ in rows]
-    row_hps = [hps[ti] for ti, _ in rows]
-    if trace_dir is None:
-        return (oi, lo), run_cell(problem, kind, row_hps, horizons, seeds)
+    cells = [(ti, si) for ti in range(len(spec.T_grid)) for si in range(lo, hi)]
+    seeds = [derive_seed(spec.master_seed, oi, ti, si) for ti, si in cells]
 
-    diag = spec.collect_diagnostics
-    recorder = Recorder(len(rows), horizons)
-    start = 0
-    while start < len(rows):
-        # rows x longest horizon x columns under the bound
-        size = max(1, _TRACE_VALUES // (horizons[start] * (5 if diag else 4)))
-        part = slice(start, start + size)
+    def traced(n_seeds, horizons):
         with unallocatable(f"T_grid = {spec.T_grid}: the traces of the T = "
-                           f"{horizons[start]} runs are too large to allocate"):
-            traced = TraceRecorder(len(seeds[part]), horizons[part], diag)
-        run_cell(problem, kind, row_hps[part], horizons[part], seeds[part], traced)
-        os.makedirs(trace_dir, exist_ok=True)
-        for r, ((ti, si), seed) in enumerate(zip(rows[part], seeds[part])):
-            write_trace_csv(traced.trace(r, seed, kind, hps[ti]), os.path.join(
-                trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))
-        recorder.headline[part] = traced.headline
-        recorder.done[part] = traced.done
-        recorder.abort_reasons[part] = traced.abort_reasons
-        start += len(seeds[part])
-        del traced  # free this part's columns before the next is allocated
-    return (oi, lo), recorder
+                           f"{horizons[0]} runs are too large to allocate"):
+            return TraceRecorder(n_seeds, horizons, spec.collect_diagnostics)
+
+    headline = np.empty(len(cells))
+    for rows, recorder in run_cell(problem, kind, [hps[ti] for ti, _ in cells],
+                                   [spec.T_grid[ti] for ti, _ in cells], seeds,
+                                   Recorder if trace_dir is None else traced):
+        headline[rows] = recorder.headline
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
+            for r, i in enumerate(rows.tolist()):
+                ti, si = cells[i]
+                write_trace_csv(recorder.trace(r, seeds[i], kind, hps[ti]), os.path.join(
+                    trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))
+        del recorder  # free this chunk's columns before the next is stepped
+    return (oi, lo), headline.reshape(len(spec.T_grid), -1)
 
 
 def _worker_count() -> int:
@@ -577,9 +579,7 @@ def run_experiment(spec: ExperimentSpec, max_workers: int | None = None,
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_experiment_task, tasks))
-    # a task's rows run from the longest horizon down, in seed order
-    headlines = {key: recorder.headline.reshape(len(spec.T_grid), -1)[::-1]
-                 for key, recorder in parts}
+    headlines = dict(parts)
 
     levels = {"0.5": 0.5, "0.9": 0.9, "1-delta": 1.0 - spec.delta}
     cells = []

@@ -389,7 +389,8 @@ _VECTOR_PARAMS = ("hessian_diag", "a", "sigma", "x_init")
 
 def check_params(params: dict) -> None:
     """InvalidConstant naming the first typed parameter whose value is not of
-    its type or out of its range.  Values are checked, not converted."""
+    its type or out of its range, or, a list, not of length d.  Values are
+    checked, not converted."""
     for key, (kind, in_range, name) in _PARAM_RULES.items():
         value = params.get(key)
         values = [value]
@@ -400,6 +401,10 @@ def check_params(params: dict) -> None:
         if key in params and not all(isinstance(v, kind) and not isinstance(v, bool)
                                      and in_range(v) for v in values):
             raise InvalidConstant(f"problem.params.{key} must be {name}, got {value!r}")
+        # a list's length; d, checked first, is valid here where it is given
+        if values is value and "d" in params and len(value) != params["d"]:
+            raise InvalidConstant(f"problem.params.{key} has length {len(value)}, but "
+                                  f"problem.params.d = {params['d']}")
 
 
 def make_problem(name: str, params: dict) -> StochasticProblem:

@@ -20,6 +20,7 @@ from signstorm import (
     c_rho,
     check_seed_by_seed,
     derive_seed,
+    epsilon_envelope,
     g_rho,
     lemma1_montecarlo,
     locate_c_crossover,
@@ -63,7 +64,8 @@ def test_criterion_01_algebraic_identities():
         run = run_with_diagnostics(problem, hp, 1000,
                                    [derive_seed(11, int(beta1 * 100), s) for s in range(20)])
         # the representation check's tolerance is 1e-6 (1 + max |eps|)
-        results = check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, 0.05)
+        results = check_seed_by_seed(run, epsilon_envelope(hp, consts.L_vec, consts.sigma_vec,
+                                                           1000, 0.05), 0.05)
         worst_decomp = max(worst_decomp, results["storm_decomposition"].worst_ratio)
         worst_repr = max(worst_repr, results["representation"].worst_ratio)
     elapsed = time.time() - t0
@@ -86,12 +88,11 @@ def test_criterion_02_movement_bound_almost_sure():
             sigma1_norm=consts.sigma1_norm, T=10_000, beta2=beta2,
             confidence_delta=0.05, d=problem.d))
         seeds = [derive_seed(22, int(beta2 * 100), s) for s in range(100)]
-        recorder = TraceRecorder(len(seeds), 10_000)
-        run_cell(problem, kind, hp, 10_000, seeds, recorder)
-        for s, seed in enumerate(seeds):
-            trace = recorder.trace(s, seed, kind, hp)
-            ratios.append(movement_bound_check(trace.step_l2, hp,
-                                               problem.d).worst_ratio)
+        for rows, recorder in run_cell(problem, kind, hp, 10_000, seeds, TraceRecorder):
+            for r, s in enumerate(rows.tolist()):
+                trace = recorder.trace(r, seeds[s], kind, hp)
+                ratios.append(movement_bound_check(trace.step_l2, hp,
+                                                   problem.d).worst_ratio)
     worst = max(ratios)
     elapsed = time.time() - t0
     ok = worst <= 1.0 + 1e-9 and elapsed < 60.0
@@ -103,7 +104,7 @@ def test_criterion_03_sign_degeneracy_bit_level():
     """beta2=0: every applied nonzero update term is exactly eta; |m|/sqrt(v)=1."""
     problem = _diag_quadratic()
     hp = HyperParams(eta=0.0125, beta1=0.9, beta2=0.0)
-    run = run_with_diagnostics(problem, hp, 500, [33])
+    run = next(run_with_diagnostics(problem, hp, 500, [33]))
     moved = run.m != 0.0
     ratio = np.zeros_like(run.m)
     np.divide(np.abs(run.m), np.sqrt(run.v), out=ratio, where=moved)
@@ -189,9 +190,10 @@ def test_criterion_08_high_probability_frequencies():
         delta=consts.delta_upper, L1_norm=consts.L1_norm,
         sigma1_norm=consts.sigma1_norm, T=300, beta2=0.0,
         confidence_delta=delta, d=problem.d))
-    # the 200 seeds step together in one engine call
+    # the 200 seeds step in one engine call, and are checked chunk by chunk
     run = run_with_diagnostics(problem, hp, 300, [derive_seed(88, s) for s in range(200)])
-    results = check_seed_by_seed(run, consts.L_vec, consts.sigma_vec, delta)
+    results = check_seed_by_seed(run, epsilon_envelope(hp, consts.L_vec, consts.sigma_vec,
+                                                       300, delta), delta)
     eps_rep, dich_rep = results["epsilon_bound"], results["sign_dichotomy"]
     l1_rep = lemma1_montecarlo(10_000, 1000, delta, MdsKind.RADEMACHER, seed=88)
     elapsed = time.time() - t0

@@ -10,8 +10,9 @@ with a ``TraceRecorder`` every column of its trace, and as a
 diagnostics columns.  ``run_trial``, the engine's single-seed call, must
 reproduce the reference trace too.  The three grids that check this over
 every problem and kind share one seed list and run each case's reference
-once.  ``run_cell`` steps any seed list in chunks, and without a
-recorder still keeps each seed's headline, abort step and reason.  An
+once.  ``run_cell`` steps any seed list in chunks, yielded one by one
+(``cells.whole_cell`` puts them back together), and without a recorder
+still keeps each seed's headline, abort step and reason.  An
 experiment whose per-optimizer tasks step their seeds in several chunks
 must report what one chunk per cell gives, and the same bytes at any
 worker count.  Seeds with their own horizons and hyperparameters in one
@@ -55,6 +56,11 @@ from signstorm import (
 )
 from signstorm import harness
 from signstorm.optim import STORM_FAMILY, StepWork, _advance, _finite_rows
+
+from cells import whole_cell
+
+# a factory of trace recorders with the eps_l1 column
+DIAG_TRACES = functools.partial(TraceRecorder, collect_diagnostics=True)
 
 
 def same_bits(a, b) -> bool:
@@ -263,7 +269,7 @@ def grid_case(name, kind, block_values, beta1, monkeypatch):
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_cell_matches_per_seed_trials(name, kind, block_values, beta1, monkeypatch):
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
-    cell = run_cell(problem, kind, hp, 150, GRID_SEEDS)
+    cell = whole_cell(problem, kind, hp, 150, GRID_SEEDS)
     for s, trace in enumerate(references):
         assert not trace.aborted and cell.done[s] == 150
         assert same_bits(cell.headline[s], trace.headline)
@@ -280,7 +286,7 @@ def test_abort_drops_only_its_own_seed():
     seeds = [derive_seed(7, 0, 0, s) for s in range(8)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        cell = run_cell(problem, OptimizerKind.SGD, hp, T, seeds)
+        cell = whole_cell(problem, OptimizerKind.SGD, hp, T, seeds)
         traces = [reference_trial(problem, OptimizerKind.SGD, hp, T, seed)
                   for seed in seeds]
         report = run_experiment(ExperimentSpec(
@@ -321,7 +327,7 @@ def test_direct_call_chunks_its_seeds(monkeypatch):
         return presample(rng, n)
 
     monkeypatch.setattr(problem, "presample_payloads", counted_presample)
-    cell = run_cell(problem, kind, hp, T, seeds)
+    cell = whole_cell(problem, kind, hp, T, seeds)
     assert len(calls) <= S * math.ceil(T / harness._MIN_PRESAMPLE_ROWS)
     for s in (0, 50, 51, S - 1):
         trace = reference_trial(problem, kind, hp, T, seeds[s])
@@ -356,23 +362,26 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
             kind, T = spec.optimizers[oi], spec.T_grid[ti]
             seeds = [derive_seed(spec.master_seed, oi, ti, s) for s in range(spec.n_seeds)]
             hp = harness.resolve_hyperparams(spec, problem, kind, T)
-            expected[oi, ti] = run_cell(problem, kind, hp, T, seeds)
+            expected[oi, ti] = whole_cell(problem, kind, hp, T, seeds)
 
         # a budget of three seeds' minimum rows: an optimizer's task steps
         # its seeds at every horizon in chunks of 3 rows and the rest
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES",
                             3 * problem.d * harness._MIN_PRESAMPLE_ROWS)
-        chunks, results = [], {}
+        chunks, stepped, results = [], {}, {}
         chunk_body, experiment_task = harness._run_chunk, harness._experiment_task
 
-        def counted_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
+        def counted_chunk(problem, kind, hps, seeds, recorder, empty):
             chunks.append(len(seeds))
-            return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
+            chunk_body(problem, kind, hps, seeds, recorder, empty)
+            # every derived seed is distinct, so it keys its row's outcome
+            for r, seed in enumerate(seeds):
+                stepped[seed] = recorder.done[r], recorder.abort_reasons[r]
 
         def kept_task(task):
-            key, recorder = experiment_task(task)
-            results[key] = recorder
-            return key, recorder
+            key, headlines = experiment_task(task)
+            results[key] = headlines
+            return key, headlines
 
         monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
         monkeypatch.setattr(harness, "_experiment_task", kept_task)
@@ -383,15 +392,14 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
     if case == "staggered_abort":
         assert (expected[0, 0].done[3:6] < spec.T_grid[0]).any()
     for cell, (oi, ti) in zip(report.cells, cells):
-        # the one task of optimizer oi holds its rows from the longest horizon down
-        k = len(spec.T_grid) - 1 - ti
-        rows = slice(k * spec.n_seeds, (k + 1) * spec.n_seeds)
-        whole_cell, task = expected[oi, ti], results[oi, 0]
-        aborted = whole_cell.done < spec.T_grid[ti]
-        assert same_bits(task.headline[rows], whole_cell.headline)
-        assert task.done[rows].tolist() == whole_cell.done.tolist()
-        assert task.abort_reasons[rows] == whole_cell.abort_reasons
-        assert cell["n_fail"] == int(np.sum(aborted | ~np.isfinite(whole_cell.headline)))
+        # the one task of optimizer oi returns horizon ti's headlines as row ti
+        whole, task = expected[oi, ti], results[oi, 0]
+        seeds = [derive_seed(spec.master_seed, oi, ti, s) for s in range(spec.n_seeds)]
+        aborted = whole.done < spec.T_grid[ti]
+        assert same_bits(task[ti], whole.headline)
+        assert [stepped[seed][0] for seed in seeds] == whole.done.tolist()
+        assert [stepped[seed][1] for seed in seeds] == whole.abort_reasons
+        assert cell["n_fail"] == int(np.sum(aborted | ~np.isfinite(whole.headline)))
 
 
 def assert_same_trace(recorded, reference):
@@ -409,11 +417,12 @@ def assert_same_trace(recorded, reference):
 def test_recorded_traces_match_per_seed_trials(name, kind, block_values, beta1,
                                                monkeypatch):
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
-    recorder = TraceRecorder(len(GRID_SEEDS), 150, collect_diagnostics=True)
-    assert run_cell(problem, kind, hp, 150, GRID_SEEDS, recorder) is recorder
+    cell = whole_cell(problem, kind, hp, 150, GRID_SEEDS, DIAG_TRACES)
+    # the chunks hold every seed once, in seed order
+    assert [s for rows, _ in cell.chunks for s in rows.tolist()] == [0, 1, 2]
     for s, (seed, trace) in enumerate(zip(GRID_SEEDS, references)):
-        assert_same_trace(recorder.trace(s, seed, kind, hp), trace)
-        assert recorder.done[s] == 150 and same_bits(recorder.headline[s], trace.headline)
+        assert_same_trace(cell.trace(s, seed, kind, hp), trace)
+        assert cell.done[s] == 150 and same_bits(cell.headline[s], trace.headline)
         assert_same_trace(run_trial(problem, kind, hp, 150, seed,
                                     collect_diagnostics=True), trace)
     # without diagnostics the reference lacks only the eps_l1 column
@@ -428,10 +437,9 @@ def test_recorded_traces_stop_at_each_seeds_abort():
     T = 2007
     hp = practical_params(3.5e-148, 1.0, T)
     seeds = [derive_seed(7, 0, 0, s) for s in range(8)]
-    recorder = TraceRecorder(len(seeds), T, collect_diagnostics=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        run_cell(problem, OptimizerKind.SGD, hp, T, seeds, recorder)
+        recorder = whole_cell(problem, OptimizerKind.SGD, hp, T, seeds, DIAG_TRACES)
         traces = [reference_trial(problem, OptimizerKind.SGD, hp, T, seed,
                                   collect_diagnostics=True) for seed in seeds]
         singles = [run_trial(problem, OptimizerKind.SGD, hp, T, seed,
@@ -448,7 +456,14 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
     # a budget of two seeds' columns splits the five seeds into chunks 2, 2, 1
     T = 60
     columns = 5 if diagnostics else 4
-    monkeypatch.setattr(harness, "_TRACE_VALUES", 2 * T * columns + 1)
+    monkeypatch.setattr(TraceRecorder, "max_values", 2 * T * columns + 1)
+    chunks, chunk_body = [], harness._run_chunk
+
+    def counted_chunk(problem, kind, hps, seeds, recorder, empty):
+        chunks.append(len(seeds))
+        return chunk_body(problem, kind, hps, seeds, recorder, empty)
+
+    monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
     name, params = PROBLEMS["synthetic_logistic"]
     spec = ExperimentSpec(
         problem_name=name, problem_params=params,
@@ -456,6 +471,7 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
         T_grid=[T], n_seeds=5, delta=0.1, param_mode="practical", master_seed=23,
         collect_diagnostics=diagnostics)
     report = run_experiment(spec, max_workers=1, trace_dir=str(tmp_path / "traces"))
+    assert chunks == [2, 2, 1] * 2
     assert report.to_json() == run_experiment(spec, max_workers=1).to_json()
     problem = spec.build_problem()
     for oi, kind in enumerate(spec.optimizers):
@@ -476,11 +492,11 @@ def test_chunked_trace_files_match_per_seed_trials(diagnostics, tmp_path, monkey
 def test_diagnosed_runs_match_per_seed_trials(name, kind, block_values, beta1,
                                               monkeypatch):
     problem, hp, references = grid_case(name, kind, block_values, beta1, monkeypatch)
-    run = run_with_diagnostics(problem, hp, 150, GRID_SEEDS, kind)
-    for s, trace in enumerate(references):
-        assert same_bits(run.step_l2[s], trace.step_l2)
-        assert same_bits([np.sum(np.abs(eps)) for eps in run.seed_view(s).eps], trace.eps_l1)
-        assert same_bits([np.add.reduce(np.abs(g)) for g in run.grad_exact[s]],
+    records = list(run_with_diagnostics(problem, hp, 150, GRID_SEEDS, kind))
+    for record, trace in zip(records, references, strict=True):
+        assert same_bits(record.step_l2, trace.step_l2)
+        assert same_bits([np.sum(np.abs(eps)) for eps in record.eps], trace.eps_l1)
+        assert same_bits([np.add.reduce(np.abs(g)) for g in record.grad_exact],
                          trace.grad_l1)
 
 
@@ -545,13 +561,10 @@ def test_mixed_horizons_match_one_horizon_calls(case):
               per_chunk * row_size * min(max(horizons), harness._MIN_PRESAMPLE_ROWS))
     with warnings.catch_warnings(), mock.patch.object(harness, "_PRESAMPLE_VALUES", values):
         warnings.simplefilter("ignore", RuntimeWarning)
-        S = len(seeds)
-        base = run_cell(problem, kind, hps, horizons, seeds)
-        traced = run_cell(problem, kind, hps, horizons, seeds,
-                          TraceRecorder(S, horizons, collect_diagnostics=True))
+        base = whole_cell(problem, kind, hps, horizons, seeds)
+        traced = whole_cell(problem, kind, hps, horizons, seeds, DIAG_TRACES)
         for s, (hp, T, seed) in enumerate(zip(hps, horizons, seeds)):
-            single = run_cell(problem, kind, hp, T, [seed],
-                              TraceRecorder(1, T, collect_diagnostics=True))
+            single = whole_cell(problem, kind, hp, T, [seed], DIAG_TRACES)
             for cell in (base, traced):
                 assert same_bits(cell.headline[s], single.headline[0])
                 assert cell.done[s] == single.done[0]
@@ -568,18 +581,30 @@ def test_rows_must_share_schedule_and_guard():
     for other in (dataclasses.replace(hp, schedule=Schedule.PER_STEP_SQRT_T),
                   dataclasses.replace(hp, eps_guard=1e-8)):
         with pytest.raises(ValueError):
-            run_cell(problem, OptimizerKind.SIGNSTORM, [hp, other], 10, [1, 2])
+            list(run_cell(problem, OptimizerKind.SIGNSTORM, [hp, other], 10, [1, 2]))
     # and every horizon must be at least 1
     for T in (0, [5, 0], [-3, 5]):
         with pytest.raises(ValueError, match="horizon must be at least 1, got (0|-3)"):
-            run_cell(problem, OptimizerKind.SIGNSTORM, hp, T, [1, 2])
+            list(run_cell(problem, OptimizerKind.SIGNSTORM, hp, T, [1, 2]))
     with pytest.raises(ValueError, match="got 0"):
         run_trial(problem, OptimizerKind.SIGNSTORM, hp, 0, 1)
-    # and a given recorder must be sized for the call's seeds and horizons
-    for recorder in (TraceRecorder(2, 50), TraceRecorder(2, 10), harness.Recorder(3, 20),
-                     harness.Recorder(2, [20, 10])):
-        with pytest.raises(ValueError, match="not sized for these seeds and horizons"):
-            run_cell(problem, OptimizerKind.SIGNSTORM, hp, 20, [1, 2], recorder)
+
+
+def test_recorder_that_keeps_fewer_rows_gets_the_rest_in_later_chunks():
+    # each chunk's recorder keeps the first row it is offered; the engine
+    # offers the rest, longest horizon first, to the next chunk's
+    class FirstRow(harness.Recorder):
+        def __init__(self, n_seeds, T):
+            super().__init__(1, T[:1])
+
+    problem = make_problem(*PROBLEMS["noisy_quadratic"])
+    hp = HyperParams(eta=0.05, beta1=0.8, beta2=0.5)
+    horizons, seeds = [10, 30, 20], [derive_seed(5, s) for s in range(3)]
+    cell = whole_cell(problem, OptimizerKind.SIGNSTORM, hp, horizons, seeds, FirstRow)
+    assert [rows.tolist() for rows, _ in cell.chunks] == [[1], [2], [0]]
+    whole = whole_cell(problem, OptimizerKind.SIGNSTORM, hp, horizons, seeds)
+    assert [rows.tolist() for rows, _ in whole.chunks] == [[1, 2, 0]]
+    assert same_bits(cell.headline, whole.headline) and np.all(cell.done == horizons)
 
 
 def test_logistic_chunk_sized_by_its_payload_row(monkeypatch):
@@ -593,15 +618,15 @@ def test_logistic_chunk_sized_by_its_payload_row(monkeypatch):
     chunks = []
     chunk_body = harness._run_chunk
 
-    def counted_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
+    def counted_chunk(problem, kind, hps, seeds, recorder, empty):
         chunks.append(len(seeds))
-        return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
+        return chunk_body(problem, kind, hps, seeds, recorder, empty)
 
     monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
-    cell = run_cell(problem, kind, hp, T, seeds)
+    cell = whole_cell(problem, kind, hp, T, seeds)
     assert chunks == [40]
     for s in (0, 17, 39):
-        single = run_cell(problem, kind, hp, T, [seeds[s]])
+        single = whole_cell(problem, kind, hp, T, [seeds[s]])
         assert same_bits(cell.headline[s], single.headline[0])
 
 

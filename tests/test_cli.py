@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from signstorm import (
     NonFiniteValue,
     cli,
     derive_seed,
+    harness,
     make_problem,
     practical_params,
     run_with_diagnostics,
@@ -61,6 +63,8 @@ def benchmark_workloads() -> dict:
 PRACTICAL_KEYS = {"alpha", "beta2"}
 # parameters only synthetic_logistic takes; their cases run on it
 LOGISTIC_KEYS = {"problem.params.data_seed", "problem.params.feature_bound"}
+# and the x_init of the length case that runs on it
+LOGISTIC_X_INIT = [0.5, 0.5]
 # and the one only bounded_nonconvex takes
 BOUNDED_KEYS = {"problem.params.a"}
 
@@ -137,6 +141,11 @@ class TestConfigValidation:
         ("problem.params.hessian_diag", 10**400),
         ("eps_guard", -1.0),
         ("eps_guard", math.inf),
+        ("problem.params.hessian_diag", [1.0, 2.0]),
+        ("problem.params.a", [1.0, 2.0, 3.0, 4.0]),
+        ("problem.params.sigma", [1.0, 2.0]),
+        ("problem.params.x_init", [1.0]),
+        ("problem.params.x_init", LOGISTIC_X_INIT),
     ], ids=["zero_seeds", "non_integer_T", "int64_overflowing_T", "int64_overflowing_lemma1_T",
             "unknown_mds", "unknown_fault_key", "string_write_traces", "string_diagnostics",
             "float_n_seeds", "bool_n_seeds", "float_in_T_grid", "scalar_T_grid",
@@ -149,7 +158,8 @@ class TestConfigValidation:
             "zero_hessian_diag", "negative_a_entry", "null_sigma", "infinite_sigma",
             "negative_sigma", "nan_x_init_entry", "overflowing_sigma_range",
             "overflowing_feature_range", "huge_int_hessian_diag", "negative_eps_guard",
-            "infinite_eps_guard"])
+            "infinite_eps_guard", "short_hessian_diag", "long_a", "short_sigma",
+            "short_x_init", "short_logistic_x_init"])
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                 command, key, value):
@@ -162,7 +172,7 @@ class TestConfigValidation:
         cfg = base_config(tmp_path / "out")
         if key in PRACTICAL_KEYS:
             cfg["param_mode"] = "practical"
-        if key in LOGISTIC_KEYS:
+        if key in LOGISTIC_KEYS or value is LOGISTIC_X_INIT:
             cfg["problem"] = {"name": "synthetic_logistic", "params": {"d": 3}}
         if key in BOUNDED_KEYS:
             cfg["problem"] = {"name": "bounded_nonconvex", "params": {"d": 3}}
@@ -175,6 +185,23 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err
+        if key.startswith("problem.params.") and isinstance(value, list) and len(value) != 3:
+            assert f"has length {len(value)}, but problem.params.d = 3" in err
+        assert not (tmp_path / "out").exists()
+
+    # a report keys its cells, rate fits and trace files by optimizer name:
+    # a second copy would pool into the first's fit and overwrite its traces
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_repeated_optimizer_is_config_error(self, tmp_path, capsys, command):
+        cfg = base_config(tmp_path / "out")
+        cfg["optimizers"] = ["signstorm", "sgd", "signstorm"]
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match="optimizers lists 'signstorm' more than once"):
+            RunConfig.load(path)
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'signstorm'" in err
         assert not (tmp_path / "out").exists()
 
     # theorem mode takes its schedule from the problem's constants, so the
@@ -395,10 +422,11 @@ class TestCmdRun:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bad_problem_param_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                workers):
-        # the problem is first built inside the experiment's cell tasks
+        # the problem is first built inside the experiment's cell tasks,
+        # where a parameter the problem does not take is found
         monkeypatch.setenv("SIGNSTORM_THREADS", workers)
         cfg = base_config(tmp_path / "out")
-        cfg["problem"]["params"]["x_init"] = [1.0, 2.0]
+        cfg["problem"]["params"]["a"] = 1.0
         cfg["T_grid"] = [20, 40]
         path = write_config(tmp_path, cfg)
         assert main(["run", path]) == EXIT_CONFIG
@@ -487,27 +515,29 @@ class TestCmdCheck:
         assert by_name["storm_decomposition"]["status"] == "pass"
 
     @pytest.mark.parametrize("n_seeds", [4, 40])
-    def test_checkers_hold_one_seeds_work_beside_the_record(self, tmp_path, monkeypatch,
-                                                            n_seeds):
-        # once the record is built, the checkers may add only a fixed number
-        # of one-seed (T, d) blocks, whatever the seed count; stacked
-        # checkers add whole-record blocks (about 21 at 4 seeds, 160 at 40)
+    def test_check_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch, n_seeds):
+        # a presample budget of four seeds' rows steps the seeds in chunks
+        # of 4: each chunk's record is freed before the next one is made,
+        # so the peak, one chunk's record beside one seed's checker
+        # temporaries, does not grow with the seed count
         T, d = 400, 8
         cfg = base_config(tmp_path / "out")
         cfg["problem"]["params"]["d"] = d
         cfg["check"] = {"T": T, "n_seeds": n_seeds, "n_probes": 10,
                         "lemma1_trials": 100, "lemma1_T": 10}
         config = RunConfig.load(write_config(tmp_path, cfg))
-        built = cli.diag.run_with_diagnostics
-        held = []
+        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 4 * d * harness._MIN_PRESAMPLE_ROWS)
+        # once untraced, so that the modules a first call imports are not counted
+        cli._check_verdicts(config)
+        made, alive = [], []
 
-        def run_with_diagnostics(*args):
-            run = built(*args)
-            held.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-            return run
+        class WatchedRun(cli.diag.DiagnosticRun):
+            def __init__(self, *args, **kwargs):
+                alive.append(sum(ref() is not None for ref in made))
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
 
-        monkeypatch.setattr(cli.diag, "run_with_diagnostics", run_with_diagnostics)
+        monkeypatch.setattr(cli.diag, "DiagnosticRun", WatchedRun)
         tracemalloc.start()
         try:
             verdicts = cli._check_verdicts(config)
@@ -516,8 +546,41 @@ class TestCmdCheck:
             tracemalloc.stop()
         assert [v["n_total"] for v in verdicts if v["checker"] == "epsilon_bound"] == [
             n_seeds * T * d]
-        # about 12 blocks in practice
-        assert peak - held[0] < 16 * T * d * 8
+        assert alive == [0] * (n_seeds // 4)
+        # a chunk's record holds 4 (5 T d + T) values; stacked checkers
+        # added about 21 (T, d) blocks per 4 seeds
+        assert peak < (4 * (5 * T * d + T) + 16 * T * d) * 8
+
+    def test_check_json_is_the_same_for_any_chunk_size(self, tmp_path, monkeypatch):
+        # 15 diagnosed seeds in chunks of 1, of 7 and all in one, checked
+        # against one envelope per check
+        cfg = base_config(tmp_path / "out")
+        cfg["check"]["n_seeds"] = 15
+        path = write_config(tmp_path, cfg)
+        d, T = cfg["problem"]["params"]["d"], cfg["check"]["T"]
+        chunks, built, outputs = [], [], []
+        chunk_body, envelope = harness._run_chunk, cli.diag.epsilon_envelope
+
+        def counted_chunk(problem, kind, hps, seeds, recorder, empty):
+            chunks[-1].append(len(seeds))
+            return chunk_body(problem, kind, hps, seeds, recorder, empty)
+
+        def counted_envelope(*args):
+            built.append(args[3])
+            return envelope(*args)
+
+        monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
+        monkeypatch.setattr(cli.diag, "epsilon_envelope", counted_envelope)
+        default = harness._PRESAMPLE_VALUES
+        for per_chunk in (1, 7, None):
+            monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", default if per_chunk is None
+                                else per_chunk * d * harness._MIN_PRESAMPLE_ROWS)
+            chunks.append([])
+            assert main(["check", path]) == EXIT_OK
+            outputs.append((tmp_path / "out" / "check.json").read_bytes())
+        assert chunks == [[1] * 15, [7, 7, 1], [15]]
+        assert outputs == outputs[:1] * 3
+        assert built == [T] * 3
 
 
 # x_init near the largest double and a sign step of about 6.7e307: a step
@@ -545,7 +608,7 @@ def diagnosed_abort_reasons(master_seed, n_seeds):
     reasons = []
     for s in range(n_seeds):
         try:
-            run_with_diagnostics(problem, hp, 4, [derive_seed(master_seed, 202, s)])
+            list(run_with_diagnostics(problem, hp, 4, [derive_seed(master_seed, 202, s)]))
             reasons.append(None)
         except NonFiniteValue as exc:
             reasons.append(str(exc))

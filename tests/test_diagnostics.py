@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from signstorm import (
     movement_bound_check,
     noisy_quadratic,
     representation_check,
+    run_cell,
     run_with_diagnostics,
     sign_dichotomy_frequency,
 )
@@ -40,6 +42,19 @@ from signstorm.theory import c_rho
 def quadratic(d=4, sigma=0.5, h=1.0):
     return noisy_quadratic(d, np.full(d, h), np.full(d, sigma),
                            np.linspace(0.8, 1.4, d))
+
+
+def envelope_of(p, hp, T, delta):
+    """The epsilon envelope of a diagnosed run of problem p."""
+    return epsilon_envelope(hp, p.constants.L_vec, p.constants.sigma_vec, T, delta)
+
+
+def diagnosed_chunk(p, hp, T, seeds, kind=OptimizerKind.SIGNSTORM):
+    """The DiagnosticRun of a diagnosed call whose seeds fit one chunk."""
+    [(rows, run)] = run_cell(p, kind, hp, T, seeds,
+                             functools.partial(DiagnosticRun, d=p.d, hp=hp, kind=kind))
+    assert rows.tolist() == list(range(len(seeds)))
+    return run
 
 
 @dataclass
@@ -79,17 +94,19 @@ class TestRunWithDiagnostics:
     def test_definitions_hold(self):
         p = quadratic()
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
-        run = run_with_diagnostics(p, hp, 50, [3, 4])
-        assert (run.seeds, run.kind, run.hp) == ([3, 4], OptimizerKind.SIGNSTORM, hp)
-        assert run.m.shape == (2, 50, 4) and run.step_l2.shape == (2, 50)
-        for s in range(2):
-            rec = run.seed_view(s)
+        records = list(run_with_diagnostics(p, hp, 50, [3, 4]))
+        assert len(records) == 2
+        for seed, rec in zip([3, 4], records):
+            # in seed order: each record is its seed's one-seed run
+            assert rec.m.tobytes() == next(run_with_diagnostics(p, hp, 50, [seed])).m.tobytes()
+            assert (rec.kind, rec.hp) == (OptimizerKind.SIGNSTORM, hp)
+            assert rec.m.shape == (50, 4) and rec.step_l2.shape == (50,)
             assert np.array_equal(rec.z[0], np.zeros(4))
-            np.testing.assert_array_equal(rec.xi, run.g_curr[s] - run.grad_exact[s])
+            np.testing.assert_array_equal(rec.xi, rec.g_curr - rec.grad_exact)
             # eps_t = m_t - grad F(x_t) by construction
-            np.testing.assert_array_equal(rec.eps, run.m[s] - run.grad_exact[s])
+            np.testing.assert_array_equal(rec.eps, rec.m - rec.grad_exact)
             # first-step estimator equals the first sampled gradient
-            np.testing.assert_array_equal(run.m[s, 0], rec.xi[0] + run.grad_exact[s, 0])
+            np.testing.assert_array_equal(rec.m[0], rec.xi[0] + rec.grad_exact[0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_nonfinite(self):
@@ -97,19 +114,24 @@ class TestRunWithDiagnostics:
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=1e300, beta1=0.0, beta2=0.0)
         with pytest.raises(NonFiniteValue, match="NaN/Inf"):
-            run_with_diagnostics(p, hp, 50, [1])
+            list(run_with_diagnostics(p, hp, 50, [1]))
 
     def test_lowest_index_aborted_seed_raises(self, monkeypatch):
-        # seed 3 aborts first, but seed 2 has the lower index
-        def run_cell(problem, kind, hp, T, seeds, run):
-            run.done[1:] = [5, 2, 0]
-            run.abort_reasons[2:] = ["second", "third"]
-            return run
+        # chunks of seeds 0-1 and 2-3: seed 3 aborts first, but seed 2 has
+        # the lower index; no record of the second chunk is yielded
+        def run_cell(problem, kind, hp, T, seeds, recorder):
+            yield np.arange(2), recorder(2, T)
+            run = recorder(2, T)
+            run.done[:] = [2, 0]
+            run.abort_reasons[:] = ["second", "third"]
+            yield np.arange(2, 4), run
 
         monkeypatch.setattr(diagnostics, "run_cell", run_cell)
+        records = run_with_diagnostics(quadratic(d=2), HyperParams(eta=0.1, beta1=0.5, beta2=0.0),
+                                       5, list(range(4)))
+        assert [next(records), next(records)]
         with pytest.raises(NonFiniteValue, match="^second$"):
-            run_with_diagnostics(quadratic(d=2), HyperParams(eta=0.1, beta1=0.5, beta2=0.0), 5,
-                                 list(range(4)))
+            next(records)
 
 
 def per_t_representation(eps_trace, beta1, tol=1e-6):
@@ -161,7 +183,7 @@ class TestMovementBound:
         # beta2=0, d=4, eta=0.1: bound is 0.2, attained when all coordinates move
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.1, beta1=0.0, beta2=0.0)
-        rec = run_with_diagnostics(p, hp, 30, [1]).seed_view(0)
+        rec = next(run_with_diagnostics(p, hp, 30, [1]))
         res = movement_bound_check(rec.step_l2, hp, d=4)
         assert res.passed
         assert res.worst_ratio == pytest.approx(1.0, abs=1e-12)
@@ -171,7 +193,7 @@ class TestMovementBound:
     def test_random_runs_never_violate(self, beta2):
         p = quadratic()
         hp = HyperParams(eta=0.03, beta1=0.9, beta2=beta2)
-        rec = run_with_diagnostics(p, hp, 2000, [7]).seed_view(0)
+        rec = next(run_with_diagnostics(p, hp, 2000, [7]))
         res = movement_bound_check(rec.step_l2, hp, d=4)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
@@ -218,7 +240,7 @@ class TestRepresentation:
     def test_long_noisy_run(self):
         p = quadratic(d=4)
         hp = HyperParams(eta=0.01, beta1=0.99, beta2=0.0)
-        rec = run_with_diagnostics(p, hp, 1000, [5]).seed_view(0)
+        rec = next(run_with_diagnostics(p, hp, 1000, [5]))
         res = representation_check(rec.xi, rec.eps, rec.z, beta1=0.99)
         assert res.passed
 
@@ -309,7 +331,7 @@ class TestDecompositionAndRatio:
     def test_decomposition_on_run(self):
         p = quadratic()
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.81)
-        res = decomposition_check(run_with_diagnostics(p, hp, 500, [11]).seed_view(0))
+        res = decomposition_check(next(run_with_diagnostics(p, hp, 500, [11])))
         assert res.passed
 
     def test_decomposition_needs_storm_kind(self):
@@ -317,13 +339,13 @@ class TestDecompositionAndRatio:
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.81)
         run = run_with_diagnostics(p, hp, 10, [11], kind=OptimizerKind.GENERALIZED_SIGN_SGD)
         with pytest.raises(PreconditionNotMet):
-            decomposition_check(run.seed_view(0))
+            decomposition_check(next(run))
 
     def test_ratio_cap(self):
         p = quadratic()
         for beta2 in (0.0, 0.5, 0.9):
             hp = HyperParams(eta=0.02, beta1=0.9, beta2=beta2)
-            res = estimator_ratio_check(run_with_diagnostics(p, hp, 300, [13]).seed_view(0))
+            res = estimator_ratio_check(next(run_with_diagnostics(p, hp, 300, [13])))
             assert res.passed
             assert res.worst_ratio <= 1.0 + 1e-12
 
@@ -332,7 +354,7 @@ class TestEpsilonBound:
     def test_noiseless_momentum_free_never_violates(self):
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.05, beta1=0.0, beta2=0.0)
-        rec = run_with_diagnostics(p, hp, 200, [2]).seed_view(0)
+        rec = next(run_with_diagnostics(p, hp, 200, [2]))
         envelope = epsilon_envelope(hp, p.constants.L_vec, p.constants.sigma_vec, 200, 0.1)
         rep = epsilon_bound_frequency(rec.eps, envelope, 0.1)
         assert rep.n_violations == 0
@@ -355,18 +377,16 @@ class TestEpsilonBound:
     def test_multi_run_aggregation(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.0)
-        run = run_with_diagnostics(p, hp, 100, list(range(5)))
-        rep = check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec,
-                                 0.05)["epsilon_bound"]
+        rep = check_seed_by_seed(run_with_diagnostics(p, hp, 100, list(range(5))),
+                                 envelope_of(p, hp, 100, 0.05), 0.05)["epsilon_bound"]
         assert rep.n_total == 5 * 100 * 4
         assert rep.passed
 
 
 def dichotomy(p, hp, T, seeds, delta=0.05):
     """The sign dichotomy's report on a fresh diagnosed run of ``seeds``."""
-    run = run_with_diagnostics(p, hp, T, seeds)
-    return check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec,
-                              delta)["sign_dichotomy"]
+    return check_seed_by_seed(run_with_diagnostics(p, hp, T, seeds),
+                              envelope_of(p, hp, T, delta), delta)["sign_dichotomy"]
 
 
 class TestSignDichotomy:
@@ -374,7 +394,7 @@ class TestSignDichotomy:
         # sigma=0 and beta1=0, beta2=0: m equals grad F, ratio is 1 >= 1/5
         p = quadratic(sigma=0.0)
         hp = HyperParams(eta=0.05, beta1=0.0, beta2=0.0)
-        rec = run_with_diagnostics(p, hp, 200, [4]).seed_view(0)
+        rec = next(run_with_diagnostics(p, hp, 200, [4]))
         envelope = epsilon_envelope(hp, p.constants.L_vec, p.constants.sigma_vec, 200, 0.05)
         assert sign_dichotomy_frequency(rec, envelope, 0.05).n_violations == 0
 
@@ -392,17 +412,18 @@ class TestSignDichotomy:
     def test_guard_refused(self):
         p = quadratic()
         hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.0, eps_guard=1e-8)
-        rec = run_with_diagnostics(p, hp, 10, [1]).seed_view(0)
+        rec = next(run_with_diagnostics(p, hp, 10, [1]))
         with pytest.raises(PreconditionNotMet):
             sign_dichotomy_frequency(rec, np.ones((10, p.d)), 0.05)
 
 
-def test_fold_calls_each_checker_per_seed_and_builds_one_envelope(monkeypatch):
+def test_fold_calls_each_checker_per_seed_and_builds_no_envelope(monkeypatch):
     # the fold looks checkers up by their module names when it runs, so a
-    # patched name, as a per-layer trace installs it, sees every call
+    # patched name, as a per-layer trace installs it, sees every call; the
+    # caller builds the envelope, once for every seed
     p = quadratic()
     hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5)
-    run = run_with_diagnostics(p, hp, 30, [5, 6, 7])
+    envelope_30 = envelope_of(p, hp, 30, 0.05)
     calls, built = [], []
     checker, envelope = diagnostics.representation_check, diagnostics.epsilon_envelope
 
@@ -416,9 +437,9 @@ def test_fold_calls_each_checker_per_seed_and_builds_one_envelope(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "representation_check", counted_checker)
     monkeypatch.setattr(diagnostics, "epsilon_envelope", counted_envelope)
-    results = check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec, 0.05)
+    results = check_seed_by_seed(run_with_diagnostics(p, hp, 30, [5, 6, 7]), envelope_30, 0.05)
     assert calls == [(30, p.d)] * 3
-    assert built == [30]
+    assert built == []
     assert results["epsilon_bound"].n_total == results["sign_dichotomy"].n_total == 3 * 30 * p.d
 
 
@@ -426,7 +447,7 @@ def stacked_record():
     """A diagnosed run of two seeds, T = 5 and d = 3, and its L and sigma."""
     p = quadratic(d=3)
     hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
-    return run_with_diagnostics(p, hp, 5, [1, 2]), p.constants
+    return diagnosed_chunk(p, hp, 5, [1, 2]), p.constants
 
 
 # each checker called on the stacked record, and the one-seed shape its
@@ -474,7 +495,6 @@ def test_fold_stops_calling_a_checker_once_its_precondition_fails(monkeypatch):
     # the first seed's error stands for all, and later seeds skip the call
     p = quadratic()
     hp = HyperParams(eta=0.01, beta1=0.95, beta2=0.5, eps_guard=1e-8)
-    run = run_with_diagnostics(p, hp, 10, [5, 6, 7])
     calls = {"movement": 0, "representation": 0}
     movement, representation = diagnostics.movement_bound_check, diagnostics.representation_check
 
@@ -488,7 +508,8 @@ def test_fold_stops_calling_a_checker_once_its_precondition_fails(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "movement_bound_check", counted_movement)
     monkeypatch.setattr(diagnostics, "representation_check", counted_representation)
-    results = check_seed_by_seed(run, p.constants.L_vec, p.constants.sigma_vec, 0.05)
+    results = check_seed_by_seed(run_with_diagnostics(p, hp, 10, [5, 6, 7]),
+                                 envelope_of(p, hp, 10, 0.05), 0.05)
     assert calls == {"movement": 1, "representation": 3}
     for name in ("movement_bound", "estimator_ratio", "sign_dichotomy"):
         assert isinstance(results[name], PreconditionNotMet)
@@ -629,8 +650,8 @@ def assert_fold_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
     """check_seed_by_seed against the frozen per-seed path: the verdict,
     the worst ratio's bits and its t, the counts, or the same error."""
     kind, hp = run.kind, run.hp
-    runs = [frozen_recorder_run(run, s, seed, kind, hp) for s, seed in enumerate(run.seeds)]
-    d = run.m.shape[-1]
+    S, T, d = run.m.shape
+    runs = [frozen_recorder_run(run, s, s, kind, hp) for s in range(S)]
     frozen = {
         "movement_bound": outcome(frozen_worst, lambda r: frozen_movement(r, d), runs),
         "representation": outcome(frozen_worst, frozen_representation, runs),
@@ -639,7 +660,8 @@ def assert_fold_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
         "epsilon_bound": outcome(frozen_epsilon_count, runs, hp, L_vec, sigma_vec, delta),
         "sign_dichotomy": outcome(frozen_dichotomy_count, runs, L_vec, sigma_vec, delta),
     }
-    folded = check_seed_by_seed(run, L_vec, sigma_vec, delta)
+    folded = check_seed_by_seed((run.seed_view(s) for s in range(S)),
+                                epsilon_envelope(hp, L_vec, sigma_vec, T, delta), delta)
     assert list(folded) == list(frozen)
     for name, res in folded.items():
         if isinstance(res, Exception):
@@ -667,7 +689,7 @@ def synthetic_record(S, T, d, beta1, beta2, coarse, copies, seed):
     ``copies`` seeds repeat the first ones."""
     rng = np.random.default_rng(seed)
     hp = HyperParams(eta=0.05, beta1=beta1, beta2=beta2)
-    recorder = DiagnosticRun(list(range(S)), T, d, hp, OptimizerKind.SIGNSTORM)
+    recorder = DiagnosticRun(S, T, d, hp, OptimizerKind.SIGNSTORM)
     bound = 0.05 * math.sqrt(d / (1.0 - beta2))
     if coarse:
         # a few dyadic values: equal ratios within and across seeds
@@ -690,7 +712,6 @@ def synthetic_record(S, T, d, beta1, beta2, coarse, copies, seed):
         for name in RECORD_FIELDS:
             getattr(recorder, name)[s] = getattr(recorder, name)[s % max(1, S - copies)]
     L_vec, sigma_vec = rng.random(d) + 0.1, rng.random(d)
-    recorder.seeds = [int(x) for x in rng.integers(0, 2**32, S)]
     return recorder, L_vec, sigma_vec
 
 
@@ -736,7 +757,7 @@ class TestFoldMatchesPerSeed:
     def test_ratios_that_scale_to_one_value_or_are_nan(self, rows, worst_t):
         assert 0.9000000000000001 / math.sqrt(2.0) == 0.9000000000000002 / math.sqrt(2.0)
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
-        run = DiagnosticRun(list(range(len(rows))), 3, 1, hp, OptimizerKind.SIGNSTORM)
+        run = DiagnosticRun(len(rows), 3, 1, hp, OptimizerKind.SIGNSTORM)
         for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
             getattr(run, name)[:] = 0.0
         run.v[:] = 1.0
@@ -753,7 +774,7 @@ class TestFoldMatchesPerSeed:
         seeds = [11, 12, 13, 14]
         # one seed alone, then all of them stepped together
         for part in (seeds[:1], seeds):
-            run = run_with_diagnostics(p, hp, T, part)
+            run = diagnosed_chunk(p, hp, T, part)
             assert_fold_matches_frozen(run, p.constants.L_vec, p.constants.sigma_vec)
             # a tight envelope, so that the counts are not all zero
             assert_fold_matches_frozen(run, 0.01 * p.constants.L_vec,
@@ -763,13 +784,13 @@ class TestFoldMatchesPerSeed:
     def test_seed_view_holds_views_of_one_seed(self):
         p = quadratic()
         hp = HyperParams(eta=0.02, beta1=0.9, beta2=0.5)
-        run = run_with_diagnostics(p, hp, 20, [11, 12, 13])
+        run = diagnosed_chunk(p, hp, 20, [11, 12, 13])
         view = run.seed_view(1)
         assert isinstance(view, SeedRecord) and view.hp is hp and view.kind is run.kind
         for name in RECORD_FIELDS:
             assert getattr(view, name).base is getattr(run, name)
             assert np.array_equal(getattr(view, name), getattr(run, name)[1])
-        alone = run_with_diagnostics(p, hp, 20, [12]).seed_view(0)
+        alone = next(run_with_diagnostics(p, hp, 20, [12]))
         for name in ("xi", "eps", "z"):
             assert getattr(view, name).tobytes() == getattr(alone, name).tobytes()
 

@@ -29,10 +29,10 @@ computed while the traces still came from a serial per-trial re-run.
 diagnosed runs, among them the seeds ``signstorm check`` diagnoses on the
 ``check_suite`` benchmark config.  Those digests were computed while
 ``run_with_diagnostics`` still had its own per-seed loop and returned one
-record per seed.  Each now pins that seed's rows of the stacked
-``DiagnosticRun``, and the xi, eps and Z its seed view derives from them:
-the same arrays and the same bytes.  A one-seed call and one call for all
-of a case's seeds must both reproduce them.  ``golden/chart_sha256.json``
+record per seed.  Each now pins the seed record it yields, a view of that
+seed's rows of its chunk's ``DiagnosticRun``, and the xi, eps and Z the
+record derives from them: the same arrays and the same bytes.  A one-seed
+call and one call for all of a case's seeds must both reproduce them.  ``golden/chart_sha256.json``
 pins the two SVG charts that ``signstorm run`` writes for every spec, and
 ``golden/params_stdout.json`` the stdout of ``signstorm params`` for a
 few inputs; both were recorded while the parameter formulas still
@@ -212,12 +212,11 @@ def diag_cell(name: str):
     return problem, hp, kind, T, seeds
 
 
-def run_digests(run) -> list[dict]:
-    """Per seed of a diagnosed run, the digest of each array of its seed view."""
+def run_digests(records) -> list[dict]:
+    """Per seed record of a diagnosed run, the digest of each of its arrays."""
     names = ("xi", "eps", "z", "m", "v", "grad_exact", "step_l2", "g_curr", "g_prev")
-    views = [run.seed_view(s) for s in range(len(run.seeds))]
     return [{name: hashlib.sha256(np.ascontiguousarray(getattr(view, name)).tobytes()).hexdigest()
-             for name in names} for view in views]
+             for name in names} for view in records]
 
 
 def diagnostic_digests(name: str) -> list[dict]:
@@ -370,9 +369,9 @@ def test_check_json_is_chunk_invariant(key, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 2 * d * harness._MIN_PRESAMPLE_ROWS)
     chunks, chunk_body = [], harness._run_chunk
 
-    def counted_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
+    def counted_chunk(problem, kind, hps, seeds, recorder, empty):
         chunks.append(len(seeds))
-        return chunk_body(problem, kind, hps, ends, seeds, live, recorder, empty)
+        return chunk_body(problem, kind, hps, seeds, recorder, empty)
 
     monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
     assert check_digest(tmp_path, key) == json.loads(CHECK_GOLDEN.read_text())[key]
@@ -389,9 +388,10 @@ def test_diagnostics_match_golden_digests(name):
     assert diagnostic_digests(name) == expected
     # all seeds of the case stepped together in one seed-batched call
     problem, hp, kind, T, seeds = diag_cell(name)
-    run = run_with_diagnostics(problem, hp, T, seeds, kind)
-    assert run.m.shape == (len(seeds), T, problem.d) and run.step_l2.shape == (len(seeds), T)
-    assert run_digests(run) == expected
+    records = list(run_with_diagnostics(problem, hp, T, seeds, kind))
+    assert len(records) == len(seeds)
+    assert all(r.m.shape == (T, problem.d) and r.step_l2.shape == (T,) for r in records)
+    assert run_digests(records) == expected
 
 
 if __name__ == "__main__":

@@ -368,7 +368,7 @@ class TestTraceRecorder:
             a, b = getattr(new, name), getattr(old, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
         # a diagnosed run's step_l2 is the same per-row norm
-        diag = DiagnosticRun(list(range(rows)), 3, d, HyperParams(eta=0.1, beta1=0.5, beta2=0.0),
+        diag = DiagnosticRun(rows, 3, d, HyperParams(eta=0.1, beta1=0.5, beta2=0.0),
                              OptimizerKind.SIGNSTORM)
         with np.errstate(all="ignore"):
             diag.record(t, live, state, GradientPair(block(), block()), g_exact, grad_l1, loss)

@@ -18,6 +18,7 @@ any t where the engine does not compute it.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -160,8 +161,9 @@ def frozen_sampled_grads(problem, xs, payloads, exact):
     return exact + payloads
 
 
-def frozen_run_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
+def frozen_run_chunk(problem, kind, hps, seeds, recorder, empty):
     S, d = len(seeds), problem.d
+    ends, live = recorder.horizon, np.arange(S)
     x0 = OptimizerState.initial(problem.constants.x_init).x
     state = OptimizerState(x=np.tile(x0, (S, 1)), m=np.zeros((S, d)),
                            v=np.zeros((S, d)), prev_x=np.tile(x0, (S, 1)), t=1)
@@ -219,11 +221,11 @@ def frozen_run_chunk(problem, kind, hps, ends, seeds, live, recorder, empty):
 
 
 def frozen_run_cell(problem, kind, hp, T, seeds, recorder):
-    """run_cell's chunking around the frozen chunk body."""
+    """run_cell's chunking around the frozen chunk body; its chunks as a list."""
     real = harness._run_chunk
     harness._run_chunk = frozen_run_chunk
     try:
-        return run_cell(problem, kind, hp, T, seeds, recorder)
+        return list(run_cell(problem, kind, hp, T, seeds, recorder))
     finally:
         harness._run_chunk = real
 
@@ -256,19 +258,23 @@ class FinishedRowsWatch(TraceRecorder):
             self.snapshots[s] = self.columns(s)
 
 
-def assert_same_records(new, old):
-    assert same_bits(new.headline, old.headline)
-    assert new.done.tolist() == old.done.tolist()
-    assert new.abort_reasons == old.abort_reasons
-    for s, n in enumerate(new.done.tolist()):
-        if isinstance(new, TraceRecorder):
-            for name in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
-                a, b = getattr(new, name), getattr(old, name)
-                if a is not None:
+def assert_same_records(new_chunks, old_chunks):
+    """Two calls' chunks: the same rows, and chunk by chunk the same records."""
+    assert [rows.tolist() for rows, _ in new_chunks] == [rows.tolist() for rows, _ in old_chunks]
+    for (_, new), (_, old) in zip(new_chunks, old_chunks):
+        assert same_bits(new.headline, old.headline)
+        assert new.done.tolist() == old.done.tolist()
+        assert new.abort_reasons == old.abort_reasons
+        for s, n in enumerate(new.done.tolist()):
+            if isinstance(new, TraceRecorder):
+                for name in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
+                    a, b = getattr(new, name), getattr(old, name)
+                    if a is not None:
+                        assert same_bits(a[s, :n], b[s, :n]), (name, s)
+            if isinstance(new, DiagnosticRun):
+                for name in ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2"):
+                    a, b = getattr(new, name), getattr(old, name)
                     assert same_bits(a[s, :n], b[s, :n]), (name, s)
-        if isinstance(new, DiagnosticRun):
-            for name in ("m", "v", "grad_exact", "g_curr", "g_prev", "step_l2"):
-                assert same_bits(getattr(new, name)[s, :n], getattr(old, name)[s, :n]), (name, s)
 
 
 # ---- the property ----------------------------------------------------------
@@ -310,12 +316,13 @@ def engine_cases(draw):
     return name, params, kind, hps, horizons, seeds, recorder, budget
 
 
-def make_recorder(which, seeds, horizons, d, hp, kind):
+def make_recorder(which, d, hp, kind):
+    """The factory that builds each chunk's recorder of kind ``which``."""
     if which == "trace":
-        return TraceRecorder(len(seeds), horizons, collect_diagnostics=True)
+        return functools.partial(TraceRecorder, collect_diagnostics=True)
     if which == "diagnostics":
-        return DiagnosticRun(seeds, horizons[0], d, hp, kind)
-    return Recorder(len(seeds), horizons)
+        return functools.partial(DiagnosticRun, d=d, hp=hp, kind=kind)
+    return Recorder
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,10 +341,10 @@ def test_in_place_engine_matches_frozen_allocating_engine(case):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            new = run_cell(problem, kind, hps, horizons, seeds,
-                           make_recorder(which, seeds, horizons, problem.d, hps[0], kind))
+            new = list(run_cell(problem, kind, hps, horizons, seeds,
+                                make_recorder(which, problem.d, hps[0], kind)))
             old = frozen_run_cell(make_problem(name, params), kind, hps, horizons, seeds,
-                                  make_recorder(which, seeds, horizons, problem.d, hps[0], kind))
+                                  make_recorder(which, problem.d, hps[0], kind))
     finally:
         harness._PRESAMPLE_VALUES = real_budget
     assert_same_records(new, old)
@@ -354,10 +361,12 @@ def test_cases_reach_a_broken_live_prefix():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for kind in OptimizerKind:
-            watch = FinishedRowsWatch(3, 12)
-            new = run_cell(problem, kind, hps, 12, seeds, watch)
-            assert new.done.tolist()[0::2] == [12, 12] and new.done[1] < 12, kind
-            old = frozen_run_cell(problem, kind, hps, 12, seeds, TraceRecorder(3, 12, True))
+            new = list(run_cell(problem, kind, hps, 12, seeds, FinishedRowsWatch))
+            [(rows, watch)] = new
+            assert rows.tolist() == [0, 1, 2]
+            assert watch.done.tolist()[0::2] == [12, 12] and watch.done[1] < 12, kind
+            old = frozen_run_cell(problem, kind, hps, 12, seeds,
+                                  make_recorder("trace", problem.d, hp, kind))
             assert_same_records(new, old)
             watch.check_finished(set())
 
@@ -372,11 +381,10 @@ def test_finished_rows_stay_as_recorded(S, T, kind, seed, huge):
     hps = [HyperParams(eta=1.7e308 if big else 0.1, beta1=0.7, beta2=0.3)
            for big in huge[:S]]
     seeds = [derive_seed(seed, s) for s in range(S)]
-    watch = FinishedRowsWatch(S, horizons)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        run_cell(problem, kind, hps, horizons, seeds, watch)
-    watch.check_finished(set())
+        for _, watch in run_cell(problem, kind, hps, horizons, seeds, FinishedRowsWatch):
+            watch.check_finished(set())
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,13 +429,13 @@ def test_record_receives_the_stepped_state(name, params, kind):
     problem = make_problem(name, params)
     hp = HyperParams(eta=0.05, beta1=0.6, beta2=0.3)
     horizons = [7, 3, 1, 5]  # rows leave the chunk at different steps
-    watch = StateWatch(4, horizons)
-    run_cell(problem, kind, hp, horizons, [derive_seed(4, s) for s in range(4)], watch)
+    [(seed_of_row, watch)] = run_cell(problem, kind, hp, horizons,
+                                      [derive_seed(4, s) for s in range(4)], StateWatch)
     # each seed replayed by step from the gradients it was given
     replay = [OptimizerState.initial(problem.constants.x_init) for _ in horizons]
     for t, rows, state_t, prev_x, x, g_curr, g_prev in watch.calls:
         assert state_t == t + 1 and (g_prev is None) == (t == 1)
-        for r, s in enumerate(rows.tolist()):
+        for r, s in enumerate(seed_of_row[rows].tolist()):
             assert replay[s].t == t and same_bits(prev_x[r], replay[s].x)
             pair = GradientPair(g_curr[r], None if g_prev is None else g_prev[r])
             replay[s] = step(replay[s], pair, hp, kind)
@@ -447,7 +455,7 @@ def test_g_prev_is_none_where_the_engine_does_not_compute_it(kind):
     # recorder that does not ask for it receive it, and never at t = 1
     problem = make_problem("noisy_quadratic", {"d": 3, "sigma": 0.5, "x_init": 1.0})
     hp = HyperParams(eta=0.05, beta1=0.6, beta2=0.3)
-    watch = UnaskedWatch(2, 4)
-    run_cell(problem, kind, hp, 4, [derive_seed(4, s) for s in range(2)], watch)
+    [(_, watch)] = run_cell(problem, kind, hp, 4, [derive_seed(4, s) for s in range(2)],
+                            UnaskedWatch)
     assert [(t, g_prev is None) for t, *_, g_prev in watch.calls] == [
         (t, t == 1 or kind not in STORM_FAMILY) for t in range(1, 5)]

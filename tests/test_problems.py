@@ -15,11 +15,12 @@ from signstorm import (
     make_problem,
     make_rng,
     noisy_quadratic,
-    run_cell,
     synthetic_logistic,
     verify_assumptions,
 )
 from signstorm.problems import BoundedNonConvex, NoisyQuadratic
+
+from cells import whole_cell
 
 
 def central_difference(value_fn, x, h=1e-5):
@@ -402,7 +403,7 @@ class TestLogisticOraclesBitForBit:
         S, T = 70, 5
         hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.0)
         with mock.patch.object(problems.np, "matmul", spy):
-            cell = run_cell(p, OptimizerKind.STORM, hp, T, list(range(S)), TraceRecorder(S, T))
+            cell = whole_cell(p, OptimizerKind.STORM, hp, T, list(range(S)), TraceRecorder)
         # one call per step, as 70 rows of 30 margins make one block
         assert np.all(cell.done == T) and rows == [S] * T
 
