@@ -36,7 +36,7 @@ from .errors import (
 )
 from .harness import MAX_HORIZON, ExperimentSpec, resolve_hyperparams, run_experiment
 from .optim import OptimizerKind
-from .problems import unallocatable, verify_assumptions
+from .problems import AssumptionCheck, unallocatable, verify_assumptions
 from .rngutil import derive_seed, make_rng
 from .theory import TheoremInputs, c_rho, theorem_bound, theorem_params
 
@@ -243,24 +243,11 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     if config.eps_guard > 0:
         hp = dataclasses.replace(hp, eps_guard=config.eps_guard)
     consts = problem.constants
-    verdicts: list[dict] = []
-
-    def verdict(name, kind_, status, **extra):
-        verdicts.append({"checker": name, "kind": kind_, "status": status, **extra})
-
-    def frequency_verdict(rep):
-        verdict(rep.name, "statistical", "pass" if rep.passed else "fail",
-                violation_fraction=rep.violation_fraction,
-                allowed_fraction=rep.allowed_fraction, n_total=rep.n_total)
-
     with unallocatable(f"check.n_probes = {check['n_probes']}: the assumption "
                        "probes are too large to allocate"):
         rep = verify_assumptions(problem, check["n_probes"],
                                  make_rng(derive_seed(spec.master_seed, 101)))
-    for c in rep.checks():
-        verdict(f"assumption_{c.name}", "deterministic",
-                "pass" if c.passed else "fail",
-                worst_ratio=c.worst_ratio, detail=c.detail)
+    verdicts = [_verdict(f"assumption_{c.name}", "deterministic", c) for c in rep.checks()]
 
     seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
     with unallocatable(f"check.T = {T}, check.n_seeds = {n_seeds}: the diagnosed "
@@ -272,16 +259,27 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     failed = next((res for name, res in results.items() if isinstance(res, Exception)
                    and diag.RECORD_CHECKS[name][0] == "statistical"), None)
     for name, (kind_, _) in diag.RECORD_CHECKS.items():
-        res = failed if failed is not None and kind_ == "statistical" else results[name]
-        if isinstance(res, Exception):
-            verdict(name, kind_, "skipped", reason=str(res))
-        elif kind_ == "deterministic":
-            verdict(name, kind_, "pass" if res.passed else "fail",
-                    worst_ratio=res.worst_ratio, worst_t=res.worst_t)
-        else:
-            frequency_verdict(res)
-    frequency_verdict(l1_rep)
+        skip = failed is not None and kind_ == "statistical"
+        verdicts.append(_verdict(name, kind_, failed if skip else results[name]))
+    verdicts.append(_verdict(l1_rep.name, "statistical", l1_rep))
     return verdicts
+
+
+def _verdict(name: str, kind: str, result: diag.Result | AssumptionCheck) -> dict:
+    """The ``check.json`` entry of one checker's result: "skipped" with its
+    reason for a precondition error, else "pass" or "fail" with its figures."""
+    entry = {"checker": name, "kind": kind}
+    if isinstance(result, Exception):
+        return {**entry, "status": "skipped", "reason": str(result)}
+    entry["status"] = "pass" if result.passed else "fail"
+    if isinstance(result, diag.FrequencyReport):
+        entry.update(violation_fraction=result.violation_fraction,
+                     allowed_fraction=result.allowed_fraction, n_total=result.n_total)
+    elif isinstance(result, diag.CheckResult):
+        entry.update(worst_ratio=result.worst_ratio, worst_t=result.worst_t)
+    else:
+        entry.update(worst_ratio=result.worst_ratio, detail=result.detail)
+    return entry
 
 
 def cmd_check(config_path: str) -> int:

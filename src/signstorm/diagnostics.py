@@ -19,7 +19,8 @@ whose recorder is a :class:`DiagnosticRun` holding one chunk of seeds;
 :func:`run_with_diagnostics` is its call for a list of seeds.  The lemmas
 are statements about one run, so every checker reads one seed, as
 :meth:`DiagnosticRun.seed_view` gives it, and refuses a stacked argument;
-:func:`check_seed_by_seed` is the one reduction over seeds.
+:func:`check_seed_by_seed` is the one reduction over seeds, in one process,
+and :func:`merge` its associative rule, which folds of seed blocks can share.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class CheckResult:
     passed: bool
     worst_ratio: float
     worst_t: int
-    detail: str = ""
 
 
 @dataclass
@@ -72,11 +72,6 @@ class FrequencyReport:
     n_total: int
     n_violations: int
     stated_bound: float
-    detail: str = ""
-
-    @property
-    def margin(self) -> float:
-        return binomial_margin(self.stated_bound, self.n_total)
 
     @property
     def violation_fraction(self) -> float:
@@ -84,11 +79,15 @@ class FrequencyReport:
 
     @property
     def allowed_fraction(self) -> float:
-        return self.stated_bound + self.margin
+        return self.stated_bound + binomial_margin(self.stated_bound, self.n_total)
 
     @property
     def passed(self) -> bool:
         return self.violation_fraction <= self.allowed_fraction
+
+
+# one checker's result on one seed or more: a precondition error is a result
+Result = CheckResult | FrequencyReport | PreconditionNotMet
 
 
 def binomial_margin(p: float, n: int) -> float:
@@ -198,8 +197,7 @@ def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckR
     worst = int(np.argmax(ratio))
     worst_ratio = float(ratio[worst])
     return CheckResult("movement_bound", worst_ratio <= 1.0 + _MOVEMENT_SLACK,
-                       worst_ratio, worst + 1,
-                       f"T={T}, bound factor sqrt(d/(1-beta2))={math.sqrt(d / (1.0 - hp.beta2)):.6g}")
+                       worst_ratio, worst + 1)
 
 
 def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
@@ -242,8 +240,7 @@ def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray, beta1: 
     ratio[~(ratio > 0.0)] = 0.0
     worst = int(np.argmax(ratio))
     worst_ratio = float(ratio[worst])
-    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, worst + 1,
-                       f"T={T}, beta1={beta1}, abs tolerance {tol:g} (1 + max |eps|)")
+    return CheckResult("representation", worst_ratio <= 1.0, worst_ratio, worst + 1)
 
 
 def decomposition_check(run: SeedRecord) -> CheckResult:
@@ -258,7 +255,7 @@ def decomposition_check(run: SeedRecord) -> CheckResult:
         raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
     T, d = run.m.shape
     if T < 2:
-        return CheckResult("storm_decomposition", True, 0.0, 1, "no t >= 2 rows")
+        return CheckResult("storm_decomposition", True, 0.0, 1)  # no t >= 2 rows
     m_next = run.m[1:]
     pair = GradientPair(run.g_curr[1:], run.g_prev[1:])
     err, part_ii = storm_decomposition(run.m[:-1], pair, run.hp.beta1)
@@ -273,8 +270,7 @@ def decomposition_check(run: SeedRecord) -> CheckResult:
     err /= scale
     flat = int(np.argmax(err))
     worst_ratio = float(err.flat[flat])
-    return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio, flat // d + 2,
-                       f"T={T}, relative tolerance {_DECOMPOSITION_TOL:g}")
+    return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio, flat // d + 2)
 
 
 def estimator_ratio_check(run: SeedRecord) -> CheckResult:
@@ -288,7 +284,7 @@ def estimator_ratio_check(run: SeedRecord) -> CheckResult:
     flat = int(np.argmax(ratio))
     worst_ratio = float(ratio.flat[flat] / cap)
     return CheckResult("estimator_ratio", worst_ratio <= 1.0 + _RATIO_SLACK, worst_ratio,
-                       flat // run.m.shape[1] + 1, f"cap 1/sqrt(1-beta2)={cap:.6g}")
+                       flat // run.m.shape[1] + 1)
 
 
 def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
@@ -301,18 +297,11 @@ def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
     return decay + 3.0 * (drift + (1.0 - hp.beta1) * sigma_vec[None, :]) * tail
 
 
-def _frequency_report(name: str, n_total: int, n_violations: int, runs: int,
-                      confidence_delta: float) -> FrequencyReport:
-    """n_violations of the n_total entries of ``runs`` runs, every entry of
-    which carries failure probability 6*delta."""
-    return FrequencyReport(name, n_total, n_violations, 6.0 * confidence_delta,
-                           f"{runs} runs, delta={confidence_delta}")
-
-
 def _frequency(name: str, violations: np.ndarray, confidence_delta: float) -> FrequencyReport:
-    """The report on one run's (T, d) mask of violations."""
-    return _frequency_report(name, violations.size, int(np.count_nonzero(violations)), 1,
-                             confidence_delta)
+    """The report on one run's (T, d) mask of violations, every entry of
+    which carries failure probability 6*delta."""
+    return FrequencyReport(name, violations.size, int(np.count_nonzero(violations)),
+                           6.0 * confidence_delta)
 
 
 def epsilon_bound_frequency(eps: np.ndarray, envelope: np.ndarray,
@@ -369,24 +358,38 @@ RECORD_CHECKS = {
 }
 
 
+def merge(kept: Result | None, res: Result) -> Result:
+    """One checker's result on earlier seeds, ``kept`` (None before the first),
+    and on later ones, ``res``, as one: the first precondition error stays, a
+    :class:`FrequencyReport` adds its counts and a :class:`CheckResult` keeps
+    the first largest worst ratio, NaN counting as largest."""
+    if kept is None:
+        return res
+    for first in (kept, res):
+        if isinstance(first, PreconditionNotMet):
+            return first
+    if isinstance(res, FrequencyReport):
+        return FrequencyReport(kept.name, kept.n_total + res.n_total,
+                               kept.n_violations + res.n_violations, kept.stated_bound)
+    if math.isnan(kept.worst_ratio) or res.worst_ratio <= kept.worst_ratio:
+        return kept
+    return res
+
+
 def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
-                       confidence_delta: float) -> dict:
+                       confidence_delta: float) -> dict[str, Result]:
     """Every checker of :data:`RECORD_CHECKS` on each of ``records``.
 
     The one reduction over seeds: each checker runs on every record in
     order, and a record is dropped before the next is drawn, so beside
     ``records`` only one seed's temporaries are alive, and one envelope,
-    the records' :func:`epsilon_envelope`, serves every seed.  A
-    :class:`CheckResult` keeps the first largest worst ratio, NaN counting
-    as largest; a :class:`FrequencyReport` sums its counts over the seeds.
-    Returns checker name -> merged result, or the precondition error the
-    checker raised on the first seed, stripped of the traceback that would
-    hold the seed.
+    the records' :func:`epsilon_envelope`, serves every seed.  Returns
+    checker name -> its results on every seed, folded by :func:`merge`; a
+    precondition error is the one the checker raised on the first seed,
+    stripped of the traceback that would hold the seed.
     """
-    merged: dict = {}
-    runs = 0
+    merged: dict[str, Result] = {}
     for record in records:
-        runs += 1
         for name, (_, check) in RECORD_CHECKS.items():
             kept = merged.get(name)
             if isinstance(kept, PreconditionNotMet):
@@ -394,16 +397,8 @@ def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
             try:
                 res = check(record, envelope, confidence_delta)
             except PreconditionNotMet as exc:
-                merged[name] = exc.with_traceback(None)
-                continue
-            if isinstance(res, FrequencyReport) and kept is not None:
-                res = _frequency_report(name, kept.n_total + res.n_total,
-                                        kept.n_violations + res.n_violations, runs,
-                                        confidence_delta)
-            elif kept is not None and (math.isnan(kept.worst_ratio)
-                                       or res.worst_ratio <= kept.worst_ratio):
-                res = kept  # the first largest worst ratio, NaN counting as largest
-            merged[name] = res
+                res = exc.with_traceback(None)
+            merged[name] = merge(kept, res)
         del record  # not alive while the next chunk is stepped
     return merged
 
@@ -495,5 +490,4 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
         violations += _escaped_paths(paths, bound)
         del paths
 
-    return FrequencyReport("lemma1_montecarlo", n_trials, violations, 3.0 * delta,
-                           f"{mds_spec.value}, T={T}, delta={delta}")
+    return FrequencyReport("lemma1_montecarlo", n_trials, violations, 3.0 * delta)

@@ -412,6 +412,9 @@ class ExperimentSpec:
                               f"got {self.T_grid[-1]}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must be from 0 to 2**64 - 1, the 64 bits that "
+                              f"seeds are derived from, got {self.master_seed!r}")
         if self.param_mode not in ("theorem", "practical"):
             raise ConfigError(f"unknown param_mode {self.param_mode!r}")
         if not self.optimizers:
@@ -507,6 +510,13 @@ def _experiment_task(args) -> tuple[tuple[int, int], np.ndarray]:
 
 
 def _worker_count() -> int:
+    # the CPUs this process may run on, which a cpuset or affinity mask
+    # can make fewer than the host's; a pool starts every worker at once,
+    # so SIGNSTORM_THREADS is capped there too
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     env = os.environ.get("SIGNSTORM_THREADS")
     if env:
         try:
@@ -516,12 +526,8 @@ def _worker_count() -> int:
                 f"SIGNSTORM_THREADS must be an integer, got {env!r}") from None
         if workers < 1:
             raise ConfigError(f"SIGNSTORM_THREADS must be at least 1, got {env!r}")
-        return workers
-    # the CPUs this process may run on, which a cpuset or affinity mask
-    # can make fewer than the host's
-    if hasattr(os, "sched_getaffinity"):
-        return min(8, len(os.sched_getaffinity(0)))
-    return min(8, os.cpu_count() or 1)
+        return min(workers, cpus)
+    return min(8, cpus)
 
 
 @dataclass

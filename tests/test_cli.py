@@ -204,6 +204,21 @@ class TestConfigValidation:
         assert "'signstorm'" in err
         assert not (tmp_path / "out").exists()
 
+    # seeds are derived from the master seed's 64 bits, so 2**64 would run
+    # the cells of seed 0 and -1 those of 2**64 - 1
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_master_seed_outside_64_bits_is_config_error(self, tmp_path, capsys, command,
+                                                         seed):
+        cfg = base_config(tmp_path / "out")
+        cfg["master_seed"] = seed
+        path = write_config(tmp_path, cfg)
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "master_seed" in err and repr(seed) in err
+        assert not (tmp_path / "out").exists()
+
     # theorem mode takes its schedule from the problem's constants, so the
     # practical schedule's keys would be ignored
     @pytest.mark.parametrize("key, value", [("alpha", -1.0), ("alpha", 1.0), ("beta", 0.5),

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
+    CheckResult,
     DiagnosticRun,
     DimensionMismatch,
+    FrequencyReport,
     HyperParams,
     MdsKind,
     NonFiniteValue,
@@ -793,6 +795,66 @@ class TestFoldMatchesPerSeed:
         alone = next(run_with_diagnostics(p, hp, 20, [12]))
         for name in ("xi", "eps", "z"):
             assert getattr(view, name).tobytes() == getattr(alone, name).tobytes()
+
+
+def bracketings(results):
+    """The merge of ``results`` under every bracketing that keeps their order."""
+    if len(results) == 1:
+        yield results[0]
+        return
+    for k in range(1, len(results)):
+        for left in bracketings(results[:k]):
+            for right in bracketings(results[k:]):
+                yield diagnostics.merge(left, right)
+
+
+def merged_bits(res):
+    """A merged result as bits: the error's type and message, the counts, or
+    the verdict with the worst ratio's bits and its t."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    if isinstance(res, FrequencyReport):
+        return bits((res.name, res.n_total, res.n_violations, res.stated_bound))
+    return bits((res.name, res.passed, res.worst_ratio, res.worst_t))
+
+
+# per-seed worst ratios: NaN, zero and repeated values tie within a sequence
+RATIOS = st.sampled_from([math.nan, 0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)
+ERRORS = st.builds(lambda i: PreconditionNotMet(f"precondition {i}"), st.integers(0, 3))
+CHECK_RESULTS = st.builds(lambda r, t: CheckResult("c", r <= 1.0, r, t), RATIOS,
+                          st.integers(1, 9))
+FREQUENCY_REPORTS = st.builds(lambda n, v: FrequencyReport("f", n, min(n, v), 0.3),
+                              st.integers(0, 40), st.integers(0, 40))
+
+
+class TestMerge:
+    """diagnostics.merge, the seed fold's one rule, on per-seed results."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(results=st.lists(CHECK_RESULTS | ERRORS, min_size=1, max_size=6)
+           | st.lists(FREQUENCY_REPORTS | ERRORS, min_size=1, max_size=6))
+    @example(results=[CheckResult("c", True, 0.5, 1), CheckResult("c", True, 0.5, 2)])
+    @example(results=[CheckResult("c", True, 0.0, 3), CheckResult("c", False, math.nan, 1),
+                      CheckResult("c", False, math.nan, 2), CheckResult("c", False, 2.0, 4)])
+    @example(results=[FrequencyReport("f", 4, 1, 0.3), PreconditionNotMet("precondition 1"),
+                      PreconditionNotMet("precondition 2")])
+    def test_every_bracketing_gives_the_fold_bits(self, results):
+        fold = None
+        for res in results:
+            fold = diagnostics.merge(fold, res)
+        # the rules: the first error stays, counts add, and the first
+        # largest worst ratio is kept, NaN counting as largest (np.argmax)
+        errors = [res for res in results if isinstance(res, PreconditionNotMet)]
+        if errors:
+            expected = errors[0]
+        elif isinstance(results[0], FrequencyReport):
+            expected = FrequencyReport("f", sum(r.n_total for r in results),
+                                       sum(r.n_violations for r in results), 0.3)
+        else:
+            expected = results[int(np.argmax([r.worst_ratio for r in results]))]
+        assert merged_bits(fold) == merged_bits(expected)
+        for res in bracketings(results):
+            assert merged_bits(res) == merged_bits(fold)
 
 
 def frozen_lemma1_violations(n_trials, T, delta, mds, seed):

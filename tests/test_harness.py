@@ -203,6 +203,38 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert harness._worker_count() == 1
 
+    def test_thread_count_is_capped_at_cpu_affinity(self, monkeypatch):
+        # a pool starts all its workers at once, so 5000 threads asked for
+        # on two CPUs would fork 5000 processes; a fake pool records the
+        # request and starts none
+        import concurrent.futures
+
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append([max_workers, 0])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                pools[-1][1] = len(tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("SIGNSTORM_THREADS", "5000")
+        assert harness._worker_count() == 2
+        spec = small_spec(optimizers=[OptimizerKind.SIGNSTORM], n_seeds=10, T_grid=[20])
+        report = run_experiment(spec)
+        assert pools == [[2, 2]]  # two workers, and the seeds split in two tasks
+        assert report.to_json() == run_experiment(spec, max_workers=1).to_json()
+
     def test_report_structure(self):
         spec = small_spec()
         report = run_experiment(spec, max_workers=2)
@@ -237,6 +269,14 @@ class TestRunExperiment:
             small_spec(n_seeds=0)
         with pytest.raises(ConfigError):
             small_spec(param_mode="bogus")
+
+    def test_master_seed_must_fit_64_bits(self):
+        # seeds are derived from its 64 bits: 2**64 would run seed 0's cells
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=f"master_seed .*got {seed}"):
+                small_spec(master_seed=seed)
+        for seed in (0, 2**64 - 1):
+            assert small_spec(master_seed=seed).master_seed == seed
 
     def test_adam_gets_stock_configuration(self):
         spec = small_spec(optimizers=[OptimizerKind.ADAM])
