@@ -19,7 +19,8 @@ import os
 import numpy as np
 
 from signstorm import ExperimentSpec, OptimizerKind, run_experiment
-from signstorm.charts import convergence_bands_svg, rate_fit_svg
+from signstorm.charts import CHARTS
+from signstorm.harness import write_text
 
 d = 10
 spec = ExperimentSpec(
@@ -48,11 +49,9 @@ for name, fit in report.rate_fits.items():
 
 out_dir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(out_dir, exist_ok=True)
-with open(os.path.join(out_dir, "demo_report.json"), "w") as fh:
-    fh.write(report.to_json())
-doc = json.loads(report.to_json())
-for name, render in (("convergence_bands", convergence_bands_svg),
-                     ("rate_fit", rate_fit_svg)):
-    with open(os.path.join(out_dir, f"{name}.svg"), "w") as fh:
-        fh.write(render(doc))
+text = report.to_json()
+write_text(os.path.join(out_dir, "demo_report.json"), text)
+doc = json.loads(text)
+for name, render in CHARTS.items():
+    write_text(os.path.join(out_dir, f"{name}.svg"), render(doc))
 print(f"\nreport and SVG charts written to {out_dir}/")

@@ -1,9 +1,10 @@
 """Standalone SVG figures rendered by direct markup generation.
 
-Two figure kinds over an experiment report: quantile bands of the headline
-metric versus horizon (median line, shaded band up to the (1-delta)
-quantile), and the log-log rate view with fitted slopes annotated.  No
-plotting dependency; output is diff-able text.
+Two figure kinds over an experiment report, named in :data:`CHARTS`:
+quantile bands of the headline metric versus horizon (median line, shaded
+band up to the (1-delta) quantile), and the log-log rate view with fitted
+slopes annotated.  Both place the cells :func:`_series` picks, those with
+a positive median.  No plotting dependency; output is diff-able text.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def _is_number(value) -> bool:
 
 
 def _series(report_doc: dict) -> dict[str, list[dict]]:
+    """Each optimizer's cells, validated, that a log axis can place: those
+    whose median is positive, in T order (none for some optimizers)."""
     try:
         cells = report_doc["cells"]
         by_opt: dict[str, list[dict]] = {}
@@ -104,7 +107,9 @@ def _series(report_doc: dict) -> dict[str, list[dict]]:
                     and all(q is None or (_is_number(q) and q >= 0) for q in qs.values())):
                 raise MalformedReport(f"a cell's quantiles must be non-negative numbers "
                                       f"or null, got {qs!r}")
-            by_opt.setdefault(cell["optimizer"], []).append(cell)
+            rows = by_opt.setdefault(cell["optimizer"], [])
+            if qs.get("0.5") and qs["0.5"] > 0:
+                rows.append(cell)
         for rows in by_opt.values():
             rows.sort(key=lambda c: c["T"])
         return by_opt
@@ -138,16 +143,14 @@ def convergence_bands_svg(report_doc: dict) -> str:
     for rows in by_opt.values():
         for c in rows:
             q = c["quantiles"]
-            if q.get("0.5") and q["0.5"] > 0:
-                pts.append((c["T"], q["0.5"], q.get("1-delta") or q["0.5"]))
+            pts.append((c["T"], q["0.5"], q.get("1-delta") or q["0.5"]))
     if not pts:
         return _no_data(parts, "no data")
     frame = _LogLogFrame([p[0] for p in pts], [v for p in pts for v in p[1:]])
     parts += frame.grid() + _axes("T", "min_t ||grad F(x_t)||_1")
     legend = []
-    for i, (opt, rows) in enumerate(by_opt.items()):
+    for i, (opt, valid) in enumerate(by_opt.items()):
         color = PALETTE[i % len(PALETTE)]
-        valid = [c for c in rows if c["quantiles"].get("0.5") and c["quantiles"]["0.5"] > 0]
         if not valid:
             legend.append((color, f"{opt} (no data)"))
             continue
@@ -192,8 +195,7 @@ def rate_fit_svg(report_doc: dict) -> str:
     pts = []
     for rows in by_opt.values():
         for c in rows:
-            if c["quantiles"].get("0.5") and c["quantiles"]["0.5"] > 0:
-                pts.append((c["T"], c["quantiles"]["0.5"]))
+            pts.append((c["T"], c["quantiles"]["0.5"]))
     if not pts:
         return _no_data(parts, "no data")
     frame = _LogLogFrame([p[0] for p in pts], [p[1] for p in pts])
@@ -201,8 +203,7 @@ def rate_fit_svg(report_doc: dict) -> str:
     legend = []
     for i, (opt, rows) in enumerate(by_opt.items()):
         color = PALETTE[i % len(PALETTE)]
-        valid = [(c["T"], c["quantiles"]["0.5"]) for c in rows
-                 if c["quantiles"].get("0.5") and c["quantiles"]["0.5"] > 0]
+        valid = [(c["T"], c["quantiles"]["0.5"]) for c in rows]
         if not valid:
             legend.append((color, f"{opt} (no data)"))
             continue
@@ -222,3 +223,7 @@ def rate_fit_svg(report_doc: dict) -> str:
     parts += _legend(legend)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# chart name -> renderer: the charts `run` writes, and `report --chart`'s choices
+CHARTS = {"convergence_bands": convergence_bands_svg, "rate_fit": rate_fit_svg}

@@ -31,10 +31,12 @@ from . import charts, diagnostics as diag
 from .errors import (
     ConfigError,
     InvalidConstant,
+    MalformedReport,
     RhoConstraintViolated,
     SignStormError,
 )
-from .harness import MAX_HORIZON, ExperimentSpec, resolve_hyperparams, run_experiment
+from .harness import (MAX_HORIZON, ExperimentSpec, canonical_json, resolve_hyperparams,
+                      run_experiment, write_text)
 from .optim import OptimizerKind
 from .problems import AssumptionCheck, unallocatable, verify_assumptions
 from .rngutil import derive_seed, make_rng
@@ -83,7 +85,7 @@ class RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -203,13 +205,10 @@ def cmd_run(config_path: str) -> int:
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "report.json")
     text = report.to_json()
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(report_path, text)
     doc = json.loads(text)
-    for name, render in (("convergence_bands", charts.convergence_bands_svg),
-                         ("rate_fit", charts.rate_fit_svg)):
-        with open(os.path.join(out, f"{name}.svg"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render(doc))
+    for name, render in charts.CHARTS.items():
+        write_text(os.path.join(out, f"{name}.svg"), render(doc))
     print(f"report written to {report_path}")
     return EXIT_OK
 
@@ -286,11 +285,9 @@ def cmd_check(config_path: str) -> int:
     config = RunConfig.load(config_path)
     verdicts = _check_verdicts(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, "check.json")
-    text = json.dumps({"verdicts": verdicts}, sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-    print(text)
+    text = canonical_json({"verdicts": verdicts})
+    write_text(os.path.join(config.output_dir, "check.json"), text)
+    print(text, end="")
     hard_fail = any(v["status"] == "fail" and v["kind"] == "deterministic"
                     for v in verdicts)
     return EXIT_CHECK if hard_fail else EXIT_OK
@@ -300,15 +297,10 @@ def cmd_report(report_path: str, chart: str, out_path: str | None) -> int:
     try:
         with open(report_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed report: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    render = {"convergence_bands": charts.convergence_bands_svg,
-              "rate_fit": charts.rate_fit_svg}[chart]
-    svg = render(doc)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedReport(f"malformed report: {exc}") from None
     target = out_path or os.path.join(os.path.dirname(report_path) or ".", f"{chart}.svg")
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    write_text(target, charts.CHARTS[chart](doc))
     print(f"chart written to {target}")
     return EXIT_OK
 
@@ -340,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="render a chart from a report")
     p_report.add_argument("report")
-    p_report.add_argument("--chart", choices=["convergence_bands", "rate_fit"],
-                          default="convergence_bands")
+    p_report.add_argument("--chart", choices=list(charts.CHARTS),
+                          default=next(iter(charts.CHARTS)))
     p_report.add_argument("--out", default=None)
 
     p_params = sub.add_parser("params", help="print the horizon-tuned parameters")

@@ -53,6 +53,8 @@ _MOVEMENT_SLACK = 1e-9
 _RATIO_SLACK = 1e-12
 # the estimator's two parts must reassemble it up to this relative error
 _DECOMPOSITION_TOL = 1e-12
+# the rebuilt eps_t must match the recorded one up to this relative error
+_REPRESENTATION_TOL = 1e-6
 
 
 @dataclass
@@ -220,8 +222,8 @@ def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
     return acc
 
 
-def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray, beta1: float,
-                         tol: float = 1e-6) -> CheckResult:
+def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray,
+                         beta1: float) -> CheckResult:
     """Verify eps_t = b1^t eps_0 + b1 sum b1^(t-s) Z_s + (1-b1) sum b1^(t-s) xi_s.
 
     The right side is rebuilt by direct weighted summation over s
@@ -229,7 +231,7 @@ def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray, beta1: 
     """
     _one_seed(xi=xi, eps=eps, z=z)
     T, d = xi.shape
-    scale = tol * (1.0 + float(np.max(np.abs(eps))))
+    scale = _REPRESENTATION_TOL * (1.0 + float(np.max(np.abs(eps))))
     acc = _geometric_sums(np.concatenate([z, xi], axis=1), beta1)
     decay = np.array([beta1 ** t for t in range(1, T + 1)])
     rhs = (decay[:, None] * xi[0]  # eps_0 = xi_1
@@ -405,13 +407,12 @@ def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
 
 # fewer trials make the violation frequency meaningless
 LEMMA1_MIN_TRIALS = 100
-# trials drawn per block, at most 2000 and 1 MB (one trial at least): the
-# peak memory is one (block, T) array, int32 step counts for Rademacher
-# terms and float64 partial sums otherwise.  Blocks draw one stream at any
-# row boundary, so the budget moves no count; from 0.5 to 8 MB it moves
-# the time by a few percent, while a larger block adds its bytes to the
-# peak of `check`
-_LEMMA1_CHUNK = 2000
+# trials drawn per block, at most 1 MB (one trial at least): the peak
+# memory is one (block, T) array, int32 step counts for Rademacher terms
+# and float64 partial sums otherwise.  Blocks draw one stream at any row
+# boundary, so the budget moves no count; from 0.5 to 8 MB it moves the
+# time by a few percent, while a larger block adds its bytes to the peak
+# of `check`
 _LEMMA1_BYTES = 1_000_000
 
 
@@ -469,7 +470,7 @@ def lemma1_montecarlo(n_trials: int, T: int, delta: float,
         # no |S_t| exceeds T, so a larger bound is as good as T
         bound = np.minimum(np.floor(bound), T).astype(counts)
 
-    block = max(1, min(_LEMMA1_CHUNK, _LEMMA1_BYTES // (T * np.dtype(counts).itemsize)))
+    block = max(1, _LEMMA1_BYTES // (T * np.dtype(counts).itemsize))
     rng = make_rng(seed)
     violations = 0
     for done in range(0, n_trials, block):

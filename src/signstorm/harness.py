@@ -22,7 +22,9 @@ is the empirical (1-delta)-quantile over independent seeds.  Reduction is
 keyed and ordered, so reports are byte-identical for any worker count.
 Given a trace directory, a task writes each chunk's CSVs.  The engine is
 the only loop over t: :func:`run_trial` is its single-seed call with a
-:class:`TraceRecorder`.
+:class:`TraceRecorder`, and a trace's headline is the recorder's.  Every
+output file is written by :func:`write_text` (UTF-8, LF endings), and
+every JSON file is laid out by :func:`canonical_json`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,30 +55,26 @@ from .problems import StochasticProblem, check_params, make_problem, unallocatab
 from .rngutil import derive_seed, make_rng
 from .theory import TheoremInputs, practical_params, theorem_params
 
-TRACE_HEADER = "t,loss,grad_l1,grad_l2,eps_l1,step_l2"
+# the trace CSV's columns in file order, each a TrialTrace field
+TRACE_COLUMNS = ("t", "loss", "grad_l1", "grad_l2", "eps_l1", "step_l2")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 MAX_TRACE_ROWS = 1_000_000
 
 
 @dataclass
 class TrialTrace:
-    """Per-iteration scalars of one seeded run."""
+    """Per-iteration scalars of one seeded run, and its headline as the
+    engine's :class:`Recorder` keeps it: NaN where the run aborted."""
 
-    seed: int
-    kind: OptimizerKind
-    hp: HyperParams
     t: np.ndarray
     loss: np.ndarray
     grad_l1: np.ndarray
     grad_l2: np.ndarray
     step_l2: np.ndarray
+    headline: float
     eps_l1: np.ndarray | None = None
     aborted: bool = False
     abort_reason: str = ""
-
-    @property
-    def headline(self) -> float:
-        """min over recorded t of ||grad F(x_t)||_1."""
-        return float(np.min(self.grad_l1)) if self.grad_l1.size else math.nan
 
 
 # presampled noise is drawn in blocks of at most this many values per
@@ -164,13 +162,13 @@ class TraceRecorder(Recorder):
         self.grad_l2[live, i] = _row_norms(g_exact)[:, 0]
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
-    def trace(self, s: int, seed: int, kind: OptimizerKind, hp: HyperParams) -> TrialTrace:
+    def trace(self, s: int) -> TrialTrace:
         """Seed s's trace; views, not copies."""
         n = int(self.done[s])
         return TrialTrace(
-            seed=seed, kind=kind, hp=hp, t=np.arange(1, n + 1),
-            loss=self.loss[s, :n], grad_l1=self.grad_l1[s, :n],
+            t=np.arange(1, n + 1), loss=self.loss[s, :n], grad_l1=self.grad_l1[s, :n],
             grad_l2=self.grad_l2[s, :n], step_l2=self.step_l2[s, :n],
+            headline=float(self.headline[s]),
             eps_l1=self.eps_l1[s, :n] if self.eps_l1 is not None else None,
             aborted=bool(n < self.horizon[s]), abort_reason=self.abort_reasons[s],
         )
@@ -340,7 +338,7 @@ def run_trial(problem: StochasticProblem, kind: OptimizerKind, hp: HyperParams,
     non-finite update aborts it with a partial trace."""
     [(_, recorder)] = run_cell(problem, kind, hp, T, [seed], lambda n_seeds, horizons:
                                TraceRecorder(n_seeds, horizons, collect_diagnostics))
-    return recorder.trace(0, seed, kind, hp)
+    return recorder.trace(0)
 
 
 def quantile(samples, level: float) -> float:
@@ -503,7 +501,7 @@ def _experiment_task(args) -> tuple[tuple[int, int], np.ndarray]:
             os.makedirs(trace_dir, exist_ok=True)
             for r, i in enumerate(rows.tolist()):
                 ti, si = cells[i]
-                write_trace_csv(recorder.trace(r, seeds[i], kind, hps[ti]), os.path.join(
+                write_trace_csv(recorder.trace(r), os.path.join(
                     trace_dir, f"{kind.value}_T{spec.T_grid[ti]}_s{si}.csv"))
         del recorder  # free this chunk's columns before the next is stepped
     return (oi, lo), headline.reshape(len(spec.T_grid), -1)
@@ -541,14 +539,7 @@ class ExperimentReport:
     violations: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "cells": self.cells,
-            "rate_fits": self.rate_fits,
-            "violations": self.violations,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return canonical_json(asdict(self))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentReport":
@@ -626,12 +617,22 @@ def trace_stride(T: int) -> int:
 
 
 def write_trace_csv(trace: TrialTrace, path: str) -> None:
-    """CSV trace (UTF-8, LF endings); long runs are strided, metrics are not."""
+    """CSV trace in ``TRACE_COLUMNS`` order; long runs are strided, metrics are not."""
     stride = trace_stride(trace.t.size)
     t = trace.t[::stride].tolist()
     # tolist() gives Python floats, whose repr is that of float(x)
     cols = [map(repr, col[::stride].tolist()) if col is not None else [""] * len(t)
-            for col in (trace.loss, trace.grad_l1, trace.grad_l2, trace.eps_l1, trace.step_l2)]
+            for col in (getattr(trace, name) for name in TRACE_COLUMNS[1:])]
     lines = [TRACE_HEADER, *map(",".join, zip(map(str, t), *cols))]
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def canonical_json(doc) -> str:
+    """The layout of every JSON file written: sorted keys, indent 2, a final LF."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    """The one writer of every output file: UTF-8, LF endings on any platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

@@ -30,9 +30,9 @@ class WholeCell:
                 self.at[s] = recorder, r
         assert all(at is not None for at in self.at), "a seed is in no chunk"
 
-    def trace(self, s, seed, kind, hp):
+    def trace(self, s):
         recorder, r = self.at[s]
-        return recorder.trace(r, seed, kind, hp)
+        return recorder.trace(r)
 
     def seed_view(self, s):
         recorder, r = self.at[s]

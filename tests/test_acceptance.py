@@ -89,8 +89,8 @@ def test_criterion_02_movement_bound_almost_sure():
             confidence_delta=0.05, d=problem.d))
         seeds = [derive_seed(22, int(beta2 * 100), s) for s in range(100)]
         for rows, recorder in run_cell(problem, kind, hp, 10_000, seeds, TraceRecorder):
-            for r, s in enumerate(rows.tolist()):
-                trace = recorder.trace(r, seeds[s], kind, hp)
+            for r in range(rows.size):
+                trace = recorder.trace(r)
                 ratios.append(movement_bound_check(trace.step_l2, hp,
                                                    problem.d).worst_ratio)
     worst = max(ratios)

@@ -202,10 +202,10 @@ def reference_trial(problem, kind, hp, T, seed, collect_diagnostics=False):
         done = t
 
     return TrialTrace(
-        seed=seed, kind=kind, hp=hp,
         t=np.arange(1, done + 1),
         loss=loss[:done], grad_l1=grad_l1[:done], grad_l2=grad_l2[:done],
         step_l2=step_l2[:done],
+        headline=float(np.min(grad_l1[:done])) if done == T else math.nan,
         eps_l1=eps_l1[:done] if collect_diagnostics else None,
         aborted=done < T, abort_reason=reason,
     )
@@ -405,6 +405,7 @@ def test_seed_chunks_match_one_cell(case, monkeypatch):
 def assert_same_trace(recorded, reference):
     assert recorded.aborted == reference.aborted
     assert recorded.abort_reason == reference.abort_reason
+    assert same_bits(recorded.headline, reference.headline)
     assert same_bits(recorded.t, reference.t)
     for column in ("loss", "grad_l1", "grad_l2", "step_l2", "eps_l1"):
         assert same_bits(getattr(recorded, column), getattr(reference, column)), column
@@ -421,7 +422,7 @@ def test_recorded_traces_match_per_seed_trials(name, kind, block_values, beta1,
     # the chunks hold every seed once, in seed order
     assert [s for rows, _ in cell.chunks for s in rows.tolist()] == [0, 1, 2]
     for s, (seed, trace) in enumerate(zip(GRID_SEEDS, references)):
-        assert_same_trace(cell.trace(s, seed, kind, hp), trace)
+        assert_same_trace(cell.trace(s), trace)
         assert cell.done[s] == 150 and same_bits(cell.headline[s], trace.headline)
         assert_same_trace(run_trial(problem, kind, hp, 150, seed,
                                     collect_diagnostics=True), trace)
@@ -445,9 +446,9 @@ def test_recorded_traces_stop_at_each_seeds_abort():
         singles = [run_trial(problem, OptimizerKind.SGD, hp, T, seed,
                              collect_diagnostics=True) for seed in seeds]
     assert len({trace.t.size for trace in traces if trace.aborted}) > 1
-    for s, (seed, trace) in enumerate(zip(seeds, traces)):
+    for s, trace in enumerate(traces):
         assert (recorder.done[s] < T) == trace.aborted
-        assert_same_trace(recorder.trace(s, seed, OptimizerKind.SGD, hp), trace)
+        assert_same_trace(recorder.trace(s), trace)
         assert_same_trace(singles[s], trace)
 
 
@@ -569,7 +570,7 @@ def test_mixed_horizons_match_one_horizon_calls(case):
                 assert same_bits(cell.headline[s], single.headline[0])
                 assert cell.done[s] == single.done[0]
                 assert cell.abort_reasons[s] == single.abort_reasons[0]
-            assert_same_trace(traced.trace(s, seed, kind, hp), single.trace(0, seed, kind, hp))
+            assert_same_trace(traced.trace(s), single.trace(0))
     if case is EXIT_AT_HORIZON:
         assert np.isnan(base.headline[0]) and base.done[0] == horizons[0] - 1
         assert np.isfinite(base.headline[1]) and base.done[1] == horizons[1]

@@ -23,7 +23,7 @@ from signstorm import (
     run_with_diagnostics,
 )
 from signstorm.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
-from signstorm.errors import ConfigError
+from signstorm.errors import ConfigError, MalformedReport
 
 
 def base_config(out_dir):
@@ -367,6 +367,15 @@ class TestConfigValidation:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["run", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"output_dir": "\xff"}')
+        assert main([command, str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_zero_gap_names_what_the_config_can_change(self, tmp_path, capsys, command):
@@ -735,6 +744,19 @@ class TestCmdReport:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b'{"cells": [', b'{"cells": "\xff"}'],
+                             ids=["not_json", "not_utf8"])
+    def test_undecodable_report_is_malformed(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedReport, match="^malformed report: "):
+            cli.cmd_report(str(path), "rate_fit", None)
+        out = tmp_path / "chart.svg"
+        assert main(["report", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unreadable_or_unwritable_is_io_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == EXIT_IO
         path = self.synthetic_report(tmp_path, [], {})
@@ -744,23 +766,27 @@ class TestCmdReport:
 
 
 def test_every_written_file_has_lf_line_endings(tmp_path, monkeypatch):
-    # newline="\n" keeps the pinned reports and charts byte-stable on
-    # platforms whose text mode would write CRLF
+    # newline="\n" keeps the pinned reports, traces and charts byte-stable
+    # on platforms whose text mode would write CRLF.  Every file goes
+    # through harness.write_text; one worker writes the traces in this
+    # process, where the patched open sees them
     opened = []
 
     def recording_open(file, mode="r", *args, **kwargs):
-        opened.append((Path(file).name, mode, kwargs.get("newline")))
+        opened.append((Path(file).name, mode, kwargs.get("newline"), kwargs.get("encoding")))
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(harness, "open", recording_open, raising=False)
+    monkeypatch.setenv("SIGNSTORM_THREADS", "1")
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_OK
     assert main(["report", str(out / "report.json"), "--chart", "rate_fit"]) == EXIT_OK
     assert main(["check", write_config(tmp_path, base_config(out))]) == EXIT_OK
-    written = [(name, newline) for name, mode, newline in opened if "w" in mode]
-    assert sorted(written) == sorted([
-        ("report.json", "\n"), ("convergence_bands.svg", "\n"), ("rate_fit.svg", "\n"),
-        ("rate_fit.svg", "\n"), ("check.json", "\n")])
+    written = [(name, newline, encoding) for name, mode, newline, encoding in opened
+               if "w" in mode]
+    assert sorted(written) == sorted((name, "\n", "utf-8") for name in [
+        "signstorm_T60_s0.csv", "signstorm_T60_s1.csv", "report.json",
+        "convergence_bands.svg", "rate_fit.svg", "rate_fit.svg", "check.json"])
 
 
 class TestCmdParams:

@@ -77,8 +77,8 @@ class EpsilonTrace:
         return self.xi.shape[0]
 
 
-def check_trace(trace, beta1, **kwargs):
-    return representation_check(trace.xi, trace.eps, trace.z, beta1, **kwargs)
+def check_trace(trace, beta1):
+    return representation_check(trace.xi, trace.eps, trace.z, beta1)
 
 
 def trace_from_recurrence(xi, z, beta1):
@@ -231,12 +231,13 @@ class TestRepresentation:
         assert res.passed
         assert res.worst_ratio < 1e-9
 
-    def test_three_step_hand_case(self):
+    def test_three_step_hand_case(self, monkeypatch):
         xi = np.array([[0.3], [-0.2], [0.5]])
         z = np.array([[0.0], [0.1], [-0.4]])
         trace = trace_from_recurrence(xi, z, beta1=0.5)
         np.testing.assert_allclose(trace.eps.ravel(), [0.3, 0.1, 0.1], atol=1e-12)
-        res = check_trace(trace, beta1=0.5, tol=1e-12)
+        monkeypatch.setattr(diagnostics, "_REPRESENTATION_TOL", 1e-12)
+        res = check_trace(trace, beta1=0.5)
         assert res.passed
 
     def test_long_noisy_run(self):
@@ -871,7 +872,8 @@ def frozen_lemma1_violations(n_trials, T, delta, mds, seed):
     violations = 0
     done = 0
     while done < n_trials:
-        n = min(diagnostics._LEMMA1_CHUNK, n_trials - done)
+        # any block size draws the same stream
+        n = min(2000, n_trials - done)
         if mds is MdsKind.RADEMACHER:
             draws = rng.choice([-1.0, 1.0], size=(n, T))
         else:

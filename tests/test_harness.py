@@ -22,6 +22,7 @@ from signstorm import (
     fit_rate,
     make_problem,
     quantile,
+    run_cell,
     run_experiment,
     run_trial,
     write_trace_csv,
@@ -171,6 +172,18 @@ class TestRunTrial:
         assert trace.aborted
         assert trace.abort_reason != ""
         assert trace.t.size < 50
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_aborted_headline_is_the_engines_nan(self):
+        # the minimum of the recorded steps would read 2.0 here; an aborted
+        # seed is a failure, so its headline is the recorder's NaN
+        p = small_problem(sigma=0.0, d=2)
+        hp = HyperParams(eta=1e300, beta1=0.0, beta2=0.0)
+        trace = run_trial(p, OptimizerKind.SGD, hp, 50, seed=1)
+        [(_, recorder)] = run_cell(p, OptimizerKind.SGD, hp, 50, [1])
+        assert trace.aborted and trace.grad_l1.size > 0
+        assert math.isnan(trace.headline)
+        assert np.float64(trace.headline).tobytes() == recorder.headline[0].tobytes()
 
     def test_finite_sum_problem_runs(self):
         p = make_problem("synthetic_logistic",
