@@ -7,9 +7,12 @@ estimator split, and the ratio cap |m|/sqrt(v) <= 1/sqrt(1-beta2).  The
 probability-bearing statements (the eps_t envelope, the sign dichotomy,
 and the martingale partial-sum envelope) are measured as violation
 frequencies over seeds.  Every checker reads one seed's record.
-run_with_diagnostics yields the records seed by seed as the engine steps
-them in chunks, and check_seed_by_seed runs every checker on each record
-in turn and merges the results, so only one chunk of seeds is held.
+run_with_diagnostics yields a seed's whole record, as the single run
+below reads it.  check_in_blocks, the path `signstorm check` takes, gives
+check_seed_by_seed's results on those records while holding only a block
+of steps of each chunk of seeds: it runs the checkers that are local in t
+on every block as the engine fills it and merges the results, and keeps
+the first REPRESENTATION_STEPS steps for the representation check.
 
 Run:  python demos/04_lemma_diagnostics.py
 """
@@ -19,9 +22,8 @@ import numpy as np
 from signstorm import (
     HyperParams,
     MdsKind,
-    check_seed_by_seed,
+    check_in_blocks,
     decomposition_check,
-    epsilon_envelope,
     estimator_ratio_check,
     lemma1_montecarlo,
     movement_bound_check,
@@ -44,11 +46,8 @@ for result in (movement_bound_check(record.step_l2, hp, d),
           f"passed={result.passed}")
 
 print("\nfrequency checks over 50 seeds (delta = 0.05):")
-# one envelope serves every seed, which is checked as soon as it is stepped
-consts = problem.constants
-envelope = epsilon_envelope(hp, consts.L_vec, consts.sigma_vec, 300, 0.05)
-records = run_with_diagnostics(problem, hp, 300, list(range(50)))
-results = check_seed_by_seed(records, envelope, 0.05)
+# each block of steps is checked against its rows of the envelope
+results = check_in_blocks(problem, hp, 300, list(range(50)), 0.05)
 for rep in (results["epsilon_bound"], results["sign_dichotomy"]):
     print(f"  {rep.name:22s} violations {rep.n_violations}/{rep.n_total} "
           f"(allowed fraction {rep.allowed_fraction:.3f})")

@@ -2,11 +2,14 @@
 verification harness for its convergence theory at desk scale."""
 
 from .diagnostics import (
+    REPRESENTATION_STEPS,
+    CheckedRun,
     CheckResult,
     DiagnosticRun,
     FrequencyReport,
     MdsKind,
     SeedRecord,
+    check_in_blocks,
     check_seed_by_seed,
     decomposition_check,
     epsilon_bound_frequency,

@@ -15,7 +15,8 @@ inside the configured output directory.  A config file loads into a
 the four keys only the CLI reads.  ``run`` steps every trial once, in one
 task per optimizer (or per optimizer and seed range), and those tasks
 record the CSV traces, a bounded amount at a time.  ``check`` steps its
-diagnosed seeds in one call of the same engine, one chunk at a time.
+diagnosed seeds in one call of the same engine, one chunk at a time, and
+checks each chunk in blocks of steps as they are stepped.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ _CHECK_INTS = {"T": 1, "n_seeds": 1, "n_probes": 1,
 _CHECK_KEYS = {*_CHECK_INTS, "mds", "fault_injection"}
 # simulated lemma 1 steps a check may ask for: about 50 s at ~5 ns a step
 _LEMMA1_STEPS = 10**10
+# diagnosed seed-steps a check may ask for: about an hour at a few us a step
+_DIAGNOSED_STEPS = 10**9
 # check key -> its default; T and n_seeds default from the experiment grid
 _CHECK_DEFAULTS = {"n_probes": 2000, "lemma1_trials": 10000, "lemma1_T": 1000,
                    "mds": diag.MdsKind.RADEMACHER.value, "fault_injection": {}}
@@ -224,6 +227,13 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     """
     spec = config.spec
     check = config.check
+    T = check.get("T", min(spec.T_grid[0], 2000))
+    n_seeds = check.get("n_seeds", min(spec.n_seeds, 20))
+    # the diagnosed runs hold no more memory at a longer horizon, so their
+    # length is bounded by time
+    if T * n_seeds > _DIAGNOSED_STEPS:
+        raise ConfigError(f"check.T * check.n_seeds must be at most {_DIAGNOSED_STEPS} "
+                          f"diagnosed steps, got {T} * {n_seeds}")
     # first, so that paths too large to allocate fail before any other work
     with unallocatable(f"check.lemma1_T = {check['lemma1_T']}: the simulated "
                        "martingale paths are too large to allocate"):
@@ -235,13 +245,10 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     if scale != 1.0:
         problem.constants = dataclasses.replace(
             problem.constants, L_vec=problem.constants.L_vec * scale)
-    T = check.get("T", min(spec.T_grid[0], 2000))
-    n_seeds = check.get("n_seeds", min(spec.n_seeds, 20))
     kind = OptimizerKind.SIGNSTORM
     hp = resolve_hyperparams(spec, problem, kind, T)
     if config.eps_guard > 0:
         hp = dataclasses.replace(hp, eps_guard=config.eps_guard)
-    consts = problem.constants
     with unallocatable(f"check.n_probes = {check['n_probes']}: the assumption "
                        "probes are too large to allocate"):
         rep = verify_assumptions(problem, check["n_probes"],
@@ -251,15 +258,16 @@ def _check_verdicts(config: RunConfig) -> list[dict]:
     seeds = [derive_seed(spec.master_seed, 202, s) for s in range(n_seeds)]
     with unallocatable(f"check.T = {T}, check.n_seeds = {n_seeds}: the diagnosed "
                        "runs' arrays are too large to allocate"):
-        envelope = diag.epsilon_envelope(hp, consts.L_vec, consts.sigma_vec, T, spec.delta)
-        results = diag.check_seed_by_seed(diag.run_with_diagnostics(problem, hp, T, seeds, kind),
-                                          envelope, spec.delta)
+        results = diag.check_in_blocks(problem, hp, T, seeds, spec.delta, kind)
     # a failed statistical precondition skips both statistical verdicts
     failed = next((res for name, res in results.items() if isinstance(res, Exception)
                    and diag.RECORD_CHECKS[name][0] == "statistical"), None)
     for name, (kind_, _) in diag.RECORD_CHECKS.items():
         skip = failed is not None and kind_ == "statistical"
         verdicts.append(_verdict(name, kind_, failed if skip else results[name]))
+        if name == "representation" and T > diag.REPRESENTATION_STEPS:
+            # a check of the first steps must not read as one of all
+            verdicts[-1]["steps_checked"] = diag.REPRESENTATION_STEPS
     verdicts.append(_verdict(l1_rep.name, "statistical", l1_rep))
     return verdicts
 

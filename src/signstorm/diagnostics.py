@@ -16,15 +16,22 @@ failure probability plus a binomial margin.
 
 Diagnosed runs come from the experiment engine, ``harness.run_cell``,
 whose recorder is a :class:`DiagnosticRun` holding one chunk of seeds;
-:func:`run_with_diagnostics` is its call for a list of seeds.  The lemmas
-are statements about one run, so every checker reads one seed, as
-:meth:`DiagnosticRun.seed_view` gives it, and refuses a stacked argument;
-:func:`check_seed_by_seed` is the one reduction over seeds, in one process,
-and :func:`merge` its associative rule, which folds of seed blocks can share.
+:func:`run_with_diagnostics` is its call for a list of seeds, each record
+holding its seed's whole horizon.  The lemmas are statements about one
+run, so every checker reads one seed, as :meth:`DiagnosticRun.seed_view`
+gives it, and refuses a stacked argument; :func:`check_seed_by_seed` is
+the reduction over whole records, and :func:`merge` its associative rule.
+:func:`check_in_blocks`, which ``signstorm check`` calls, gives the same
+results holding a bounded block of steps: its recorder, a
+:class:`CheckedRun`, folds each block of B steps through the checkers
+that are local in t as it fills, and keeps only the first
+``REPRESENTATION_STEPS`` steps of xi, eps and Z for the representation
+check, so its memory does not grow with T.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from collections.abc import Iterable, Iterator
@@ -55,6 +62,12 @@ _RATIO_SLACK = 1e-12
 _DECOMPOSITION_TOL = 1e-12
 # the rebuilt eps_t must match the recorded one up to this relative error
 _REPRESENTATION_TOL = 1e-6
+# check_in_blocks checks the representation on each seed's first steps, at
+# most this many: the check costs O(T^2 d) and holds 3 d values per step
+REPRESENTATION_STEPS = 2000
+# a CheckedRun holds about this many values per recorded array: B steps of
+# its S seeds' d coordinates, B = this // (S d), at least 1
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass
@@ -101,14 +114,17 @@ def binomial_margin(p: float, n: int) -> float:
 class DiagnosticRun(Recorder):
     """Every seed of one diagnosed :func:`run_cell` chunk with one horizon T:
     row s of each array is the chunk's seed s, as a single run computes it,
-    and row t-1 of a seed holds time t."""
+    and row r of a seed holds time ``t0`` + r.  It holds ``rows`` rows, by
+    default the whole horizon, from t0 = 1."""
 
     needs_prev = True  # Z_t needs the shared-sample gradient at x_{t-1}
+    t0 = 1
 
-    def __init__(self, n_seeds: int, T, d: int, hp: HyperParams, kind: OptimizerKind):
+    def __init__(self, n_seeds: int, T, d: int, hp: HyperParams, kind: OptimizerKind,
+                 rows: int | None = None):
         super().__init__(n_seeds, T)
         self.hp, self.kind = hp, kind
-        shape = (n_seeds, int(self.horizon.max(initial=0)), d)
+        shape = (n_seeds, int(self.horizon.max(initial=0)) if rows is None else rows, d)
         self.m = np.empty(shape)           # estimator after each step
         self.v = np.empty(shape)           # second moment after each step
         self.grad_exact = np.empty(shape)  # exact gradient at x_t
@@ -117,8 +133,8 @@ class DiagnosticRun(Recorder):
         self.step_l2 = np.empty(shape[:2])  # ||x_{t+1} - x_t||_2
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
-        """Every array's row t-1 for the live seeds."""
-        i = t - 1
+        """Every array's row t - t0 for the live seeds."""
+        i = t - self.t0
         if t > 1:
             self.g_prev[live, i] = grads.g_prev
         self.grad_exact[live, i] = g_exact
@@ -127,16 +143,21 @@ class DiagnosticRun(Recorder):
         self.v[live, i] = state.v
         self.step_l2[live, i] = _row_norms(state.x - state.prev_x)[:, 0]
 
-    def seed_view(self, s: int) -> "SeedRecord":
-        """Seed s alone: its rows of the six arrays, as views, not copies."""
-        return SeedRecord(self.hp, self.kind, self.m[s], self.v[s], self.grad_exact[s],
-                          self.g_curr[s], self.g_prev[s], self.step_l2[s])
+    def seed_view(self, s: int, lo: int = 0, hi: int | None = None) -> "SeedRecord":
+        """Seed s alone, rows lo..hi-1 (all by default) of the six arrays,
+        as views, not copies."""
+        rows = slice(lo, hi)
+        return SeedRecord(self.hp, self.kind, self.m[s, rows], self.v[s, rows],
+                          self.grad_exact[s, rows], self.g_curr[s, rows],
+                          self.g_prev[s, rows], self.step_l2[s, rows], self.t0 + lo)
 
 
 @dataclass(frozen=True, eq=False)
 class SeedRecord:
     """One diagnosed seed, as every checker reads it: :class:`DiagnosticRun`'s
-    rows of that seed, (T, d) or (T,).  xi, eps and Z are derived on access."""
+    rows of that seed, (T, d) or (T,), row 0 holding time ``start``.  xi,
+    eps and Z are derived on access; Z's row 0 is Z_1 = 0 where start = 1,
+    and is not Z_start otherwise, which needs the row before."""
 
     hp: HyperParams
     kind: OptimizerKind
@@ -146,6 +167,7 @@ class SeedRecord:
     g_curr: np.ndarray
     g_prev: np.ndarray
     step_l2: np.ndarray
+    start: int = 1
 
     @property
     def xi(self) -> np.ndarray:
@@ -189,17 +211,19 @@ def _one_seed(ndim: int = 2, **arrays: np.ndarray) -> None:
                                     f"array, got shape {np.shape(array)}")
 
 
-def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int) -> CheckResult:
-    """Almost-sure cap on iterate movement: ||x_{t+1}-x_t||_2 <= eta_t sqrt(d/(1-beta2))."""
+def movement_bound_check(step_l2: np.ndarray, hp: HyperParams, d: int,
+                         start: int = 1) -> CheckResult:
+    """Almost-sure cap on iterate movement: ||x_{t+1}-x_t||_2 <= eta_t sqrt(d/(1-beta2)),
+    ``step_l2`` holding the steps from time ``start`` on."""
     _one_seed(1, step_l2=step_l2)
     if hp.eps_guard != 0.0:
         raise PreconditionNotMet("movement bound is stated for eps_guard = 0")
-    T = len(step_l2)
-    ratio = step_l2 / (hp.step_sizes(T) * math.sqrt(d / (1.0 - hp.beta2)))
+    T = start + len(step_l2) - 1
+    ratio = step_l2 / (hp.step_sizes(T, start) * math.sqrt(d / (1.0 - hp.beta2)))
     worst = int(np.argmax(ratio))
     worst_ratio = float(ratio[worst])
     return CheckResult("movement_bound", worst_ratio <= 1.0 + _MOVEMENT_SLACK,
-                       worst_ratio, worst + 1)
+                       worst_ratio, worst + start)
 
 
 def _geometric_sums(rows: np.ndarray, beta1: float) -> np.ndarray:
@@ -248,16 +272,17 @@ def representation_check(xi: np.ndarray, eps: np.ndarray, z: np.ndarray,
 def decomposition_check(run: SeedRecord) -> CheckResult:
     """The momentum + correction split must reassemble the estimator exactly.
 
-    For every t >= 2, part_i + part_ii (from
-    :func:`signstorm.storm_decomposition`, applied to all rows at once) is
-    compared against the recorded m_t at relative tolerance ``_DECOMPOSITION_TOL``.
+    For every row after the first (every t >= 2 of a whole run), part_i +
+    part_ii (from :func:`signstorm.storm_decomposition`, applied to all
+    rows at once) is compared against the recorded m_t at relative
+    tolerance ``_DECOMPOSITION_TOL``.
     """
     _one_seed(m=run.m)
     if run.kind not in STORM_FAMILY:
         raise PreconditionNotMet("decomposition applies to the variance-reduced estimator")
     T, d = run.m.shape
     if T < 2:
-        return CheckResult("storm_decomposition", True, 0.0, 1)  # no t >= 2 rows
+        return CheckResult("storm_decomposition", True, 0.0, run.start)  # no such rows
     m_next = run.m[1:]
     pair = GradientPair(run.g_curr[1:], run.g_prev[1:])
     err, part_ii = storm_decomposition(run.m[:-1], pair, run.hp.beta1)
@@ -272,30 +297,50 @@ def decomposition_check(run: SeedRecord) -> CheckResult:
     err /= scale
     flat = int(np.argmax(err))
     worst_ratio = float(err.flat[flat])
-    return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio, flat // d + 2)
+    return CheckResult("storm_decomposition", worst_ratio <= 1.0, worst_ratio,
+                       flat // d + 1 + run.start)
 
 
 def estimator_ratio_check(run: SeedRecord) -> CheckResult:
     """Deterministic cap |m_tj| / sqrt(v_tj) <= 1/sqrt(1 - beta2) (eps_guard = 0)."""
+    return _scaled_ratio(_largest_ratio(run), run.hp)
+
+
+def _largest_ratio(run: SeedRecord) -> CheckResult:
+    """:func:`estimator_ratio_check`'s result with its worst ratio not yet
+    divided by the cap, which :func:`_scaled_ratio` does: two ratios may
+    round to one scaled value, so the first largest is found, and folds
+    over blocks of t are merged, before the division."""
     _one_seed(m=run.m)
     if run.hp.eps_guard != 0.0:
         raise PreconditionNotMet("ratio cap is stated for eps_guard = 0")
     ratio = np.abs(_guarded_ratio(run.m, run.v, 0.0))
-    cap = 1.0 / math.sqrt(1.0 - run.hp.beta2)
-    # the first largest ratio, then scaled: two ratios may round to one scaled value
     flat = int(np.argmax(ratio))
-    worst_ratio = float(ratio.flat[flat] / cap)
-    return CheckResult("estimator_ratio", worst_ratio <= 1.0 + _RATIO_SLACK, worst_ratio,
-                       flat // run.m.shape[1] + 1)
+    worst = float(ratio.flat[flat])
+    return CheckResult("estimator_ratio", worst / _ratio_cap(run.hp) <= 1.0 + _RATIO_SLACK,
+                       worst, flat // run.m.shape[1] + run.start)
+
+
+def _ratio_cap(hp: HyperParams) -> float:
+    return 1.0 / math.sqrt(1.0 - hp.beta2)
+
+
+def _scaled_ratio(res: Result, hp: HyperParams) -> Result:
+    """A :func:`_largest_ratio` result, or a fold of them, with its worst
+    ratio divided by the cap; a precondition error is passed through."""
+    if isinstance(res, PreconditionNotMet):
+        return res
+    return dataclasses.replace(res, worst_ratio=res.worst_ratio / _ratio_cap(hp))
 
 
 def epsilon_envelope(hp: HyperParams, L_vec: np.ndarray, sigma_vec: np.ndarray,
-                     T: int, delta: float) -> np.ndarray:
-    """(T, d) high-probability envelope for |eps_tj| at confidence delta."""
+                     T: int, delta: float, start: int = 1) -> np.ndarray:
+    """High-probability envelope for |eps_tj| at confidence delta, row t -
+    start for t = start..T; every row is the same at any start."""
     log_term = max(1.0, math.log(1.0 / delta))
     tail = 2.0 * log_term + math.sqrt(log_term / (1.0 - hp.beta1))
-    drift = hp.step_sizes(T)[:, None] * L_vec[None, :] / math.sqrt(1.0 - hp.beta2)
-    decay = (hp.beta1 ** np.arange(1, T + 1))[:, None] * sigma_vec[None, :]
+    drift = hp.step_sizes(T, start)[:, None] * L_vec[None, :] / math.sqrt(1.0 - hp.beta2)
+    decay = (hp.beta1 ** np.arange(start, T + 1))[:, None] * sigma_vec[None, :]
     return decay + 3.0 * (drift + (1.0 - hp.beta1) * sigma_vec[None, :]) * tail
 
 
@@ -402,6 +447,135 @@ def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
                 res = exc.with_traceback(None)
             merged[name] = merge(kept, res)
         del record  # not alive while the next chunk is stepped
+    return merged
+
+
+# The record checkers that are local in t, as a CheckedRun calls them on
+# one seed's block: ``fresh`` holds the block's new rows and ``carried``
+# the same rows after the one before them, where there is one, as the
+# decomposition reads m_{t-1}.  The estimator ratio is scaled once folded.
+_BLOCK_CHECKS = {
+    "movement_bound": lambda fresh, carried, envelope, delta: movement_bound_check(
+        fresh.step_l2, fresh.hp, fresh.m.shape[1], fresh.start),
+    "storm_decomposition": lambda fresh, carried, envelope, delta: decomposition_check(carried),
+    "estimator_ratio": lambda fresh, carried, envelope, delta: _largest_ratio(fresh),
+    "epsilon_bound": lambda fresh, carried, envelope, delta:
+        epsilon_bound_frequency(fresh.eps, envelope, delta),
+    "sign_dichotomy": lambda fresh, carried, envelope, delta:
+        sign_dichotomy_frequency(fresh, envelope, delta),
+}
+
+
+class CheckedRun(DiagnosticRun):
+    """A :class:`DiagnosticRun` of one horizon T that checks its chunk as
+    it is stepped, holding B steps of its seeds at a time and, for the
+    representation check, 3 R d values a seed, R = min(T,
+    ``REPRESENTATION_STEPS``).
+
+    Row 0 of each array carries the block before's last step (time t0),
+    and rows 1..B take the block's; when they are full, and at
+    :meth:`finish`, every seed that has not aborted goes through the
+    checkers of ``_BLOCK_CHECKS`` on its new rows against their rows of
+    the envelope, and each checker's results on a seed's blocks are
+    folded by :func:`merge` in t order, which gives the bits of one call
+    on the seed's whole record.  ``head`` keeps each seed's xi, eps and Z
+    up to time R for :func:`representation_check`.
+    """
+
+    t0 = 0  # time 0 does not exist: the first block carries no row
+
+    def __init__(self, n_seeds: int, T, d: int, hp: HyperParams, kind: OptimizerKind,
+                 L_vec: np.ndarray, sigma_vec: np.ndarray, confidence_delta: float):
+        T = int(np.max(T))
+        block = max(1, min(T, _BLOCK_VALUES // (n_seeds * d)))
+        super().__init__(n_seeds, T, d, hp, kind, rows=block + 1)
+        self.L_vec, self.sigma_vec, self.delta = L_vec, sigma_vec, confidence_delta
+        shape = (n_seeds, min(T, REPRESENTATION_STEPS), d)
+        self.head = {name: np.empty(shape) for name in ("xi", "eps", "z")}
+        self.kept = {name: [None] * n_seeds for name in _BLOCK_CHECKS}
+
+    def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
+        if t - self.t0 == self.m.shape[1]:
+            self._fold(self.m.shape[1] - 1)
+        super().record(t, live, state, grads, g_exact, grad_l1, loss)
+
+    def _fold(self, n: int) -> None:
+        """Check rows 1..n of every seed that has not aborted, then carry
+        row n to row 0."""
+        T, t0 = int(self.horizon[0]), self.t0
+        lo = 0 if t0 else 1  # the first row the decomposition and Z read
+        envelope = epsilon_envelope(self.hp, self.L_vec, self.sigma_vec, t0 + n, self.delta,
+                                    t0 + 1)
+        # the decomposition checks no row at t = 1: a first block of that
+        # row alone is skipped, unless it is the whole run, as at T = 1
+        checks = {name: check for name, check in _BLOCK_CHECKS.items()
+                  if name != "storm_decomposition" or n > lo or t0 + n == T}
+        head = min(n, self.head["xi"].shape[1] - t0)  # the new rows up to time R
+        for s in np.flatnonzero(self.done == self.horizon).tolist():
+            fresh, carried = self.seed_view(s, 1, n + 1), self.seed_view(s, lo, n + 1)
+            if head > 0:
+                part = self.seed_view(s, lo, head + 1)
+                for name, rows in self.head.items():
+                    rows[s, t0:t0 + head] = getattr(part, name)[1 - lo:]
+            for name, check in checks.items():
+                kept = self.kept[name][s]
+                if isinstance(kept, PreconditionNotMet):
+                    continue  # a precondition fails on every block alike
+                try:
+                    res = check(fresh, carried, envelope, self.delta)
+                except PreconditionNotMet as exc:
+                    res = exc.with_traceback(None)
+                self.kept[name][s] = merge(kept, res)
+        for array in (self.m, self.grad_exact):
+            array[:, 0] = array[:, n]
+        self.t0 += n
+
+    def finish(self) -> dict[str, Result]:
+        """Every checker of :data:`RECORD_CHECKS` on the chunk, its seeds'
+        results merged in seed order, once its last block is folded and
+        freed; the representation check reads each seed's first R steps."""
+        self._fold(int(self.horizon[0]) - self.t0)
+        # the block is read no more: freed before the representation checks
+        self.m = self.v = self.grad_exact = self.g_curr = self.g_prev = self.step_l2 = None
+        xi, eps, z = self.head["xi"], self.head["eps"], self.head["z"]
+        kept = {**self.kept,
+                "estimator_ratio": [_scaled_ratio(res, self.hp)
+                                    for res in self.kept["estimator_ratio"]],
+                "representation": [representation_check(xi[s], eps[s], z[s], self.hp.beta1)
+                                   for s in range(self.horizon.size)]}
+        merged = {}
+        for name in RECORD_CHECKS:
+            for res in kept[name]:
+                merged[name] = merge(merged.get(name), res)
+        return merged
+
+
+def check_in_blocks(problem: StochasticProblem, hp: HyperParams, T: int, seeds: list[int],
+                    confidence_delta: float, kind: OptimizerKind = OptimizerKind.SIGNSTORM,
+                    ) -> dict[str, Result]:
+    """:func:`check_seed_by_seed` on :func:`run_with_diagnostics` (``problem``,
+    ``hp``, ``T``, ``seeds``, ``kind``) against the problem's
+    :func:`epsilon_envelope`, with the representation checked on each
+    seed's first min(T, ``REPRESENTATION_STEPS``) steps; the same bits.
+
+    One :func:`run_cell` call steps the seeds, chunk by chunk, and each
+    chunk's :class:`CheckedRun` folds its blocks as they fill, so beside
+    one chunk's blocks and representation rows only one block's and one
+    seed's temporaries are alive, whatever T.  Raises the lowest-index
+    non-finite seed's :class:`NonFiniteValue` in place of its chunk's
+    results.
+    """
+    consts = problem.constants
+    merged: dict[str, Result] = {}
+    for _, run in run_cell(problem, kind, hp, T, seeds, lambda n_seeds, horizons: CheckedRun(
+            n_seeds, horizons, problem.d, hp, kind, consts.L_vec, consts.sigma_vec,
+            confidence_delta)):
+        aborted = np.flatnonzero(run.done < run.horizon)
+        if aborted.size:
+            raise NonFiniteValue(run.abort_reasons[aborted[0]])
+        for name, res in run.finish().items():
+            merged[name] = merge(merged.get(name), res)
+        del run  # not alive while the next chunk is stepped
     return merged
 
 

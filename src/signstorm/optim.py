@@ -95,12 +95,12 @@ class HyperParams:
             return self.eta / math.sqrt(t)
         return self.eta
 
-    def step_sizes(self, T: int) -> np.ndarray:
-        """step_size(t) for t = 1..T, bit for bit: IEEE sqrt and division
+    def step_sizes(self, T: int, start: int = 1) -> np.ndarray:
+        """step_size(t) for t = start..T, bit for bit: IEEE sqrt and division
         are correctly rounded in numpy as in math."""
         if self.schedule is Schedule.PER_STEP_SQRT_T:
-            return self.eta / np.sqrt(np.arange(1, T + 1, dtype=np.float64))
-        return np.full(T, self.eta)
+            return self.eta / np.sqrt(np.arange(start, T + 1, dtype=np.float64))
+        return np.full(max(0, T - start + 1), self.eta)
 
     @staticmethod
     def adam_defaults(eta: float) -> "HyperParams":
@@ -267,10 +267,14 @@ def _advance(x: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, grads: Gradien
                               hp.eps_guard, work)
         step *= eta
     elif kind is OptimizerKind.L2_NORMALIZED_STORM:
-        # a zero (or NaN) norm leaves the row in place
         norm = _row_norms(m)
-        tmp.fill(0.0)
-        step = np.divide(np.multiply(m, eta, out=work.denom), norm, out=tmp, where=norm > 0.0)
+        step = np.multiply(m, eta, out=work.denom)
+        if np.minimum.reduce(norm, axis=None) > 0.0:  # no row to mask
+            step = np.divide(step, norm, out=tmp)
+        else:
+            # a zero (or NaN) norm leaves the row in place
+            tmp.fill(0.0)
+            step = np.divide(step, norm, out=tmp, where=norm > 0.0)
     else:
         step = np.multiply(m, eta, out=tmp)
     np.subtract(x, step, out=out)

@@ -166,7 +166,7 @@ class TestConfigValidation:
         def no_work(*args, **kwargs):
             raise AssertionError(f"{command} started work on an invalid config")
 
-        for name in ("cli.verify_assumptions", "diagnostics.run_with_diagnostics",
+        for name in ("cli.verify_assumptions", "diagnostics.check_in_blocks",
                      "cli.run_experiment"):
             monkeypatch.setattr(f"signstorm.{name}", no_work)
         cfg = base_config(tmp_path / "out")
@@ -311,7 +311,7 @@ class TestConfigValidation:
             raise AssertionError("check started work before sizing the lemma 1 paths")
 
         for name in ("harness.ExperimentSpec.build_problem", "cli.verify_assumptions",
-                     "diagnostics.run_with_diagnostics"):
+                     "diagnostics.check_in_blocks"):
             monkeypatch.setattr(f"signstorm.{name}", no_work)
         cfg = base_config(tmp_path / "out")
         cfg["check"]["lemma1_T"] = 10**12
@@ -349,7 +349,7 @@ class TestConfigValidation:
         def no_work(*args, **kwargs):
             raise AssertionError(f"{command} started work on n_seeds = {n_seeds}")
 
-        for name in ("cli.run_experiment", "diagnostics.run_with_diagnostics",
+        for name in ("cli.run_experiment", "diagnostics.check_in_blocks",
                      "cli.verify_assumptions", "diagnostics.lemma1_montecarlo"):
             monkeypatch.setattr(f"signstorm.{name}", no_work)
         cfg = base_config(tmp_path / "out")
@@ -541,9 +541,7 @@ class TestCmdCheck:
     @pytest.mark.parametrize("n_seeds", [4, 40])
     def test_check_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch, n_seeds):
         # a presample budget of four seeds' rows steps the seeds in chunks
-        # of 4: each chunk's record is freed before the next one is made,
-        # so the peak, one chunk's record beside one seed's checker
-        # temporaries, does not grow with the seed count
+        # of 4: each chunk's record is freed before the next one is made
         T, d = 400, 8
         cfg = base_config(tmp_path / "out")
         cfg["problem"]["params"]["d"] = d
@@ -551,33 +549,88 @@ class TestCmdCheck:
                         "lemma1_trials": 100, "lemma1_T": 10}
         config = RunConfig.load(write_config(tmp_path, cfg))
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 4 * d * harness._MIN_PRESAMPLE_ROWS)
-        # once untraced, so that the modules a first call imports are not counted
-        cli._check_verdicts(config)
         made, alive = [], []
 
-        class WatchedRun(cli.diag.DiagnosticRun):
+        class WatchedRun(cli.diag.CheckedRun):
             def __init__(self, *args, **kwargs):
                 alive.append(sum(ref() is not None for ref in made))
                 super().__init__(*args, **kwargs)
                 made.append(weakref.ref(self))
 
-        monkeypatch.setattr(cli.diag, "DiagnosticRun", WatchedRun)
-        tracemalloc.start()
-        try:
-            verdicts = cli._check_verdicts(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(cli.diag, "CheckedRun", WatchedRun)
+        verdicts = cli._check_verdicts(config)
         assert [v["n_total"] for v in verdicts if v["checker"] == "epsilon_bound"] == [
             n_seeds * T * d]
         assert alive == [0] * (n_seeds // 4)
-        # a chunk's record holds 4 (5 T d + T) values; stacked checkers
-        # added about 21 (T, d) blocks per 4 seeds
-        assert peak < (4 * (5 * T * d + T) + 16 * T * d) * 8
 
-    def test_check_json_is_the_same_for_any_chunk_size(self, tmp_path, monkeypatch):
-        # 15 diagnosed seeds in chunks of 1, of 7 and all in one, checked
-        # against one envelope per check
+    def test_check_peak_does_not_grow_with_T(self, tmp_path, monkeypatch):
+        # 8 seeds in chunks of 4, checked in blocks of 10 steps, with the
+        # representation checked on the first R = 50: past R, a horizon 4
+        # times longer adds nothing to the peak, where a record of every
+        # step would add 5 d + 1 values a seed and step
+        d, R = 8, 50
+        monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 4 * d * harness._MIN_PRESAMPLE_ROWS)
+        monkeypatch.setattr(cli.diag, "REPRESENTATION_STEPS", R)
+        monkeypatch.setattr(cli.diag, "_BLOCK_VALUES", 10 * 4 * d)
+        peaks = []
+        for T in (4 * R, 16 * R, 4 * R):
+            cfg = base_config(tmp_path / "out")
+            cfg["problem"]["params"]["d"] = d
+            cfg["check"] = {"T": T, "n_seeds": 8, "n_probes": 10, "lemma1_trials": 100,
+                            "lemma1_T": 10}
+            config = RunConfig.load(write_config(tmp_path, cfg))
+            # once untraced, so that the modules a first call imports are not counted
+            cli._check_verdicts(config)
+            tracemalloc.start()
+            try:
+                verdicts = cli._check_verdicts(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            by_name = {v["checker"]: v for v in verdicts}
+            assert by_name["epsilon_bound"]["n_total"] == 8 * T * d
+            # the representation entry names the steps it checked
+            assert by_name["representation"]["steps_checked"] == R
+            assert by_name["representation"]["status"] == "pass"
+        grown = 12 * R * 4 * (5 * d + 1) * 8
+        assert peaks[1] - min(peaks[0], peaks[2]) < grown / 20
+
+    def test_representation_entry_names_its_steps_only_past_R(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(cli.diag, "REPRESENTATION_STEPS", 80)
+        for T, steps in [(80, None), (81, 80)]:
+            cfg = base_config(tmp_path / "out")
+            cfg["check"]["T"] = T
+            assert main(["check", write_config(tmp_path, cfg)]) == EXIT_OK
+            [entry] = [v for v in json.loads(capsys.readouterr().out)["verdicts"]
+                       if v["checker"] == "representation"]
+            assert entry.get("steps_checked") == steps
+
+    def test_diagnosed_step_budget_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # the diagnosed runs' memory no longer grows with T: their length
+        # is bounded by cli._DIAGNOSED_STEPS seed-steps, inclusive
+        def no_work(*args, **kwargs):
+            raise AssertionError("check started work past the diagnosed step budget")
+
+        for name in ("cli.verify_assumptions", "diagnostics.check_in_blocks",
+                     "diagnostics.lemma1_montecarlo"):
+            monkeypatch.setattr(f"signstorm.{name}", no_work)
+        cfg = base_config(tmp_path / "out")
+        cfg["check"].update(T=cli._DIAGNOSED_STEPS // 4 + 1, n_seeds=4)
+        assert main(["check", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "check.T * check.n_seeds" in err
+        assert not (tmp_path / "out").exists()
+        cfg["check"]["T"] = cli._DIAGNOSED_STEPS // 4
+        with pytest.raises(AssertionError, match="past the diagnosed step budget"):
+            main(["check", write_config(tmp_path, cfg)])
+
+    @pytest.mark.parametrize("steps", [1, 7, 80])
+    def test_check_json_is_the_same_for_any_chunk_size(self, tmp_path, monkeypatch, steps):
+        # 15 diagnosed seeds in chunks of 1, of 7 and all in one, checked in
+        # blocks of `steps` steps (80: the whole horizon), each block
+        # against its rows of the envelope
         cfg = base_config(tmp_path / "out")
         cfg["check"]["n_seeds"] = 15
         path = write_config(tmp_path, cfg)
@@ -586,25 +639,31 @@ class TestCmdCheck:
         chunk_body, envelope = harness._run_chunk, cli.diag.epsilon_envelope
 
         def counted_chunk(problem, kind, hps, seeds, recorder, empty):
-            chunks[-1].append(len(seeds))
+            chunks[-1].append((len(seeds), recorder.m.shape[1] - 1))
             return chunk_body(problem, kind, hps, seeds, recorder, empty)
 
-        def counted_envelope(*args):
-            built.append(args[3])
-            return envelope(*args)
+        def counted_envelope(hp, L_vec, sigma_vec, end, delta, start):
+            built[-1].extend(range(start, end + 1))
+            return envelope(hp, L_vec, sigma_vec, end, delta, start)
 
         monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
         monkeypatch.setattr(cli.diag, "epsilon_envelope", counted_envelope)
         default = harness._PRESAMPLE_VALUES
-        for per_chunk in (1, 7, None):
-            monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", default if per_chunk is None
+        for per_chunk in (1, 7, 15):
+            monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", default if per_chunk == 15
                                 else per_chunk * d * harness._MIN_PRESAMPLE_ROWS)
+            # `steps` steps for a chunk of per_chunk seeds
+            monkeypatch.setattr(cli.diag, "_BLOCK_VALUES", steps * per_chunk * d)
             chunks.append([])
+            built.append([])
             assert main(["check", path]) == EXIT_OK
             outputs.append((tmp_path / "out" / "check.json").read_bytes())
-        assert chunks == [[1] * 15, [7, 7, 1], [15]]
+        # the last chunk of 1 takes the blocks of 7 seeds' budget
+        assert chunks == [[(1, steps)] * 15, [(7, steps), (7, steps), (1, min(7 * steps, T))],
+                          [(15, steps)]]
         assert outputs == outputs[:1] * 3
-        assert built == [T] * 3
+        # each chunk's blocks take every envelope row once, in t order
+        assert built == [list(range(1, T + 1)) * len(c) for c in chunks]
 
 
 # x_init near the largest double and a sign step of about 6.7e307: a step

@@ -3,13 +3,16 @@ import functools
 import math
 import re
 import tracemalloc
+import types
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from signstorm import (
+    CheckedRun,
     CheckResult,
     DiagnosticRun,
     DimensionMismatch,
@@ -649,9 +652,30 @@ def bits(res):
     return tuple(v.hex() if isinstance(v, float) else v for v in res)
 
 
+def replay_in_blocks(run, L_vec, sigma_vec, delta, steps):
+    """The results of a filled DiagnosticRun's rows, recorded step by step
+    into a CheckedRun that folds blocks of ``steps`` steps."""
+    S, T, d = run.m.shape
+    with mock.patch.object(diagnostics, "_BLOCK_VALUES", steps * S * d):
+        checked = CheckedRun(S, T, d, run.hp, run.kind, L_vec, sigma_vec, delta)
+    assert checked.m.shape[1] == min(steps, T) + 1
+    for t in range(1, T + 1):
+        # a step whose one nonzero coordinate is the recorded norm
+        x = np.zeros((S, d))
+        x[:, 0] = run.step_l2[:, t - 1]
+        state = types.SimpleNamespace(m=run.m[:, t - 1], v=run.v[:, t - 1], x=x,
+                                      prev_x=np.zeros((S, d)))
+        grads = GradientPair(run.g_curr[:, t - 1], run.g_prev[:, t - 1] if t > 1 else None)
+        with np.errstate(all="ignore"):
+            checked.record(t, slice(0, S), state, grads, run.grad_exact[:, t - 1], None, None)
+    return checked.finish()
+
+
 def assert_fold_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
     """check_seed_by_seed against the frozen per-seed path: the verdict,
-    the worst ratio's bits and its t, the counts, or the same error."""
+    the worst ratio's bits and its t, the counts, or the same error; and
+    the fold of the same rows in blocks of 1 step, 2 steps and all T
+    against check_seed_by_seed."""
     kind, hp = run.kind, run.hp
     S, T, d = run.m.shape
     runs = [frozen_recorder_run(run, s, s, kind, hp) for s in range(S)]
@@ -674,6 +698,11 @@ def assert_fold_matches_frozen(run, L_vec, sigma_vec, delta=0.05):
         else:
             res = res.passed, res.worst_ratio, res.worst_t
         assert bits(res) == bits(frozen[name]), name
+    for steps in sorted({1, 2, T}):
+        in_blocks = replay_in_blocks(run, L_vec, sigma_vec, delta, steps)
+        assert list(in_blocks) == list(folded)
+        for name, res in folded.items():
+            assert merged_bits(in_blocks[name]) == merged_bits(res), (steps, name)
     return folded
 
 
@@ -767,6 +796,24 @@ class TestFoldMatchesPerSeed:
         run.m[:, :, 0] = rows
         folded = assert_fold_matches_frozen(run, np.ones(1), np.ones(1))
         assert folded["estimator_ratio"].worst_t == worst_t
+
+    def test_block_fold_compares_unscaled_ratios(self):
+        # the two largest ratios of one seed, in blocks of one step each,
+        # divide by the cap sqrt(2) to one value: merged after the
+        # division, the first (t = 2) would be kept; the fold merges the
+        # ratios before it, as the whole-seed call's argmax finds t = 3
+        hp = HyperParams(eta=0.05, beta1=0.9, beta2=0.5)
+        run = DiagnosticRun(1, 3, 1, hp, OptimizerKind.SIGNSTORM)
+        for name in ("grad_exact", "g_curr", "g_prev", "step_l2"):
+            getattr(run, name)[:] = 0.0
+        run.v[:] = 1.0
+        run.m[0, :, 0] = [0.0, 0.9000000000000001, 0.9000000000000002]
+        whole = estimator_ratio_check(run.seed_view(0))
+        blocks = [estimator_ratio_check(run.seed_view(0, t, t + 1)) for t in range(3)]
+        assert [b.worst_t for b in blocks] == [1, 2, 3] and whole.worst_t == 3
+        assert blocks[1].worst_ratio == blocks[2].worst_ratio == whole.worst_ratio
+        in_blocks = replay_in_blocks(run, np.ones(1), np.ones(1), 0.05, 1)
+        assert merged_bits(in_blocks["estimator_ratio"]) == merged_bits(whole)
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("beta1", [0.0, 0.9])

@@ -20,7 +20,11 @@ one pass over s; the one that replaced it makes one pass over the lag
 t - s and adds the same products to each sum in the same ascending-s
 order, so both check digests held unchanged.
 Both check digests also hold when ``run_cell`` steps the diagnosed seeds
-in several chunks.  ``golden/trace_sha256.json`` pins every trace CSV
+in several chunks.  A third, ``check_suite``, pins the ``check`` of the
+``check_suite`` benchmark config at master seed 0; it was computed while
+each chunk's record still held every step of the horizon, and all three
+hold when the check folds its seeds in blocks of any number of steps.
+``golden/trace_sha256.json`` pins every trace CSV
 that ``signstorm run`` writes for three of the specs: one with the
 ``eps_l1`` column, one whose traces stop early at an abort, and one at
 d = 1.  Those digests were
@@ -63,7 +67,7 @@ from signstorm import (
     run_experiment,
     run_with_diagnostics,
 )
-from signstorm import harness
+from signstorm import diagnostics, harness
 from signstorm.cli import RunConfig, main
 from signstorm.harness import resolve_hyperparams
 
@@ -138,8 +142,20 @@ CHECK_CONFIG_D1 = {
               "lemma1_T": 200},
 }
 
+# the check_suite benchmark config at master seed 0, whose diagnosed seeds
+# the "check_suite" case of DIAG_CASES pins
+CHECK_SUITE_CONFIG = {
+    "problem": {"name": "bounded_nonconvex",
+                "params": {"d": 10, "sigma": 0.5, "x_init": 1.0}},
+    "optimizers": ["signstorm"], "param_mode": "theorem", "T_grid": [2000], "n_seeds": 1,
+    "delta": 0.05, "master_seed": 0,
+    "check": {"T": 2000, "n_seeds": 6, "n_probes": 2000, "lemma1_trials": 10000,
+              "lemma1_T": 1000},
+}
+
 # golden key -> the check config and the exit code of its `signstorm check`
-CHECKS = {"check": (CHECK_CONFIG, 0), "check_d1": (CHECK_CONFIG_D1, 0)}
+CHECKS = {"check": (CHECK_CONFIG, 0), "check_d1": (CHECK_CONFIG_D1, 0),
+          "check_suite": (CHECK_SUITE_CONFIG, 0)}
 
 
 # name -> `signstorm params` arguments: the README example, sigma = 0
@@ -364,8 +380,8 @@ def test_check_json_d1_matches_golden_digest(tmp_path):
 @pytest.mark.parametrize("key", sorted(CHECKS))
 def test_check_json_is_chunk_invariant(key, tmp_path, monkeypatch):
     # a presample budget of two seeds' minimum rows splits the check's
-    # three diagnosed seeds into chunks of 2 and 1
-    d = CHECKS[key][0]["problem"]["params"]["d"]
+    # diagnosed seeds into chunks of 2, the last of 1 where they are odd
+    d, n = CHECKS[key][0]["problem"]["params"]["d"], CHECKS[key][0]["check"]["n_seeds"]
     monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 2 * d * harness._MIN_PRESAMPLE_ROWS)
     chunks, chunk_body = [], harness._run_chunk
 
@@ -375,7 +391,27 @@ def test_check_json_is_chunk_invariant(key, tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_run_chunk", counted_chunk)
     assert check_digest(tmp_path, key) == json.loads(CHECK_GOLDEN.read_text())[key]
-    assert chunks == [2, 1]
+    assert chunks == [2] * (n // 2) + [1] * (n % 2)
+
+
+@pytest.mark.parametrize("steps", [1, 7, None])
+@pytest.mark.parametrize("key", sorted(CHECKS))
+def test_check_json_is_block_invariant(key, steps, tmp_path, monkeypatch):
+    # the diagnosed seeds, in one chunk, checked in blocks of 1 step, of 7
+    # steps and of the whole horizon (None)
+    config = CHECKS[key][0]
+    d, T, n = config["problem"]["params"]["d"], config["check"]["T"], config["check"]["n_seeds"]
+    monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", (steps or T) * n * d)
+    blocks = []
+
+    class WatchedRun(diagnostics.CheckedRun):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            blocks.append(self.m.shape[1] - 1)
+
+    monkeypatch.setattr(diagnostics, "CheckedRun", WatchedRun)
+    assert check_digest(tmp_path, key) == json.loads(CHECK_GOLDEN.read_text())[key]
+    assert blocks == [steps or T]
 
 
 def test_diagnostics_golden_file_covers_every_case():
