@@ -26,7 +26,8 @@ results holding a bounded block of steps: its recorder, a
 :class:`CheckedRun`, folds each block of B steps through the checkers
 that are local in t as it fills, and keeps only the first
 ``REPRESENTATION_STEPS`` steps of xi, eps and Z for the representation
-check, so its memory does not grow with T.
+check, so its memory does not grow with T.  Both folds call the
+checkers through one table, :data:`RECORD_CHECKS`.
 """
 
 from __future__ import annotations
@@ -66,8 +67,12 @@ _REPRESENTATION_TOL = 1e-6
 # most this many: the check costs O(T^2 d) and holds 3 d values per step
 REPRESENTATION_STEPS = 2000
 # a CheckedRun holds about this many values per recorded array: B steps of
-# its S seeds' d coordinates, B = this // (S d), at least 1
+# its S seeds' d coordinates, B = this // (S d), but at least _BLOCK_STEPS
 _BLOCK_VALUES = 1 << 14
+# each block costs every seed one call of each checker, so a chunk of many
+# seeds, whose budget alone would give short blocks, checks this many steps
+# at a time: about 10 MB of blocks at any d, as a full chunk has S d ~ 1024
+_BLOCK_STEPS = 256
 
 
 @dataclass
@@ -389,19 +394,27 @@ def sign_dichotomy_frequency(run: SeedRecord, envelope: np.ndarray,
 
 
 # Each record-reading checker in suite order: name -> its verdict's kind and
-# its call on one seed's record r, given the run's envelope and delta.  A
-# call looks its checker up here when it runs, so a patched one is called.
+# its call on rows of one seed, ``fresh``, given their rows of the envelope
+# and delta; ``carried`` holds the same rows after the one before them,
+# where there is one, as the decomposition reads m_{t-1}, and a whole
+# record is both.  The estimator ratio is left undivided by its cap, so a
+# fold over blocks of t compares the ratios themselves; :func:`_closed`
+# divides it once a seed is folded.  Every fold looks its checker up here
+# when it runs, so a patched one is called.
 RECORD_CHECKS = {
-    "movement_bound": ("deterministic", lambda r, envelope, delta:
-                       movement_bound_check(r.step_l2, r.hp, r.m.shape[1])),
-    "representation": ("deterministic", lambda r, envelope, delta:
-                       representation_check(r.xi, r.eps, r.z, r.hp.beta1)),
-    "storm_decomposition": ("deterministic", lambda r, envelope, delta: decomposition_check(r)),
-    "estimator_ratio": ("deterministic", lambda r, envelope, delta: estimator_ratio_check(r)),
-    "epsilon_bound": ("statistical", lambda r, envelope, delta:
-                      epsilon_bound_frequency(r.eps, envelope, delta)),
-    "sign_dichotomy": ("statistical", lambda r, envelope, delta:
-                       sign_dichotomy_frequency(r, envelope, delta)),
+    "movement_bound": ("deterministic", lambda fresh, carried, envelope, delta:
+                       movement_bound_check(fresh.step_l2, fresh.hp, fresh.m.shape[1],
+                                            fresh.start)),
+    "representation": ("deterministic", lambda fresh, carried, envelope, delta:
+                       representation_check(fresh.xi, fresh.eps, fresh.z, fresh.hp.beta1)),
+    "storm_decomposition": ("deterministic", lambda fresh, carried, envelope, delta:
+                            decomposition_check(carried)),
+    "estimator_ratio": ("deterministic", lambda fresh, carried, envelope, delta:
+                        _largest_ratio(fresh)),
+    "epsilon_bound": ("statistical", lambda fresh, carried, envelope, delta:
+                      epsilon_bound_frequency(fresh.eps, envelope, delta)),
+    "sign_dichotomy": ("statistical", lambda fresh, carried, envelope, delta:
+                       sign_dichotomy_frequency(fresh, envelope, delta)),
 }
 
 
@@ -423,6 +436,32 @@ def merge(kept: Result | None, res: Result) -> Result:
     return res
 
 
+def _fold_rows(kept: dict[str, Result], names: Iterable[str], fresh, carried,
+               envelope: np.ndarray | None, confidence_delta: float) -> dict[str, Result]:
+    """Each checker of ``names`` on one seed's rows, merged into ``kept``,
+    its results on the seed's earlier rows; a checker whose precondition
+    failed there is not called again, as it fails on every row alike.  The
+    error is stripped of the traceback that would hold the rows."""
+    for name in names:
+        res = kept.get(name)
+        if isinstance(res, PreconditionNotMet):
+            continue
+        try:
+            new = RECORD_CHECKS[name][1](fresh, carried, envelope, confidence_delta)
+        except PreconditionNotMet as exc:
+            new = exc.with_traceback(None)
+        kept[name] = merge(res, new)
+    return kept
+
+
+def _closed(seed: dict[str, Result], hp: HyperParams) -> dict[str, Result]:
+    """One seed's folded results as its whole-record checker calls give
+    them: the estimator ratio divided by its cap."""
+    if "estimator_ratio" in seed:
+        seed["estimator_ratio"] = _scaled_ratio(seed["estimator_ratio"], hp)
+    return seed
+
+
 def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
                        confidence_delta: float) -> dict[str, Result]:
     """Every checker of :data:`RECORD_CHECKS` on each of ``records``.
@@ -433,37 +472,29 @@ def check_seed_by_seed(records: Iterable[SeedRecord], envelope: np.ndarray,
     the records' :func:`epsilon_envelope`, serves every seed.  Returns
     checker name -> its results on every seed, folded by :func:`merge`; a
     precondition error is the one the checker raised on the first seed,
-    stripped of the traceback that would hold the seed.
+    and later seeds skip the call.
     """
     merged: dict[str, Result] = {}
     for record in records:
-        for name, (_, check) in RECORD_CHECKS.items():
-            kept = merged.get(name)
-            if isinstance(kept, PreconditionNotMet):
-                continue  # a precondition fails on every seed alike
-            try:
-                res = check(record, envelope, confidence_delta)
-            except PreconditionNotMet as exc:
-                res = exc.with_traceback(None)
-            merged[name] = merge(kept, res)
-        del record  # not alive while the next chunk is stepped
+        names = [name for name in RECORD_CHECKS
+                 if not isinstance(merged.get(name), PreconditionNotMet)]
+        seed = _closed(_fold_rows({}, names, record, record, envelope, confidence_delta),
+                       record.hp)
+        for name, res in seed.items():
+            merged[name] = merge(merged.get(name), res)
+        del record, seed  # not alive while the next chunk is stepped
     return merged
 
 
-# The record checkers that are local in t, as a CheckedRun calls them on
-# one seed's block: ``fresh`` holds the block's new rows and ``carried``
-# the same rows after the one before them, where there is one, as the
-# decomposition reads m_{t-1}.  The estimator ratio is scaled once folded.
-_BLOCK_CHECKS = {
-    "movement_bound": lambda fresh, carried, envelope, delta: movement_bound_check(
-        fresh.step_l2, fresh.hp, fresh.m.shape[1], fresh.start),
-    "storm_decomposition": lambda fresh, carried, envelope, delta: decomposition_check(carried),
-    "estimator_ratio": lambda fresh, carried, envelope, delta: _largest_ratio(fresh),
-    "epsilon_bound": lambda fresh, carried, envelope, delta:
-        epsilon_bound_frequency(fresh.eps, envelope, delta),
-    "sign_dichotomy": lambda fresh, carried, envelope, delta:
-        sign_dichotomy_frequency(fresh, envelope, delta),
-}
+@dataclass(frozen=True, eq=False)
+class _Head:
+    """The xi, eps and Z rows a :class:`CheckedRun` keeps of one seed, as
+    the representation check reads them."""
+
+    hp: HyperParams
+    xi: np.ndarray
+    eps: np.ndarray
+    z: np.ndarray
 
 
 class CheckedRun(DiagnosticRun):
@@ -475,10 +506,10 @@ class CheckedRun(DiagnosticRun):
     Row 0 of each array carries the block before's last step (time t0),
     and rows 1..B take the block's; when they are full, and at
     :meth:`finish`, every seed that has not aborted goes through the
-    checkers of ``_BLOCK_CHECKS`` on its new rows against their rows of
-    the envelope, and each checker's results on a seed's blocks are
-    folded by :func:`merge` in t order, which gives the bits of one call
-    on the seed's whole record.  ``head`` keeps each seed's xi, eps and Z
+    checkers of :data:`RECORD_CHECKS` but the representation on its new
+    rows against their rows of the envelope, and each checker's results
+    on a seed's blocks are folded by :func:`merge` in t order, which gives
+    the bits of one call on the seed's whole record.  ``head`` keeps each seed's xi, eps and Z
     up to time R for :func:`representation_check`.
     """
 
@@ -487,12 +518,12 @@ class CheckedRun(DiagnosticRun):
     def __init__(self, n_seeds: int, T, d: int, hp: HyperParams, kind: OptimizerKind,
                  L_vec: np.ndarray, sigma_vec: np.ndarray, confidence_delta: float):
         T = int(np.max(T))
-        block = max(1, min(T, _BLOCK_VALUES // (n_seeds * d)))
+        block = max(1, min(T, max(_BLOCK_VALUES // (n_seeds * d), _BLOCK_STEPS)))
         super().__init__(n_seeds, T, d, hp, kind, rows=block + 1)
         self.L_vec, self.sigma_vec, self.delta = L_vec, sigma_vec, confidence_delta
         shape = (n_seeds, min(T, REPRESENTATION_STEPS), d)
         self.head = {name: np.empty(shape) for name in ("xi", "eps", "z")}
-        self.kept = {name: [None] * n_seeds for name in _BLOCK_CHECKS}
+        self.kept: list[dict[str, Result]] = [{} for _ in range(n_seeds)]
 
     def record(self, t, live, state, grads, g_exact, grad_l1, loss) -> None:
         if t - self.t0 == self.m.shape[1]:
@@ -506,10 +537,11 @@ class CheckedRun(DiagnosticRun):
         lo = 0 if t0 else 1  # the first row the decomposition and Z read
         envelope = epsilon_envelope(self.hp, self.L_vec, self.sigma_vec, t0 + n, self.delta,
                                     t0 + 1)
-        # the decomposition checks no row at t = 1: a first block of that
-        # row alone is skipped, unless it is the whole run, as at T = 1
-        checks = {name: check for name, check in _BLOCK_CHECKS.items()
-                  if name != "storm_decomposition" or n > lo or t0 + n == T}
+        # the representation sums over every earlier step, so it waits for
+        # finish(); the decomposition checks no row at t = 1: a first block
+        # of that row alone is skipped, unless it is the whole run (T = 1)
+        names = [name for name in RECORD_CHECKS if name != "representation"
+                 and (name != "storm_decomposition" or n > lo or t0 + n == T)]
         head = min(n, self.head["xi"].shape[1] - t0)  # the new rows up to time R
         for s in np.flatnonzero(self.done == self.horizon).tolist():
             fresh, carried = self.seed_view(s, 1, n + 1), self.seed_view(s, lo, n + 1)
@@ -517,15 +549,7 @@ class CheckedRun(DiagnosticRun):
                 part = self.seed_view(s, lo, head + 1)
                 for name, rows in self.head.items():
                     rows[s, t0:t0 + head] = getattr(part, name)[1 - lo:]
-            for name, check in checks.items():
-                kept = self.kept[name][s]
-                if isinstance(kept, PreconditionNotMet):
-                    continue  # a precondition fails on every block alike
-                try:
-                    res = check(fresh, carried, envelope, self.delta)
-                except PreconditionNotMet as exc:
-                    res = exc.with_traceback(None)
-                self.kept[name][s] = merge(kept, res)
+            _fold_rows(self.kept[s], names, fresh, carried, envelope, self.delta)
         for array in (self.m, self.grad_exact):
             array[:, 0] = array[:, n]
         self.t0 += n
@@ -537,16 +561,13 @@ class CheckedRun(DiagnosticRun):
         self._fold(int(self.horizon[0]) - self.t0)
         # the block is read no more: freed before the representation checks
         self.m = self.v = self.grad_exact = self.g_curr = self.g_prev = self.step_l2 = None
-        xi, eps, z = self.head["xi"], self.head["eps"], self.head["z"]
-        kept = {**self.kept,
-                "estimator_ratio": [_scaled_ratio(res, self.hp)
-                                    for res in self.kept["estimator_ratio"]],
-                "representation": [representation_check(xi[s], eps[s], z[s], self.hp.beta1)
-                                   for s in range(self.horizon.size)]}
-        merged = {}
-        for name in RECORD_CHECKS:
-            for res in kept[name]:
-                merged[name] = merge(merged.get(name), res)
+        merged: dict[str, Result] = {}
+        for s, seed in enumerate(self.kept):
+            head = _Head(self.hp, self.head["xi"][s], self.head["eps"][s], self.head["z"][s])
+            seed = _closed(_fold_rows(seed, ["representation"], head, head, None, self.delta),
+                           self.hp)
+            for name in RECORD_CHECKS:
+                merged[name] = merge(merged.get(name), seed[name])
         return merged
 
 

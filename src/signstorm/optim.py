@@ -267,14 +267,10 @@ def _advance(x: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, grads: Gradien
                               hp.eps_guard, work)
         step *= eta
     elif kind is OptimizerKind.L2_NORMALIZED_STORM:
+        # a zero (or NaN) norm leaves the row in place
         norm = _row_norms(m)
-        step = np.multiply(m, eta, out=work.denom)
-        if np.minimum.reduce(norm, axis=None) > 0.0:  # no row to mask
-            step = np.divide(step, norm, out=tmp)
-        else:
-            # a zero (or NaN) norm leaves the row in place
-            tmp.fill(0.0)
-            step = np.divide(step, norm, out=tmp, where=norm > 0.0)
+        tmp.fill(0.0)
+        step = np.divide(np.multiply(m, eta, out=work.denom), norm, out=tmp, where=norm > 0.0)
     else:
         step = np.multiply(m, eta, out=tmp)
     np.subtract(x, step, out=out)

@@ -572,6 +572,7 @@ class TestCmdCheck:
         monkeypatch.setattr(harness, "_PRESAMPLE_VALUES", 4 * d * harness._MIN_PRESAMPLE_ROWS)
         monkeypatch.setattr(cli.diag, "REPRESENTATION_STEPS", R)
         monkeypatch.setattr(cli.diag, "_BLOCK_VALUES", 10 * 4 * d)
+        monkeypatch.setattr(cli.diag, "_BLOCK_STEPS", 1)
         peaks = []
         for T in (4 * R, 16 * R, 4 * R):
             cfg = base_config(tmp_path / "out")
@@ -654,6 +655,7 @@ class TestCmdCheck:
                                 else per_chunk * d * harness._MIN_PRESAMPLE_ROWS)
             # `steps` steps for a chunk of per_chunk seeds
             monkeypatch.setattr(cli.diag, "_BLOCK_VALUES", steps * per_chunk * d)
+            monkeypatch.setattr(cli.diag, "_BLOCK_STEPS", 1)
             chunks.append([])
             built.append([])
             assert main(["check", path]) == EXIT_OK

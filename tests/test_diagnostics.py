@@ -656,7 +656,8 @@ def replay_in_blocks(run, L_vec, sigma_vec, delta, steps):
     """The results of a filled DiagnosticRun's rows, recorded step by step
     into a CheckedRun that folds blocks of ``steps`` steps."""
     S, T, d = run.m.shape
-    with mock.patch.object(diagnostics, "_BLOCK_VALUES", steps * S * d):
+    with mock.patch.object(diagnostics, "_BLOCK_VALUES", steps * S * d), \
+            mock.patch.object(diagnostics, "_BLOCK_STEPS", 1):
         checked = CheckedRun(S, T, d, run.hp, run.kind, L_vec, sigma_vec, delta)
     assert checked.m.shape[1] == min(steps, T) + 1
     for t in range(1, T + 1):
@@ -669,6 +670,19 @@ def replay_in_blocks(run, L_vec, sigma_vec, delta, steps):
         with np.errstate(all="ignore"):
             checked.record(t, slice(0, S), state, grads, run.grad_exact[:, t - 1], None, None)
     return checked.finish()
+
+
+@pytest.mark.parametrize("n_seeds, T, steps", [(6, 2000, 273), (102, 2000, 256),
+                                               (102, 100, 100), (1, 10**5, 1638)])
+def test_block_takes_the_value_budget_but_at_least_the_step_floor(n_seeds, T, steps):
+    # a block holds about _BLOCK_VALUES values of its seeds' d = 10
+    # coordinates, but a chunk of many seeds still checks _BLOCK_STEPS
+    # steps at a time (a full presample chunk has 102 seeds at d = 10), so
+    # the checker calls a seed takes do not grow with its chunk's seeds
+    hp = HyperParams(eta=0.01, beta1=0.9, beta2=0.5)
+    run = CheckedRun(n_seeds, T, 10, hp, OptimizerKind.SIGNSTORM, np.ones(10), np.ones(10),
+                     0.05)
+    assert run.m.shape == (n_seeds, steps + 1, 10)
 
 
 def assert_fold_matches_frozen(run, L_vec, sigma_vec, delta=0.05):

@@ -402,6 +402,7 @@ def test_check_json_is_block_invariant(key, steps, tmp_path, monkeypatch):
     config = CHECKS[key][0]
     d, T, n = config["problem"]["params"]["d"], config["check"]["T"], config["check"]["n_seeds"]
     monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", (steps or T) * n * d)
+    monkeypatch.setattr(diagnostics, "_BLOCK_STEPS", 1)
     blocks = []
 
     class WatchedRun(diagnostics.CheckedRun):
